@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import secrets
 import sys
@@ -72,14 +73,15 @@ def _parse_axis(text: str, cast):
         if len(parts) != 3:
             raise scenario.ConfigError("invalid-axis", f"range must be start:stop:step, got {text!r}")
         start, stop, step = (cast(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
             raise scenario.ConfigError("invalid-axis", f"bad range {text!r}")
-        values = []
-        v = start
-        while v <= stop:
-            values.append(cast(v))
-            v += step
-        return tuple(values)
+        # start + i*step rather than repeated addition, which drifts; the
+        # tolerance keeps an endpoint that float rounding puts just past stop
+        count = int((stop - start) / step + 1e-9) + 1
+        values = [start + i * step for i in range(count)]
+        if abs(values[-1] - stop) <= 1e-9 * step:
+            values[-1] = stop
+        return tuple(cast(v) for v in values)
     if not text:
         return ()
     return tuple(cast(p) for p in text.split(","))
@@ -165,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric", choices=experiments.METRICS, default=experiments.METRIC_PER_BIT)
         p.add_argument("--geometry", choices=experiments.GEOMETRIES,
                        default=experiments.GEOMETRY_CANONICAL)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--budget", type=int, default=50_000_000)
         if name == "frontier":
             p.add_argument("--target", type=float, default=0.99)
@@ -277,7 +278,7 @@ def _make_spec(inv: Invocation, seed: int) -> experiments.SweepSpec:
 
 def _cmd_sweep(inv: Invocation) -> int:
     spec = _make_spec(inv, _resolve_seed(inv, _build_scenario(inv)))
-    table = experiments.sweep(spec, workers=inv.get("workers", 1))
+    table = experiments.sweep(spec)
     out = _output_dir(inv)
     csv_path = out / "sweep.csv"
     experiments.write_result_csv(table, str(csv_path))
@@ -292,7 +293,7 @@ def _cmd_frontier(inv: Invocation) -> int:
         table = experiments.read_result_csv(inv.get("from_csv"))
     else:
         spec = _make_spec(inv, _resolve_seed(inv, _build_scenario(inv)))
-        table = experiments.sweep(spec, workers=inv.get("workers", 1))
+        table = experiments.sweep(spec)
         csv_path = out / "sweep.csv"
         experiments.write_result_csv(table, str(csv_path))
         print(f"wrote {csv_path}")

@@ -1,18 +1,20 @@
 """Monte Carlo harness: seeded session sweeps over parameter grids.
 
-Each grid point runs many independent protocol sessions against the
-eavesdropper and reports the fraction of trials that met the key-size
-target, with a Wilson 95% interval and, where available, the closed-form
-probability. Trials are seeded from (base_seed, grid index, trial index),
-so results are a pure function of the spec, independent of worker count.
+Each grid point reports the fraction of protocol sessions against the
+eavesdropper that met the key-size target, with a Wilson 95% interval and,
+where available, the closed-form probability. Each (d_be, sigma) slice
+simulates its sessions once, at the longest n, from one stream seeded by
+(base_seed, slice index); every (k, n) row of the slice is read off
+prefixes of those same sessions (common random numbers). Results are a
+pure function of the spec.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
@@ -50,8 +52,13 @@ RESULT_COLUMNS = (
 )
 
 
+#: Most trial-slots simulated at once: trials run in blocks of
+#: BLOCK_SLOTS // n slots, so peak memory does not grow with the trial count.
+BLOCK_SLOTS = 16_384
+
+
 class BudgetError(ValueError):
-    """Grid size times trials exceeds the configured simulation budget."""
+    """The slots a sweep would simulate exceed the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -92,15 +99,32 @@ class SweepSpec:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.grid_size * self.trials > self.budget:
+        if any(n < 1 for n in self.n_rounds):
+            raise ValueError(f"transmission counts must be >= 1, got {self.n_rounds}")
+        if any(k < 0 for k in self.k):
+            raise ValueError(f"key sizes must be >= 0, got {self.k}")
+        for d_be in self.d_be:
+            nearest = min(_distances(d_be, self.geometry))
+            if nearest < self.scenario.d0:
+                raise ValueError(
+                    f"adversary distance {nearest} m below reference distance {self.scenario.d0} m"
+                )
+        if self.slots > self.budget:
             raise BudgetError(
-                f"{self.grid_size} grid points x {self.trials} trials exceeds "
-                f"budget {self.budget}"
+                f"{self.slots} simulated slots (slices x trials x longest n) "
+                f"exceed budget {self.budget}"
             )
 
     @property
     def grid_size(self) -> int:
         return len(self.k) * len(self.n_rounds) * len(self.d_be) * len(self.sigma)
+
+    @property
+    def slots(self) -> int:
+        """Slots simulated: each (d_be, sigma) slice runs `trials` sessions of the longest n."""
+        if self.grid_size == 0:
+            return 0
+        return len(self.d_be) * len(self.sigma) * self.trials * max(self.n_rounds)
 
     def grid_points(self) -> list[GridPoint]:
         points = []
@@ -157,10 +181,6 @@ def _distances(d_be: float, geometry: str) -> tuple[float, float]:
     return dep.d_ae, dep.d_be
 
 
-def _trial_seed(base_seed: int, grid_index: int, trial_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([base_seed, grid_index, trial_index])
-
-
 def simulate_session_counts(
     rng: np.random.Generator,
     n: int,
@@ -180,14 +200,96 @@ def simulate_session_counts(
     a = bits[0::2]
     b = bits[1::2]
     values = a[a != b]  # generated key bits, in slot order
-    m = values.size
-    noise = rng.standard_normal((m, 2))
+    return values.size, _guess_correct(rng, values, d_ae, d_be, cfg, rule)
+
+
+def simulate_session_block(
+    rng: np.random.Generator,
+    trials: int,
+    n: int,
+    d_ae: float,
+    d_be: float,
+    cfg: ScenarioConfig,
+    rule: str = RULE_ML,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`trials` sessions of n slots plus eavesdropper, batched.
+
+    Returns (generated, secret): (trials, n) slot masks of the generated key
+    bits and of those the adversary did not call. Draws every trial's
+    interleaved Alice/Bob bits, then one shadowing pair per bit slot in
+    trial-major order (then, for the random rule, the guesses), so a single
+    trial replays simulate_session_counts draw for draw.
+    """
+    bits = rng.integers(0, 2, size=(trials, 2 * n))
+    a = bits[:, 0::2]
+    generated = a != bits[:, 1::2]
+    secret = np.zeros_like(generated)
+    secret[generated] = ~_guess_correct(rng, a[generated], d_ae, d_be, cfg, rule)
+    return generated, secret
+
+
+def first_wrong_bit(generated: np.ndarray, secret: np.ndarray) -> np.ndarray:
+    """Per trial, the index among its generated bits of the first secret one; n if none."""
+    first = secret.argmax(axis=1)
+    rows = np.arange(secret.shape[0])
+    index = np.cumsum(generated, axis=1)[rows, first] - 1
+    return np.where(secret[rows, first], index, secret.shape[1])
+
+
+def slice_successes(
+    rng: np.random.Generator,
+    trials: int,
+    ks: Sequence[int],
+    n_rounds: Sequence[int],
+    d_ae: float,
+    d_be: float,
+    cfg: ScenarioConfig,
+    rule: str = RULE_ML,
+    metric: str = METRIC_PER_BIT,
+) -> np.ndarray:
+    """Successful trials per (k, n), shape (len(ks), len(n_rounds)).
+
+    Every trial is one session of max(n_rounds) slots; row n reads its
+    first n slots, so the counts are non-decreasing in n (and, for the
+    per-bit metric, non-increasing in k). Trials run in blocks of at most
+    BLOCK_SLOTS trial-slots.
+    """
+    n_max = max(n_rounds)
+    cols = np.asarray(n_rounds) - 1
+    successes = np.zeros((len(ks), len(n_rounds)), dtype=np.int64)
+    block = max(1, BLOCK_SLOTS // n_max)
+    for start in range(0, trials, block):
+        generated, secret = simulate_session_block(
+            rng, min(block, trials - start), n_max, d_ae, d_be, cfg, rule
+        )
+        if metric == METRIC_WHOLE_KEY:
+            bits = np.cumsum(generated, axis=1)[:, cols]
+            first = first_wrong_bit(generated, secret)[:, None]
+            for i, k in enumerate(ks):
+                # the first k generated bits exist and the adversary missed one of them
+                successes[i] += ((first < k) & (k <= bits)).sum(axis=0)
+        else:
+            secrets = np.cumsum(secret, axis=1)[:, cols]
+            for i, k in enumerate(ks):
+                successes[i] += (secrets >= k).sum(axis=0)
+    return successes
+
+
+def _guess_correct(
+    rng: np.random.Generator,
+    values: np.ndarray,
+    d_ae: float,
+    d_be: float,
+    cfg: ScenarioConfig,
+    rule: str,
+) -> np.ndarray:
+    """Draw an Alice and a Bob shadowing sample per bit round, then classify."""
+    noise = rng.standard_normal((values.size, 2))
     pl_ae = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0)
     pl_be = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0)
     sample_alice = cfg.pt - (pl_ae + cfg.sigma * noise[:, 0])
     sample_bob = cfg.pt - (pl_be + cfg.sigma * noise[:, 1])
-    correct = _classify_bit_rounds(rng, values, sample_alice, sample_bob, d_ae, d_be, cfg.gamma, rule)
-    return m, correct
+    return _classify_bit_rounds(rng, values, sample_alice, sample_bob, d_ae, d_be, cfg.gamma, rule)
 
 
 def _classify_bit_rounds(
@@ -240,25 +342,6 @@ def estimate_rule_correctness(
     return correct / n_bit_rounds
 
 
-def _trial_success(
-    seed: np.random.SeedSequence,
-    point: GridPoint,
-    d_ae: float,
-    d_be: float,
-    cfg: ScenarioConfig,
-    rule: str,
-    metric: str,
-) -> bool:
-    rng = np.random.default_rng(seed)
-    generated, correct = simulate_session_counts(rng, point.n, d_ae, d_be, cfg, rule)
-    if metric == METRIC_WHOLE_KEY:
-        if generated < point.k:
-            return False
-        return not bool(correct[: point.k].all())
-    secret = generated - int(correct.sum())
-    return secret >= point.k
-
-
 def analytic_rule_pg(delta: float, sigma: float, rule: str) -> float:
     """Per-bit-round correct-guess probability of the simulated rule.
 
@@ -293,39 +376,43 @@ def run_grid_point(
     metric: str = METRIC_PER_BIT,
     geometry: str = GEOMETRY_CANONICAL,
 ) -> tuple[float, tuple[float, float]]:
-    """Empirical success fraction and Wilson interval at one grid point."""
-    d_ae, d_be = _distances(point.d_be, geometry)
-    if min(d_ae, d_be) < cfg.d0:
-        raise ValueError(f"adversary distance {min(d_ae, d_be)} m below reference distance {cfg.d0} m")
-    trial_cfg = cfg.replace(sigma=point.sigma)
-    successes = 0
-    for t in range(trials):
-        seed = _trial_seed(base_seed, point.index, t)
-        successes += _trial_success(seed, point, d_ae, d_be, trial_cfg, rule, metric)
-    return successes / trials, wilson_interval(successes, trials)
+    """Empirical success fraction and Wilson interval at one grid point.
+
+    A one-point sweep: the seed is (base_seed, 0), whatever the point's index.
+    """
+    spec = SweepSpec(
+        k=(point.k,), n_rounds=(point.n,), d_be=(point.d_be,), sigma=(point.sigma,),
+        trials=trials, base_seed=base_seed, rule=rule, metric=metric, geometry=geometry,
+        scenario=cfg,
+    )
+    (row,) = sweep(spec).rows
+    return row.p_hat, (row.ci_lo, row.ci_hi)
 
 
-def sweep(spec: SweepSpec, workers: int = 1) -> ResultTable:
+def sweep(spec: SweepSpec) -> ResultTable:
     """One ResultRow per grid point, in deterministic nested-axis order."""
-    points = spec.grid_points()
-
-    def one(point: GridPoint) -> ResultRow:
-        p_hat, (lo, hi) = run_grid_point(
-            point, spec.trials, spec.base_seed, spec.scenario,
-            rule=spec.rule, metric=spec.metric, geometry=spec.geometry,
-        )
-        analytic = analytic_prob(point, spec.rule, spec.metric, spec.geometry, spec.scenario.gamma)
-        return ResultRow(
+    if spec.grid_size == 0:
+        return ResultTable(rows=())
+    slices = list(itertools.product(spec.d_be, spec.sigma))
+    counts = []
+    for index, (d_be, sigma) in enumerate(slices):
+        d_ae, d_be_m = _distances(d_be, spec.geometry)
+        rng = np.random.default_rng(np.random.SeedSequence([spec.base_seed, index]))
+        counts.append(slice_successes(
+            rng, spec.trials, spec.k, spec.n_rounds, d_ae, d_be_m,
+            spec.scenario.replace(sigma=sigma), spec.rule, spec.metric,
+        ))
+    cells = itertools.product(range(len(spec.k)), range(len(spec.n_rounds)), range(len(slices)))
+    rows = []
+    for point, (i, j, s) in zip(spec.grid_points(), cells):
+        successes = int(counts[s][i, j])
+        lo, hi = wilson_interval(successes, spec.trials)
+        rows.append(ResultRow(
             k=point.k, n=point.n, d_be=point.d_be, sigma=point.sigma,
             rule=spec.rule, metric=spec.metric, trials=spec.trials,
-            p_hat=p_hat, ci_lo=lo, ci_hi=hi, p_analytic=analytic,
-        )
-
-    if workers <= 1 or len(points) <= 1:
-        rows = [one(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, points))
+            p_hat=successes / spec.trials, ci_lo=lo, ci_hi=hi,
+            p_analytic=analytic_prob(point, spec.rule, spec.metric, spec.geometry, spec.scenario.gamma),
+        ))
     return ResultTable(rows=tuple(rows))
 
 

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fhkex.cli import (
     EXIT_CONFIG,
@@ -9,6 +11,7 @@ from fhkex.cli import (
     EXIT_IO,
     EXIT_OK,
     Invocation,
+    _parse_axis,
     dispatch,
     main,
 )
@@ -110,10 +113,8 @@ def test_sweep_writes_csv_and_plot(tmp_path, capsys):
     sweep_csv = (tmp_path / "sweep.csv").read_bytes()
     assert (tmp_path / "sweep.gp").exists()
     assert sweep_csv.startswith(b"k,n,d_be,sigma,rule,metric,trials,p_hat,ci_lo,ci_hi,p_analytic\n")
-    # same invocation, same bytes; more workers, same bytes
+    # same invocation, same bytes
     assert main(args) == EXIT_OK
-    assert (tmp_path / "sweep.csv").read_bytes() == sweep_csv
-    assert main(args + ["--workers", "3"]) == EXIT_OK
     assert (tmp_path / "sweep.csv").read_bytes() == sweep_csv
 
 
@@ -126,6 +127,54 @@ def test_sweep_axis_range_syntax(tmp_path):
     assert main(args) == EXIT_OK
     text = (tmp_path / "sweep.csv").read_text()
     assert len(text.splitlines()) == 1 + 3  # header + n in {10, 20, 30}
+
+
+def test_float_range_keeps_its_endpoint():
+    assert _parse_axis("0.1:0.3:0.1", float) == (0.1, 0.2, 0.3)
+    assert _parse_axis("0:1:0.3", float) == (0.0, 0.3, 0.6, pytest.approx(0.9))
+
+
+@pytest.mark.parametrize("text", ["1:inf:1", "nan:2:1", "0:1:0", "2:1:1", "1:2"])
+def test_bad_range_is_rejected(text):
+    with pytest.raises(ConfigError):
+        _parse_axis(text, float)
+
+
+@given(start=st.integers(-10**6, 10**6), step=st.integers(1, 10**4),
+       count=st.integers(1, 200), slack=st.integers(0, 10**4))
+def test_int_range_roundtrip(start, step, count, slack):
+    stop = start + step * (count - 1)
+    expected = tuple(range(start, stop + 1, step))
+    assert _parse_axis(f"{start}:{stop}:{step}", int) == expected
+    assert _parse_axis(f"{start}:{stop + slack % step}:{step}", int) == expected
+
+
+@given(start=st.integers(0, 10**5), step=st.integers(1, 10**3),
+       count=st.integers(1, 60), digits=st.integers(0, 3))
+def test_float_range_roundtrip(start, step, count, digits):
+    # decimal ranges as a user types them, e.g. 0.1:0.3:0.1
+    def typed(units):
+        return f"{units}e-{digits}"
+
+    stop = start + step * (count - 1)
+    values = _parse_axis(f"{typed(start)}:{typed(stop)}:{typed(step)}", float)
+    assert len(values) == count
+    assert values[0] == float(typed(start)) and values[-1] == float(typed(stop))
+    for i, value in enumerate(values):
+        assert value == pytest.approx(float(typed(start + i * step)), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [("--n-list", "20,0"), ("--k-list", "-1")])
+def test_sweep_rejects_out_of_range_axis(tmp_path, capsys, flag, value):
+    args = [
+        "sweep", "--seed", "1", "--k-list", "4", "--n-list", "20",
+        "--d-be-list", "20", "--sigma-list", "8", "--trials", "10", "--out", str(tmp_path),
+    ]
+    args[args.index(flag) + 1] = value
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):

@@ -2,10 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhkex.adversary import RULE_ML, RULE_RANDOM, score_session, simulate_eavesdropper
 from fhkex.analysis import key_prob
 from fhkex.experiments import (
+    BLOCK_SLOTS,
     GEOMETRY_EQUIDISTANT,
     METRIC_PER_BIT,
     METRIC_WHOLE_KEY,
@@ -17,11 +20,14 @@ from fhkex.experiments import (
     SweepSpec,
     analytic_prob,
     estimate_rule_correctness,
+    first_wrong_bit,
     frontier,
     read_result_csv,
     result_csv_text,
     run_grid_point,
+    simulate_session_block,
     simulate_session_counts,
+    slice_successes,
     sweep,
     wilson_interval,
     write_result_csv,
@@ -73,6 +79,92 @@ def test_vectorized_engine_matches_per_round_engine(sigma, seed):
     assert int(correct.sum()) == report.guessed_correct
 
 
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+@pytest.mark.parametrize("sigma", [0.0, 8.0])
+@pytest.mark.parametrize("seed", [1, 99, 12345])
+def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, seed):
+    cfg = ScenarioConfig(sigma=sigma)
+    dep = build_canonical_deployment(20.0)
+    generated, correct = simulate_session_counts(
+        np.random.default_rng(seed), 400, dep.d_ae, dep.d_be, cfg, rule=rule
+    )
+    gen_mask, secret_mask = simulate_session_block(
+        np.random.default_rng(seed), 1, 400, dep.d_ae, dep.d_be, cfg, rule=rule
+    )
+    wrong = np.flatnonzero(~correct)
+    assert int(gen_mask.sum()) == generated
+    assert int(secret_mask.sum()) == generated - int(correct.sum())
+    assert first_wrong_bit(gen_mask, secret_mask)[0] == (wrong[0] if wrong.size else 400)
+
+
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+@pytest.mark.parametrize("seed", [3, 41])
+def test_rows_read_session_prefixes(metric, rule, seed):
+    # one trial: row (k, n) must judge the first n slots of the single
+    # session by the per-trial success rule
+    cfg = ScenarioConfig(sigma=8.0)
+    dep = build_canonical_deployment(20.0)
+    ks, ns = (0, 1, 2, 5, 10, 30), (1, 2, 5, 17, 40, 80, 120)
+    bits = np.random.default_rng(seed).integers(0, 2, size=2 * ns[-1])  # the session's first draw
+    bit_slots = np.flatnonzero(bits[0::2] != bits[1::2])
+    _, correct = simulate_session_counts(
+        np.random.default_rng(seed), ns[-1], dep.d_ae, dep.d_be, cfg, rule=rule
+    )
+    expected = []
+    for k in ks:
+        for n in ns:
+            generated = int((bit_slots < n).sum())
+            if metric == METRIC_WHOLE_KEY:
+                expected.append(generated >= k and not correct[:k].all())
+            else:
+                expected.append(generated - int(correct[:generated].sum()) >= k)
+    counts = slice_successes(
+        np.random.default_rng(seed), 1, ks, ns, dep.d_ae, dep.d_be, cfg, rule, metric
+    )
+    assert counts.ravel().tolist() == [int(e) for e in expected]
+
+
+def test_engine_counts_every_trial_across_blocks():
+    n = 500
+    trials = 3 * (BLOCK_SLOTS // n) + 4  # three full blocks and a partial one
+    rng = np.random.default_rng(5)
+    counts = slice_successes(rng, trials, (0,), (1, n), 70.0, 20.0, ScenarioConfig())
+    assert counts.tolist() == [[trials, trials]]  # k = 0 succeeds on every trial
+    spec = SweepSpec(k=(0, 4), n_rounds=(40, n), d_be=(20.0,), sigma=(8.0,), trials=trials)
+    rows = sweep(spec).rows
+    assert all(r.trials == trials for r in rows)
+    assert [r.p_hat for r in rows if r.k == 0] == [1.0, 1.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ks=st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True),
+    ns=st.lists(st.integers(1, 120), min_size=1, max_size=6, unique=True),
+    d_be=st.sampled_from([2.0, 20.0, 60.0]),
+    sigma=st.sampled_from([0.0, 8.0]),
+    rule=st.sampled_from([RULE_ML, RULE_RANDOM]),
+    metric=st.sampled_from([METRIC_PER_BIT, METRIC_WHOLE_KEY]),
+    trials=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+)
+def test_slice_rows_share_sessions(ks, ns, d_be, sigma, rule, metric, trials, seed):
+    spec = SweepSpec(
+        k=sorted(ks), n_rounds=sorted(ns), d_be=(d_be,), sigma=(sigma,),
+        trials=trials, base_seed=seed, rule=rule, metric=metric,
+    )
+    p_hat = {(r.k, r.n): r.p_hat for r in sweep(spec).rows}
+    for k in spec.k:
+        along_n = [p_hat[(k, n)] for n in spec.n_rounds]
+        assert along_n == sorted(along_n)
+    if metric == METRIC_PER_BIT:
+        # more secret bits needed never helps; the whole-key metric has no
+        # such order, since a larger k also gives the adversary more bits to miss
+        for n in spec.n_rounds:
+            along_k = [p_hat[(k, n)] for k in spec.k]
+            assert along_k == sorted(along_k, reverse=True)
+
+
 def test_sweep_spec_validation():
     good = dict(k=(8,), n_rounds=(30,), d_be=(20.0,), sigma=(8.0,))
     SweepSpec(**good)
@@ -86,6 +178,24 @@ def test_sweep_spec_validation():
         SweepSpec(**good, geometry="moebius")
     with pytest.raises(BudgetError):
         SweepSpec(**good, trials=100, budget=99)
+    with pytest.raises(ValueError):
+        SweepSpec(**{**good, "n_rounds": (30, 0)})
+    with pytest.raises(ValueError):
+        SweepSpec(**{**good, "k": (8, -1)})
+
+
+def test_budget_counts_simulated_slots_before_allocating():
+    # one billion slots would need gigabytes; the spec refuses before any draw
+    with pytest.raises(BudgetError):
+        SweepSpec(k=(8,), n_rounds=(10**9,), d_be=(20.0,), sigma=(8.0,), trials=1)
+    # every (d_be, sigma) slice runs all trials at the longest n; k and the
+    # shorter n values ride on the same sessions for free
+    spec = SweepSpec(
+        k=(1, 2, 3), n_rounds=(10, 50), d_be=(20.0, 60.0), sigma=(8.0,), trials=7, budget=700
+    )
+    assert spec.slots == 2 * 7 * 50
+    with pytest.raises(BudgetError):
+        SweepSpec(k=(1,), n_rounds=(10, 50), d_be=(20.0, 60.0), sigma=(8.0,), trials=7, budget=699)
 
 
 def test_grid_point_order_is_deterministic():
@@ -209,10 +319,9 @@ def _small_spec(**overrides):
 
 def test_sweep_reproducible_and_worker_independent():
     spec = _small_spec()
-    text_1 = result_csv_text(sweep(spec, workers=1))
-    text_2 = result_csv_text(sweep(spec, workers=1))
-    text_3 = result_csv_text(sweep(spec, workers=3))
-    assert text_1 == text_2 == text_3
+    text_1 = result_csv_text(sweep(spec))
+    text_2 = result_csv_text(sweep(spec))
+    assert text_1 == text_2
     assert text_1 != result_csv_text(sweep(_small_spec(base_seed=12)))
 
 
