@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +25,9 @@ COLLISION_PROB = 0.5
 #: treated as exactly equidistant.
 DISTANCE_TOL = 1e-3
 
-#: log-domain cutoff under which exp() underflows to zero at double precision.
-_LOG_CUTOFF = 745.0
+#: key_probs drops binomial terms below e^-(TAIL_CUTOFF + ln(n + 1)) of the
+#: mode term; the dropped mass is then below e^-TAIL_CUTOFF of the total.
+TAIL_CUTOFF = 40.0
 
 
 class InfeasibleError(Exception):
@@ -78,34 +80,43 @@ def baseline_pg(d_ae: float, d_be: float, tol: float = DISTANCE_TOL) -> Probabil
     return Probability(0.0 if abs(d_ae - d_be) <= tol else 1.0)
 
 
-def key_prob(k: int, n: int, p_b: float) -> Probability:
-    """P(at least k successes in n slots), success probability p_b per slot.
+def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:
+    """P(at least k successes in n slots) for every k in ks, success probability p_b per slot.
 
-    Binomial upper tail, evaluated from log-domain terms built by exact
-    ratio recursion around the mode and compensated (fsum) summation; the
-    in-window total self-normalizes the seed term. Exact 1 for k = 0 and
-    exact 0 for k > n.
+    Binomial upper tails read off one window of terms around the mode, built
+    once per (n, p_b): log-domain terms by exact ratio recursion, then
+    compensated (fsum) sums of the window total and of each k's suffix; the
+    window total self-normalizes the mode term. Exact 1 for k = 0 and exact
+    0 for k > n.
+
+    Truncation bound. The window keeps the terms t_i >= e^-C t_mode, with
+    C = TAIL_CUTOFF + ln(n + 1). Binomial terms are log-concave in i, so they
+    fall monotonically on both sides of the mode and the kept terms are
+    contiguous. Each dropped term is below e^-C t_mode <= e^-C T, T being the
+    total mass, and fewer than n + 1 are dropped, so the dropped mass D is
+    below (n + 1) e^-C T = e^-TAIL_CUTOFF T. For the window total W, a k
+    inside the window with in-window suffix U and dropped suffix U' <= D,
+    the result U / W misses the exact (U + U') / (W + D) by
+    |U D - U' W| / (W (W + D)) <= D / (W + D) < e^-TAIL_CUTOFF (about 4e-18),
+    for every n. A k below the window gets 1 and one above it gets 0, within
+    the same bound.
     """
-    if not isinstance(k, int) or not isinstance(n, int):
+    if not isinstance(n, int) or not all(isinstance(k, int) for k in ks):
         raise ValueError("k and n must be integers")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    if any(k < 0 for k in ks):
+        raise ValueError(f"k must be >= 0, got {min(ks)}")
     p = float(Probability(p_b))
-    if k == 0:
-        return Probability(1.0)
-    if k > n:
-        return Probability(0.0)
-    if p == 0.0:
-        return Probability(0.0)
-    if p == 1.0:
-        return Probability(1.0)
+    if p == 0.0 or p == 1.0:
+        certain = 0 if p == 0.0 else n  # the one possible success count
+        return [Probability(1.0 if k <= certain else 0.0) for k in ks]
 
     q = 1.0 - p
     log_p, log_q = math.log(p), math.log(q)
+    cutoff = TAIL_CUTOFF + math.log(n + 1)
     mode = min(n, int((n + 1) * p))
-    half_width = int(math.sqrt(2.0 * _LOG_CUTOFF * max(n * p * q, 1.0))) + 60
+    half_width = int(math.sqrt(2.0 * cutoff * max(n * p * q, 1.0))) + 60
     while True:
         lo = max(0, mode - half_width)
         hi = min(n, mode + half_width)
@@ -115,40 +126,67 @@ def key_prob(k: int, n: int, p_b: float) -> Probability:
         log_down = np.cumsum(np.log(idn / (n - idn + 1.0)) + (log_q - log_p))
         # log term_i relative to the mode term, for i = lo..hi
         logs = np.concatenate([log_down[::-1], [0.0], log_up])
-        if (lo == 0 or logs[0] < -_LOG_CUTOFF) and (hi == n or logs[-1] < -_LOG_CUTOFF):
+        if (lo == 0 or logs[0] < -cutoff) and (hi == n or logs[-1] < -cutoff):
             break
         half_width *= 2
 
-    if k > hi:
-        return Probability(0.0)  # tail mass below double-precision resolution
-    if k <= lo:
-        return Probability(1.0)
-    terms = np.exp(logs)
-    total = math.fsum(terms.tolist())
-    upper = math.fsum(terms[k - lo :].tolist())
-    return Probability(min(upper / total, 1.0))
+    kept = np.flatnonzero(logs >= -cutoff)
+    hi = lo + int(kept[-1])
+    lo += int(kept[0])
+    terms = np.exp(logs[kept[0] : kept[-1] + 1]).tolist()
+    total = math.fsum(terms)
+    probs = []
+    for k in ks:
+        if k > hi:
+            probs.append(Probability(0.0))  # tail mass below the truncation bound
+        elif k <= lo:
+            probs.append(Probability(1.0))
+        else:
+            probs.append(Probability(min(math.fsum(terms[k - lo :]) / total, 1.0)))
+    return probs
+
+
+def key_prob(k: int, n: int, p_b: float) -> Probability:
+    """P(at least k successes in n slots), success probability p_b per slot.
+
+    The one-k case of key_probs.
+    """
+    (prob,) = key_probs((k,), n, p_b)
+    return prob
 
 
 def min_transmissions(req: KeyRequest, p_b: float, max_n: int = 10**9) -> int:
     """Smallest n with key_prob(req.k, n, p_b) >= req.target.
 
-    Doubling then binary search; the tail is monotone non-decreasing in n.
+    Gallops up from the mean waiting time k / p_b for k successes, in steps
+    that start at its standard deviation sqrt(k (1 - p_b)) / p_b and
+    double, then binary search; the tail is monotone non-decreasing in n, so
+    the bracket and the answer are exact.
     """
     p = float(Probability(p_b))
     if p == 0.0:
         raise InfeasibleError("p_b = 0: no number of transmissions can generate a key")
-    lo = req.k
-    if key_prob(req.k, lo, p) >= req.target:
-        return lo
-    hi = lo
-    while key_prob(req.k, hi, p) < req.target:
-        lo = hi
-        hi *= 2
-        if hi > max_n:
-            raise InfeasibleError(f"target {req.target} not reached below n = {max_n}")
+    k = req.k
+
+    def met(n: int) -> bool:
+        return key_prob(k, n, p) >= req.target
+
+    step = max(1, int(min(math.sqrt(k * (1.0 - p)) / p, max_n)))
+    lo = max(k, math.ceil(min(k / p, max_n)))
+    if met(lo):
+        lo, hi = k - 1, lo  # no key fits in k - 1 slots
+    else:
+        while True:
+            if lo >= max_n:
+                raise InfeasibleError(f"target {req.target} not reached below n = {max_n}")
+            hi = min(lo + step, max_n)
+            if met(hi):
+                break
+            lo = hi
+            step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if key_prob(req.k, mid, p) >= req.target:
+        if met(mid):
             hi = mid
         else:
             lo = mid

@@ -237,6 +237,8 @@ def _cmd_analyze(inv: Invocation) -> int:
         pb = analysis.Probability(inv.get("pb"))
         print(f"p_b = {float(pb):.6g} (given)")
     else:
+        if not d_be >= cfg.d0:
+            raise ValueError(f"adversary distance {d_be} m below reference distance {cfg.d0} m")
         pb = analysis.fading_pb(d_be, cfg.sigma, cfg.gamma)
         d_ab = 2 * scenario.NODE_HALF_SPACING
         delta = channel.delta_mean_pathloss(d_be + d_ab, d_be, cfg.gamma)

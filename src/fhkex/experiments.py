@@ -21,7 +21,7 @@ from typing import Sequence, TextIO, Union
 import numpy as np
 
 from .adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form
-from .analysis import key_prob, secret_bit_prob
+from .analysis import key_probs, secret_bit_prob
 from .channel import delta_mean_pathloss
 from .scenario import (
     ScenarioConfig,
@@ -324,20 +324,12 @@ def estimate_rule_correctness(
     chunk: int = 1_000_000,
 ) -> float:
     """Empirical per-bit-round correct-guess frequency over synthetic bit rounds."""
-    pl_ae = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0)
-    pl_be = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0)
     correct = 0
     remaining = n_bit_rounds
     while remaining > 0:
         m = min(chunk, remaining)
         values = rng.integers(0, 2, size=m)
-        noise = rng.standard_normal((m, 2))
-        sample_alice = cfg.pt - (pl_ae + cfg.sigma * noise[:, 0])
-        sample_bob = cfg.pt - (pl_be + cfg.sigma * noise[:, 1])
-        mask = _classify_bit_rounds(
-            rng, values, sample_alice, sample_bob, d_ae, d_be, cfg.gamma, rule
-        )
-        correct += int(mask.sum())
+        correct += int(_guess_correct(rng, values, d_ae, d_be, cfg, rule).sum())
         remaining -= m
     return correct / n_bit_rounds
 
@@ -357,14 +349,24 @@ def analytic_rule_pg(delta: float, sigma: float, rule: str) -> float:
     return pg_closed_form(delta, sigma)
 
 
-def analytic_prob(point: GridPoint, rule: str, metric: str, geometry: str, gamma: float) -> float:
-    """Closed-form success probability at one grid point."""
-    d_ae, d_be = _distances(point.d_be, geometry)
+def _slice_pg(d_ae: float, d_be: float, sigma: float, rule: str, gamma: float) -> float:
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, gamma)
-    pg = analytic_rule_pg(delta, point.sigma, rule)
+    return analytic_rule_pg(delta, sigma, rule)
+
+
+def _analytic_column(ks: Sequence[int], n: int, pg: float, metric: str) -> list[float]:
+    """Closed-form success probability for every k at n slots, from one binomial tail window."""
     if metric == METRIC_WHOLE_KEY:
-        return float(key_prob(point.k, point.n, 0.5) * (1.0 - pg**point.k))
-    return float(key_prob(point.k, point.n, secret_bit_prob(0.5, pg)))
+        return [float(tail * (1.0 - pg**k)) for k, tail in zip(ks, key_probs(ks, n, 0.5))]
+    return [float(tail) for tail in key_probs(ks, n, secret_bit_prob(0.5, pg))]
+
+
+def analytic_prob(point: GridPoint, rule: str, metric: str, geometry: str, gamma: float) -> float:
+    """Closed-form success probability at one grid point: a sweep's analytic column, one row."""
+    d_ae, d_be = _distances(point.d_be, geometry)
+    pg = _slice_pg(d_ae, d_be, point.sigma, rule, gamma)
+    (prob,) = _analytic_column((point.k,), point.n, pg, metric)
+    return prob
 
 
 def run_grid_point(
@@ -394,7 +396,7 @@ def sweep(spec: SweepSpec) -> ResultTable:
     if spec.grid_size == 0:
         return ResultTable(rows=())
     slices = list(itertools.product(spec.d_be, spec.sigma))
-    counts = []
+    counts, analytic = [], []
     for index, (d_be, sigma) in enumerate(slices):
         d_ae, d_be_m = _distances(d_be, spec.geometry)
         rng = np.random.default_rng(np.random.SeedSequence([spec.base_seed, index]))
@@ -402,6 +404,8 @@ def sweep(spec: SweepSpec) -> ResultTable:
             rng, spec.trials, spec.k, spec.n_rounds, d_ae, d_be_m,
             spec.scenario.replace(sigma=sigma), spec.rule, spec.metric,
         ))
+        pg = _slice_pg(d_ae, d_be_m, sigma, spec.rule, spec.scenario.gamma)
+        analytic.append([_analytic_column(spec.k, n, pg, spec.metric) for n in spec.n_rounds])
     cells = itertools.product(range(len(spec.k)), range(len(spec.n_rounds)), range(len(slices)))
     rows = []
     for point, (i, j, s) in zip(spec.grid_points(), cells):
@@ -411,7 +415,7 @@ def sweep(spec: SweepSpec) -> ResultTable:
             k=point.k, n=point.n, d_be=point.d_be, sigma=point.sigma,
             rule=spec.rule, metric=spec.metric, trials=spec.trials,
             p_hat=successes / spec.trials, ci_lo=lo, ci_hi=hi,
-            p_analytic=analytic_prob(point, spec.rule, spec.metric, spec.geometry, spec.scenario.gamma),
+            p_analytic=analytic[s][j][i],
         ))
     return ResultTable(rows=tuple(rows))
 
@@ -494,14 +498,19 @@ def read_result_csv(src: Union[str, TextIO]) -> ResultTable:
         for rec in reader:
             if not rec:
                 continue
-            rows.append(
-                ResultRow(
-                    k=int(rec[0]), n=int(rec[1]), d_be=float(rec[2]), sigma=float(rec[3]),
-                    rule=rec[4], metric=rec[5], trials=int(rec[6]),
-                    p_hat=float(rec[7]), ci_lo=float(rec[8]), ci_hi=float(rec[9]),
-                    p_analytic=float(rec[10]) if rec[10] != "" else None,
+            try:
+                if len(rec) != len(RESULT_COLUMNS):
+                    raise ValueError(f"{len(rec)} fields, expected {len(RESULT_COLUMNS)}")
+                rows.append(
+                    ResultRow(
+                        k=int(rec[0]), n=int(rec[1]), d_be=float(rec[2]), sigma=float(rec[3]),
+                        rule=rec[4], metric=rec[5], trials=int(rec[6]),
+                        p_hat=float(rec[7]), ci_lo=float(rec[8]), ci_hi=float(rec[9]),
+                        p_analytic=float(rec[10]) if rec[10] != "" else None,
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"result CSV line {reader.line_num}: {exc}") from None
         return ResultTable(rows=tuple(rows))
     finally:
         if own:

@@ -176,5 +176,10 @@ def load_config(path: str) -> ScenarioConfig:
         else:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"invalid-{key.replace('_', '-')}", f"{key} must be a number")
-            coerced[key] = float(value)
+            try:
+                coerced[key] = float(value)
+            except OverflowError as exc:
+                raise ConfigError(
+                    f"invalid-{key.replace('_', '-')}", f"{key} is too large for a float"
+                ) from exc
     return validate_config(ScenarioConfig(**coerced))

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fhkex.analysis
 from fhkex.analysis import (
     InfeasibleError,
     KeyRequest,
@@ -13,6 +16,7 @@ from fhkex.analysis import (
     baseline_pg,
     fading_pb,
     key_prob,
+    key_probs,
     min_transmissions,
     privacy_radius,
     secret_bit_prob,
@@ -50,6 +54,24 @@ def enumerated_tail(k: int, n: int, p: Fraction) -> Fraction:
         if successes >= k:
             total += p**successes * q ** (n - successes)
     return total
+
+
+def exact_tails(n: int, p: float) -> list[float]:
+    """P(X >= k) for k = 0..n+1, X ~ Binomial(n, p), from exact integer terms.
+
+    With p = a / d exactly, term_i * d**n = C(n, i) a**i (d - a)**(n - i); the
+    ratio recursion between neighbours divides exactly, and int / int rounds
+    the exact quotient once.
+    """
+    a, d = p.as_integer_ratio()
+    b = d - a
+    terms = [b**n]
+    for i in range(n):
+        terms.append(terms[-1] * (n - i) * a // ((i + 1) * b))
+    tails = [0] * (n + 2)
+    for i in range(n, -1, -1):
+        tails[i] = tails[i + 1] + terms[i]
+    return [t / d**n for t in tails]
 
 
 def test_probability_bounds():
@@ -123,6 +145,30 @@ def test_key_prob_against_exact_direct_summation():
                 assert got == pytest.approx(want, abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [60, 600, 2000])
+@pytest.mark.parametrize("p", [0.5, 0.25, float(fading_pb(20.0, 8.0)), 0.9])
+def test_key_probs_against_exact_rationals(n, p):
+    # every k, so the truncated window's edges and the 0/1 answers outside it are checked
+    want = exact_tails(n, p)
+    got = key_probs(range(n + 2), n, p)
+    assert len(got) == n + 2
+    for k in range(n + 2):
+        assert float(got[k]) == pytest.approx(want[k], abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ks=st.lists(st.integers(0, 2500), max_size=12),
+    n=st.integers(1, 2000),
+    p=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+)
+def test_key_probs_is_key_prob_elementwise(ks, n, p):
+    tails = key_probs(ks, n, p)
+    assert [float(t) for t in tails] == [float(key_prob(k, n, p)) for k in ks]
+    by_k = [float(t) for t in key_probs(sorted(ks), n, p)]
+    assert by_k == sorted(by_k, reverse=True)
+
+
 def test_key_prob_against_sequence_enumeration():
     for n in (4, 9, 14):
         p = Fraction(1, 2)
@@ -161,6 +207,32 @@ def test_min_transmissions_frozen_minima():
         assert got == expected
         assert float(key_prob(k, got, 0.5)) >= 0.99
         assert float(key_prob(k, got - 1, 0.5)) < 0.99
+
+
+def test_min_transmissions_matches_linear_scan():
+    for p in (0.5, 0.25, 0.9, float(fading_pb(20.0, 8.0)), float(fading_pb(35.0, 8.0)), 1.0):
+        for k in (1, 2, 5, 12):
+            for target in (0.99, 0.5, 0.01):
+                n = k
+                while float(key_prob(k, n, p)) < target:
+                    n += 1
+                assert min_transmissions(KeyRequest(k=k, target=target), p) == n
+
+
+def test_min_transmissions_evaluation_count(monkeypatch):
+    evals = []
+    exact = fhkex.analysis.key_prob
+    monkeypatch.setattr(
+        fhkex.analysis, "key_prob", lambda *args: evals.append(args) or exact(*args)
+    )
+    for k in ORACLE_MIN_N:
+        evals.clear()
+        min_transmissions(KeyRequest(k=k, target=0.99), 0.5)
+        assert len(evals) <= 9  # doubling from k took 11-13
+    for d_be in (20.0, 35.0):
+        evals.clear()
+        min_transmissions(KeyRequest(k=128, target=0.99), fading_pb(d_be, 8.0))
+        assert len(evals) <= 13  # doubling from k took 18-20
 
 
 def test_min_transmissions_certain_generation():

@@ -225,6 +225,30 @@ def test_frontier_from_existing_csv(tmp_path):
     assert (tmp_path / "frontier.csv").exists()
 
 
+@pytest.mark.parametrize("cut", [
+    lambda fields: fields[:7],  # a row cut off after `trials`
+    lambda fields: fields[:7] + ["x"] + fields[8:],  # a p_hat that is no number
+])
+def test_frontier_from_csv_rejects_bad_row(tmp_path, capsys, cut):
+    sweep_args = [
+        "sweep", "--seed", "4", "--k-list", "2", "--n-list", "8,16",
+        "--d-be-list", "20", "--sigma-list", "8", "--trials", "10",
+        "--out", str(tmp_path),
+    ]
+    assert main(sweep_args) == EXIT_OK
+    csv_path = tmp_path / "sweep.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[-1] = ",".join(cut(lines[-1].split(",")))
+    csv_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    args = ["frontier", "--from-csv", str(csv_path), "--target", "0.3", "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-value: result CSV line 3:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "frontier.csv").exists()
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir"
     assert main(["session", "--seed", "1", "--n-rounds", "5", "--out", str(missing)]) == EXIT_IO
@@ -256,3 +280,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"bogus": 1}))
     assert main(["session", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: unknown-config-key:")
+
+
+@pytest.mark.parametrize("field", ["gamma", "sigma", "pl0", "d0", "pt", "slot_duration"])
+def test_config_number_too_large_for_float(tmp_path, capsys, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: 10**400}))
+    assert main(["session", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid-{field.replace('_', '-')}:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["--d-be", "0.5"], ["--d0", "2", "--d-be", "1.5"]])
+def test_analyze_rejects_adversary_below_reference_distance(capsys, args):
+    assert main(["analyze", "--k", "64", *args]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid-value:")
+    assert err.count("\n") == 1

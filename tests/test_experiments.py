@@ -9,6 +9,7 @@ from fhkex.adversary import RULE_ML, RULE_RANDOM, score_session, simulate_eavesd
 from fhkex.analysis import key_prob
 from fhkex.experiments import (
     BLOCK_SLOTS,
+    GEOMETRY_CANONICAL,
     GEOMETRY_EQUIDISTANT,
     METRIC_PER_BIT,
     METRIC_WHOLE_KEY,
@@ -252,6 +253,21 @@ def test_analytic_prob_composition():
     assert value == pytest.approx(float(key_prob(64, 300, 0.25)), abs=1e-12)
 
 
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+@pytest.mark.parametrize("geometry, d_be", [
+    (GEOMETRY_CANONICAL, (2.0, 20.0, 60.0)),
+    (GEOMETRY_EQUIDISTANT, (25.0, 60.0)),
+])
+def test_sweep_analytic_column_is_analytic_prob(metric, rule, geometry, d_be):
+    spec = SweepSpec(
+        k=(0, 1, 16, 64, 700), n_rounds=(1, 40, 200, 600), d_be=d_be, sigma=(0.0, 8.0),
+        trials=1, rule=rule, metric=metric, geometry=geometry,
+    )
+    for point, row in zip(spec.grid_points(), sweep(spec).rows):
+        assert row.p_analytic == analytic_prob(point, rule, metric, geometry, gamma=3.5)
+
+
 def test_run_grid_point_fading_agrees_with_closed_form():
     point = GridPoint(index=0, k=4, n=150, d_be=60.0, sigma=8.0)
     p_hat, (lo, hi) = run_grid_point(point, trials=800, base_seed=23, cfg=ScenarioConfig())
@@ -306,6 +322,21 @@ def test_estimate_rule_correctness_random_is_half():
         rng, 10**5, 70.0, 20.0, ScenarioConfig(sigma=8.0), rule=RULE_RANDOM
     )
     assert rate == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("rule, sigma, rate, next_draw", [
+    (RULE_ML, 0.0, 1.0, 4168212376),
+    (RULE_ML, 8.0, 0.9564, 4168212376),
+    (RULE_RANDOM, 0.0, 0.5012, 687192136),
+    (RULE_RANDOM, 8.0, 0.5012, 687192136),
+])
+def test_estimate_rule_correctness_pinned_draws(rule, sigma, rate, next_draw):
+    # frozen from the stand-alone loop this estimator replaced, chunk edges included
+    rng = np.random.default_rng(20261018)
+    cfg = ScenarioConfig(sigma=sigma)
+    got = estimate_rule_correctness(rng, 5000, 70.0, 20.0, cfg, rule, chunk=1500)
+    assert got == rate
+    assert rng.integers(0, 2**32) == next_draw
 
 
 def _small_spec(**overrides):
