@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channel import PathLossParams, ShadowingParams, delta_mean_pathloss, params_from_config, rss
 from .protocol import Collision, RoundOutcome, SessionTranscript, SharedBit
@@ -156,7 +155,8 @@ def classify_random(obs: Observation, rng: np.random.Generator) -> Guess:
 def pg_closed_form(delta: float, sigma: float) -> float:
     """Probability that the pairwise ML rule names the transmitter correctly.
 
-    Phi(|delta| / (sigma*sqrt(2))) for sigma > 0. At sigma = 0 the rule is
+    Phi(|delta| / (sigma*sqrt(2))) = erfc(-|delta| / (2 sigma)) / 2 for
+    sigma > 0 (within 2 ulp of scipy's ndtr). At sigma = 0 the rule is
     certain unless the hypotheses coincide (delta = 0), where the abstain
     policy scores 0. For delta = 0 with sigma > 0 the returned 0.5 is the
     coin-flip tie-break value; the simulated rule abstains there instead.
@@ -165,7 +165,7 @@ def pg_closed_form(delta: float, sigma: float) -> float:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return 1.0 if delta != 0.0 else 0.0
-    return float(ndtr(abs(delta) / (sigma * math.sqrt(2.0))))
+    return 0.5 * math.erfc(-abs(delta) / (2.0 * sigma))
 
 
 def score_session(transcript: SessionTranscript, guesses: Sequence[Guess]) -> SecrecyReport:

@@ -252,7 +252,7 @@ def _cmd_analyze(inv: Invocation) -> int:
         p = analysis.key_prob(req.k, n, pb)
         print(f"P(L >= {req.k} | N={n}) = {float(p):.6g}")
         if inv.get("pb") is None and cfg.sigma > 0:
-            region = analysis.privacy_radius(req, n, cfg.sigma, cfg.gamma)
+            region = analysis.privacy_radius(req, n, cfg.sigma, cfg.gamma, d_min=cfg.d0)
             print(f"privacy radius at N={n}: {region.radius:.3f} m "
                   f"around ({region.center.x}, {region.center.y})")
     return EXIT_OK

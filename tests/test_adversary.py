@@ -1,8 +1,12 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from fhkex.adversary import (
     KIND_BIT,
@@ -170,6 +174,23 @@ def test_pg_closed_form_monotonicity():
     sigmas = np.linspace(0.5, 20.0, 40)
     values = [pg_closed_form(19.0, s) for s in sigmas]
     assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def _ulps_apart(a: float, b: float) -> int:
+    """Distance in units in the last place between two non-negative doubles."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+# Subnormal sigmas are left out: there sigma * sqrt(2) itself loses bits, so
+# the reference is the inexact side (at delta = sigma = 5e-324 it reads
+# Phi(1), while the exact Phi(1/sqrt(2)) is what pg_closed_form returns).
+@given(
+    delta=st.floats(min_value=-60.0, max_value=60.0),
+    sigma=st.floats(min_value=sys.float_info.min, max_value=20.0),
+)
+def test_pg_closed_form_matches_scipy_ndtr(delta, sigma):
+    expected = float(ndtr(abs(delta) / (sigma * math.sqrt(2.0))))
+    assert _ulps_apart(pg_closed_form(delta, sigma), expected) <= 2
 
 
 def _session_with_guesses(cfg, dep, rule, seed):

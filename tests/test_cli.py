@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fhkex
 from fhkex.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -56,6 +60,23 @@ def test_analyze_channel_route(capsys):
     out = capsys.readouterr().out
     assert "p_b = 0.0230877" in out
     assert "privacy radius at N=400: 267.677 m" in out
+
+
+@pytest.mark.parametrize("d0", ["1", "5", "30"])
+def test_analyze_privacy_radius_not_below_reference_distance(capsys, d0):
+    code = main(["analyze", "--d0", d0, "--k", "64", "--sigma", "8", "--d-be", "40", "--n", "1000000"])
+    assert code == EXIT_OK
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("privacy radius at N=1000000: ")
+    assert float(line.split(": ")[1].split()[0]) >= float(d0)
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(fhkex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fhkex.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_analyze_infeasible_pb(capsys):

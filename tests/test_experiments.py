@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fhkex.adversary import RULE_ML, RULE_RANDOM, score_session, simulate_eavesdropper
 from fhkex.analysis import key_prob
+from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import (
     BLOCK_SLOTS,
     GEOMETRY_CANONICAL,
@@ -19,6 +21,7 @@ from fhkex.experiments import (
     ResultRow,
     ResultTable,
     SweepSpec,
+    _guess_correct,
     analytic_prob,
     estimate_rule_correctness,
     first_wrong_bit,
@@ -124,6 +127,61 @@ def test_rows_read_session_prefixes(metric, rule, seed):
         np.random.default_rng(seed), 1, ks, ns, dep.d_ae, dep.d_be, cfg, rule, metric
     )
     assert counts.ravel().tolist() == [int(e) for e in expected]
+
+
+def _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta):
+    """The engine's earlier ML rule, kept verbatim as the reference: which
+    sample sits on f0 follows the bit value; score 0 abstains."""
+    on_f0_is_alice = values == 0
+    rss_f0 = np.where(on_f0_is_alice, sample_alice, sample_bob)
+    rss_f1 = np.where(on_f0_is_alice, sample_bob, sample_alice)
+    score = (rss_f0 - rss_f1) * delta
+    return np.where(score > 0.0, values == 1, np.where(score < 0.0, values == 0, False))
+
+
+class _GivenShadowing:
+    """Generator stand-in whose shadowing draw returns the given noise."""
+
+    def __init__(self, noise):
+        self.noise = noise
+
+    def standard_normal(self, shape):
+        assert shape == self.noise.shape
+        return self.noise.copy()
+
+
+_NOISE_ROW = st.one_of(
+    st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    # shadowing this large swallows the path-loss gap: equal samples, an exact tie
+    st.sampled_from([1e300, -1e300]).map(lambda x: (x, x)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 1), _NOISE_ROW), min_size=1, max_size=40),
+    distances=st.sampled_from([(70.0, 20.0), (20.0, 70.0), (30.0, 30.0), (2.0, 1.0), (1.0, 2.0)]),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+)
+def test_ml_mask_matches_reference_rule(rows, distances, sigma):
+    values = np.array([v for v, _ in rows])
+    noise = np.array([pair for _, pair in rows])
+    d_ae, d_be = distances
+    cfg = ScenarioConfig(sigma=sigma)
+    mask = _guess_correct(_GivenShadowing(noise), values, d_ae, d_be, cfg, RULE_ML)
+
+    pl_ae = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0)
+    pl_be = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0)
+    sample_alice = cfg.pt - (pl_ae + cfg.sigma * noise[:, 0])
+    sample_bob = cfg.pt - (pl_be + cfg.sigma * noise[:, 1])
+    delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    expected = _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, expected)
+    ties = sample_alice == sample_bob
+    assert not mask[ties].any()  # an exact tie abstains whatever the bit
+    if delta == 0.0:
+        assert not mask.any()
 
 
 def test_engine_counts_every_trial_across_blocks():
