@@ -29,8 +29,6 @@ from .channel import (
 )
 from .protocol import (
     Collision,
-    DetectionMiss,
-    NodeId,
     RoundAction,
     RoundRecord,
     SessionTranscript,

@@ -16,7 +16,7 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .channel import PathLossParams, ShadowingParams, delta_mean_pathloss, params_from_config, rss
+from .channel import PathLossParams, ShadowingParams, delta_mean_pathloss, rss
 from .protocol import Collision, RoundOutcome, SessionTranscript, SharedBit
 from .scenario import Deployment, ScenarioConfig
 
@@ -55,15 +55,12 @@ class EveKnowledge:
     params: PathLossParams
     sigma: float  # dB
     rule: str = RULE_ML
-    tie_policy: str = "abstain"
 
     def __post_init__(self):
         if not (self.d_ae > 0.0 and self.d_be > 0.0):
             raise ValueError("adversary distances must be positive")
         if self.rule not in RULES:
             raise ValueError(f"unknown rule {self.rule!r}")
-        if self.tie_policy != "abstain":
-            raise ValueError("only the abstain tie policy is supported")
 
     @property
     def delta(self) -> float:
@@ -76,10 +73,8 @@ class EveKnowledge:
     def from_scenario(
         cls, deployment: Deployment, cfg: ScenarioConfig, rule: str = RULE_ML
     ) -> "EveKnowledge":
-        plp, shp = params_from_config(cfg)
-        return cls(
-            d_ae=deployment.d_ae, d_be=deployment.d_be, params=plp, sigma=shp.sigma, rule=rule
-        )
+        plp = PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0)
+        return cls(d_ae=deployment.d_ae, d_be=deployment.d_be, params=plp, sigma=cfg.sigma, rule=rule)
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,8 @@ def observe_round(
     """
     if isinstance(outcome, Collision):
         return Observation(slot=slot, kind=KIND_COLLISION)
-    plp, shp = params_from_config(cfg)
+    plp = PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0)
+    shp = ShadowingParams(sigma=cfg.sigma)
     sample_alice = rss(cfg.pt, deployment.d_ae, plp, shp, rng, frequency=outcome.alice_freq)
     sample_bob = rss(cfg.pt, deployment.d_be, plp, shp, rng, frequency=outcome.bob_freq)
     if sample_alice.frequency == "f0":
@@ -208,57 +204,59 @@ def simulate_eavesdropper(
     rng: np.random.Generator,
     rule: str = RULE_ML,
 ) -> tuple[list[Observation], list[Guess]]:
-    """Observe every slot and classify the bit-generating ones.
+    """Observe every slot, then classify the bit-generating ones.
 
-    Per slot the draw order is: two observation draws, then (random rule
-    only) one guess draw.
+    Draw order, as in the vectorized engine: two observation draws per
+    bit-generating slot, in slot order, then (random rule only) one guess
+    draw per such slot.
     """
     knowledge = EveKnowledge.from_scenario(deployment, cfg, rule=rule)
-    observations = []
-    guesses = []
-    for record in transcript.rounds:
-        obs = observe_round(record.outcome, deployment, cfg, rng, slot=record.slot)
-        observations.append(obs)
-        if obs.kind != KIND_BIT or not isinstance(record.outcome, SharedBit):
-            continue
-        if rule == RULE_RANDOM:
-            guesses.append(classify_random(obs, rng))
-        else:
-            guesses.append(classify_ml(obs, knowledge))
-    return observations, guesses
+    observations = [
+        observe_round(record.outcome, deployment, cfg, rng, slot=record.slot)
+        for record in transcript.rounds
+    ]
+    bit_obs = [obs for obs in observations if obs.kind == KIND_BIT]
+    if rule == RULE_RANDOM:
+        return observations, [classify_random(obs, rng) for obs in bit_obs]
+    return observations, [classify_ml(obs, knowledge) for obs in bit_obs]
 
 
 def write_adversary_trace_csv(
-    transcript: SessionTranscript,
-    observations: Sequence[Observation],
-    guesses: Sequence[Guess],
+    alice_bits: Sequence[int],
+    bob_bits: Sequence[int],
+    samples: Sequence[Sequence[float]],
+    correct: Sequence[bool],
+    abstain: Sequence[bool],
     dest: Union[str, TextIO],
 ) -> None:
     """Per-slot trace: round, rss_f0, rss_f1, decision, correct.
 
-    Collision slots leave the sample and decision fields empty.
+    alice_bits and bob_bits hold one bit per slot. samples (Alice's and
+    Bob's RSS at Eve, dBm), correct and abstain hold one entry per
+    bit-generating slot, in slot order. Alice transmits on f_value, so the
+    value picks which sample sits on f0; the decision is the value if
+    correct, "abstain" on a tie, otherwise the other bit. Collision slots
+    leave the sample and decision fields empty.
     """
-    by_slot = {g.slot: g for g in guesses}
-    truth = {
-        r.slot: r.outcome.value
-        for r in transcript.rounds
-        if isinstance(r.outcome, SharedBit)
-    }
+    alice, bob = np.asarray(alice_bits).tolist(), np.asarray(bob_bits).tolist()
+    bit_rows = list(zip(np.asarray(samples, dtype=float).reshape(-1, 2).tolist(),
+                        np.asarray(correct).tolist(), np.asarray(abstain).tolist()))
+    if len(alice) != len(bob) or len(bit_rows) != sum(a != b for a, b in zip(alice, bob)):
+        raise ValueError("trace needs equal bit columns and one entry per bit slot")
+    judged = iter(bit_rows)
     own = isinstance(dest, str)
     fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "rss_f0", "rss_f1", "decision", "correct"])
-        for obs in observations:
-            if obs.kind != KIND_BIT:
-                writer.writerow([obs.slot, "", "", "", ""])
+        for slot, (a, b) in enumerate(zip(alice, bob), 1):
+            if a == b:
+                writer.writerow([slot, "", "", "", ""])
                 continue
-            guess = by_slot.get(obs.slot)
-            decision = "" if guess is None else ("abstain" if guess.decision is None else guess.decision)
-            correct = ""
-            if guess is not None and obs.slot in truth:
-                correct = int(guess.decision == truth[obs.slot])
-            writer.writerow([obs.slot, repr(obs.rss_f0), repr(obs.rss_f1), decision, correct])
+            (rss_a, rss_b), ok, tie = next(judged)
+            rss_f0, rss_f1 = (rss_a, rss_b) if a == 0 else (rss_b, rss_a)
+            decision = a if ok else ("abstain" if tie else 1 - a)
+            writer.writerow([slot, repr(rss_f0), repr(rss_f1), decision, int(ok)])
     finally:
         if own:
             fh.close()

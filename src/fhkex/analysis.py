@@ -44,6 +44,13 @@ class Probability(float):
         return super().__new__(cls, v)
 
 
+def check_target(target: float) -> float:
+    """A required success probability: strictly between 0 and 1 (nan is not)."""
+    if not (0.0 < target < 1.0):
+        raise ValueError(f"target must lie in (0, 1), got {target}")
+    return target
+
+
 @dataclass(frozen=True)
 class KeyRequest:
     k: int  # key size, bits
@@ -52,8 +59,7 @@ class KeyRequest:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"key size must be a positive integer, got {self.k}")
-        if not (0.0 < self.target < 1.0):
-            raise ValueError(f"target must lie in (0, 1), got {self.target}")
+        check_target(self.target)
 
 
 @dataclass(frozen=True)

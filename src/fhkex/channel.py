@@ -51,14 +51,6 @@ class RssSample:
             raise ValueError(f"unknown frequency label {self.frequency!r}")
 
 
-def params_from_config(cfg) -> tuple[PathLossParams, ShadowingParams]:
-    """Split any config carrying pl0/gamma/d0/sigma into channel parameter bundles."""
-    return (
-        PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0),
-        ShadowingParams(sigma=cfg.sigma),
-    )
-
-
 def path_loss_deterministic(d: float, p: PathLossParams) -> float:
     """PL(d) = pl0 + 10*gamma*log10(d/d0), in dB. Undefined below d0."""
     if d < p.d0:

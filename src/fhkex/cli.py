@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import secrets
@@ -127,7 +128,9 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or '.')")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fhkex argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="fhkex",
         description="Simulation lab for key establishment via frequency-hopping collisions.",
@@ -195,7 +198,7 @@ def _cmd_fixture(inv: Invocation) -> int:
     transcript = protocol.run_session(
         scenario.ScenarioConfig(), alice_bits=FIXTURE_ALICE, bob_bits=FIXTURE_BOB
     )
-    print(protocol.transcript_csv_text(transcript), end="")
+    print(protocol.transcript_csv_text(FIXTURE_ALICE, FIXTURE_BOB), end="")
     collisions = ",".join(str(s) for s in transcript.collision_slots())
     print(f"collisions at slots: {collisions}")
     print(f"key: {transcript.key_string}")
@@ -204,28 +207,30 @@ def _cmd_fixture(inv: Invocation) -> int:
 
 def _cmd_session(inv: Invocation) -> int:
     cfg = _build_scenario(inv)
-    cfg = dataclasses.replace(cfg, seed=_resolve_seed(inv, cfg))
     deployment = scenario.build_canonical_deployment(inv.get("d_be", 20.0))
+    if inv.get("eve") and not deployment.d_be >= cfg.d0:
+        raise ValueError(f"adversary distance {deployment.d_be} m below reference distance {cfg.d0} m")
+    cfg = dataclasses.replace(cfg, seed=_resolve_seed(inv, cfg))
     out = _output_dir(inv)
-    rng = np.random.default_rng(cfg.seed)
-    transcript = protocol.run_session(cfg, rng)
+    rule = inv.get("rule", adversary.RULE_ML)
+    session = experiments.simulate_session_counts(
+        np.random.default_rng(cfg.seed), cfg.n_rounds, deployment.d_ae, deployment.d_be, cfg, rule
+    )
+    key = session.alice[session.alice != session.bob].tolist()
     path = out / "transcript.csv"
-    protocol.write_transcript_csv(transcript, str(path), seed=cfg.seed)
+    protocol.write_transcript_csv(session.alice, session.bob, dest=str(path), seed=cfg.seed)
     print(f"wrote {path}")
-    print(f"generated {len(transcript.key_bits)} bits over {cfg.n_rounds} slots "
+    print(f"generated {len(key)} bits over {cfg.n_rounds} slots "
           f"(~{cfg.n_rounds * cfg.slot_duration:.3f} s of air time)")
-    print(f"key: {transcript.key_string}")
+    print(f"key: {''.join(map(str, key))}")
     if inv.get("eve"):
-        rule = inv.get("rule", adversary.RULE_ML)
-        observations, guesses = adversary.simulate_eavesdropper(
-            transcript, deployment, cfg, rng, rule=rule
-        )
-        report = adversary.score_session(transcript, guesses)
         trace = out / "eve_trace.csv"
-        adversary.write_adversary_trace_csv(transcript, observations, guesses, str(trace))
+        adversary.write_adversary_trace_csv(session.alice, session.bob, session.samples,
+                                            session.correct, session.abstain, dest=str(trace))
+        guessed = int(session.correct.sum())
         print(f"wrote {trace}")
-        print(f"adversary ({rule}): guessed {report.guessed_correct} of "
-              f"{report.generated} bits; {report.secret} secret")
+        print(f"adversary ({rule}): guessed {guessed} of "
+              f"{len(key)} bits; {len(key) - guessed} secret")
     return EXIT_OK
 
 
@@ -290,6 +295,7 @@ def _cmd_sweep(inv: Invocation) -> int:
 
 
 def _cmd_frontier(inv: Invocation) -> int:
+    target = analysis.check_target(inv.get("target", 0.99))
     out = _output_dir(inv)
     if inv.get("from_csv"):
         table = experiments.read_result_csv(inv.get("from_csv"))
@@ -299,7 +305,6 @@ def _cmd_frontier(inv: Invocation) -> int:
         csv_path = out / "sweep.csv"
         experiments.write_result_csv(table, str(csv_path))
         print(f"wrote {csv_path}")
-    target = inv.get("target", 0.99)
     column = inv.get("column", "p_hat")
     rows = experiments.frontier(table, target=target, column=column)
     frontier_path = out / "frontier.csv"

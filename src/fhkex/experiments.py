@@ -16,7 +16,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO, Union
+from typing import NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -181,6 +181,16 @@ def _distances(d_be: float, geometry: str) -> tuple[float, float]:
     return dep.d_ae, dep.d_be
 
 
+class Session(NamedTuple):
+    """One vectorized session: both nodes' bits per slot, Eve's samples and verdicts per key bit."""
+
+    alice: np.ndarray  # (n,) Alice's bit per slot
+    bob: np.ndarray  # (n,) Bob's bit per slot
+    samples: np.ndarray  # (generated, 2) Alice's and Bob's RSS at Eve, dBm
+    correct: np.ndarray  # (generated,) Eve named the bit
+    abstain: np.ndarray  # (generated,) Eve abstained: an ML tie
+
+
 def simulate_session_counts(
     rng: np.random.Generator,
     n: int,
@@ -188,19 +198,19 @@ def simulate_session_counts(
     d_be: float,
     cfg: ScenarioConfig,
     rule: str = RULE_ML,
-) -> tuple[int, np.ndarray]:
+) -> Session:
     """One full session plus eavesdropper, vectorized.
 
-    Returns (generated bit count, per-bit correctness mask). Mirrors the
-    per-round engine draw for draw: interleaved Alice/Bob bit draws, then
-    per bit-round an Alice and a Bob shadowing draw (then, for the random
-    rule, the guess draws).
+    Mirrors the per-round engine draw for draw: interleaved Alice/Bob bit
+    draws, then per bit-round an Alice and a Bob shadowing draw, then (for
+    the random rule) the guess draws.
     """
     bits = rng.integers(0, 2, size=2 * n)
-    a = bits[0::2]
-    b = bits[1::2]
-    values = a[a != b]  # generated key bits, in slot order
-    return values.size, _guess_correct(rng, values, d_ae, d_be, cfg, rule)
+    alice, bob = bits[0::2], bits[1::2]
+    values = alice[alice != bob]
+    samples = _rss_samples(rng, values.size, d_ae, d_be, cfg)
+    correct, abstain = _classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)
+    return Session(alice, bob, samples, correct, abstain)
 
 
 def simulate_session_block(
@@ -224,8 +234,10 @@ def simulate_session_block(
     bits = rng.integers(0, 2, size=(trials, 2 * n), dtype=np.int32)
     a = bits[:, 0::2]
     generated = a != bits[:, 1::2]
+    values = a[generated]
+    samples = _rss_samples(rng, values.size, d_ae, d_be, cfg)
     secret = np.zeros_like(generated)
-    secret[generated] = ~_guess_correct(rng, a[generated], d_ae, d_be, cfg, rule)
+    secret[generated] = ~_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0]
     return generated, secret
 
 
@@ -276,36 +288,47 @@ def slice_successes(
     return successes
 
 
-def _guess_correct(
-    rng: np.random.Generator,
-    values: np.ndarray,
-    d_ae: float,
-    d_be: float,
-    cfg: ScenarioConfig,
-    rule: str,
+def _rss_samples(
+    rng: np.random.Generator, m: int, d_ae: float, d_be: float, cfg: ScenarioConfig
 ) -> np.ndarray:
-    """Draw an Alice and a Bob shadowing sample per bit round, then classify.
+    """Alice's and Bob's RSS at Eve for m bit rounds, shape (m, 2), dBm.
 
-    The ML guess is correct iff (A - B) * delta < 0 for the Alice and Bob
-    samples A, B, whatever the bit value: value 0 puts A on f0 and is named
-    on a negative score, value 1 puts B on f0 and is named on a positive
-    one. An exact tie (score 0, always so at delta = 0) abstains, never
-    correct.
+    One shadowing draw each, Alice's first; built in place, per column, as
+    pt - (pl + sigma * noise).
     """
-    # drawn for every rule: the random rule's guesses follow them in the stream
-    samples = rng.standard_normal((values.size, 2))
-    if rule == RULE_RANDOM:
-        return rng.integers(0, 2, size=values.size) == values
-    # in place, per column: pt - (pl + sigma * noise)
+    samples = rng.standard_normal((m, 2))
     samples *= cfg.sigma
     samples += (
         cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0),
         cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0),
     )
     np.subtract(cfg.pt, samples, out=samples)
+    return samples
+
+
+def _classify(
+    rng: np.random.Generator,
+    values: np.ndarray,
+    samples: np.ndarray,
+    d_ae: float,
+    d_be: float,
+    gamma: float,
+    rule: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per bit round, (correct, abstain): did the rule name the value, did it abstain.
+
+    The ML guess is correct iff (A - B) * delta < 0 for the Alice and Bob
+    samples A, B, whatever the bit value: value 0 puts A on f0 and is named
+    on a negative score, value 1 puts B on f0 and is named on a positive
+    one. An exact tie (score 0, always so at delta = 0) abstains, never
+    correct. The random rule ignores the samples, draws its guesses after
+    them and never abstains.
+    """
+    if rule == RULE_RANDOM:
+        return rng.integers(0, 2, size=values.size) == values, np.zeros(values.size, dtype=bool)
     score = samples[:, 0] - samples[:, 1]
-    score *= 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    return score < 0.0
+    score *= 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, gamma)
+    return score < 0.0, score == 0.0
 
 
 def estimate_rule_correctness(
@@ -323,7 +346,8 @@ def estimate_rule_correctness(
     while remaining > 0:
         m = min(chunk, remaining)
         values = rng.integers(0, 2, size=m)
-        correct += int(_guess_correct(rng, values, d_ae, d_be, cfg, rule).sum())
+        samples = _rss_samples(rng, m, d_ae, d_be, cfg)
+        correct += int(_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0].sum())
         remaining -= m
     return correct / n_bit_rounds
 

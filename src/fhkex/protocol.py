@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Sequence, TextIO, Union
 
 import numpy as np
@@ -23,11 +22,6 @@ from .scenario import ScenarioConfig
 
 F0 = "f0"
 F1 = "f1"
-
-
-class NodeId(IntEnum):
-    ALICE = 0
-    BOB = 1
 
 
 def freq_for_bit(bit: int) -> str:
@@ -73,19 +67,7 @@ class SharedBit:
             raise ValueError(f"bit must be 0 or 1, got {self.value}")
 
 
-@dataclass(frozen=True)
-class DetectionMiss:
-    """Collision-free slot both nodes failed to detect and therefore discarded.
-
-    Produced only when a nonzero detection-miss probability is configured;
-    the default engine uses ideal, symmetric detection.
-    """
-
-    alice_freq: str
-    bob_freq: str
-
-
-RoundOutcome = Union[Collision, SharedBit, DetectionMiss]
+RoundOutcome = Union[Collision, SharedBit]
 
 
 @dataclass(frozen=True)
@@ -119,9 +101,6 @@ class SessionTranscript:
     def collision_slots(self) -> list[int]:
         return [r.slot for r in self.rounds if isinstance(r.outcome, Collision)]
 
-    def bit_slots(self) -> list[int]:
-        return [r.slot for r in self.rounds if isinstance(r.outcome, SharedBit)]
-
     def alice_key_view(self) -> tuple[int, ...]:
         """Key as Alice reconstructs it: her own bit on each generating slot."""
         return tuple(r.alice.bit for r in self.rounds if isinstance(r.outcome, SharedBit))
@@ -131,7 +110,7 @@ class SessionTranscript:
         return tuple(r.bob.bit ^ 1 for r in self.rounds if isinstance(r.outcome, SharedBit))
 
 
-def node_round_action(node: NodeId, rng: np.random.Generator) -> RoundAction:
+def node_round_action(rng: np.random.Generator) -> RoundAction:
     """Draw the slot's secret bit (one rng draw) and derive the frequency pair."""
     bit = int(rng.integers(0, 2))
     return RoundAction.from_bit(bit)
@@ -150,14 +129,12 @@ def run_session(
     *,
     alice_bits: Sequence[int] | None = None,
     bob_bits: Sequence[int] | None = None,
-    miss_prob: float = 0.0,
 ) -> SessionTranscript:
     """Run cfg.n_rounds slots and collect the transcript.
 
     Draw order is contractual for replay: per slot, Alice's bit then Bob's
     bit. Scripted mode replaces the rng draws with the supplied sequences
-    (both must be given, equal length, overriding cfg.n_rounds). With
-    miss_prob > 0 one extra uniform draw is consumed per collision-free slot.
+    (both must be given, equal length, overriding cfg.n_rounds).
     """
     scripted = alice_bits is not None or bob_bits is not None
     if scripted:
@@ -168,8 +145,6 @@ def run_session(
         n = len(alice_bits)
     else:
         n = cfg.n_rounds
-    if not (0.0 <= miss_prob <= 1.0):
-        raise ValueError(f"miss_prob must be in [0, 1], got {miss_prob}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
@@ -180,50 +155,47 @@ def run_session(
             a = RoundAction.from_bit(int(alice_bits[i]))
             b = RoundAction.from_bit(int(bob_bits[i]))
         else:
-            a = node_round_action(NodeId.ALICE, rng)
-            b = node_round_action(NodeId.BOB, rng)
+            a = node_round_action(rng)
+            b = node_round_action(rng)
         outcome = resolve_round(a, b)
-        if isinstance(outcome, SharedBit) and miss_prob > 0.0:
-            if rng.uniform() < miss_prob:
-                outcome = DetectionMiss(alice_freq=a.tx_freq, bob_freq=b.tx_freq)
         rounds.append(RoundRecord(slot=i + 1, alice=a, bob=b, outcome=outcome))
         if isinstance(outcome, SharedBit):
             key_bits.append(outcome.value)
     return SessionTranscript(rounds=tuple(rounds), key_bits=tuple(key_bits))
 
 
-def _outcome_fields(outcome: RoundOutcome) -> tuple[str, str]:
-    if isinstance(outcome, Collision):
-        return "collision", ""
-    if isinstance(outcome, DetectionMiss):
-        return "miss", ""
-    return "bit", str(outcome.value)
-
-
 def write_transcript_csv(
-    transcript: SessionTranscript, dest: Union[str, TextIO], *, seed: int | None = None
+    alice_bits: Sequence[int], bob_bits: Sequence[int], dest: Union[str, TextIO], *,
+    seed: int | None = None,
 ) -> None:
-    """One row per slot: round, a_bit, b_bit, outcome, bit_value.
+    """One row per slot of the given bit columns: round, a_bit, b_bit, outcome, bit_value.
 
-    The derived key appears as a '# key=' comment line ahead of the header.
+    A slot whose bits differ yields Alice's bit; equal bits collide. The
+    derived key appears as a '# key=' comment line ahead of the header.
     """
+    alice, bob = np.asarray(alice_bits).tolist(), np.asarray(bob_bits).tolist()
+    if len(alice) != len(bob):
+        raise ValueError("bit columns must have equal length")
     own = isinstance(dest, str)
     fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
     try:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        fh.write(f"# key={transcript.key_string}\n")
+        fh.write("# key=" + "".join(str(a) for a, b in zip(alice, bob) if a != b) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["round", "a_bit", "b_bit", "outcome", "bit_value"])
-        for r in transcript.rounds:
-            kind, value = _outcome_fields(r.outcome)
-            writer.writerow([r.slot, r.alice.bit, r.bob.bit, kind, value])
+        writer.writerows(
+            (slot, a, b, "collision", "") if a == b else (slot, a, b, "bit", a)
+            for slot, (a, b) in enumerate(zip(alice, bob), 1)
+        )
     finally:
         if own:
             fh.close()
 
 
-def transcript_csv_text(transcript: SessionTranscript, *, seed: int | None = None) -> str:
+def transcript_csv_text(
+    alice_bits: Sequence[int], bob_bits: Sequence[int], *, seed: int | None = None
+) -> str:
     buf = io.StringIO()
-    write_transcript_csv(transcript, buf, seed=seed)
+    write_transcript_csv(alice_bits, bob_bits, buf, seed=seed)
     return buf.getvalue()

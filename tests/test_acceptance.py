@@ -119,14 +119,14 @@ def test_criterion_5_no_fading_secret_rates():
 
     dep = build_equidistant_deployment(60.0)
     rng = np.random.default_rng(424242)
-    generated, correct = simulate_session_counts(rng, n, dep.d_ae, dep.d_be, cfg, rule=RULE_ML)
-    rate_equal = (generated - int(correct.sum())) / n
+    session = simulate_session_counts(rng, n, dep.d_ae, dep.d_be, cfg, rule=RULE_ML)
+    rate_equal = (session.correct.size - int(session.correct.sum())) / n
     assert rate_equal == pytest.approx(0.5, abs=0.005)
 
     dep = build_canonical_deployment(20.0)
     rng = np.random.default_rng(424242)
-    generated, correct = simulate_session_counts(rng, n, dep.d_ae, dep.d_be, cfg, rule=RULE_ML)
-    rate_unequal = (generated - int(correct.sum())) / n
+    session = simulate_session_counts(rng, n, dep.d_ae, dep.d_be, cfg, rule=RULE_ML)
+    rate_unequal = (session.correct.size - int(session.correct.sum())) / n
     assert rate_unequal == 0.0
     _report(
         "criterion-5 no-fading secret rates",

@@ -27,6 +27,7 @@ from fhkex.adversary import (
     write_adversary_trace_csv,
 )
 from fhkex.channel import PathLossParams
+from oracle import trace_columns, trace_csv_text
 from fhkex.protocol import Collision, SharedBit, run_session
 from fhkex.scenario import (
     Deployment,
@@ -293,12 +294,37 @@ def test_eve_reconstructs_key():
 
 
 def test_adversary_trace_csv():
-    cfg = ScenarioConfig(sigma=8.0, n_rounds=20)
-    transcript, observations, guesses = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=3)
+    # the writer's output must equal the trace formatted straight from the
+    # per-round engine's observations and guesses, not merely undo its input mapping
+    cases = [
+        (ScenarioConfig(sigma=8.0, n_rounds=20), CANONICAL_20, RULE_ML, 3),
+        # far off, Eve calls little better than a coin: wrong calls of both values
+        (ScenarioConfig(sigma=8.0, n_rounds=40), build_canonical_deployment(300.0), RULE_ML, 3),
+        (ScenarioConfig(sigma=8.0, n_rounds=20), build_equidistant_deployment(60.0), RULE_ML, 3),
+        (ScenarioConfig(sigma=8.0, n_rounds=20), CANONICAL_20, RULE_RANDOM, 3),
+    ]
+    # by hand: Alice transmits on f_value, so value 1 puts Bob's sample on f0
     buf = io.StringIO()
-    write_adversary_trace_csv(transcript, observations, guesses, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "round,rss_f0,rss_f1,decision,correct"
-    assert len(lines) == 1 + transcript.n_rounds
-    collision_rows = [l for l in lines[1:] if l.endswith(",,,")]
-    assert len(collision_rows) == len(transcript.collision_slots())
+    write_adversary_trace_csv(
+        [0, 1, 1, 0], [1, 0, 1, 1], [(-50.0, -60.0), (-51.0, -61.0), (-52.0, -52.0)],
+        [True, False, False], [False, False, True], buf,
+    )
+    assert buf.getvalue().splitlines()[1:] == [
+        "1,-50.0,-60.0,0,1", "2,-61.0,-51.0,0,0", "3,,,,", "4,-52.0,-52.0,abstain,0",
+    ]
+    calls = set()
+    for cfg, dep, rule, seed in cases:
+        transcript, observations, guesses = _session_with_guesses(cfg, dep, rule, seed=seed)
+        buf = io.StringIO()
+        write_adversary_trace_csv(*trace_columns(transcript, observations, guesses), buf)
+        assert buf.getvalue() == trace_csv_text(transcript, observations, guesses)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "round,rss_f0,rss_f1,decision,correct"
+        assert len(lines) == 1 + transcript.n_rounds
+        collision_rows = [l for l in lines[1:] if l.endswith(",,,")]
+        assert len(collision_rows) == len(transcript.collision_slots())
+        calls |= {(rule, *line.split(",")[3:]) for line in lines[1:]}
+    # the cases cover a right and a wrong call of each value, and an ML tie
+    for d in ("0", "1"):
+        assert {(RULE_ML, d, "1"), (RULE_ML, d, "0")} <= calls
+    assert (RULE_ML, "abstain", "0") in calls

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import fhkex
+from fhkex import adversary, protocol
 from fhkex.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -16,10 +18,12 @@ from fhkex.cli import (
     EXIT_OK,
     Invocation,
     _parse_axis,
+    build_parser,
     dispatch,
     main,
 )
-from fhkex.scenario import ConfigError
+from fhkex.scenario import ConfigError, ScenarioConfig, build_canonical_deployment
+from oracle import bit_columns, trace_csv_text
 
 
 def test_invocation_validates_subcommand():
@@ -320,3 +324,63 @@ def test_analyze_rejects_adversary_below_reference_distance(capsys, args):
     assert out == ""
     assert err.startswith("error: invalid-value:")
     assert err.count("\n") == 1
+
+
+def _oracle_session_files(cfg, rule, d_be, dest):
+    """transcript.csv and eve_trace.csv from the per-round engine, seeded as the CLI seeds."""
+    rng = np.random.default_rng(cfg.seed)
+    transcript = protocol.run_session(cfg, rng)
+    dep = build_canonical_deployment(d_be)
+    observations, guesses = adversary.simulate_eavesdropper(transcript, dep, cfg, rng, rule=rule)
+    protocol.write_transcript_csv(*bit_columns(transcript), str(dest / "transcript.csv"), seed=cfg.seed)
+    (dest / "eve_trace.csv").write_text(trace_csv_text(transcript, observations, guesses))
+
+
+@pytest.mark.parametrize("n", [1, 6, 2000])
+@pytest.mark.parametrize("sigma", [0.0, 8.0])
+@pytest.mark.parametrize("rule", adversary.RULES)
+def test_session_files_match_per_round_oracle(tmp_path, capsys, rule, sigma, n):
+    cli_dir, oracle_dir = tmp_path / "cli", tmp_path / "oracle"
+    cli_dir.mkdir()
+    oracle_dir.mkdir()
+    args = [
+        "session", "--seed", "2024", "--sigma", str(sigma), "--n-rounds", str(n),
+        "--d-be", "35", "--eve", "--rule", rule, "--out", str(cli_dir),
+    ]
+    assert main(args) == EXIT_OK
+    _oracle_session_files(ScenarioConfig(sigma=sigma, n_rounds=n, seed=2024), rule, 35.0, oracle_dir)
+    for name in ("transcript.csv", "eve_trace.csv"):
+        assert (cli_dir / name).read_bytes() == (oracle_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("args", [["--d-be", "0.5"], ["--d0", "30", "--d-be", "20"]])
+def test_session_rejects_adversary_below_reference_distance(tmp_path, capsys, args):
+    code = main(["session", "--seed", "1", "--n-rounds", "20", "--eve", *args, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid-value:")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["2", "0", "1", "nan", "-0.5"])
+@pytest.mark.parametrize("from_csv", [False, True])
+def test_frontier_rejects_target_outside_unit_interval(tmp_path, capsys, target, from_csv):
+    source = tmp_path / "source.csv"
+    source.write_text("k,n,d_be,sigma,rule,metric,trials,p_hat,ci_lo,ci_hi,p_analytic\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    if from_csv:
+        args = ["frontier", "--from-csv", str(source)]
+    else:
+        args = ["frontier", "--seed", "1", "--k-list", "2", "--n-list", "8", "--trials", "10"]
+    assert main([*args, "--target", target, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-value: target must lie in (0, 1)")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -21,7 +21,8 @@ from fhkex.experiments import (
     ResultRow,
     ResultTable,
     SweepSpec,
-    _guess_correct,
+    _classify,
+    _rss_samples,
     analytic_prob,
     estimate_rule_correctness,
     first_wrong_bit,
@@ -38,6 +39,7 @@ from fhkex.experiments import (
 )
 from fhkex.protocol import run_session
 from fhkex.scenario import ScenarioConfig, build_canonical_deployment
+from oracle import trace_columns
 
 
 def test_wilson_interval_contains_estimate():
@@ -65,22 +67,29 @@ def test_bulk_rng_draws_match_single_draws():
     )
 
 
-@pytest.mark.parametrize("sigma", [0.0, 8.0])
-@pytest.mark.parametrize("seed", [1, 99, 12345])
-def test_vectorized_engine_matches_per_round_engine(sigma, seed):
+# ML cases keep their earlier ids ("seed-sigma"); random-rule ids add the rule
+@pytest.mark.parametrize("seed, sigma, rule", [
+    pytest.param(seed, sigma, rule, id=f"{seed}-{sigma}" + ("" if rule == RULE_ML else f"-{rule}"))
+    for rule in (RULE_ML, RULE_RANDOM) for sigma in (0.0, 8.0) for seed in (1, 99, 12345)
+])
+def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
     cfg = ScenarioConfig(sigma=sigma, n_rounds=400)
     dep = build_canonical_deployment(20.0)
     rng_obj = np.random.default_rng(seed)
     transcript = run_session(cfg, rng_obj)
-    _, guesses = simulate_eavesdropper(transcript, dep, cfg, rng_obj, rule=RULE_ML)
+    observations, guesses = simulate_eavesdropper(transcript, dep, cfg, rng_obj, rule=rule)
     report = score_session(transcript, guesses)
 
     rng_vec = np.random.default_rng(seed)
-    generated, correct = simulate_session_counts(
-        rng_vec, cfg.n_rounds, dep.d_ae, dep.d_be, cfg, rule=RULE_ML
-    )
-    assert generated == report.generated
-    assert int(correct.sum()) == report.guessed_correct
+    session = simulate_session_counts(rng_vec, cfg.n_rounds, dep.d_ae, dep.d_be, cfg, rule=rule)
+    assert session.correct.size == report.generated
+    assert int(session.correct.sum()) == report.guessed_correct
+    # draw for draw: the same bits, samples and calls, and both streams end together
+    alice, bob, samples, correct, abstain = trace_columns(transcript, observations, guesses)
+    assert (session.alice.tolist(), session.bob.tolist()) == (alice, bob)
+    assert session.samples.tolist() == [list(pair) for pair in samples]
+    assert (session.correct.tolist(), session.abstain.tolist()) == (correct, abstain)
+    assert rng_vec.integers(0, 2**62) == rng_obj.integers(0, 2**62)
 
 
 @pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
@@ -89,9 +98,10 @@ def test_vectorized_engine_matches_per_round_engine(sigma, seed):
 def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, seed):
     cfg = ScenarioConfig(sigma=sigma)
     dep = build_canonical_deployment(20.0)
-    generated, correct = simulate_session_counts(
+    session = simulate_session_counts(
         np.random.default_rng(seed), 400, dep.d_ae, dep.d_be, cfg, rule=rule
     )
+    generated, correct = session.correct.size, session.correct
     gen_mask, secret_mask = simulate_session_block(
         np.random.default_rng(seed), 1, 400, dep.d_ae, dep.d_be, cfg, rule=rule
     )
@@ -112,9 +122,9 @@ def test_rows_read_session_prefixes(metric, rule, seed):
     ks, ns = (0, 1, 2, 5, 10, 30), (1, 2, 5, 17, 40, 80, 120)
     bits = np.random.default_rng(seed).integers(0, 2, size=2 * ns[-1])  # the session's first draw
     bit_slots = np.flatnonzero(bits[0::2] != bits[1::2])
-    _, correct = simulate_session_counts(
+    correct = simulate_session_counts(
         np.random.default_rng(seed), ns[-1], dep.d_ae, dep.d_be, cfg, rule=rule
-    )
+    ).correct
     expected = []
     for k in ks:
         for n in ns:
@@ -168,7 +178,8 @@ def test_ml_mask_matches_reference_rule(rows, distances, sigma):
     noise = np.array([pair for _, pair in rows])
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
-    mask = _guess_correct(_GivenShadowing(noise), values, d_ae, d_be, cfg, RULE_ML)
+    samples = _rss_samples(_GivenShadowing(noise), values.size, d_ae, d_be, cfg)
+    mask, abstain = _classify(None, values, samples, d_ae, d_be, cfg.gamma, RULE_ML)
 
     pl_ae = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0)
     pl_be = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0)
@@ -180,6 +191,7 @@ def test_ml_mask_matches_reference_rule(rows, distances, sigma):
     assert np.array_equal(mask, expected)
     ties = sample_alice == sample_bob
     assert not mask[ties].any()  # an exact tie abstains whatever the bit
+    assert np.array_equal(abstain, ties | (delta == 0.0))
     if delta == 0.0:
         assert not mask.any()
 
