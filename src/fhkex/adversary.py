@@ -17,7 +17,7 @@ from typing import Sequence, TextIO, Union
 import numpy as np
 
 from .channel import PathLossParams, ShadowingParams, delta_mean_pathloss, rss
-from .protocol import Collision, RoundOutcome, SessionTranscript, SharedBit
+from .protocol import F0, Collision, RoundOutcome, SessionTranscript, SharedBit
 from .scenario import Deployment, ScenarioConfig
 
 KIND_BIT = "bit-round"
@@ -115,11 +115,11 @@ def observe_round(
         return Observation(slot=slot, kind=KIND_COLLISION)
     plp = PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0)
     shp = ShadowingParams(sigma=cfg.sigma)
-    sample_alice = rss(cfg.pt, deployment.d_ae, plp, shp, rng, frequency=outcome.alice_freq)
-    sample_bob = rss(cfg.pt, deployment.d_be, plp, shp, rng, frequency=outcome.bob_freq)
-    if sample_alice.frequency == "f0":
-        return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_alice.value, rss_f1=sample_bob.value)
-    return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_bob.value, rss_f1=sample_alice.value)
+    sample_alice = rss(cfg.pt, deployment.d_ae, plp, shp, rng).value
+    sample_bob = rss(cfg.pt, deployment.d_be, plp, shp, rng).value
+    if outcome.alice_freq == F0:
+        return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_alice, rss_f1=sample_bob)
+    return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_bob, rss_f1=sample_alice)
 
 
 def classify_ml(obs: Observation, knowledge: EveKnowledge) -> Guess:

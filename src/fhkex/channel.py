@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FREQ_LABELS = ("f0", "f1")
-
 
 @dataclass(frozen=True)
 class PathLossParams:
@@ -42,13 +40,10 @@ class ShadowingParams:
 @dataclass(frozen=True)
 class RssSample:
     value: float  # dBm
-    frequency: str  # one of FREQ_LABELS
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"RSS must be finite, got {self.value}")
-        if self.frequency not in FREQ_LABELS:
-            raise ValueError(f"unknown frequency label {self.frequency!r}")
 
 
 def path_loss_deterministic(d: float, p: PathLossParams) -> float:
@@ -75,10 +70,9 @@ def rss(
     p: PathLossParams,
     s: ShadowingParams,
     rng: np.random.Generator,
-    frequency: str = "f0",
 ) -> RssSample:
     """Received signal strength: transmit power minus shadowed path loss."""
-    return RssSample(value=pt - path_loss_shadowed(d, p, s, rng), frequency=frequency)
+    return RssSample(value=pt - path_loss_shadowed(d, p, s, rng))
 
 
 def delta_mean_pathloss(d_ae: float, d_be: float, gamma: float) -> float:

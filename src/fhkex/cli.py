@@ -66,8 +66,8 @@ def _fail(code: str, message: str) -> None:
     print(f"error: {code}: {message}", file=sys.stderr)
 
 
-def _parse_axis(text: str, cast):
-    """Axis syntax: comma list '60,80,100' or inclusive range 'start:stop:step'."""
+def _parse_axis(text: str, cast, limit: int = experiments.SLOT_BUDGET):
+    """Axis syntax: comma list '60,80,100' or inclusive range 'start:stop:step' of <= limit values."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -78,8 +78,10 @@ def _parse_axis(text: str, cast):
             raise scenario.ConfigError("invalid-axis", f"bad range {text!r}")
         # start + i*step rather than repeated addition, which drifts; the
         # tolerance keeps an endpoint that float rounding puts just past stop
-        count = int((stop - start) / step + 1e-9) + 1
-        values = [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-9
+        if not span < limit:  # also catches a span that overflowed to inf
+            raise scenario.ConfigError("invalid-axis", f"range {text!r} has more than {limit} values")
+        values = [start + i * step for i in range(int(span) + 1)]
         if abs(values[-1] - stop) <= 1e-9 * step:
             values[-1] = stop
         return tuple(cast(v) for v in values)
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric", choices=experiments.METRICS, default=experiments.METRIC_PER_BIT)
         p.add_argument("--geometry", choices=experiments.GEOMETRIES,
                        default=experiments.GEOMETRY_CANONICAL)
-        p.add_argument("--budget", type=int, default=50_000_000)
+        p.add_argument("--budget", type=int, default=experiments.SLOT_BUDGET)
         if name == "frontier":
             p.add_argument("--target", type=float, default=0.99)
             p.add_argument("--column", choices=("p_hat", "p_analytic"), default="p_hat")
@@ -210,6 +212,8 @@ def _cmd_session(inv: Invocation) -> int:
     deployment = scenario.build_canonical_deployment(inv.get("d_be", 20.0))
     if inv.get("eve") and not deployment.d_be >= cfg.d0:
         raise ValueError(f"adversary distance {deployment.d_be} m below reference distance {cfg.d0} m")
+    if cfg.n_rounds > experiments.SLOT_BUDGET:
+        raise experiments.BudgetError(f"{cfg.n_rounds} slots exceed budget {experiments.SLOT_BUDGET}")
     cfg = dataclasses.replace(cfg, seed=_resolve_seed(inv, cfg))
     out = _output_dir(inv)
     rule = inv.get("rule", adversary.RULE_ML)
@@ -265,17 +269,18 @@ def _cmd_analyze(inv: Invocation) -> int:
 
 def _make_spec(inv: Invocation, seed: int) -> experiments.SweepSpec:
     cfg = _build_scenario(inv)
+    budget = inv.get("budget", experiments.SLOT_BUDGET)
     spec = experiments.SweepSpec(
-        k=_parse_axis(inv.get("k_list", "128"), int),
-        n_rounds=_parse_axis(inv.get("n_list", "60:600:10"), int),
-        d_be=_parse_axis(inv.get("d_be_list", "20"), float),
-        sigma=_parse_axis(inv.get("sigma_list", "8"), float),
+        k=_parse_axis(inv.get("k_list", "128"), int, budget),
+        n_rounds=_parse_axis(inv.get("n_list", "60:600:10"), int, budget),
+        d_be=_parse_axis(inv.get("d_be_list", "20"), float, budget),
+        sigma=_parse_axis(inv.get("sigma_list", "8"), float, budget),
         trials=inv.get("trials", 2000),
         base_seed=seed,
         rule=inv.get("rule", adversary.RULE_ML),
         metric=inv.get("metric", experiments.METRIC_PER_BIT),
         geometry=inv.get("geometry", experiments.GEOMETRY_CANONICAL),
-        budget=inv.get("budget", 50_000_000),
+        budget=budget,
         scenario=cfg,
     )
     if spec.grid_size == 0:

@@ -5,8 +5,10 @@ eavesdropper that met the key-size target, with a Wilson 95% interval and,
 where available, the closed-form probability. Each (d_be, sigma) slice
 simulates its sessions once, at the longest n, from one stream seeded by
 (base_seed, slice index); every (k, n) row of the slice is read off
-prefixes of those same sessions (common random numbers). Results are a
-pure function of the spec.
+prefixes of those same sessions (common random numbers). Each block of
+trials is counted on its compressed stream of generated bits: per-trial
+bit counts at every n and one running sum of the secret flags give both
+metrics. Results are a pure function of the spec.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ RESULT_COLUMNS = (
 #: BLOCK_SLOTS // n slots, so peak memory does not grow with the trial count.
 BLOCK_SLOTS = 16_384
 
+#: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
+SLOT_BUDGET = 50_000_000
+
 
 class BudgetError(ValueError):
     """The slots a sweep would simulate exceed the configured budget."""
@@ -83,7 +88,7 @@ class SweepSpec:
     rule: str = RULE_ML
     metric: str = METRIC_PER_BIT
     geometry: str = GEOMETRY_CANONICAL
-    budget: int = 50_000_000
+    budget: int = SLOT_BUDGET
     scenario: ScenarioConfig = ScenarioConfig()
 
     def __post_init__(self):
@@ -224,29 +229,19 @@ def simulate_session_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`trials` sessions of n slots plus eavesdropper, batched.
 
-    Returns (generated, secret): (trials, n) slot masks of the generated key
-    bits and of those the adversary did not call. Draws every trial's
-    interleaved Alice/Bob bits, then one shadowing pair per bit slot in
-    trial-major order (then, for the random rule, the guesses), so a single
-    trial replays simulate_session_counts draw for draw.
+    Returns (generated, secret): the (trials, n) slot mask of generated key
+    bits, and per generated bit in trial-major order whether the adversary
+    missed it. Draws every trial's interleaved Alice/Bob bits, then one
+    shadowing pair per generated bit in that order (then, for the random
+    rule, the guesses), so one trial replays simulate_session_counts exactly.
     """
     # int32 draws the same stream as the int64 default, in half the memory
     bits = rng.integers(0, 2, size=(trials, 2 * n), dtype=np.int32)
     a = bits[:, 0::2]
     generated = a != bits[:, 1::2]
-    values = a[generated]
-    samples = _rss_samples(rng, values.size, d_ae, d_be, cfg)
-    secret = np.zeros_like(generated)
-    secret[generated] = ~_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0]
-    return generated, secret
-
-
-def first_wrong_bit(generated: np.ndarray, secret: np.ndarray) -> np.ndarray:
-    """Per trial, the index among its generated bits of the first secret one; n if none."""
-    first = secret.argmax(axis=1)
-    rows = np.arange(secret.shape[0])
-    index = np.cumsum(generated, axis=1)[rows, first] - 1
-    return np.where(secret[rows, first], index, secret.shape[1])
+    values = a[generated] if rule == RULE_RANDOM else None
+    samples = _rss_samples(rng, np.count_nonzero(generated), d_ae, d_be, cfg)
+    return generated, ~_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0]
 
 
 def slice_successes(
@@ -265,27 +260,33 @@ def slice_successes(
     Every trial is one session of max(n_rounds) slots; row n reads its
     first n slots, so the counts are non-decreasing in n (and, for the
     per-bit metric, non-increasing in k). Trials run in blocks of at most
-    BLOCK_SLOTS trial-slots.
+    BLOCK_SLOTS trial-slots, each counted on its compressed stream of bits.
     """
-    n_max = max(n_rounds)
-    cols = np.asarray(n_rounds) - 1
-    successes = np.zeros((len(ks), len(n_rounds)), dtype=np.int64)
-    block = max(1, BLOCK_SLOTS // n_max)
+    ns, order = np.unique(n_rounds, return_inverse=True)
+    edges = np.concatenate(([0], ns[:-1]))
+    successes = np.zeros((len(ks), ns.size), dtype=np.int64)
+    block = max(1, BLOCK_SLOTS // int(ns[-1]))
     for start in range(0, trials, block):
         generated, secret = simulate_session_block(
-            rng, min(block, trials - start), n_max, d_ae, d_be, cfg, rule
+            rng, min(block, trials - start), int(ns[-1]), d_ae, d_be, cfg, rule
         )
+        # generated bits per trial within its first n slots, for every distinct n
+        bits = np.add.reduceat(generated, edges, axis=1, dtype=np.int32).cumsum(axis=1)
+        # S[i]: secret bits among the first i of the block's stream; a trial's bits start at off
+        S = np.concatenate(([0], np.cumsum(secret, dtype=np.int32)))
+        off = np.concatenate(([0], np.cumsum(bits[:-1, -1])))
+        base = S[off]
         if metric == METRIC_WHOLE_KEY:
-            bits = np.cumsum(generated, axis=1)[:, cols]
-            first = first_wrong_bit(generated, secret)[:, None]
+            # index among the trial's bits of its first secret one; at least its count if none
+            first = (np.searchsorted(S, base + 1) - 1 - off)[:, None]
             for i, k in enumerate(ks):
                 # the first k generated bits exist and the adversary missed one of them
                 successes[i] += ((first < k) & (k <= bits)).sum(axis=0)
         else:
-            secrets = np.cumsum(secret, axis=1, dtype=np.int32)[:, cols]
+            secrets = S[off[:, None] + bits] - base[:, None]
             for i, k in enumerate(ks):
                 successes[i] += (secrets >= k).sum(axis=0)
-    return successes
+    return successes[:, order]
 
 
 def _rss_samples(
@@ -308,7 +309,7 @@ def _rss_samples(
 
 def _classify(
     rng: np.random.Generator,
-    values: np.ndarray,
+    values: np.ndarray | None,
     samples: np.ndarray,
     d_ae: float,
     d_be: float,
@@ -322,7 +323,7 @@ def _classify(
     on a negative score, value 1 puts B on f0 and is named on a positive
     one. An exact tie (score 0, always so at delta = 0) abstains, never
     correct. The random rule ignores the samples, draws its guesses after
-    them and never abstains.
+    them and never abstains; only it reads the bit values.
     """
     if rule == RULE_RANDOM:
         return rng.integers(0, 2, size=values.size) == values, np.zeros(values.size, dtype=bool)

@@ -27,9 +27,7 @@ def test_param_validation():
     with pytest.raises(ValueError):
         ShadowingParams(sigma=-0.5)
     with pytest.raises(ValueError):
-        RssSample(value=float("inf"), frequency="f0")
-    with pytest.raises(ValueError):
-        RssSample(value=-50.0, frequency="f2")
+        RssSample(value=float("inf"))
 
 
 def test_deterministic_loss_reference_distance():
@@ -129,11 +127,6 @@ def test_rss_strictly_decreasing_in_distance():
     grid = np.geomspace(1.0, 1e4, 100)
     values = [rss(20.0, d, PLP, NO_FADING, rng).value for d in grid]
     assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_rss_carries_frequency_label():
-    rng = np.random.default_rng(0)
-    assert rss(20.0, 10.0, PLP, NO_FADING, rng, frequency="f1").frequency == "f1"
 
 
 def test_delta_equidistant_is_zero():

@@ -22,6 +22,7 @@ from fhkex.cli import (
     dispatch,
     main,
 )
+from fhkex.experiments import SLOT_BUDGET
 from fhkex.scenario import ConfigError, ScenarioConfig, build_canonical_deployment
 from oracle import bit_columns, trace_csv_text
 
@@ -159,7 +160,8 @@ def test_float_range_keeps_its_endpoint():
     assert _parse_axis("0:1:0.3", float) == (0.0, 0.3, 0.6, pytest.approx(0.9))
 
 
-@pytest.mark.parametrize("text", ["1:inf:1", "nan:2:1", "0:1:0", "2:1:1", "1:2"])
+# the last two would need terabytes if built; they are refused by their count
+@pytest.mark.parametrize("text", ["1:inf:1", "nan:2:1", "0:1:0", "2:1:1", "1:2", "1:1e12:1", "0:1e300:1e-300"])
 def test_bad_range_is_rejected(text):
     with pytest.raises(ConfigError):
         _parse_axis(text, float)
@@ -361,6 +363,51 @@ def test_session_rejects_adversary_below_reference_distance(tmp_path, capsys, ar
     assert out == ""
     assert err.startswith("error: invalid-value:")
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_session_rejects_rounds_over_slot_budget(tmp_path, capsys, seeded, via_config):
+    # refused before the seed is echoed or a single bit is drawn
+    rounds = SLOT_BUDGET + 1
+    if via_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_rounds": rounds, "seed": 1}))
+        args = ["--config", str(config)]
+    else:
+        args = ["--n-rounds", str(rounds)]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args += ["--seed", "1"] if seeded else []
+    assert main(["session", *args, "--eve", "--out", str(out_dir)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid-value:") and err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
+
+
+def test_axis_range_is_counted_before_it_is_built():
+    assert _parse_axis("1:10:1", int, limit=10) == tuple(range(1, 11))
+    for text, cast in [("1:10:1", int), ("0:0.9:0.1", float)]:
+        with pytest.raises(ConfigError, match="more than 9 values") as info:
+            _parse_axis(text, cast, limit=9)
+        assert info.value.code == "invalid-axis"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-list", "1:1000000000000:1"), ("--k-list", "0:1000000000000:1"),
+    ("--d-be-list", "20:1e15:1"), ("--sigma-list", "0:1e308:1e-308"), ("--k-list", "0:10:1"),
+])
+def test_sweep_refuses_range_longer_than_budget(tmp_path, capsys, flag, value):
+    args = [
+        "sweep", "--seed", "1", "--k-list", "4", "--n-list", "5", "--d-be-list", "20",
+        "--sigma-list", "8", "--trials", "1", "--budget", "10", "--out", str(tmp_path),
+    ]
+    args[args.index(flag) + 1] = value
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-axis:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -25,7 +26,6 @@ from fhkex.experiments import (
     _rss_samples,
     analytic_prob,
     estimate_rule_correctness,
-    first_wrong_bit,
     frontier,
     read_result_csv,
     result_csv_text,
@@ -102,13 +102,14 @@ def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, see
         np.random.default_rng(seed), 400, dep.d_ae, dep.d_be, cfg, rule=rule
     )
     generated, correct = session.correct.size, session.correct
-    gen_mask, secret_mask = simulate_session_block(
+    gen_mask, secret = simulate_session_block(
         np.random.default_rng(seed), 1, 400, dep.d_ae, dep.d_be, cfg, rule=rule
     )
     wrong = np.flatnonzero(~correct)
-    assert int(gen_mask.sum()) == generated
-    assert int(secret_mask.sum()) == generated - int(correct.sum())
-    assert first_wrong_bit(gen_mask, secret_mask)[0] == (wrong[0] if wrong.size else 400)
+    missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
+    assert int(gen_mask.sum()) == generated == secret.size
+    assert int(secret.sum()) == generated - int(correct.sum())
+    assert (missed[0] if missed.size else 400) == (wrong[0] if wrong.size else 400)
 
 
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
@@ -137,6 +138,65 @@ def test_rows_read_session_prefixes(metric, rule, seed):
         np.random.default_rng(seed), 1, ks, ns, dep.d_ae, dep.d_be, cfg, rule, metric
     )
     assert counts.ravel().tolist() == [int(e) for e in expected]
+
+
+def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric):
+    """Successes per (k, n), judged trial by trial on each trial's own session,
+    with every draw replayed by hand in the engine's documented order: per
+    block, all bits, then one shadowing pair per generated bit, then (random
+    rule) the guesses. Also returns the generator, to compare the next draw."""
+    rng = np.random.default_rng(seed)
+    n_max = max(ns)
+    block = max(1, BLOCK_SLOTS // n_max)
+    counts = np.zeros((len(ks), len(ns)), dtype=int)
+    for start in range(0, trials, block):
+        bits = rng.integers(0, 2, size=(min(block, trials - start), 2 * n_max))
+        alice, bob = bits[:, 0::2], bits[:, 1::2]
+        slots = [np.flatnonzero(a != b) for a, b in zip(alice, bob)]
+        values = [a[s] for a, s in zip(alice, slots)]
+        samples = _rss_samples(rng, sum(v.size for v in values), d_ae, d_be, cfg)
+        guesses = rng.integers(0, 2, size=len(samples)) if rule == RULE_RANDOM else None
+        first = 0
+        for trial_slots, trial_values in zip(slots, values):
+            last = first + trial_values.size
+            if rule == RULE_RANDOM:
+                missed = guesses[first:last] != trial_values
+            else:
+                missed = ~_classify(None, None, samples[first:last], d_ae, d_be, cfg.gamma, rule)[0]
+            first = last
+            for j, n in enumerate(ns):
+                generated = int((trial_slots < n).sum())
+                for i, k in enumerate(ks):
+                    if metric == METRIC_WHOLE_KEY:
+                        counts[i, j] += generated >= k and bool(missed[:k].any())
+                    else:
+                        counts[i, j] += int(missed[:generated].sum()) >= k
+    return counts, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ks=st.lists(st.integers(0, 40), max_size=4).map(lambda ks: [*ks, 0]),
+    ns=st.lists(st.integers(1, 2500), min_size=1, max_size=5).map(lambda ns: [*ns, ns[0]]),
+    distances=st.sampled_from([(52.0, 2.0), (70.0, 20.0), (30.0, 30.0)]),
+    sigma=st.sampled_from([0.0, 8.0]),
+    rule=st.sampled_from([RULE_ML, RULE_RANDOM]),
+    metric=st.sampled_from([METRIC_PER_BIT, METRIC_WHOLE_KEY]),
+    trials=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_slice_successes_judges_each_trial_session(
+    ks, ns, distances, sigma, rule, metric, trials, seed
+):
+    # ns arrive unsorted and repeated; above 2,048 slots a block holds at most
+    # 7 trials, so 40 trials span several blocks
+    d_ae, d_be = distances
+    cfg = ScenarioConfig(sigma=sigma)
+    rng = np.random.default_rng(seed)
+    counts = slice_successes(rng, trials, ks, ns, d_ae, d_be, cfg, rule, metric)
+    expected, replay = _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric)
+    assert counts.tolist() == expected.tolist()
+    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
 
 
 def _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta):
@@ -424,6 +484,37 @@ def test_sweep_reproducible_and_worker_independent():
     text_2 = result_csv_text(sweep(spec))
     assert text_1 == text_2
     assert text_1 != result_csv_text(sweep(_small_spec(base_seed=12)))
+
+
+# Every column but p_analytic, whose closed form may move in its last bits;
+# the Monte Carlo columns are a frozen function of the spec. Both orders of
+# sigma, unsorted and repeated n, and trial counts spanning several blocks.
+_FROZEN_SWEEPS = [
+    (dict(k=(0, 3, 16), n_rounds=(40, 10, 120, 40), d_be=(25.0, 60.0), sigma=(0.0, 8.0),
+          trials=70, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_EQUIDISTANT,
+          base_seed=1),
+     "08a3e2c322d8f575f5f001194945eef58d7fbe15efab0eebcad0b5029da27e91"),
+    (dict(k=(0, 1, 4, 12), n_rounds=(8, 30, 600), d_be=(2.0, 20.0), sigma=(0.0, 8.0),
+          trials=60, rule=RULE_ML, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_CANONICAL,
+          base_seed=2),
+     "d0b7c2abb87c08dacfe7988a34b2ff0264eb8ad921236413ddf3d785c2ef1948"),
+    (dict(k=(2, 0, 9), n_rounds=(50, 5, 200), d_be=(20.0, 35.0), sigma=(8.0, 0.0),
+          trials=90, rule=RULE_RANDOM, metric=METRIC_PER_BIT, geometry=GEOMETRY_CANONICAL,
+          base_seed=3),
+     "292d6305576215a268ee3711e64f941b4d14a205087ec305059a6324b97ff77f"),
+    (dict(k=(0, 2, 5), n_rounds=(300, 12, 12, 90), d_be=(30.0,), sigma=(0.0, 8.0),
+          trials=80, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_EQUIDISTANT,
+          base_seed=4),
+     "9fa4c1b6d50f28372e4b1253e77bd9786ac05a7ce89f5a4e8881a78ffd4e64d1"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", _FROZEN_SWEEPS, ids=["ml-bit", "ml-key", "rand-bit", "rand-key"])
+def test_sweep_monte_carlo_bytes_are_frozen(spec, digest):
+    text = result_csv_text(sweep(SweepSpec(**spec)))
+    assert text.splitlines()[0].endswith(",p_analytic")
+    body = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def test_result_csv_roundtrip():
