@@ -59,7 +59,6 @@ from .analysis import (
     KeyRequest,
     PrivacyRegion,
     Probability,
-    baseline_pg,
     fading_pb,
     key_prob,
     min_transmissions,

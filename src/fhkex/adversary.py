@@ -9,16 +9,15 @@ detectable (a single occupied frequency) and carry no key material.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
 from .channel import PathLossParams, ShadowingParams, delta_mean_pathloss, rss
 from .protocol import F0, Collision, RoundOutcome, SessionTranscript, SharedBit
-from .scenario import Deployment, ScenarioConfig
+from .scenario import Deployment, ScenarioConfig, text_stream
 
 KIND_BIT = "bit-round"
 KIND_COLLISION = "collision-round"
@@ -221,42 +220,48 @@ def simulate_eavesdropper(
     return observations, [classify_ml(obs, knowledge) for obs in bit_obs]
 
 
-def write_adversary_trace_csv(
-    alice_bits: Sequence[int],
-    bob_bits: Sequence[int],
-    samples: Sequence[Sequence[float]],
-    correct: Sequence[bool],
-    abstain: Sequence[bool],
-    dest: Union[str, TextIO],
-) -> None:
-    """Per-slot trace: round, rss_f0, rss_f1, decision, correct.
+#: An eve_trace.csv bit-slot row's decision and correct fields, indexed by
+#: 3 * value + verdict, the verdict 0 wrong, 1 abstain, 2 correct.
+_TRACE_TAILS = (",1,0\n", ",abstain,0\n", ",0,1\n", ",0,0\n", ",abstain,0\n", ",1,1\n")
 
-    alice_bits and bob_bits hold one bit per slot. samples (Alice's and
-    Bob's RSS at Eve, dBm), correct and abstain hold one entry per
-    bit-generating slot, in slot order. Alice transmits on f_value, so the
-    value picks which sample sits on f0; the decision is the value if
-    correct, "abstain" on a tie, otherwise the other bit. Collision slots
-    leave the sample and decision fields empty.
+
+def write_adversary_trace_csv(blocks: Iterable[Sequence], dest: Union[str, TextIO]) -> int:
+    """Per-slot trace: round, rss_f0, rss_f1, decision, correct; returns the bits Eve named.
+
+    blocks holds the session's slots in order, each block as (alice_bits,
+    bob_bits, samples, correct, abstain): alice_bits and bob_bits hold one
+    bit per slot; samples (Alice's and Bob's RSS at Eve, dBm), correct and
+    abstain hold one entry per bit-generating slot, in slot order. Alice
+    transmits on f_value, so the value picks which sample sits on f0; the
+    decision is the value if correct, "abstain" on a tie, otherwise the
+    other bit. Collision slots leave the sample and decision fields empty.
     """
-    alice, bob = np.asarray(alice_bits).tolist(), np.asarray(bob_bits).tolist()
-    bit_rows = list(zip(np.asarray(samples, dtype=float).reshape(-1, 2).tolist(),
-                        np.asarray(correct).tolist(), np.asarray(abstain).tolist()))
-    if len(alice) != len(bob) or len(bit_rows) != sum(a != b for a, b in zip(alice, bob)):
-        raise ValueError("trace needs equal bit columns and one entry per bit slot")
-    judged = iter(bit_rows)
-    own = isinstance(dest, str)
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "rss_f0", "rss_f1", "decision", "correct"])
-        for slot, (a, b) in enumerate(zip(alice, bob), 1):
-            if a == b:
-                writer.writerow([slot, "", "", "", ""])
-                continue
-            (rss_a, rss_b), ok, tie = next(judged)
-            rss_f0, rss_f1 = (rss_a, rss_b) if a == 0 else (rss_b, rss_a)
-            decision = a if ok else ("abstain" if tie else 1 - a)
-            writer.writerow([slot, repr(rss_f0), repr(rss_f1), decision, int(ok)])
-    finally:
-        if own:
-            fh.close()
+    guessed = 0
+    slot = 1
+    with text_stream(dest, "w") as fh:
+        fh.write("round,rss_f0,rss_f1,decision,correct\n")
+        for alice, bob, samples, correct, abstain in blocks:
+            alice, bob = np.asarray(alice), np.asarray(bob)
+            samples = np.asarray(samples, dtype=float).reshape(-1, 2)
+            correct, abstain = np.asarray(correct, dtype=bool), np.asarray(abstain, dtype=bool)
+            if alice.shape != bob.shape:
+                raise ValueError("trace needs bit columns of equal length")
+            bit = alice != bob
+            values = alice[bit]
+            if not values.size == len(samples) == correct.size == abstain.size:
+                raise ValueError("trace needs one entry per bit slot")
+            on_f1 = values == 1  # Alice's sample sits on f1
+            rows = np.empty(alice.size, dtype=object)
+            bit_slots, collision_slots = np.flatnonzero(bit), np.flatnonzero(~bit)
+            rows[collision_slots] = list(map("{},,,,\n".format, (collision_slots + slot).tolist()))
+            rows[bit_slots] = list(map(
+                "{},{!r},{!r}{}".format,
+                (bit_slots + slot).tolist(),
+                np.where(on_f1, samples[:, 1], samples[:, 0]).tolist(),
+                np.where(on_f1, samples[:, 0], samples[:, 1]).tolist(),
+                map(_TRACE_TAILS.__getitem__, (3 * values + 2 * correct + abstain).tolist()),
+            ))
+            fh.write("".join(rows.tolist()))
+            slot += alice.size
+            guessed += int(np.count_nonzero(correct))
+    return guessed

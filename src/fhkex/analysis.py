@@ -21,10 +21,6 @@ from .scenario import NODE_HALF_SPACING, Position
 #: Collision probability of two fair one-in-two frequency choices.
 COLLISION_PROB = 0.5
 
-#: Distance tolerance (meters) below which the no-fading adversary is
-#: treated as exactly equidistant.
-DISTANCE_TOL = 1e-3
-
 #: key_probs drops binomial terms below e^-(TAIL_CUTOFF + ln(n + 1)) of the
 #: mode term; the dropped mass is then below e^-TAIL_CUTOFF of the total.
 TAIL_CUTOFF = 40.0
@@ -77,13 +73,6 @@ class PrivacyRegion:
 def secret_bit_prob(p_c: float, p_g: float) -> Probability:
     """Per-slot secret-bit probability: no collision and no correct guess."""
     return Probability((1.0 - Probability(p_c)) * (1.0 - Probability(p_g)))
-
-
-def baseline_pg(d_ae: float, d_be: float, tol: float = DISTANCE_TOL) -> Probability:
-    """No-fading guessing probability: 0 iff the adversary is equidistant."""
-    if not (d_ae > 0.0 and d_be > 0.0):
-        raise ValueError(f"distances must be positive, got {d_ae}, {d_be}")
-    return Probability(0.0 if abs(d_ae - d_be) <= tol else 1.0)
 
 
 def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:

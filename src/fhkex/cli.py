@@ -103,7 +103,11 @@ def _build_scenario(inv: Invocation) -> scenario.ScenarioConfig:
 
 
 def _output_dir(inv: Invocation) -> Path:
-    return Path(inv.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    """The output directory; it must exist, and is checked before anything is drawn or read."""
+    out = Path(inv.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    if not out.is_dir():
+        raise NotADirectoryError(f"output directory {out} does not exist")
+    return out
 
 
 def _resolve_seed(inv: Invocation, cfg: scenario.ScenarioConfig) -> int:
@@ -197,13 +201,11 @@ def invocation_from_args(args: argparse.Namespace) -> Invocation:
 
 
 def _cmd_fixture(inv: Invocation) -> int:
-    transcript = protocol.run_session(
-        scenario.ScenarioConfig(), alice_bits=FIXTURE_ALICE, bob_bits=FIXTURE_BOB
-    )
-    print(protocol.transcript_csv_text(FIXTURE_ALICE, FIXTURE_BOB), end="")
-    collisions = ",".join(str(s) for s in transcript.collision_slots())
+    bits = np.column_stack((FIXTURE_ALICE, FIXTURE_BOB))
+    protocol.write_transcript_csv([bits], sys.stdout)
+    collisions = ",".join(map(str, np.flatnonzero(bits[:, 0] == bits[:, 1]) + 1))
     print(f"collisions at slots: {collisions}")
-    print(f"key: {transcript.key_string}")
+    print(f"key: {protocol.key_text(bits)}")
     return EXIT_OK
 
 
@@ -214,27 +216,28 @@ def _cmd_session(inv: Invocation) -> int:
         raise ValueError(f"adversary distance {deployment.d_be} m below reference distance {cfg.d0} m")
     if cfg.n_rounds > experiments.SLOT_BUDGET:
         raise experiments.BudgetError(f"{cfg.n_rounds} slots exceed budget {experiments.SLOT_BUDGET}")
-    cfg = dataclasses.replace(cfg, seed=_resolve_seed(inv, cfg))
     out = _output_dir(inv)
+    cfg = dataclasses.replace(cfg, seed=_resolve_seed(inv, cfg))
     rule = inv.get("rule", adversary.RULE_ML)
-    session = experiments.simulate_session_counts(
-        np.random.default_rng(cfg.seed), cfg.n_rounds, deployment.d_ae, deployment.d_be, cfg, rule
-    )
-    key = session.alice[session.alice != session.bob].tolist()
+    rng = np.random.default_rng(cfg.seed)
+    blocks = experiments.draw_slot_bits(rng, cfg.n_rounds)
     path = out / "transcript.csv"
-    protocol.write_transcript_csv(session.alice, session.bob, dest=str(path), seed=cfg.seed)
+    generated = protocol.write_transcript_csv(blocks, dest=str(path), seed=cfg.seed)
     print(f"wrote {path}")
-    print(f"generated {len(key)} bits over {cfg.n_rounds} slots "
+    print(f"generated {generated} bits over {cfg.n_rounds} slots "
           f"(~{cfg.n_rounds * cfg.slot_duration:.3f} s of air time)")
-    print(f"key: {''.join(map(str, key))}")
+    print("key: ", end="")
+    sys.stdout.writelines(map(protocol.key_text, blocks))
+    print()
     if inv.get("eve"):
         trace = out / "eve_trace.csv"
-        adversary.write_adversary_trace_csv(session.alice, session.bob, session.samples,
-                                            session.correct, session.abstain, dest=str(trace))
-        guessed = int(session.correct.sum())
+        guessed = adversary.write_adversary_trace_csv(
+            experiments.session_blocks(rng, blocks, deployment.d_ae, deployment.d_be, cfg, rule),
+            dest=str(trace),
+        )
         print(f"wrote {trace}")
         print(f"adversary ({rule}): guessed {guessed} of "
-              f"{len(key)} bits; {len(key) - guessed} secret")
+              f"{generated} bits; {generated - guessed} secret")
     return EXIT_OK
 
 
@@ -289,9 +292,9 @@ def _make_spec(inv: Invocation, seed: int) -> experiments.SweepSpec:
 
 
 def _cmd_sweep(inv: Invocation) -> int:
+    out = _output_dir(inv)
     spec = _make_spec(inv, _resolve_seed(inv, _build_scenario(inv)))
     table = experiments.sweep(spec)
-    out = _output_dir(inv)
     csv_path = out / "sweep.csv"
     experiments.write_result_csv(table, str(csv_path))
     experiments.write_sweep_plot_script("sweep.csv", str(out / "sweep.gp"))

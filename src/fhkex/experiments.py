@@ -13,12 +13,13 @@ metrics. Results are a pure function of the spec.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, TextIO, Union
+from typing import Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .scenario import (
     ScenarioConfig,
     build_canonical_deployment,
     build_equidistant_deployment,
+    text_stream,
 )
 
 METRIC_PER_BIT = "per-bit-secret"
@@ -54,8 +56,9 @@ RESULT_COLUMNS = (
 )
 
 
-#: Most trial-slots simulated at once: trials run in blocks of
-#: BLOCK_SLOTS // n slots, so peak memory does not grow with the trial count.
+#: Most trial-slots simulated at once: trials run in blocks of BLOCK_SLOTS // n
+#: sessions, so peak memory does not grow with the trial count, and one session
+#: in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes per slot.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
@@ -187,13 +190,49 @@ def _distances(d_be: float, geometry: str) -> tuple[float, float]:
 
 
 class Session(NamedTuple):
-    """One vectorized session: both nodes' bits per slot, Eve's samples and verdicts per key bit."""
+    """A session or a block of its slots: bits per slot, Eve's samples and verdicts per key bit."""
 
     alice: np.ndarray  # (n,) Alice's bit per slot
     bob: np.ndarray  # (n,) Bob's bit per slot
     samples: np.ndarray  # (generated, 2) Alice's and Bob's RSS at Eve, dBm
     correct: np.ndarray  # (generated,) Eve named the bit
     abstain: np.ndarray  # (generated,) Eve abstained: an ML tie
+
+
+def draw_slot_bits(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """Alice's and Bob's bit for n slots, in blocks of BLOCK_SLOTS slots: (m, 2) int8 arrays.
+
+    Drawn as int32, which reads the same stream as one int64 call of 2n
+    interleaved Alice/Bob bits, whatever the block size; kept as int8.
+    """
+    return [
+        rng.integers(0, 2, size=(min(BLOCK_SLOTS, n - start), 2), dtype=np.int32).astype(np.int8)
+        for start in range(0, n, BLOCK_SLOTS)
+    ]
+
+
+def session_blocks(
+    rng: np.random.Generator, blocks: Sequence[np.ndarray], d_ae: float, d_be: float,
+    cfg: ScenarioConfig, rule: str = RULE_ML,
+) -> Iterator[Session]:
+    """The eavesdropper on the slot bits of draw_slot_bits, one Session per block.
+
+    Continues the stream that drew the bits: one shadowing pair per
+    generated bit in slot order, then, for the random rule, one guess per
+    bit. Those guesses follow every sample, so the samples come from a copy
+    of rng and rng itself first draws and discards them all.
+    """
+    sample_rng = rng
+    if rule == RULE_RANDOM:
+        sample_rng = copy.deepcopy(rng)
+        for block in blocks:
+            rng.standard_normal((np.count_nonzero(block[:, 0] != block[:, 1]), 2))
+    for block in blocks:
+        alice, bob = block[:, 0], block[:, 1]
+        values = alice[alice != bob]
+        samples = _rss_samples(sample_rng, values.size, d_ae, d_be, cfg)
+        correct, abstain = _classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)
+        yield Session(alice, bob, samples, correct, abstain)
 
 
 def simulate_session_counts(
@@ -204,18 +243,9 @@ def simulate_session_counts(
     cfg: ScenarioConfig,
     rule: str = RULE_ML,
 ) -> Session:
-    """One full session plus eavesdropper, vectorized.
-
-    Mirrors the per-round engine draw for draw: interleaved Alice/Bob bit
-    draws, then per bit-round an Alice and a Bob shadowing draw, then (for
-    the random rule) the guess draws.
-    """
-    bits = rng.integers(0, 2, size=2 * n)
-    alice, bob = bits[0::2], bits[1::2]
-    values = alice[alice != bob]
-    samples = _rss_samples(rng, values.size, d_ae, d_be, cfg)
-    correct, abstain = _classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)
-    return Session(alice, bob, samples, correct, abstain)
+    """One full session plus eavesdropper, drawn as the per-round engine draws: session_blocks joined."""
+    blocks = session_blocks(rng, draw_slot_bits(rng, n), d_ae, d_be, cfg, rule)
+    return Session(*map(np.concatenate, zip(*blocks)))
 
 
 def simulate_session_block(
@@ -330,27 +360,6 @@ def _classify(
     score = samples[:, 0] - samples[:, 1]
     score *= 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, gamma)
     return score < 0.0, score == 0.0
-
-
-def estimate_rule_correctness(
-    rng: np.random.Generator,
-    n_bit_rounds: int,
-    d_ae: float,
-    d_be: float,
-    cfg: ScenarioConfig,
-    rule: str = RULE_ML,
-    chunk: int = 1_000_000,
-) -> float:
-    """Empirical per-bit-round correct-guess frequency over synthetic bit rounds."""
-    correct = 0
-    remaining = n_bit_rounds
-    while remaining > 0:
-        m = min(chunk, remaining)
-        values = rng.integers(0, 2, size=m)
-        samples = _rss_samples(rng, m, d_ae, d_be, cfg)
-        correct += int(_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0].sum())
-        remaining -= m
-    return correct / n_bit_rounds
 
 
 def analytic_rule_pg(delta: float, sigma: float, rule: str) -> float:
@@ -487,16 +496,11 @@ def _format_value(value) -> str:
 
 
 def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
-    own = isinstance(dest, str)
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
         for r in table.rows:
             writer.writerow([_format_value(getattr(r, col)) for col in RESULT_COLUMNS])
-    finally:
-        if own:
-            fh.close()
 
 
 def result_csv_text(table: ResultTable) -> str:
@@ -506,9 +510,7 @@ def result_csv_text(table: ResultTable) -> str:
 
 
 def read_result_csv(src: Union[str, TextIO]) -> ResultTable:
-    own = isinstance(src, str)
-    fh = open(src, "r", newline="", encoding="utf-8") if own else src
-    try:
+    with text_stream(src) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(RESULT_COLUMNS):
@@ -531,15 +533,10 @@ def read_result_csv(src: Union[str, TextIO]) -> ResultTable:
             except ValueError as exc:
                 raise ValueError(f"result CSV line {reader.line_num}: {exc}") from None
         return ResultTable(rows=tuple(rows))
-    finally:
-        if own:
-            fh.close()
 
 
 def write_frontier_csv(rows: Sequence[FrontierRow], dest: Union[str, TextIO]) -> None:
-    own = isinstance(dest, str)
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    with text_stream(dest, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["d_be", "min_n", "status"])
         for r in rows:
@@ -547,9 +544,6 @@ def write_frontier_csv(rows: Sequence[FrontierRow], dest: Union[str, TextIO]) ->
                 writer.writerow([_format_value(r.d_be), "", "infeasible"])
             else:
                 writer.writerow([_format_value(r.d_be), r.min_n, "ok"])
-    finally:
-        if own:
-            fh.close()
 
 
 def write_sweep_plot_script(csv_name: str, dest: Union[str, TextIO]) -> None:
@@ -564,7 +558,8 @@ def write_sweep_plot_script(csv_name: str, dest: Union[str, TextIO]) -> None:
         f"plot '{csv_name}' using 2:8 with points pt 7 title 'empirical', \\\n"
         f"     '{csv_name}' using 2:11 with lines title 'closed form'\n"
     )
-    _write_text(text, dest)
+    with text_stream(dest, "w") as fh:
+        fh.write(text)
 
 
 def write_frontier_plot_script(csv_name: str, dest: Union[str, TextIO]) -> None:
@@ -577,12 +572,6 @@ def write_frontier_plot_script(csv_name: str, dest: Union[str, TextIO]) -> None:
         "set grid\n"
         f"plot '{csv_name}' using 1:2 with linespoints pt 5 title 'frontier'\n"
     )
-    _write_text(text, dest)
+    with text_stream(dest, "w") as fh:
+        fh.write(text)
 
-
-def _write_text(text: str, dest: Union[str, TextIO]) -> None:
-    if isinstance(dest, str):
-        with open(dest, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)

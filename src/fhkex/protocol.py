@@ -11,14 +11,12 @@ with distinct seeds share no mutable state and may run in parallel.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, text_stream
 
 F0 = "f0"
 F1 = "f1"
@@ -164,38 +162,40 @@ def run_session(
     return SessionTranscript(rounds=tuple(rounds), key_bits=tuple(key_bits))
 
 
-def write_transcript_csv(
-    alice_bits: Sequence[int], bob_bits: Sequence[int], dest: Union[str, TextIO], *,
-    seed: int | None = None,
-) -> None:
-    """One row per slot of the given bit columns: round, a_bit, b_bit, outcome, bit_value.
+#: A transcript.csv row after its round field, indexed by 2 * a_bit + b_bit.
+_TRANSCRIPT_TAILS = (",0,0,collision,\n", ",0,1,bit,0\n", ",1,0,bit,1\n", ",1,1,collision,\n")
 
-    A slot whose bits differ yields Alice's bit; equal bits collide. The
-    derived key appears as a '# key=' comment line ahead of the header.
+
+def key_text(block: np.ndarray) -> str:
+    """An (m, 2) block's key as '0'/'1' text: Alice's bit wherever hers and Bob's differ."""
+    alice, bob = block[:, 0], block[:, 1]
+    return (alice[alice != bob] + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+
+
+def write_transcript_csv(
+    blocks: Sequence[np.ndarray], dest: Union[str, TextIO], *, seed: int | None = None
+) -> int:
+    """One row per slot: round, a_bit, b_bit, outcome, bit_value; returns the key's length.
+
+    blocks holds the session's slots in order, as (m, 2) arrays of Alice's
+    and Bob's bit per slot. A slot whose bits differ yields Alice's bit;
+    equal bits collide. The derived key appears as a '# key=' comment line
+    ahead of the header, so blocks is read twice.
     """
-    alice, bob = np.asarray(alice_bits).tolist(), np.asarray(bob_bits).tolist()
-    if len(alice) != len(bob):
-        raise ValueError("bit columns must have equal length")
-    own = isinstance(dest, str)
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    generated = 0
+    with text_stream(dest, "w") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        fh.write("# key=" + "".join(str(a) for a, b in zip(alice, bob) if a != b) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "a_bit", "b_bit", "outcome", "bit_value"])
-        writer.writerows(
-            (slot, a, b, "collision", "") if a == b else (slot, a, b, "bit", a)
-            for slot, (a, b) in enumerate(zip(alice, bob), 1)
-        )
-    finally:
-        if own:
-            fh.close()
+        fh.write("# key=")
+        for block in blocks:
+            key = key_text(block)
+            fh.write(key)
+            generated += len(key)
+        fh.write("\nround,a_bit,b_bit,outcome,bit_value\n")
+        slot = 1
+        for block in blocks:
+            tails = map(_TRANSCRIPT_TAILS.__getitem__, (2 * block[:, 0] + block[:, 1]).tolist())
+            fh.write("".join(map(str.__add__, map(str, range(slot, slot + len(block))), tails)))
+            slot += len(block)
+    return generated
 
-
-def transcript_csv_text(
-    alice_bits: Sequence[int], bob_bits: Sequence[int], *, seed: int | None = None
-) -> str:
-    buf = io.StringIO()
-    write_transcript_csv(alice_bits, bob_bits, buf, seed=seed)
-    return buf.getvalue()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator, TextIO, Union
 
 
 class ConfigError(ValueError):
@@ -149,6 +151,16 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if not isinstance(cfg.seed, int) or not (0 <= cfg.seed < 2**64):
         raise ConfigError("invalid-seed", f"seed must be a 64-bit unsigned int, got {cfg.seed}")
     return cfg
+
+
+@contextlib.contextmanager
+def text_stream(target: Union[str, TextIO], mode: str = "r") -> Iterator[TextIO]:
+    """A path opened as UTF-8 text with newline="" and closed on exit, or an open stream, left open."""
+    if isinstance(target, str):
+        with open(target, mode, newline="", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target
 
 
 def load_config(path: str) -> ScenarioConfig:

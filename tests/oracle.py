@@ -1,15 +1,26 @@
-"""The per-round engine's session, in the columns the CSV writers take."""
+"""Test-side references: the per-round engine's session in the columns the CSV
+writers take, and the estimators that only the tests use."""
 
-from fhkex.adversary import KIND_BIT
+import numpy as np
+
+from fhkex.adversary import KIND_BIT, RULE_ML
+from fhkex.analysis import Probability
+from fhkex.experiments import _classify, _rss_samples
+from fhkex.protocol import SharedBit
+from fhkex.scenario import ScenarioConfig
+
+#: Distance tolerance (meters) below which the no-fading adversary is
+#: treated as exactly equidistant.
+DISTANCE_TOL = 1e-3
 
 
 def bit_columns(transcript):
-    """Alice's and Bob's bit per slot, as write_transcript_csv takes them."""
+    """Alice's and Bob's bit per slot: the columns of one write_transcript_csv block."""
     return [r.alice.bit for r in transcript.rounds], [r.bob.bit for r in transcript.rounds]
 
 
 def trace_columns(transcript, observations, guesses):
-    """(alice bits, bob bits, Alice/Bob samples, correct, abstain), as write_adversary_trace_csv takes them."""
+    """(alice bits, bob bits, Alice/Bob samples, correct, abstain): one block of write_adversary_trace_csv."""
     values = transcript.key_bits
     bit_obs = [obs for obs in observations if obs.kind == KIND_BIT]
     samples = [
@@ -19,6 +30,17 @@ def trace_columns(transcript, observations, guesses):
     correct = [g.decision == value for g, value in zip(guesses, values)]
     abstain = [g.decision is None for g in guesses]
     return (*bit_columns(transcript), samples, correct, abstain)
+
+
+def transcript_text(transcript, seed):
+    """transcript.csv straight from the per-round engine's records, with no writer in between."""
+    lines = [f"# seed={seed}", f"# key={transcript.key_string}", "round,a_bit,b_bit,outcome,bit_value"]
+    for r in transcript.rounds:
+        if isinstance(r.outcome, SharedBit):
+            lines.append(f"{r.slot},{r.alice.bit},{r.bob.bit},bit,{r.outcome.value}")
+        else:
+            lines.append(f"{r.slot},{r.alice.bit},{r.bob.bit},collision,")
+    return "\n".join(lines) + "\n"
 
 
 def trace_csv_text(transcript, observations, guesses):
@@ -35,3 +57,31 @@ def trace_csv_text(transcript, observations, guesses):
         correct = int(guess.decision == record.outcome.value)
         lines.append(f"{record.slot},{obs.rss_f0!r},{obs.rss_f1!r},{decision},{correct}")
     return "\n".join(lines) + "\n"
+
+
+def baseline_pg(d_ae: float, d_be: float, tol: float = DISTANCE_TOL) -> Probability:
+    """No-fading guessing probability: 0 iff the adversary is equidistant."""
+    if not (d_ae > 0.0 and d_be > 0.0):
+        raise ValueError(f"distances must be positive, got {d_ae}, {d_be}")
+    return Probability(0.0 if abs(d_ae - d_be) <= tol else 1.0)
+
+
+def estimate_rule_correctness(
+    rng: np.random.Generator,
+    n_bit_rounds: int,
+    d_ae: float,
+    d_be: float,
+    cfg: ScenarioConfig,
+    rule: str = RULE_ML,
+    chunk: int = 1_000_000,
+) -> float:
+    """Empirical per-bit-round correct-guess frequency over synthetic bit rounds."""
+    correct = 0
+    remaining = n_bit_rounds
+    while remaining > 0:
+        m = min(chunk, remaining)
+        values = rng.integers(0, 2, size=m)
+        samples = _rss_samples(rng, m, d_ae, d_be, cfg)
+        correct += int(_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0].sum())
+        remaining -= m
+    return correct / n_bit_rounds

@@ -18,11 +18,11 @@ from fhkex.experiments import (
     frontier,
     result_csv_text,
     simulate_session_counts,
-    estimate_rule_correctness,
     sweep,
 )
 from fhkex.protocol import run_session
 from fhkex.scenario import ScenarioConfig, build_canonical_deployment, build_equidistant_deployment
+from oracle import estimate_rule_correctness
 
 TOY_ALICE = (0, 0, 1, 0, 0, 1)
 TOY_BOB = (0, 1, 0, 1, 0, 1)

@@ -305,10 +305,10 @@ def test_adversary_trace_csv():
     ]
     # by hand: Alice transmits on f_value, so value 1 puts Bob's sample on f0
     buf = io.StringIO()
-    write_adversary_trace_csv(
+    write_adversary_trace_csv([(
         [0, 1, 1, 0], [1, 0, 1, 1], [(-50.0, -60.0), (-51.0, -61.0), (-52.0, -52.0)],
-        [True, False, False], [False, False, True], buf,
-    )
+        [True, False, False], [False, False, True],
+    )], buf)
     assert buf.getvalue().splitlines()[1:] == [
         "1,-50.0,-60.0,0,1", "2,-61.0,-51.0,0,0", "3,,,,", "4,-52.0,-52.0,abstain,0",
     ]
@@ -316,7 +316,7 @@ def test_adversary_trace_csv():
     for cfg, dep, rule, seed in cases:
         transcript, observations, guesses = _session_with_guesses(cfg, dep, rule, seed=seed)
         buf = io.StringIO()
-        write_adversary_trace_csv(*trace_columns(transcript, observations, guesses), buf)
+        write_adversary_trace_csv([trace_columns(transcript, observations, guesses)], buf)
         assert buf.getvalue() == trace_csv_text(transcript, observations, guesses)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "round,rss_f0,rss_f1,decision,correct"

@@ -13,7 +13,6 @@ from fhkex.analysis import (
     KeyRequest,
     PrivacyRegion,
     Probability,
-    baseline_pg,
     fading_pb,
     key_prob,
     key_probs,
@@ -22,6 +21,7 @@ from fhkex.analysis import (
     secret_bit_prob,
 )
 from fhkex.scenario import Position
+from oracle import baseline_pg
 
 # Frozen oracle values, precomputed with scipy.stats.binom.sf and cross-checked
 # against exact Fraction summation and 50-digit mpmath before the build.

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fhkex
-from fhkex import adversary, protocol
+from fhkex import adversary, experiments, protocol
 from fhkex.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -24,7 +24,7 @@ from fhkex.cli import (
 )
 from fhkex.experiments import SLOT_BUDGET
 from fhkex.scenario import ConfigError, ScenarioConfig, build_canonical_deployment
-from oracle import bit_columns, trace_csv_text
+from oracle import trace_csv_text, transcript_text
 
 
 def test_invocation_validates_subcommand():
@@ -282,6 +282,31 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: io-error:")
 
 
+@pytest.mark.parametrize("args", [
+    ["session", "--n-rounds", "5", "--eve"],
+    ["sweep", "--k-list", "4", "--n-list", "8", "--trials", "10"],
+    ["frontier", "--k-list", "4", "--n-list", "8", "--trials", "10"],
+    ["frontier", "--from-csv", "{source}"],
+])
+def test_missing_output_dir_fails_before_any_work(tmp_path, capsys, monkeypatch, args):
+    source = tmp_path / "source.csv"
+    source.write_text("k,n,d_be,sigma,rule,metric,trials,p_hat,ci_lo,ci_hi,p_analytic\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or read before checking the output directory")
+
+    for name in ("draw_slot_bits", "sweep", "read_result_csv"):
+        monkeypatch.setattr(experiments, name, refuse)
+    missing = tmp_path / "no" / "such" / "dir"
+    # no --seed: an auto-generated seed would be echoed to stdout
+    argv = [arg.format(source=source) for arg in args] + ["--out", str(missing)]
+    assert main(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: io-error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [source]
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FHKEX_OUTPUT_DIR", str(tmp_path))
     assert main(["session", "--seed", "3", "--n-rounds", "5"]) == EXIT_OK
@@ -334,7 +359,7 @@ def _oracle_session_files(cfg, rule, d_be, dest):
     transcript = protocol.run_session(cfg, rng)
     dep = build_canonical_deployment(d_be)
     observations, guesses = adversary.simulate_eavesdropper(transcript, dep, cfg, rng, rule=rule)
-    protocol.write_transcript_csv(*bit_columns(transcript), str(dest / "transcript.csv"), seed=cfg.seed)
+    (dest / "transcript.csv").write_text(transcript_text(transcript, cfg.seed))
     (dest / "eve_trace.csv").write_text(trace_csv_text(transcript, observations, guesses))
 
 

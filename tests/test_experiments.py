@@ -25,7 +25,6 @@ from fhkex.experiments import (
     _classify,
     _rss_samples,
     analytic_prob,
-    estimate_rule_correctness,
     frontier,
     read_result_csv,
     result_csv_text,
@@ -39,7 +38,7 @@ from fhkex.experiments import (
 )
 from fhkex.protocol import run_session
 from fhkex.scenario import ScenarioConfig, build_canonical_deployment
-from oracle import trace_columns
+from oracle import estimate_rule_correctness, trace_columns
 
 
 def test_wilson_interval_contains_estimate():

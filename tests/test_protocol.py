@@ -15,7 +15,6 @@ from fhkex.protocol import (
     node_round_action,
     resolve_round,
     run_session,
-    transcript_csv_text,
     write_transcript_csv,
 )
 from fhkex.scenario import ScenarioConfig
@@ -169,8 +168,9 @@ def test_transcript_invariant_enforced():
 
 def test_transcript_csv_format():
     t = run_session(ScenarioConfig(), alice_bits=TOY_ALICE, bob_bits=TOY_BOB)
-    text = transcript_csv_text(*bit_columns(t), seed=42)
-    lines = text.splitlines()
+    buf = io.StringIO()
+    write_transcript_csv([np.column_stack(bit_columns(t))], buf, seed=42)
+    lines = buf.getvalue().splitlines()
     assert lines[0] == "# seed=42"
     assert lines[1] == "# key=010"
     assert lines[2] == "round,a_bit,b_bit,outcome,bit_value"
@@ -183,6 +183,6 @@ def test_transcript_csv_roundtrip_bytes(tmp_path):
     cfg = ScenarioConfig(n_rounds=100, seed=9)
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    write_transcript_csv(*bit_columns(run_session(cfg)), str(path_a), seed=cfg.seed)
-    write_transcript_csv(*bit_columns(run_session(cfg)), str(path_b), seed=cfg.seed)
+    write_transcript_csv([np.column_stack(bit_columns(run_session(cfg)))], str(path_a), seed=cfg.seed)
+    write_transcript_csv([np.column_stack(bit_columns(run_session(cfg)))], str(path_b), seed=cfg.seed)
     assert path_a.read_bytes() == path_b.read_bytes()
