@@ -5,6 +5,11 @@ sample per frequency (fresh independent shadowing per sample) and tries to
 decide which node transmitted where; mapping the inferred assignment through
 the public protocol rule yields her guess of the key bit. Collision slots are
 detectable (a single occupied frequency) and carry no key material.
+
+The two shadowing draws of a slot are built from two standard normals u and
+v as (u + v)/sqrt(2) for Alice and (u - v)/sqrt(2) for Bob: independent,
+with unit variance. Their difference, sqrt(2) * v, is all the ML rule reads,
+so v decides the bit and u only places the written samples.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .channel import PathLossParams, ShadowingParams, delta_mean_pathloss, rss
+from .channel import PathLossParams, delta_mean_pathloss
 from .protocol import F0, Collision, RoundOutcome, SessionTranscript, SharedBit
 from .scenario import Deployment, ScenarioConfig, text_stream
 
@@ -98,6 +103,37 @@ class SecrecyReport:
             raise ValueError("counts must satisfy secret <= generated <= n_rounds")
 
 
+def rss_samples(
+    u: np.ndarray, v: np.ndarray, d_ae: float, d_be: float, cfg: ScenarioConfig
+) -> np.ndarray:
+    """Alice's and Bob's RSS at Eve for m bit rounds, shape (m, 2), dBm.
+
+    From the m shadowing draws u and v: pt - (pl + sigma * (u + v) / sqrt(2))
+    for Alice and pt - (pl + sigma * (u - v) / sqrt(2)) for Bob, built in place.
+    """
+    samples = np.empty((np.size(u), 2))
+    np.add(u, v, out=samples[:, 0])
+    np.subtract(u, v, out=samples[:, 1])
+    samples *= cfg.sigma
+    samples /= math.sqrt(2.0)
+    samples += (
+        cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0),
+        cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0),
+    )
+    np.subtract(cfg.pt, samples, out=samples)
+    return samples
+
+
+def _observation(outcome: RoundOutcome, slot: int, samples: Sequence[float] | None) -> Observation:
+    """Eve's view of a resolved slot, given Alice's and Bob's samples for a collision-free one."""
+    if isinstance(outcome, Collision):
+        return Observation(slot=slot, kind=KIND_COLLISION)
+    sample_alice, sample_bob = samples
+    if outcome.alice_freq == F0:
+        return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_alice, rss_f1=sample_bob)
+    return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_bob, rss_f1=sample_alice)
+
+
 def observe_round(
     outcome: RoundOutcome,
     deployment: Deployment,
@@ -107,18 +143,27 @@ def observe_round(
 ) -> Observation:
     """Eve's view of one resolved slot.
 
-    Collision-free slots consume two shadowing draws, Alice's sample first;
-    collision slots consume none and are only flagged.
+    Collision-free slots consume two shadowing draws, v then u, as a
+    one-bit session draws them; collision slots consume none and are only
+    flagged.
     """
     if isinstance(outcome, Collision):
-        return Observation(slot=slot, kind=KIND_COLLISION)
-    plp = PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0)
-    shp = ShadowingParams(sigma=cfg.sigma)
-    sample_alice = rss(cfg.pt, deployment.d_ae, plp, shp, rng).value
-    sample_bob = rss(cfg.pt, deployment.d_be, plp, shp, rng).value
-    if outcome.alice_freq == F0:
-        return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_alice, rss_f1=sample_bob)
-    return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_bob, rss_f1=sample_alice)
+        return _observation(outcome, slot, None)
+    v = rng.standard_normal()
+    u = rng.standard_normal()
+    return _observation(outcome, slot, rss_samples(u, v, deployment.d_ae, deployment.d_be, cfg)[0].tolist())
+
+
+def _ml_guess(slot: int, gap: float, delta: float) -> Guess:
+    """The ML call on the f0 - f1 sample gap: the sign of gap * delta; 0 abstains."""
+    score = gap * delta
+    if score > 0.0:
+        decision = 1  # Alice-on-f1 assignment more likely
+    elif score < 0.0:
+        decision = 0
+    else:
+        decision = None
+    return Guess(slot=slot, decision=decision)
 
 
 def classify_ml(obs: Observation, knowledge: EveKnowledge) -> Guess:
@@ -129,15 +174,7 @@ def classify_ml(obs: Observation, knowledge: EveKnowledge) -> Guess:
     """
     if obs.kind != KIND_BIT:
         raise ValueError("classifier needs a bit-round observation")
-    gap = obs.rss_f0 - obs.rss_f1
-    score = gap * knowledge.delta
-    if score > 0.0:
-        decision = 1  # Alice-on-f1 assignment more likely
-    elif score < 0.0:
-        decision = 0
-    else:
-        decision = None
-    return Guess(slot=obs.slot, decision=decision)
+    return _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, knowledge.delta)
 
 
 def classify_random(obs: Observation, rng: np.random.Generator) -> Guess:
@@ -203,21 +240,33 @@ def simulate_eavesdropper(
     rng: np.random.Generator,
     rule: str = RULE_ML,
 ) -> tuple[list[Observation], list[Guess]]:
-    """Observe every slot, then classify the bit-generating ones.
+    """Observe every slot, and call the bit-generating ones.
 
-    Draw order, as in the vectorized engine: two observation draws per
-    bit-generating slot, in slot order, then (random rule only) one guess
-    draw per such slot.
+    Draw order, as in the vectorized engine, one draw per bit-generating
+    slot in slot order: first the decision draws (ML: v, random rule: the
+    guess), then the trace-only draws (ML: u, random rule: u and v per slot).
+    The ML call is made on v's gap A - B = -delta - sigma * sqrt(2) * v,
+    which is authoritative where the written samples nearly tie.
     """
     knowledge = EveKnowledge.from_scenario(deployment, cfg, rule=rule)
-    observations = [
-        observe_round(record.outcome, deployment, cfg, rng, slot=record.slot)
-        for record in transcript.rounds
-    ]
-    bit_obs = [obs for obs in observations if obs.kind == KIND_BIT]
+    bit_records = [r for r in transcript.rounds if isinstance(r.outcome, SharedBit)]
     if rule == RULE_RANDOM:
-        return observations, [classify_random(obs, rng) for obs in bit_obs]
-    return observations, [classify_ml(obs, knowledge) for obs in bit_obs]
+        guesses = [Guess(slot=r.slot, decision=int(rng.integers(0, 2))) for r in bit_records]
+        pairs = [(rng.standard_normal(), rng.standard_normal()) for _ in bit_records]
+        u, v = np.array(pairs).reshape(-1, 2).T
+    else:
+        v = np.array([rng.standard_normal() for _ in bit_records])
+        u = np.array([rng.standard_normal() for _ in bit_records])
+        guesses = []
+        for record, v_i in zip(bit_records, v.tolist()):
+            alice_minus_bob = -knowledge.delta - cfg.sigma * math.sqrt(2.0) * v_i
+            # the f0 - f1 gap: Alice sits on f0 iff the bit is 0
+            gap = alice_minus_bob if record.outcome.value == 0 else -alice_minus_bob
+            guesses.append(_ml_guess(record.slot, gap, knowledge.delta))
+    samples = rss_samples(u, v, deployment.d_ae, deployment.d_be, cfg).tolist()
+    by_slot = dict(zip((r.slot for r in bit_records), samples))
+    observations = [_observation(r.outcome, r.slot, by_slot.get(r.slot)) for r in transcript.rounds]
+    return observations, guesses
 
 
 #: An eve_trace.csv bit-slot row's decision and correct fields, indexed by

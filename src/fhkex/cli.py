@@ -270,7 +270,8 @@ def _cmd_analyze(inv: Invocation) -> int:
     return EXIT_OK
 
 
-def _make_spec(inv: Invocation, seed: int) -> experiments.SweepSpec:
+def _make_spec(inv: Invocation) -> experiments.SweepSpec:
+    """The sweep's spec, checked in full before its seed is resolved (and an auto seed echoed)."""
     cfg = _build_scenario(inv)
     budget = inv.get("budget", experiments.SLOT_BUDGET)
     spec = experiments.SweepSpec(
@@ -279,7 +280,6 @@ def _make_spec(inv: Invocation, seed: int) -> experiments.SweepSpec:
         d_be=_parse_axis(inv.get("d_be_list", "20"), float, budget),
         sigma=_parse_axis(inv.get("sigma_list", "8"), float, budget),
         trials=inv.get("trials", 2000),
-        base_seed=seed,
         rule=inv.get("rule", adversary.RULE_ML),
         metric=inv.get("metric", experiments.METRIC_PER_BIT),
         geometry=inv.get("geometry", experiments.GEOMETRY_CANONICAL),
@@ -288,12 +288,12 @@ def _make_spec(inv: Invocation, seed: int) -> experiments.SweepSpec:
     )
     if spec.grid_size == 0:
         raise scenario.ConfigError("empty-grid", "every sweep axis needs at least one value")
-    return spec
+    return dataclasses.replace(spec, base_seed=_resolve_seed(inv, cfg))
 
 
 def _cmd_sweep(inv: Invocation) -> int:
     out = _output_dir(inv)
-    spec = _make_spec(inv, _resolve_seed(inv, _build_scenario(inv)))
+    spec = _make_spec(inv)
     table = experiments.sweep(spec)
     csv_path = out / "sweep.csv"
     experiments.write_result_csv(table, str(csv_path))
@@ -308,7 +308,7 @@ def _cmd_frontier(inv: Invocation) -> int:
     if inv.get("from_csv"):
         table = experiments.read_result_csv(inv.get("from_csv"))
     else:
-        spec = _make_spec(inv, _resolve_seed(inv, _build_scenario(inv)))
+        spec = _make_spec(inv)
         table = experiments.sweep(spec)
         csv_path = out / "sweep.csv"
         experiments.write_result_csv(table, str(csv_path))

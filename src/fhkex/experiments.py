@@ -23,14 +23,16 @@ from typing import Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
-from .adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form
+from .adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form, rss_samples
 from .analysis import key_probs, secret_bit_prob
 from .channel import delta_mean_pathloss
+from .protocol import draw_coins
 from .scenario import (
     ScenarioConfig,
     build_canonical_deployment,
     build_equidistant_deployment,
     text_stream,
+    validate_config,
 )
 
 METRIC_PER_BIT = "per-bit-secret"
@@ -59,6 +61,8 @@ RESULT_COLUMNS = (
 #: Most trial-slots simulated at once: trials run in blocks of BLOCK_SLOTS // n
 #: sessions, so peak memory does not grow with the trial count, and one session
 #: in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes per slot.
+#: A multiple of 16 slots (32 coins, one word of rng.bytes), so a session's
+#: bits are drawn block by block, each block a whole number of words.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
@@ -111,6 +115,8 @@ class SweepSpec:
             raise ValueError(f"transmission counts must be >= 1, got {self.n_rounds}")
         if any(k < 0 for k in self.k):
             raise ValueError(f"key sizes must be >= 0, got {self.k}")
+        for sigma in self.sigma:
+            validate_config(self.scenario.replace(sigma=sigma))
         for d_be in self.d_be:
             nearest = min(_distances(d_be, self.geometry))
             if nearest < self.scenario.d0:
@@ -200,15 +206,25 @@ class Session(NamedTuple):
 
 
 def draw_slot_bits(rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    """Alice's and Bob's bit for n slots, in blocks of BLOCK_SLOTS slots: (m, 2) int8 arrays.
+    """Alice's and Bob's bit for n slots, in blocks of BLOCK_SLOTS slots: (m, 2) uint8 arrays.
 
-    Drawn as int32, which reads the same stream as one int64 call of 2n
-    interleaved Alice/Bob bits, whatever the block size; kept as int8.
+    The coins of one draw_coins call of 2n interleaved Alice/Bob bits,
+    whatever the block size: coins are drawn BLOCK_SLOTS rounded up to whole
+    words at a time, and a draw's slots past its last full block open the
+    next one (never, when BLOCK_SLOTS is a multiple of 16).
     """
-    return [
-        rng.integers(0, 2, size=(min(BLOCK_SLOTS, n - start), 2), dtype=np.int32).astype(np.int8)
-        for start in range(0, n, BLOCK_SLOTS)
-    ]
+    step = -(-BLOCK_SLOTS // 16) * 16
+    blocks, tail = [], np.empty((0, 2), dtype=np.uint8)
+    for start in range(0, n, step):
+        drawn = draw_coins(rng, 2 * min(step, n - start)).reshape(-1, 2)
+        if tail.size:
+            drawn = np.concatenate((tail, drawn))
+        whole = drawn.shape[0] - drawn.shape[0] % BLOCK_SLOTS
+        blocks += [drawn[i:i + BLOCK_SLOTS] for i in range(0, whole, BLOCK_SLOTS)]
+        tail = drawn[whole:]
+    if tail.size:
+        blocks.append(tail)
+    return blocks
 
 
 def session_blocks(
@@ -217,22 +233,27 @@ def session_blocks(
 ) -> Iterator[Session]:
     """The eavesdropper on the slot bits of draw_slot_bits, one Session per block.
 
-    Continues the stream that drew the bits: one shadowing pair per
-    generated bit in slot order, then, for the random rule, one guess per
-    bit. Those guesses follow every sample, so the samples come from a copy
-    of rng and rng itself first draws and discards them all.
+    Continues the stream that drew the bits: the decision draws of every
+    generated bit in slot order (see _decision_draws), then the trace-only
+    draws that place the written samples: u per bit for the ML rule, u and
+    v per bit for the random rule. The trace draws come from a copy of rng
+    that has skipped every decision draw; rng itself ends after the
+    decision draws, where a one-trial simulate_session_block ends.
     """
-    sample_rng = rng
-    if rule == RULE_RANDOM:
-        sample_rng = copy.deepcopy(rng)
-        for block in blocks:
-            rng.standard_normal((np.count_nonzero(block[:, 0] != block[:, 1]), 2))
+    delta = _delta(d_ae, d_be, cfg.gamma)
+    trace_rng = copy.deepcopy(rng)
+    for block in blocks:
+        _decision_draws(trace_rng, np.count_nonzero(block[:, 0] != block[:, 1]), rule)
     for block in blocks:
         alice, bob = block[:, 0], block[:, 1]
         values = alice[alice != bob]
-        samples = _rss_samples(sample_rng, values.size, d_ae, d_be, cfg)
-        correct, abstain = _classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)
-        yield Session(alice, bob, samples, correct, abstain)
+        draws = _decision_draws(rng, values.size, rule)
+        correct, abstain = _classify(draws, values, delta, cfg.sigma, rule)
+        if rule == RULE_RANDOM:
+            u, v = trace_rng.standard_normal((values.size, 2)).T
+        else:
+            u, v = trace_rng.standard_normal(values.size), draws
+        yield Session(alice, bob, rss_samples(u, v, d_ae, d_be, cfg), correct, abstain)
 
 
 def simulate_session_counts(
@@ -261,17 +282,17 @@ def simulate_session_block(
 
     Returns (generated, secret): the (trials, n) slot mask of generated key
     bits, and per generated bit in trial-major order whether the adversary
-    missed it. Draws every trial's interleaved Alice/Bob bits, then one
-    shadowing pair per generated bit in that order (then, for the random
-    rule, the guesses), so one trial replays simulate_session_counts exactly.
+    missed it. Draws every trial's interleaved Alice/Bob coins in one
+    draw_coins call, then one decision draw per generated bit in that
+    order, so one trial replays the bits and verdicts of
+    simulate_session_counts and ends its stream where that ends.
     """
-    # int32 draws the same stream as the int64 default, in half the memory
-    bits = rng.integers(0, 2, size=(trials, 2 * n), dtype=np.int32)
+    bits = draw_coins(rng, 2 * trials * n).reshape(trials, 2 * n)
     a = bits[:, 0::2]
     generated = a != bits[:, 1::2]
     values = a[generated] if rule == RULE_RANDOM else None
-    samples = _rss_samples(rng, np.count_nonzero(generated), d_ae, d_be, cfg)
-    return generated, ~_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0]
+    draws = _decision_draws(rng, np.count_nonzero(generated), rule)
+    return generated, ~_classify(draws, values, _delta(d_ae, d_be, cfg.gamma), cfg.sigma, rule)[0]
 
 
 def slice_successes(
@@ -319,46 +340,41 @@ def slice_successes(
     return successes[:, order]
 
 
-def _rss_samples(
-    rng: np.random.Generator, m: int, d_ae: float, d_be: float, cfg: ScenarioConfig
-) -> np.ndarray:
-    """Alice's and Bob's RSS at Eve for m bit rounds, shape (m, 2), dBm.
+def _delta(d_ae: float, d_be: float, gamma: float) -> float:
+    """Mean path-loss gap between Alice's and Bob's samples; exactly 0 for an equidistant Eve."""
+    return 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, gamma)
 
-    One shadowing draw each, Alice's first; built in place, per column, as
-    pt - (pl + sigma * noise).
+
+def _decision_draws(rng: np.random.Generator, m: int, rule: str) -> np.ndarray:
+    """The draws that decide m bit rounds: one guess each for the random rule, else v.
+
+    v is the normalised difference of the round's two shadowing draws
+    (see adversary.rss_samples), the only part of them the ML rule reads.
     """
-    samples = rng.standard_normal((m, 2))
-    samples *= cfg.sigma
-    samples += (
-        cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0),
-        cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0),
-    )
-    np.subtract(cfg.pt, samples, out=samples)
-    return samples
+    if rule == RULE_RANDOM:
+        return rng.integers(0, 2, size=m)
+    return rng.standard_normal(m)
 
 
 def _classify(
-    rng: np.random.Generator,
-    values: np.ndarray | None,
-    samples: np.ndarray,
-    d_ae: float,
-    d_be: float,
-    gamma: float,
-    rule: str,
+    draws: np.ndarray, values: np.ndarray | None, delta: float, sigma: float, rule: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per bit round, (correct, abstain): did the rule name the value, did it abstain.
 
     The ML guess is correct iff (A - B) * delta < 0 for the Alice and Bob
     samples A, B, whatever the bit value: value 0 puts A on f0 and is named
     on a negative score, value 1 puts B on f0 and is named on a positive
-    one. An exact tie (score 0, always so at delta = 0) abstains, never
-    correct. The random rule ignores the samples, draws its guesses after
-    them and never abstains; only it reads the bit values.
+    one. A - B = -delta - sigma * sqrt(2) * v is taken from the decision
+    draw v, which is authoritative where the written samples nearly tie. An
+    exact tie (score 0, always so at delta = 0) abstains, never correct.
+    The random rule's draws are its guesses; it never abstains, and only it
+    reads the bit values.
     """
     if rule == RULE_RANDOM:
-        return rng.integers(0, 2, size=values.size) == values, np.zeros(values.size, dtype=bool)
-    score = samples[:, 0] - samples[:, 1]
-    score *= 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, gamma)
+        return draws == values, np.zeros(draws.size, dtype=bool)
+    score = draws * (-sigma * math.sqrt(2.0))
+    score -= delta
+    score *= delta
     return score < 0.0, score == 0.0
 
 
@@ -378,8 +394,7 @@ def analytic_rule_pg(delta: float, sigma: float, rule: str) -> float:
 
 
 def _slice_pg(d_ae: float, d_be: float, sigma: float, rule: str, gamma: float) -> float:
-    delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, gamma)
-    return analytic_rule_pg(delta, sigma, rule)
+    return analytic_rule_pg(_delta(d_ae, d_be, gamma), sigma, rule)
 
 
 def _analytic_column(ks: Sequence[int], n: int, pg: float, metric: str) -> list[float]:

@@ -108,10 +108,21 @@ class SessionTranscript:
         return tuple(r.bob.bit ^ 1 for r in self.rounds if isinstance(r.outcome, SharedBit))
 
 
+def draw_coins(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count fair coins, as a uint8 array of 0/1: the bits of rng.bytes, most significant first.
+
+    rng.bytes reads whole 32-bit words of the stream, so draws split over
+    several calls read the stream one call would iff every call but the
+    last takes a multiple of 32 coins. No coins read nothing (rng.bytes(0)
+    would read a word).
+    """
+    raw = rng.bytes(-(-count // 8)) if count else b""
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+
+
 def node_round_action(rng: np.random.Generator) -> RoundAction:
-    """Draw the slot's secret bit (one rng draw) and derive the frequency pair."""
-    bit = int(rng.integers(0, 2))
-    return RoundAction.from_bit(bit)
+    """Draw the slot's secret bit (one coin, one 32-bit word) and derive the frequency pair."""
+    return RoundAction.from_bit(int(draw_coins(rng, 1)[0]))
 
 
 def resolve_round(a: RoundAction, b: RoundAction) -> RoundOutcome:
@@ -130,33 +141,28 @@ def run_session(
 ) -> SessionTranscript:
     """Run cfg.n_rounds slots and collect the transcript.
 
-    Draw order is contractual for replay: per slot, Alice's bit then Bob's
-    bit. Scripted mode replaces the rng draws with the supplied sequences
-    (both must be given, equal length, overriding cfg.n_rounds).
+    Draw order is contractual for replay: one draw_coins call of 2n coins,
+    per slot Alice's bit then Bob's. Scripted mode replaces the rng draws
+    with the supplied sequences (both must be given, equal length,
+    overriding cfg.n_rounds).
     """
-    scripted = alice_bits is not None or bob_bits is not None
-    if scripted:
+    if alice_bits is not None or bob_bits is not None:
         if alice_bits is None or bob_bits is None:
             raise ValueError("scripted sessions need both alice_bits and bob_bits")
         if len(alice_bits) != len(bob_bits):
             raise ValueError("scripted sequences must have equal length")
-        n = len(alice_bits)
     else:
-        n = cfg.n_rounds
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed)
+        alice_bits, bob_bits = draw_coins(rng, 2 * cfg.n_rounds).reshape(-1, 2).T.tolist()
 
     rounds = []
     key_bits = []
-    for i in range(n):
-        if scripted:
-            a = RoundAction.from_bit(int(alice_bits[i]))
-            b = RoundAction.from_bit(int(bob_bits[i]))
-        else:
-            a = node_round_action(rng)
-            b = node_round_action(rng)
+    for slot, (a_bit, b_bit) in enumerate(zip(alice_bits, bob_bits), start=1):
+        a = RoundAction.from_bit(int(a_bit))
+        b = RoundAction.from_bit(int(b_bit))
         outcome = resolve_round(a, b)
-        rounds.append(RoundRecord(slot=i + 1, alice=a, bob=b, outcome=outcome))
+        rounds.append(RoundRecord(slot=slot, alice=a, bob=b, outcome=outcome))
         if isinstance(outcome, SharedBit):
             key_bits.append(outcome.value)
     return SessionTranscript(rounds=tuple(rounds), key_bits=tuple(key_bits))

@@ -5,8 +5,8 @@ import numpy as np
 
 from fhkex.adversary import KIND_BIT, RULE_ML
 from fhkex.analysis import Probability
-from fhkex.experiments import _classify, _rss_samples
-from fhkex.protocol import SharedBit
+from fhkex.experiments import _classify, _decision_draws, _delta
+from fhkex.protocol import SharedBit, draw_coins
 from fhkex.scenario import ScenarioConfig
 
 #: Distance tolerance (meters) below which the no-fading adversary is
@@ -75,13 +75,17 @@ def estimate_rule_correctness(
     rule: str = RULE_ML,
     chunk: int = 1_000_000,
 ) -> float:
-    """Empirical per-bit-round correct-guess frequency over synthetic bit rounds."""
+    """Empirical per-bit-round correct-guess frequency over synthetic bit rounds.
+
+    Per chunk: the bit values from draw_coins, then one decision draw per bit.
+    """
     correct = 0
     remaining = n_bit_rounds
+    delta = _delta(d_ae, d_be, cfg.gamma)
     while remaining > 0:
         m = min(chunk, remaining)
-        values = rng.integers(0, 2, size=m)
-        samples = _rss_samples(rng, m, d_ae, d_be, cfg)
-        correct += int(_classify(rng, values, samples, d_ae, d_be, cfg.gamma, rule)[0].sum())
+        values = draw_coins(rng, m)
+        draws = _decision_draws(rng, m, rule)
+        correct += int(_classify(draws, values, delta, cfg.sigma, rule)[0].sum())
         remaining -= m
     return correct / n_bit_rounds

@@ -1,5 +1,7 @@
 """Acceptance gate: every criterion with its stated tolerance, one line each."""
 
+import contextlib
+import io
 import math
 import time
 from pathlib import Path
@@ -7,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fhkex.adversary import RULE_ML, pg_closed_form, score_session, simulate_eavesdropper
+from fhkex.adversary import RULE_ML, RULE_RANDOM, pg_closed_form, score_session, simulate_eavesdropper
 from fhkex.analysis import KeyRequest, fading_pb, key_prob, min_transmissions
 from fhkex.channel import delta_mean_pathloss
+from fhkex.cli import EXIT_OK, main
 from fhkex.experiments import (
     GEOMETRY_EQUIDISTANT,
     METRIC_PER_BIT,
@@ -220,3 +223,35 @@ def test_criterion_8_sweep_determinism():
     )
     assert result_csv_text(sweep(reseeded)) != text_one
     _report("criterion-8 determinism", "byte-identical CSVs across reruns")
+
+
+# The abstract's "128 bits with less than 564 transmissions", read as a
+# hypothesis: p_b = 1/4, i.e. collisions at 1/2 and an adversary at chance
+# (p_g = 1/2) wherever it stands. See README "Fidelity notes".
+@pytest.mark.parametrize("target, expected", [(0.9, 563), (0.99, 608)])
+def test_abstract_reading_closed_form(target, expected):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["analyze", "--k", "128", "--pb", "0.25", "--target", str(target)])
+    assert code == EXIT_OK
+    assert f"minimum transmissions for k=128 at target {target}: {expected}\n" in buf.getvalue()
+    assert key_prob(128, expected - 1, 0.25) < target <= key_prob(128, expected, 0.25)
+    if target == 0.9:
+        assert key_prob(128, 563, 0.25) == pytest.approx(0.90241, abs=5e-6)
+    _report("abstract reading, closed form", f"k=128, p_b=1/4, target {target}: {expected}")
+
+
+def test_abstract_reading_monte_carlo_is_flat_in_distance():
+    # the random-guess adversary at n = 563: every distance within 3 Wilson
+    # half-widths of the closed form, so the result does not depend on where Eve is
+    spec = SweepSpec(
+        k=(128,), n_rounds=(563,), d_be=(2.0, 20.0, 100.0), sigma=(8.0,),
+        trials=2000, base_seed=564, rule=RULE_RANDOM, metric=METRIC_PER_BIT,
+    )
+    rows = sweep(spec).rows
+    assert len(rows) == 3
+    for row in rows:
+        assert row.p_analytic == pytest.approx(0.90241, abs=5e-6)
+        half = (row.ci_hi - row.ci_lo) / 2
+        assert abs(row.p_hat - row.p_analytic) <= 3 * half, f"d_be={row.d_be}: p_hat {row.p_hat}"
+    _report("abstract reading, Monte Carlo", ", ".join(f"d_be={r.d_be}: {r.p_hat}" for r in rows))

@@ -456,3 +456,24 @@ def test_frontier_rejects_target_outside_unit_interval(tmp_path, capsys, target,
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command", ["sweep", "frontier"])
+@pytest.mark.parametrize("sigmas", ["8,inf", "nan", "-3"])
+@pytest.mark.parametrize("seeded", [True, False])
+def test_sweep_sigma_axis_checked_before_any_work(tmp_path, capsys, monkeypatch, command, sigmas, seeded):
+    # the one scenario rule refuses the axis before the seed is echoed or a bit is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated despite a bad sigma axis")
+
+    monkeypatch.setattr(experiments, "slice_successes", refuse)
+    seed = ["--seed", "1"] if seeded else []
+    args = [
+        command, *seed, "--sigma-list", sigmas, "--n-list", "600", "--k-list", "64",
+        "--trials", "20000", "--out", str(tmp_path),
+    ]
+    assert main(args) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid-sigma:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhkex.adversary import RULE_ML, RULE_RANDOM, score_session, simulate_eavesdropper
+from fhkex.adversary import RULE_ML, RULE_RANDOM, rss_samples, score_session, simulate_eavesdropper
 from fhkex.analysis import key_prob
 from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import (
@@ -23,7 +23,6 @@ from fhkex.experiments import (
     ResultTable,
     SweepSpec,
     _classify,
-    _rss_samples,
     analytic_prob,
     frontier,
     read_result_csv,
@@ -83,11 +82,15 @@ def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
     session = simulate_session_counts(rng_vec, cfg.n_rounds, dep.d_ae, dep.d_be, cfg, rule=rule)
     assert session.correct.size == report.generated
     assert int(session.correct.sum()) == report.guessed_correct
-    # draw for draw: the same bits, samples and calls, and both streams end together
+    # draw for draw: the same bits, samples and calls, and both streams end
+    # together once the session's generator skips the trace-only draws,
+    # which the session takes from a copy of it
     alice, bob, samples, correct, abstain = trace_columns(transcript, observations, guesses)
     assert (session.alice.tolist(), session.bob.tolist()) == (alice, bob)
     assert session.samples.tolist() == [list(pair) for pair in samples]
     assert (session.correct.tolist(), session.abstain.tolist()) == (correct, abstain)
+    m = session.correct.size
+    rng_vec.standard_normal((m, 2) if rule == RULE_RANDOM else m)
     assert rng_vec.integers(0, 2**62) == rng_obj.integers(0, 2**62)
 
 
@@ -97,18 +100,19 @@ def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
 def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, seed):
     cfg = ScenarioConfig(sigma=sigma)
     dep = build_canonical_deployment(20.0)
-    session = simulate_session_counts(
-        np.random.default_rng(seed), 400, dep.d_ae, dep.d_be, cfg, rule=rule
-    )
+    rng_session, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
+    session = simulate_session_counts(rng_session, 400, dep.d_ae, dep.d_be, cfg, rule=rule)
     generated, correct = session.correct.size, session.correct
-    gen_mask, secret = simulate_session_block(
-        np.random.default_rng(seed), 1, 400, dep.d_ae, dep.d_be, cfg, rule=rule
-    )
+    gen_mask, secret = simulate_session_block(rng_block, 1, 400, dep.d_ae, dep.d_be, cfg, rule=rule)
     wrong = np.flatnonzero(~correct)
     missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
     assert int(gen_mask.sum()) == generated == secret.size
     assert int(secret.sum()) == generated - int(correct.sum())
     assert (missed[0] if missed.size else 400) == (wrong[0] if wrong.size else 400)
+    # the same bits and verdicts, and both streams end after the decision draws
+    assert np.array_equal(gen_mask[0], session.alice != session.bob)
+    assert np.array_equal(secret, ~correct)
+    assert rng_block.integers(0, 2**62) == rng_session.integers(0, 2**62)
 
 
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
@@ -120,7 +124,7 @@ def test_rows_read_session_prefixes(metric, rule, seed):
     cfg = ScenarioConfig(sigma=8.0)
     dep = build_canonical_deployment(20.0)
     ks, ns = (0, 1, 2, 5, 10, 30), (1, 2, 5, 17, 40, 80, 120)
-    bits = np.random.default_rng(seed).integers(0, 2, size=2 * ns[-1])  # the session's first draw
+    bits = _coins(np.random.default_rng(seed), 2 * ns[-1])  # the session's first draw
     bit_slots = np.flatnonzero(bits[0::2] != bits[1::2])
     correct = simulate_session_counts(
         np.random.default_rng(seed), ns[-1], dep.d_ae, dep.d_be, cfg, rule=rule
@@ -139,29 +143,43 @@ def test_rows_read_session_prefixes(metric, rule, seed):
     assert counts.ravel().tolist() == [int(e) for e in expected]
 
 
+def _coins(rng, count):
+    """count coins, by hand: the bits of rng.bytes, most significant first."""
+    return np.unpackbits(np.frombuffer(rng.bytes((count + 7) // 8), dtype=np.uint8))[:count]
+
+
 def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric):
     """Successes per (k, n), judged trial by trial on each trial's own session,
     with every draw replayed by hand in the engine's documented order: per
-    block, all bits, then one shadowing pair per generated bit, then (random
-    rule) the guesses. Also returns the generator, to compare the next draw."""
+    block, all coins, then one decision draw per generated bit (ML: v, whose
+    score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v; random
+    rule: the guess). Also returns the generator, to compare the next draw."""
     rng = np.random.default_rng(seed)
     n_max = max(ns)
     block = max(1, BLOCK_SLOTS // n_max)
+    delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     counts = np.zeros((len(ks), len(ns)), dtype=int)
     for start in range(0, trials, block):
-        bits = rng.integers(0, 2, size=(min(block, trials - start), 2 * n_max))
+        size = min(block, trials - start)
+        bits = _coins(rng, size * 2 * n_max).reshape(size, 2 * n_max)
         alice, bob = bits[:, 0::2], bits[:, 1::2]
         slots = [np.flatnonzero(a != b) for a, b in zip(alice, bob)]
         values = [a[s] for a, s in zip(alice, slots)]
-        samples = _rss_samples(rng, sum(v.size for v in values), d_ae, d_be, cfg)
-        guesses = rng.integers(0, 2, size=len(samples)) if rule == RULE_RANDOM else None
+        m = sum(v.size for v in values)
+        if rule == RULE_RANDOM:
+            guesses = rng.integers(0, 2, size=m)
+        else:
+            v = rng.standard_normal(m)
         first = 0
         for trial_slots, trial_values in zip(slots, values):
             last = first + trial_values.size
             if rule == RULE_RANDOM:
                 missed = guesses[first:last] != trial_values
             else:
-                missed = ~_classify(None, None, samples[first:last], d_ae, d_be, cfg.gamma, rule)[0]
+                missed = np.array([
+                    not (-delta - cfg.sigma * math.sqrt(2.0) * v_i) * delta < 0.0
+                    for v_i in v[first:last].tolist()
+                ], dtype=bool)
             first = last
             for j, n in enumerate(ns):
                 generated = int((trial_slots < n).sum())
@@ -208,21 +226,11 @@ def _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta):
     return np.where(score > 0.0, values == 1, np.where(score < 0.0, values == 0, False))
 
 
-class _GivenShadowing:
-    """Generator stand-in whose shadowing draw returns the given noise."""
-
-    def __init__(self, noise):
-        self.noise = noise
-
-    def standard_normal(self, shape):
-        assert shape == self.noise.shape
-        return self.noise.copy()
-
-
+# (u, v) shadowing draws of one bit round; v None puts v at the tie point
+# -delta / (sigma sqrt 2), where A - B rounds to 0 or to a tiny gap of either sign
 _NOISE_ROW = st.one_of(
     st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
-    # shadowing this large swallows the path-loss gap: equal samples, an exact tie
-    st.sampled_from([1e300, -1e300]).map(lambda x: (x, x)),
+    st.tuples(st.floats(-6.0, 6.0), st.none()),
 )
 
 
@@ -233,26 +241,30 @@ _NOISE_ROW = st.one_of(
     sigma=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
 )
 def test_ml_mask_matches_reference_rule(rows, distances, sigma):
-    values = np.array([v for v, _ in rows])
-    noise = np.array([pair for _, pair in rows])
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
-    samples = _rss_samples(_GivenShadowing(noise), values.size, d_ae, d_be, cfg)
-    mask, abstain = _classify(None, values, samples, d_ae, d_be, cfg.gamma, RULE_ML)
-
-    pl_ae = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0)
-    pl_be = cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0)
-    sample_alice = cfg.pt - (pl_ae + cfg.sigma * noise[:, 0])
-    sample_bob = cfg.pt - (pl_be + cfg.sigma * noise[:, 1])
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    expected = _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta)
+    tie_v = -delta / (sigma * math.sqrt(2.0)) if sigma > 0.0 else 0.0
+    values = np.array([value for value, _ in rows])
+    u = np.array([u for _, (u, _) in rows])
+    v = np.array([tie_v if v is None else v for _, (_, v) in rows])
+    mask, abstain = _classify(v, values, delta, sigma, RULE_ML)
+
+    # v decides: the reference rule on the sample gap A - B = -delta - sigma sqrt(2) v
+    alice_minus_bob = np.array([-delta - sigma * math.sqrt(2.0) * v_i for v_i in v.tolist()])
+    expected = _reference_classify_bit_rounds(values, alice_minus_bob, np.zeros(values.size), delta)
     assert mask.dtype == bool
     assert np.array_equal(mask, expected)
-    ties = sample_alice == sample_bob
+    ties = alice_minus_bob == 0.0
     assert not mask[ties].any()  # an exact tie abstains whatever the bit
     assert np.array_equal(abstain, ties | (delta == 0.0))
     if delta == 0.0:
         assert not mask.any()
+    # the written samples, built from (u, v), agree with v's call off near-ties
+    samples = rss_samples(u, v, d_ae, d_be, cfg)
+    written = samples[:, 0] - samples[:, 1]
+    clear = np.abs(written) > 1e-9
+    assert np.array_equal(mask[clear], (written * delta < 0.0)[clear])
 
 
 def test_engine_counts_every_trial_across_blocks():
@@ -454,13 +466,15 @@ def test_estimate_rule_correctness_random_is_half():
 
 
 @pytest.mark.parametrize("rule, sigma, rate, next_draw", [
-    (RULE_ML, 0.0, 1.0, 4168212376),
-    (RULE_ML, 8.0, 0.9564, 4168212376),
-    (RULE_RANDOM, 0.0, 0.5012, 687192136),
-    (RULE_RANDOM, 8.0, 0.5012, 687192136),
+    (RULE_ML, 0.0, 1.0, 3457870722),
+    (RULE_ML, 8.0, 0.9582, 3457870722),
+    (RULE_RANDOM, 0.0, 0.5012, 2854317815),
+    (RULE_RANDOM, 8.0, 0.5012, 2854317815),
 ])
 def test_estimate_rule_correctness_pinned_draws(rule, sigma, rate, next_draw):
-    # frozen from the stand-alone loop this estimator replaced, chunk edges included
+    # frozen from a stand-alone per-bit loop over the same draws, chunk edges
+    # included: per chunk, coins read bit by bit from rng.bytes, then one v
+    # (scored as (-delta - sigma sqrt(2) v) * delta < 0) or one guess per bit
     rng = np.random.default_rng(20261018)
     cfg = ScenarioConfig(sigma=sigma)
     got = estimate_rule_correctness(rng, 5000, 70.0, 20.0, cfg, rule, chunk=1500)
@@ -488,23 +502,26 @@ def test_sweep_reproducible_and_worker_independent():
 # Every column but p_analytic, whose closed form may move in its last bits;
 # the Monte Carlo columns are a frozen function of the spec. Both orders of
 # sigma, unsorted and repeated n, and trial counts spanning several blocks.
+# Re-pinned when the draws last changed (coins from rng.bytes, one normal per
+# ML decision), after the hand replay of test_slice_successes_judges_each_trial_session
+# and the engine-against-oracle tests passed on the new draws.
 _FROZEN_SWEEPS = [
     (dict(k=(0, 3, 16), n_rounds=(40, 10, 120, 40), d_be=(25.0, 60.0), sigma=(0.0, 8.0),
           trials=70, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_EQUIDISTANT,
           base_seed=1),
-     "08a3e2c322d8f575f5f001194945eef58d7fbe15efab0eebcad0b5029da27e91"),
+     "ab4c986feebabe722480c599e394e2a6af7fafe4f63b8b45cb37871dd15d3d53"),
     (dict(k=(0, 1, 4, 12), n_rounds=(8, 30, 600), d_be=(2.0, 20.0), sigma=(0.0, 8.0),
           trials=60, rule=RULE_ML, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_CANONICAL,
           base_seed=2),
-     "d0b7c2abb87c08dacfe7988a34b2ff0264eb8ad921236413ddf3d785c2ef1948"),
+     "b6105eef4c58c26025fc737cdf169885761f633301d9a358842550cf7a97f71f"),
     (dict(k=(2, 0, 9), n_rounds=(50, 5, 200), d_be=(20.0, 35.0), sigma=(8.0, 0.0),
           trials=90, rule=RULE_RANDOM, metric=METRIC_PER_BIT, geometry=GEOMETRY_CANONICAL,
           base_seed=3),
-     "292d6305576215a268ee3711e64f941b4d14a205087ec305059a6324b97ff77f"),
+     "da261e002170b6500de0eba9742d8bf0b2e880f500aeaf02c59060a96672ca49"),
     (dict(k=(0, 2, 5), n_rounds=(300, 12, 12, 90), d_be=(30.0,), sigma=(0.0, 8.0),
           trials=80, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_EQUIDISTANT,
           base_seed=4),
-     "9fa4c1b6d50f28372e4b1253e77bd9786ac05a7ce89f5a4e8881a78ffd4e64d1"),
+     "b6aa58f1864ecf20b7f33b8da221689db8985c1c3aa1aab0d887436286322d3e"),
 ]
 
 

@@ -25,14 +25,14 @@ TOY_BOB = [0, 1, 0, 1, 0, 1]
 
 
 class _FixedBits:
-    """Minimal generator stub replaying a scripted draw sequence."""
+    """Minimal generator stub replaying a scripted coin sequence, one coin per byte."""
 
     def __init__(self, bits):
         self._bits = list(bits)
 
-    def integers(self, low, high):
-        assert (low, high) == (0, 2)
-        return self._bits.pop(0)
+    def bytes(self, length):
+        assert length == 1
+        return bytes([self._bits.pop(0) << 7])  # coins are read most significant bit first
 
 
 def test_round_action_from_bit():
@@ -57,11 +57,13 @@ def test_node_round_action_scripted_draws():
 
 
 def test_node_round_action_consumes_one_draw():
-    rng = np.random.default_rng(11)
-    action = node_round_action(rng)
-    ref = np.random.default_rng(11)
-    assert action.bit == int(ref.integers(0, 2))
-    assert int(rng.integers(0, 2)) == int(ref.integers(0, 2))
+    # one coin: the top bit of the first byte of one 32-bit word of rng.bytes
+    for seed in (11, 12, 13, 14):
+        rng = np.random.default_rng(seed)
+        action = node_round_action(rng)
+        ref = np.random.default_rng(seed)
+        assert action.bit == ref.bytes(4)[0] >> 7
+        assert int(rng.integers(0, 2**32)) == int(ref.integers(0, 2**32))
 
 
 def test_node_round_action_unbiased():

@@ -1,13 +1,16 @@
 """`fhkex session` drawn and written in blocks of slots: pinned bytes, block-size invariance.
 
-The hashes were taken from the per-slot csv.writer implementation, before
-the session was drawn and written in blocks of slots; any byte the block
-writers change fails here.
+The hashes were taken when the draws last changed (coins from rng.bytes, one
+normal per ML decision), from the CLI's output once it had matched the
+per-round oracle byte for byte and did not depend on the block size; any byte
+a later change moves fails here.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -22,84 +25,84 @@ from fhkex.scenario import ScenarioConfig
 # `fhkex session --seed 2024 --d-be 35 --eve --out .`; n = 40000 spans three blocks
 SESSION_SHA256 = {
     ("ml-pairwise", 0.0, 1): (
-        "9f1dc92eb60710b31ad396d7a432d0dd09648be3d27ac2ef0d36770c51ef0277",
-        "be27273d846e8103cd2244ab96d1cb15ea06e0d9af66814adaad6d1de33dba4a",
-        "598d90ca2b9159b42a438197999edde9ed96c97d48d8f91e864e7c6f03a584b8",
+        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
+        "6c3c6caa0384d1e41cdcf3e087f5cd9ec4cea629473fb78e8749a5d97a6d76bc",
     ),
     ("ml-pairwise", 0.0, 6): (
-        "1cbc3f22714262fca1fea44661ddf8834750010d67d372ff5d105d29c5145dec",
-        "393f6052466a3b060f376fc2b310b8e471de6d6966659ede81462f05df46dcae",
-        "923e69b9651252775eef48a2a24696820d4057e776cb4d55ceb5152012d515df",
+        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
+        "75e5abd7336fbd9e186a9bee728dd26b673a97b7f36cabc9d680120cc9798e52",
+        "4d1833572a7956f22da5d6d5269bafc9f82c711fb0dcff388f44bd1e155dfbb5",
     ),
     ("ml-pairwise", 0.0, 2000): (
-        "6087efd0b470c71f724f22d01230749105bec2054adbd428cd9ada5b612ebea5",
-        "00c507d37ce52bf36862efd78ca624e90db7adf1b8cbfd5003da882cd54fec32",
-        "fbc523674c4e94b4613e2e7b4210ea7bbf144f0fc0a87f2f5a995bb5b2d2701b",
+        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
+        "efbc1de054a20361f4d0f069fe165277ad6f16fd691ac01979f77c255cca7022",
+        "96d04ef063af60a2fb3561fc67558d672139e8a21621512678c8f292a86cbeea",
     ),
     ("ml-pairwise", 0.0, 40000): (
-        "fee43b64e7ac28f0c14061255824b400ed2a4ebffc1234d42659d48e4fc21976",
-        "1e06d7c60a3423b073fa104f3c0053a728e04f9ce7af77c8a1846f7972f4c309",
-        "06062c6cf52db6c7969d4e1e2ee633f30c58f290db4c6b2f6e4e8df5b201881f",
+        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
+        "a513fe4db89fdc7c49ad2839d769053a530253a4e4e8515505453786f3295cb4",
+        "a37274261dd93f13c66d1e62bbb09dbf5ce50e606b9f524c531aceed7186e6aa",
     ),
     ("ml-pairwise", 8.0, 1): (
-        "9f1dc92eb60710b31ad396d7a432d0dd09648be3d27ac2ef0d36770c51ef0277",
-        "de4cf6a6797d7d17d7a37646b8bff767e79e6af29f310d426feaed80d64ef1e5",
-        "598d90ca2b9159b42a438197999edde9ed96c97d48d8f91e864e7c6f03a584b8",
+        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
+        "6c3c6caa0384d1e41cdcf3e087f5cd9ec4cea629473fb78e8749a5d97a6d76bc",
     ),
     ("ml-pairwise", 8.0, 6): (
-        "1cbc3f22714262fca1fea44661ddf8834750010d67d372ff5d105d29c5145dec",
-        "e97e19a8f21aad86c47c597eb00b565d4f0015b5d4ca2cb2b25d759202b33bfe",
-        "923e69b9651252775eef48a2a24696820d4057e776cb4d55ceb5152012d515df",
+        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
+        "0975225e18f14298d0b273d3cb0757fe46691f3ce621a11be4d0453e5bdff348",
+        "4d1833572a7956f22da5d6d5269bafc9f82c711fb0dcff388f44bd1e155dfbb5",
     ),
     ("ml-pairwise", 8.0, 2000): (
-        "6087efd0b470c71f724f22d01230749105bec2054adbd428cd9ada5b612ebea5",
-        "88f4bb207da874854613d0b5ad0a83ab8eba09956708e6d9fc988528bf417978",
-        "08764ee28e08fd611b7b684173138ed591cc4a3bd866f491dbc14851033d1668",
+        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
+        "0e533c8c24299a7f2884fbb664cc9f25fa16237c4281abb59891231219a4ed51",
+        "6115d91d09e8ad26a204a37270076250bab0e055dbf35871f0381b6dd4c4e547",
     ),
     ("ml-pairwise", 8.0, 40000): (
-        "fee43b64e7ac28f0c14061255824b400ed2a4ebffc1234d42659d48e4fc21976",
-        "5fcfb26f3cdb247869ebf05f494fbff7125c5eb5054532f1a5b5e7a0c2be1ea6",
-        "b014567f5b61eb4d289f71d82121ea304ea7997058c5ccbdd99b4d6c6b33c98b",
+        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
+        "5ca5bf96ba9f6b99dd91b63dd1b54f43b744c6ee9eecfec61585ebb0ce054526",
+        "8549f197b2e577ae5f12981d1bc9d5a498f0e7231dc7d6b606170bb160546979",
     ),
     ("random-guess", 0.0, 1): (
-        "9f1dc92eb60710b31ad396d7a432d0dd09648be3d27ac2ef0d36770c51ef0277",
-        "062344a0eaa610299df8f9637ea91eb10dcf5a40e30d4a37aeebd257603ccc1c",
-        "e63ab337d709240a68a3ad1e8e67c7050abcdcfa4f9e756b223b124c3b8e9fee",
+        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
+        "748659b3d9b1662c0dc0d690cadddbe51d6d2978ffb672e2bccca2014f5f560b",
     ),
     ("random-guess", 0.0, 6): (
-        "1cbc3f22714262fca1fea44661ddf8834750010d67d372ff5d105d29c5145dec",
-        "842e053a5a2562bb45bec6fde14a41fcbb0071c9b0589923c645e116062ff919",
-        "161d435bd80280b650d1c2c629aedf69db4dc70b10ed1b04839d27c16c235a55",
+        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
+        "49ba9cacb380d90ffd2900df702f4b5ea0d6b3d6cd161a17a470aff8a6ceda07",
+        "0dee377ddb15f39acc1156a66925612c34e4b30fbc089c6e1bae63d620fb2ab1",
     ),
     ("random-guess", 0.0, 2000): (
-        "6087efd0b470c71f724f22d01230749105bec2054adbd428cd9ada5b612ebea5",
-        "d0cc06dcc37621ceb05bce85d529783b075466e7b66b6b3c3844ab8b3c5b99a4",
-        "fc25957775478eda53d59b6f4b2cbc496ee6535040983783d9280bb4fff95251",
+        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
+        "0f5247bdbc98dfcc315eb7bf708204ca5963d454387bc72ecc85db8609e6ca0e",
+        "ca0ad5f463cd00af57c9026e4b922ba6c650eac04ff6a84aeb202c08bcc35901",
     ),
     ("random-guess", 0.0, 40000): (
-        "fee43b64e7ac28f0c14061255824b400ed2a4ebffc1234d42659d48e4fc21976",
-        "d126b1d77e0b34380a6c3d918025cbb820c5b09ce61174109b60f4123cd39be4",
-        "2588f661cab66bca0dd59d59a94d8e93c8f5bda330bab141b7da6503807038e5",
+        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
+        "63436c862b2b73a0821e41d1dba724e3730c5127e77e3f49159e3099b7469b26",
+        "65d394d85cbe395be1ff9ed400957eb3c5c0a98c0786758b17ecc20e53de2240",
     ),
     ("random-guess", 8.0, 1): (
-        "9f1dc92eb60710b31ad396d7a432d0dd09648be3d27ac2ef0d36770c51ef0277",
-        "1e59e86ca0631e912403063b4e3dbc231932d8486a4bced1539f43f4986edcc4",
-        "e63ab337d709240a68a3ad1e8e67c7050abcdcfa4f9e756b223b124c3b8e9fee",
+        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
+        "748659b3d9b1662c0dc0d690cadddbe51d6d2978ffb672e2bccca2014f5f560b",
     ),
     ("random-guess", 8.0, 6): (
-        "1cbc3f22714262fca1fea44661ddf8834750010d67d372ff5d105d29c5145dec",
-        "bcfafc211c0e88c5c9a7563bd565692cf834d1773fd29951e63751670395931a",
-        "161d435bd80280b650d1c2c629aedf69db4dc70b10ed1b04839d27c16c235a55",
+        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
+        "044c17daf0a32dc6e58bd94ae34fcbee3344bf18ce01a54301cec1e53aded3c1",
+        "0dee377ddb15f39acc1156a66925612c34e4b30fbc089c6e1bae63d620fb2ab1",
     ),
     ("random-guess", 8.0, 2000): (
-        "6087efd0b470c71f724f22d01230749105bec2054adbd428cd9ada5b612ebea5",
-        "69d7e0ca122fc6f9a9c801f255614008d2dcb1f43550268320e0f74d49099e79",
-        "fc25957775478eda53d59b6f4b2cbc496ee6535040983783d9280bb4fff95251",
+        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
+        "dc9d068319f4b208a4ace9484e29693472c76f76b0b9fba38c7c22ab5d9e0e46",
+        "ca0ad5f463cd00af57c9026e4b922ba6c650eac04ff6a84aeb202c08bcc35901",
     ),
     ("random-guess", 8.0, 40000): (
-        "fee43b64e7ac28f0c14061255824b400ed2a4ebffc1234d42659d48e4fc21976",
-        "f91f77296064cfa0dac8e6b9a25c29e775041e6e98422ef17e971a2b54e31c22",
-        "2588f661cab66bca0dd59d59a94d8e93c8f5bda330bab141b7da6503807038e5",
+        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
+        "45f72b075aa619b91a60403d332a3cff2af27b6a4d4dca2f6f809249a6d46c17",
+        "65d394d85cbe395be1ff9ed400957eb3c5c0a98c0786758b17ecc20e53de2240",
     ),
 }
 
@@ -153,7 +156,22 @@ def _session_outputs(tmp_path, rule):
     return stdout, (tmp_path / "transcript.csv").read_bytes(), (tmp_path / "eve_trace.csv").read_bytes()
 
 
-@pytest.mark.parametrize("block", [1, 7])
+def test_block_is_whole_words_of_coins():
+    # 16 slots are 32 coins, one 32-bit word of rng.bytes: blocks then split
+    # the coins of one call at word boundaries
+    assert experiments.BLOCK_SLOTS % 16 == 0
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 48])
+def test_slot_bits_are_one_call_cut_at_block_size(monkeypatch, block):
+    monkeypatch.setattr(experiments, "BLOCK_SLOTS", block)
+    blocks = experiments.draw_slot_bits(np.random.default_rng(5), 101)
+    assert [len(b) for b in blocks] == [block] * (101 // block) + [101 % block] * (101 % block > 0)
+    one_call = protocol.draw_coins(np.random.default_rng(5), 202).reshape(-1, 2)
+    assert np.array_equal(np.concatenate(blocks), one_call)
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 48])
 @pytest.mark.parametrize("rule", adversary.RULES)
 def test_session_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, rule, block):
     one_block = _session_outputs(tmp_path, rule)
@@ -174,7 +192,7 @@ def _blocked_session(rule, d_ae, d_be):
     return session, transcript.getvalue(), trace.getvalue()
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, 16, 48])
 @pytest.mark.parametrize("rule", adversary.RULES)
 @pytest.mark.parametrize("d_ae, d_be", [(85.0, 35.0), (40.0, 40.0)])
 def test_session_blocks_do_not_depend_on_block_size(monkeypatch, rule, d_ae, d_be, block):
@@ -193,22 +211,116 @@ def test_session_blocks_do_not_depend_on_block_size(monkeypatch, rule, d_ae, d_b
 @given(
     seed=st.integers(0, 2**64 - 1),
     cuts=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)), max_size=5),
+    tail=st.integers(0, 40),
 )
-def test_draws_in_blocks_equal_one_call(seed, cuts):
-    # a session's three draws in stream order: int32 slot bits (against the
-    # int64 stream of 2n interleaved bits), shadowing pairs, int64 guesses
-    slots, pairs, guesses = (sum(sizes) for sizes in zip((0, 0, 0), *cuts))
+def test_draws_in_blocks_equal_one_call(seed, cuts, tail):
+    # a session's draws in stream order: its coins, in blocks of whole 16-slot
+    # words plus any tail (against one call of 2n coins), shadowing normals,
+    # int64 guesses
+    words, pairs, guesses = (sum(sizes) for sizes in zip((0, 0, 0), *cuts))
+    slots = 16 * words + tail
     rng = np.random.default_rng(seed)
     whole = (
-        rng.integers(0, 2, size=2 * slots).reshape(-1, 2),
+        protocol.draw_coins(rng, 2 * slots).reshape(-1, 2),
         rng.standard_normal((pairs, 2)),
         rng.integers(0, 2, size=guesses),
     )
     rng = np.random.default_rng(seed)
     blocks = (
-        [rng.integers(0, 2, size=(m, 2), dtype=np.int32) for m, _, _ in cuts],
+        [protocol.draw_coins(rng, 2 * m).reshape(-1, 2) for m in [16 * w for w, _, _ in cuts] + [tail]],
         [rng.standard_normal((m, 2)) for _, m, _ in cuts],
         [rng.integers(0, 2, size=m) for _, _, m in cuts],
     )
     for one_call, parts in zip(whole, blocks):
         assert np.array_equal(np.concatenate([one_call[:0], *parts]), one_call)
+
+
+class _ScriptedNormals:
+    """Generator stand-in: each standard_normal call returns the next scripted array."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, size):
+        draw = self.draws.pop(0)
+        assert draw.shape == (size,)
+        return draw.copy()
+
+
+def _trace_calls(text, bits, delta):
+    """Per bit row of eve_trace.csv: (A - B, the row's decision, Alice's bit)."""
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    calls = []
+    for (f0, f1, decision), (a_bit, b_bit) in zip((row[1:4] for row in rows), bits.tolist()):
+        if a_bit != b_bit:
+            # Alice transmits on f_(her bit)
+            alice, bob = (float(f0), float(f1)) if a_bit == 0 else (float(f1), float(f0))
+            calls.append((alice - bob, decision, a_bit))
+    return calls
+
+
+def _call(a_bit, score):
+    """The trace's decision for a score (A - B) * delta: a negative one names the bit."""
+    return "abstain" if score == 0.0 else str(a_bit if score < 0.0 else 1 - a_bit)
+
+
+def test_trace_near_ties_follow_v():
+    # v's call is authoritative: the decision column is the call on
+    # (-delta - sigma sqrt(2) v) * delta, even where the samples written from
+    # (u, v) round to the other sign; off near-ties (|A - B| > 1e-9) the
+    # written (A - B) * delta agrees with it
+    cfg = ScenarioConfig(sigma=8.0)
+    d_ae, d_be = 85.0, 35.0
+    delta = 10.0 * cfg.gamma * math.log10(d_ae / d_be)
+    tie = -delta / (cfg.sigma * math.sqrt(2.0))
+    v = np.array([tie + k * math.ulp(tie) for k in range(-40, 41)] + [-2.0, -0.5, 0.0, 0.5, 2.0])
+    u = np.random.default_rng(3).standard_normal(v.size) * 10.0 ** np.arange(-3, 3).repeat(15)[:v.size]
+    a_bits = np.arange(v.size) % 2
+    bits = np.column_stack((a_bits, 1 - a_bits)).astype(np.uint8)
+    trace = io.StringIO()
+    # rng draws v; session_blocks' copy of it skips v, then draws u
+    blocks = experiments.session_blocks(_ScriptedNormals(v, u), [bits], d_ae, d_be, cfg)
+    adversary.write_adversary_trace_csv(blocks, trace)
+    calls = _trace_calls(trace.getvalue(), bits, delta)
+    near = 0
+    for (gap, decision, a_bit), v_i in zip(calls, v.tolist()):
+        assert decision == _call(a_bit, (-delta - cfg.sigma * math.sqrt(2.0) * v_i) * delta)
+        if abs(gap) > 1e-9:
+            assert decision == _call(a_bit, gap * delta)
+        else:
+            near += 1
+    assert near > 0  # the case exercises near-ties
+
+
+@pytest.mark.parametrize("sigma", [0.0, 8.0])
+def test_trace_samples_agree_with_decisions_off_near_ties(tmp_path, sigma):
+    code, _ = run_cli([
+        "session", "--seed", "2024", "--sigma", str(sigma), "--n-rounds", "20000",
+        "--d-be", "35", "--eve", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    text = (tmp_path / "transcript.csv").read_text()
+    bits = np.array([row[1:3] for row in csv.reader(io.StringIO(text)) if row[0].isdigit()], dtype=int)
+    delta = 10.0 * 3.5 * math.log10(85.0 / 35.0)
+    calls = _trace_calls((tmp_path / "eve_trace.csv").read_text(), bits, delta)
+    assert len(calls) == int((bits[:, 0] != bits[:, 1]).sum())
+    for gap, decision, a_bit in calls:
+        if abs(gap) > 1e-9:
+            assert decision == _call(a_bit, gap * delta)
+
+
+@pytest.mark.parametrize("rule", adversary.RULES)
+def test_shadowing_rebuilt_from_u_v_is_independent_unit_normal(rule):
+    # z_a and z_b read back from a session's samples: zero mean, unit
+    # variance, uncorrelated, each within 4 standard errors over 10^5 bits
+    cfg = ScenarioConfig(sigma=8.0)
+    d_ae, d_be = 85.0, 35.0
+    session = experiments.simulate_session_counts(np.random.default_rng(7), 210_000, d_ae, d_be, cfg, rule)
+    m = 10**5
+    assert session.samples.shape[0] >= m
+    pl = np.array([cfg.pl0 + 10.0 * cfg.gamma * math.log10(d / cfg.d0) for d in (d_ae, d_be)])
+    z = (cfg.pt - pl - session.samples[:m]) / cfg.sigma
+    se = 1.0 / math.sqrt(m)
+    assert np.all(np.abs(z.mean(axis=0)) <= 4 * se)
+    assert np.all(np.abs(z.var(axis=0) - 1.0) <= 4 * math.sqrt(2.0) * se)
+    assert abs(np.corrcoef(z[:, 0], z[:, 1])[0, 1]) <= 4 * se
