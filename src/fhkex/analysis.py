@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .adversary import pg_closed_form
 from .channel import delta_mean_pathloss
 from .scenario import NODE_HALF_SPACING, Position
@@ -79,10 +77,12 @@ def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:
     """P(at least k successes in n slots) for every k in ks, success probability p_b per slot.
 
     Binomial upper tails read off one window of terms around the mode, built
-    once per (n, p_b): log-domain terms by exact ratio recursion, then
-    compensated (fsum) sums of the window total and of each k's suffix; the
-    window total self-normalizes the mode term. Exact 1 for k = 0 and exact
-    0 for k > n.
+    once per (n, p_b): terms relative to the mode term 1.0, walked outward on
+    each side by the exact ratio recursion, then summed largest first with
+    math.fsum (correctly rounded, so the order only sets its speed). A k above
+    the mode reads its in-window suffix over the window total; a k at or below
+    it reads one minus its in-window prefix, so both sides sum the smaller
+    part. Exact 1 for k = 0 and exact 0 for k > n.
 
     Truncation bound. The window keeps the terms t_i >= e^-C t_mode, with
     C = TAIL_CUTOFF + ln(n + 1). Binomial terms are log-concave in i, so they
@@ -93,8 +93,8 @@ def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:
     inside the window with in-window suffix U and dropped suffix U' <= D,
     the result U / W misses the exact (U + U') / (W + D) by
     |U D - U' W| / (W (W + D)) <= D / (W + D) < e^-TAIL_CUTOFF (about 4e-18),
-    for every n. A k below the window gets 1 and one above it gets 0, within
-    the same bound.
+    for every n; the prefix form errs by the same bound. A k below the window
+    gets 1 and one above it gets 0, within the same bound.
     """
     if not isinstance(n, int) or not all(isinstance(k, int) for k in ks):
         raise ValueError("k and n must be integers")
@@ -108,36 +108,36 @@ def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:
         return [Probability(1.0 if k <= certain else 0.0) for k in ks]
 
     q = 1.0 - p
-    log_p, log_q = math.log(p), math.log(q)
-    cutoff = TAIL_CUTOFF + math.log(n + 1)
+    floor = math.exp(-TAIL_CUTOFF - math.log(n + 1))
     mode = min(n, int((n + 1) * p))
-    half_width = int(math.sqrt(2.0 * cutoff * max(n * p * q, 1.0))) + 60
-    while True:
-        lo = max(0, mode - half_width)
-        hi = min(n, mode + half_width)
-        iu = np.arange(mode, hi, dtype=np.float64)
-        log_up = np.cumsum(np.log((n - iu) / (iu + 1.0)) + (log_p - log_q))
-        idn = np.arange(mode, lo, -1, dtype=np.float64)
-        log_down = np.cumsum(np.log(idn / (n - idn + 1.0)) + (log_q - log_p))
-        # log term_i relative to the mode term, for i = lo..hi
-        logs = np.concatenate([log_down[::-1], [0.0], log_up])
-        if (lo == 0 or logs[0] < -cutoff) and (hi == n or logs[-1] < -cutoff):
+    above = [1.0]  # terms mode, mode + 1, ... relative to the mode term
+    t, ratio = 1.0, p / q
+    for i in range(mode, n):
+        t *= (n - i) / (i + 1) * ratio
+        if t < floor:
             break
-        half_width *= 2
+        above.append(t)
+    below = []  # terms mode - 1, mode - 2, ...
+    t, ratio = 1.0, q / p
+    for i in range(mode, 0, -1):
+        t *= i / (n - i + 1) * ratio
+        if t < floor:
+            break
+        below.append(t)
 
-    kept = np.flatnonzero(logs >= -cutoff)
-    hi = lo + int(kept[-1])
-    lo += int(kept[0])
-    terms = np.exp(logs[kept[0] : kept[-1] + 1]).tolist()
-    total = math.fsum(terms)
+    total = math.fsum(above + below)
+    hi = mode + len(above) - 1
+    lo = mode - len(below)
     probs = []
     for k in ks:
         if k > hi:
             probs.append(Probability(0.0))  # tail mass below the truncation bound
         elif k <= lo:
             probs.append(Probability(1.0))
+        elif k > mode:
+            probs.append(Probability(math.fsum(above[k - mode :]) / total))
         else:
-            probs.append(Probability(min(math.fsum(terms[k - lo :]) / total, 1.0)))
+            probs.append(Probability(1.0 - math.fsum(below[mode - k :]) / total))
     return probs
 
 
@@ -150,13 +150,29 @@ def key_prob(k: int, n: int, p_b: float) -> Probability:
     return prob
 
 
+def _normal_quantile(prob: float) -> float:
+    """Standard normal quantile: Abramowitz-Stegun 26.2.23 (error < 4.5e-4),
+    then two Newton steps on math.erfc, scaled to stay finite in the tails."""
+    tail = min(prob, 1.0 - prob)
+    w = math.sqrt(-2.0 * math.log(tail))  # tail = e^(-w^2 / 2)
+    z = w - (2.515517 + w * (0.802853 + w * 0.010328)) / (
+        1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308))
+    )
+    for _ in range(2):  # z += (Q(z) - tail) / phi(z), Q the upper tail, phi the density
+        ratio = 0.5 * math.erfc(z / math.sqrt(2.0)) / tail  # Q(z) / tail
+        z += (ratio - 1.0) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * (z - w) * (z + w))
+    return z if prob >= 0.5 else -z
+
+
 def min_transmissions(req: KeyRequest, p_b: float, max_n: int = 10**9) -> int:
     """Smallest n with key_prob(req.k, n, p_b) >= req.target.
 
-    Gallops up from the mean waiting time k / p_b for k successes, in steps
-    that start at its standard deviation sqrt(k (1 - p_b)) / p_b and
-    double, then binary search; the tail is monotone non-decreasing in n, so
-    the bracket and the answer are exact.
+    The first probe is the Cornish-Fisher target quantile of the waiting
+    time for k successes: negative binomial, with mean k / p, standard
+    deviation sqrt(k q) / p and skewness (1 + q) / sqrt(k q), q = 1 - p_b.
+    From there the search gallops outward in steps 1, 2, 4, ... until the
+    answer is bracketed, then binary searches; the tail is monotone
+    non-decreasing in n, so the bracket and the answer are exact.
     """
     p = float(Probability(p_b))
     if p == 0.0:
@@ -166,19 +182,27 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = 10**9) -> int:
     def met(n: int) -> bool:
         return key_prob(k, n, p) >= req.target
 
-    step = max(1, int(min(math.sqrt(k * (1.0 - p)) / p, max_n)))
-    lo = max(k, math.ceil(min(k / p, max_n)))
-    if met(lo):
-        lo, hi = k - 1, lo  # no key fits in k - 1 slots
+    q = 1.0 - p
+    z = _normal_quantile(req.target)
+    # mean + sd (z + skew (z^2 - 1) / 6), where sd * skew = (1 + q) / p
+    quantile = (k + z * math.sqrt(k * q) + (z * z - 1.0) * (1.0 + q) / 6.0) / p
+    start = math.ceil(min(max(quantile - 0.5, k), max_n))  # - 0.5: continuity correction
+    step = 1
+    if met(start):
+        hi = start
+        lo = max(hi - 1, k - 1)  # no key fits in k - 1 slots
+        while lo > k - 1 and met(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, k - 1)
     else:
+        lo = start
         while True:
             if lo >= max_n:
                 raise InfeasibleError(f"target {req.target} not reached below n = {max_n}")
             hi = min(lo + step, max_n)
             if met(hi):
                 break
-            lo = hi
-            step *= 2
+            lo, step = hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if met(mid):
@@ -205,6 +229,13 @@ def fading_pb(
     return secret_bit_prob(COLLISION_PROB, pg_closed_form(delta, sigma))
 
 
+def _log_odds(prob: float) -> float:
+    """ln(prob / (1 - prob)), infinite at 0 and 1."""
+    if prob <= 0.0 or prob >= 1.0:
+        return math.copysign(math.inf, prob - 0.5)
+    return math.log(prob) - math.log1p(-prob)
+
+
 def privacy_radius(
     req: KeyRequest,
     n: int,
@@ -217,34 +248,60 @@ def privacy_radius(
     """Smallest radius R such that every adversary distance above R meets
     the key target with n transmissions.
 
-    Bisection on the adversary distance, exploiting that the secret-bit
-    probability (and hence the key probability) is increasing in distance.
-    Raises InfeasibleError when the target is unmet even for an arbitrarily
-    remote adversary.
+    The secret-bit probability, and hence the key probability, is increasing
+    in the adversary distance. A bracket lo < R <= hi (target unmet at lo,
+    met at hi) is found by doubling from d_min, then narrowed to tol by
+    regula falsi with Illinois halving on the log-odds of the key
+    probability minus those of the target. Every probe lies at least tol / 2
+    inside the bracket, so once the estimate stops moving a closing step of
+    tol / 2 crosses the root; when four probes have not halved the bracket,
+    the next one bisects it (Illinois needs three probes to pull a stuck
+    end). Raises InfeasibleError when the target is unmet even for an
+    arbitrarily remote adversary.
     """
     center = Position(d_ab / 2.0, 0.0)  # the node the adversary approaches
     if n < req.k:
         raise InfeasibleError(f"n = {n} transmissions cannot yield a {req.k}-bit key")
 
-    def met(d_be: float) -> bool:
-        return key_prob(req.k, n, fading_pb(d_be, sigma, gamma, d_ab)) >= req.target
+    def prob(d_be: float) -> float:
+        return key_prob(req.k, n, fading_pb(d_be, sigma, gamma, d_ab))
 
     far = 1e12  # proxy for the d_be -> infinity limit
-    if not met(far):
+    if prob(far) < req.target:
         raise InfeasibleError(
             f"target {req.target} unreachable for k={req.k}, n={n}, sigma={sigma}"
         )
-    if met(d_min):
+    lo, p_lo = d_min, prob(d_min)
+    if p_lo >= req.target:
         return PrivacyRegion(center=center, radius=d_min)
-    lo = d_min
     hi = 2.0 * d_min
-    while not met(hi):
-        lo = hi
+    while (p_hi := prob(hi)) < req.target:
+        lo, p_lo = hi, p_hi
         hi *= 2.0
+
+    odds = _log_odds(req.target)
+    f_lo, f_hi = _log_odds(p_lo) - odds, _log_odds(p_hi) - odds
+    before = [math.inf] * 4  # bracket widths before the last four probes
+    moved = 0  # the end the last probe moved: +1 hi, -1 lo
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if met(mid):
-            hi = mid
+        width = hi - lo
+        mid = lo + 0.5 * width  # bisection, unless the secant is usable
+        if f_hi > f_lo and width <= 0.5 * before[0]:
+            secant = hi - f_hi * width / (f_hi - f_lo)
+            if lo < secant < hi:
+                mid = secant
+        mid = min(max(mid, lo + 0.5 * tol), hi - 0.5 * tol)  # the closing step
+        before = before[1:] + [width]
+        p_mid = prob(mid)
+        f_mid = _log_odds(p_mid) - odds
+        if p_mid >= req.target:
+            hi, f_hi = mid, f_mid
+            if moved > 0:
+                f_lo *= 0.5  # Illinois: lo kept twice running
+            moved = 1
         else:
-            lo = mid
+            lo, f_lo = mid, f_mid
+            if moved < 0:
+                f_hi *= 0.5
+            moved = -1
     return PrivacyRegion(center=center, radius=hi)

@@ -249,6 +249,7 @@ def _cmd_analyze(inv: Invocation) -> int:
         pb = analysis.Probability(inv.get("pb"))
         print(f"p_b = {float(pb):.6g} (given)")
     else:
+        scenario.build_canonical_deployment(d_be)  # names a non-finite or non-positive d_be
         if not d_be >= cfg.d0:
             raise ValueError(f"adversary distance {d_be} m below reference distance {cfg.d0} m")
         pb = analysis.fading_pb(d_be, cfg.sigma, cfg.gamma)

@@ -241,7 +241,7 @@ def session_blocks(
     decision draws, where a one-trial simulate_session_block ends.
     """
     delta = _delta(d_ae, d_be, cfg.gamma)
-    trace_rng = copy.deepcopy(rng)
+    trace_rng = type(rng)(copy.copy(rng.bit_generator))  # independent; cheaper than copy.deepcopy(rng)
     for block in blocks:
         _decision_draws(trace_rng, np.count_nonzero(block[:, 0] != block[:, 1]), rule)
     for block in blocks:
@@ -510,12 +510,22 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# One RESULT_COLUMNS line: floats as repr, an absent p_analytic as an empty field.
+_RESULT_LINE = "{},{},{!r},{!r},{},{},{},{!r},{!r},{!r},{}\n"
+
+
 def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
+    """The csv module's bytes, written directly: no field of a sweep row needs
+    quoting (numbers, and the rule and metric names)."""
     with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for r in table.rows:
-            writer.writerow([_format_value(getattr(r, col)) for col in RESULT_COLUMNS])
+        fh.write(",".join(RESULT_COLUMNS) + "\n")
+        fh.writelines(
+            _RESULT_LINE.format(
+                r.k, r.n, r.d_be, r.sigma, r.rule, r.metric, r.trials, r.p_hat, r.ci_lo,
+                r.ci_hi, "" if r.p_analytic is None else repr(r.p_analytic),
+            )
+            for r in table.rows
+        )
 
 
 def result_csv_text(table: ResultTable) -> str:

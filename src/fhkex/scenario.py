@@ -75,7 +75,9 @@ def build_canonical_deployment(d_be: float) -> Deployment:
 
     Guarantees d_AB = 50 m and d_AE = d_BE + 50 m.
     """
-    if not (d_be > 0.0) or not math.isfinite(d_be):
+    if not math.isfinite(d_be):
+        raise ConfigError("invalid-dbe", f"d_be must be finite, got {d_be}")
+    if not d_be > 0.0:
         raise ConfigError("invalid-dbe", f"d_be must be positive, got {d_be}")
     return Deployment(
         alice=Position(-NODE_HALF_SPACING, 0.0),
@@ -90,7 +92,9 @@ def build_equidistant_deployment(d: float) -> Deployment:
     Requires d >= 25 m (half the node spacing); below that no planar
     position is equidistant at distance d.
     """
-    if not math.isfinite(d) or d < NODE_HALF_SPACING:
+    if not math.isfinite(d):
+        raise ConfigError("invalid-dbe", f"d_be must be finite, got {d}")
+    if d < NODE_HALF_SPACING:
         raise ConfigError(
             "invalid-dbe",
             f"equidistant placement needs d >= {NODE_HALF_SPACING}, got {d}",
@@ -131,17 +135,17 @@ _INT_FIELDS = ("n_rounds", "seed")
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Return cfg unchanged iff every field invariant holds, else raise ConfigError."""
-    if not (math.isfinite(cfg.gamma) and cfg.gamma > 0.0):
+    for name in ("gamma", "sigma", "pl0", "d0", "pt", "slot_duration"):
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"invalid-{name.replace('_', '-')}", f"{name} must be finite, got {value}")
+    if not cfg.gamma > 0.0:
         raise ConfigError("invalid-gamma", f"gamma must be > 0, got {cfg.gamma}")
-    if not (math.isfinite(cfg.sigma) and cfg.sigma >= 0.0):
+    if not cfg.sigma >= 0.0:
         raise ConfigError("invalid-sigma", f"sigma must be >= 0, got {cfg.sigma}")
-    if not math.isfinite(cfg.pl0):
-        raise ConfigError("invalid-pl0", f"pl0 must be finite, got {cfg.pl0}")
-    if not (math.isfinite(cfg.d0) and cfg.d0 > 0.0):
+    if not cfg.d0 > 0.0:
         raise ConfigError("invalid-d0", f"d0 must be > 0, got {cfg.d0}")
-    if not math.isfinite(cfg.pt):
-        raise ConfigError("invalid-pt", f"pt must be finite, got {cfg.pt}")
-    if not (math.isfinite(cfg.slot_duration) and cfg.slot_duration > 0.0):
+    if not cfg.slot_duration > 0.0:
         raise ConfigError(
             "invalid-slot-duration",
             f"slot_duration must be > 0, got {cfg.slot_duration}",

@@ -169,6 +169,15 @@ def test_key_probs_is_key_prob_elementwise(ks, n, p):
     assert by_k == sorted(by_k, reverse=True)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.25])
+def test_key_probs_against_exact_rationals_at_bound_limit(p):
+    # n = 10^4 is where the README states the 1e-12 bound
+    n = 10**4
+    want = exact_tails(n, p)
+    got = key_probs(range(n + 2), n, p)
+    assert max(abs(float(g) - w) for g, w in zip(got, want)) <= 1e-13
+
+
 def test_key_prob_against_sequence_enumeration():
     for n in (4, 9, 14):
         p = Fraction(1, 2)
@@ -228,15 +237,21 @@ def test_min_transmissions_evaluation_count(monkeypatch):
     for k in ORACLE_MIN_N:
         evals.clear()
         min_transmissions(KeyRequest(k=k, target=0.99), 0.5)
-        assert len(evals) <= 9  # doubling from k took 11-13
+        assert len(evals) <= 4  # galloping up from the mean k / p_b took 7-9
     for d_be in (20.0, 35.0):
         evals.clear()
         min_transmissions(KeyRequest(k=128, target=0.99), fading_pb(d_be, 8.0))
-        assert len(evals) <= 13  # doubling from k took 18-20
+        assert len(evals) <= 4  # galloping up from the mean k / p_b took 11-13
 
 
 def test_min_transmissions_certain_generation():
     assert min_transmissions(KeyRequest(k=1, target=0.99), 1.0) == 1
+
+
+def test_min_transmissions_exact_at_one_slot():
+    # P(one success in one slot) is p_b = 0.9 exactly, so one slot meets target 0.9
+    assert float(key_prob(1, 1, 0.9)) == 0.9
+    assert min_transmissions(KeyRequest(k=1, target=0.9), 0.9) == 1
 
 
 def test_min_transmissions_infeasible():
@@ -301,6 +316,70 @@ def test_privacy_radius_matches_frozen_fixture():
     above = float(key_prob(64, 400, fading_pb(region.radius + 1e-5, 8.0)))
     below = float(key_prob(64, 400, fading_pb(region.radius - 1e-3, 8.0)))
     assert above >= 0.99 > below
+
+
+def bisection_privacy_radius(req, n, sigma, gamma=3.5, d_ab=50.0, d_min=1.0, tol=1e-6):
+    """The radius search before the secant, verbatim: doubling, then bisection to tol."""
+    center = Position(d_ab / 2.0, 0.0)  # the node the adversary approaches
+    if n < req.k:
+        raise InfeasibleError(f"n = {n} transmissions cannot yield a {req.k}-bit key")
+
+    def met(d_be: float) -> bool:
+        return key_prob(req.k, n, fading_pb(d_be, sigma, gamma, d_ab)) >= req.target
+
+    far = 1e12  # proxy for the d_be -> infinity limit
+    if not met(far):
+        raise InfeasibleError(
+            f"target {req.target} unreachable for k={req.k}, n={n}, sigma={sigma}"
+        )
+    if met(d_min):
+        return PrivacyRegion(center=center, radius=d_min)
+    lo = d_min
+    hi = 2.0 * d_min
+    while not met(hi):
+        lo = hi
+        hi *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if met(mid):
+            hi = mid
+        else:
+            lo = mid
+    return PrivacyRegion(center=center, radius=hi)
+
+
+def test_privacy_radius_agrees_with_bisection():
+    feasible = 0
+    for n, sigma, k in itertools.product((400, 1000, 5000, 20000), (2.0, 4.0, 8.0), (64, 128, 256)):
+        req = KeyRequest(k=k, target=0.99)
+        try:
+            want = bisection_privacy_radius(req, n, sigma).radius
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                privacy_radius(req, n, sigma)
+            continue
+        feasible += 1
+        region = privacy_radius(req, n, sigma)
+        assert abs(region.radius - want) <= 1e-6
+        if region.radius > 1.0:  # the target is met at the radius and missed tol below it
+            assert float(key_prob(k, n, fading_pb(region.radius, sigma))) >= 0.99
+            assert float(key_prob(k, n, fading_pb(region.radius - 1e-6, sigma))) < 0.99
+    assert feasible >= 20
+
+
+def test_privacy_radius_evaluation_count(monkeypatch):
+    evals = []
+    exact = fhkex.analysis.key_prob
+    monkeypatch.setattr(
+        fhkex.analysis, "key_prob", lambda *args: evals.append(args) or exact(*args)
+    )
+    # (k, n, sigma): most probes, where bisection took 25-39
+    for (k, n, sigma), most in {
+        (64, 400, 8.0): 17, (128, 700, 8.0): 19, (64, 400, 14.0): 18, (64, 10**6, 8.0): 12,
+    }.items():
+        evals.clear()
+        privacy_radius(KeyRequest(k=k, target=0.99), n=n, sigma=sigma)
+        assert len(evals) <= most
 
 
 def test_privacy_radius_monotone_trends():

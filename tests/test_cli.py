@@ -353,6 +353,14 @@ def test_analyze_rejects_adversary_below_reference_distance(capsys, args):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("d_be", ["inf", "nan"])
+def test_analyze_rejects_non_finite_adversary_distance(capsys, d_be):
+    assert main(["analyze", "--k", "64", "--d-be", d_be, "--n", "400"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid-dbe: d_be must be finite, got {d_be}\n"
+
+
 def _oracle_session_files(cfg, rule, d_be, dest):
     """transcript.csv and eve_trace.csv from the per-round engine, seeded as the CLI seeds."""
     rng = np.random.default_rng(cfg.seed)
@@ -476,4 +484,6 @@ def test_sweep_sigma_axis_checked_before_any_work(tmp_path, capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: invalid-sigma:") and err.count("\n") == 1
+    if sigmas != "-3":  # inf and nan are named as non-finite, not as out of range
+        assert f"sigma must be finite, got {sigmas.split(',')[-1]}" in err
     assert list(tmp_path.iterdir()) == []

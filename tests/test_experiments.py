@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import math
@@ -16,6 +17,7 @@ from fhkex.experiments import (
     GEOMETRY_EQUIDISTANT,
     METRIC_PER_BIT,
     METRIC_WHOLE_KEY,
+    RESULT_COLUMNS,
     BudgetError,
     FrontierRow,
     GridPoint,
@@ -545,6 +547,36 @@ def test_result_csv_roundtrip():
     )
     table = ResultTable(rows=(row,))
     assert read_result_csv(io.StringIO(result_csv_text(table))) == table
+
+
+def _csv_writer_reference(table):
+    """The result CSV as csv.writer writes it, each float as its repr and None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RESULT_COLUMNS)
+    for r in table.rows:
+        writer.writerow([
+            "" if v is None else repr(v) if isinstance(v, float) else str(v)
+            for v in (getattr(r, col) for col in RESULT_COLUMNS)
+        ])
+    return buf.getvalue()
+
+
+def test_result_csv_matches_csv_writer():
+    table = sweep(_small_spec())
+    rows = table.rows + (
+        ResultRow(
+            k=1, n=2, d_be=3.0, sigma=0.0, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY,
+            trials=5, p_hat=0.0, ci_lo=0.0, ci_hi=1e-300, p_analytic=None,
+        ),
+        ResultRow(
+            k=0, n=10**6, d_be=1e15, sigma=1 / 3, rule=RULE_ML, metric=METRIC_PER_BIT,
+            trials=1, p_hat=1.0, ci_lo=0.1 + 0.2, ci_hi=1.0, p_analytic=5e-324,
+        ),
+    )
+    assert any(r.p_analytic is not None for r in table.rows)
+    table = ResultTable(rows=rows)
+    assert result_csv_text(table) == _csv_writer_reference(table)
 
 
 def test_result_csv_header():

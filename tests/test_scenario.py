@@ -127,6 +127,24 @@ def test_validate_config_names_each_violation(kwargs, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("field", ["gamma", "sigma", "pl0", "d0", "pt", "slot_duration"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_validate_config_says_non_finite(field, bad):
+    with pytest.raises(ConfigError) as err:
+        validate_config(ScenarioConfig(**{field: bad}))
+    assert err.value.code == f"invalid-{field.replace('_', '-')}"
+    assert f"{field} must be finite, got {bad}" in str(err.value)
+
+
+@pytest.mark.parametrize("build", [build_canonical_deployment, build_equidistant_deployment])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_deployments_say_non_finite(build, bad):
+    with pytest.raises(ConfigError) as err:
+        build(bad)
+    assert err.value.code == "invalid-dbe"
+    assert f"d_be must be finite, got {bad}" in str(err.value)
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"gamma": 3.0, "sigma": 2.0, "n_rounds": 100, "seed": 7}))

@@ -236,13 +236,18 @@ def test_draws_in_blocks_equal_one_call(seed, cuts, tail):
 
 
 class _ScriptedNormals:
-    """Generator stand-in: each standard_normal call returns the next scripted array."""
+    """Generator stand-in: each standard_normal call returns the next scripted array.
 
-    def __init__(self, *draws):
-        self.draws = list(draws)
+    Its bit generator is the list of arrays still to come, so a copy made the
+    way session_blocks makes one (the same type on a copy of the bit
+    generator) replays them independently.
+    """
+
+    def __init__(self, draws):
+        self.bit_generator = draws
 
     def standard_normal(self, size):
-        draw = self.draws.pop(0)
+        draw = self.bit_generator.pop(0)
         assert draw.shape == (size,)
         return draw.copy()
 
@@ -279,7 +284,7 @@ def test_trace_near_ties_follow_v():
     bits = np.column_stack((a_bits, 1 - a_bits)).astype(np.uint8)
     trace = io.StringIO()
     # rng draws v; session_blocks' copy of it skips v, then draws u
-    blocks = experiments.session_blocks(_ScriptedNormals(v, u), [bits], d_ae, d_be, cfg)
+    blocks = experiments.session_blocks(_ScriptedNormals([v, u]), [bits], d_ae, d_be, cfg)
     adversary.write_adversary_trace_csv(blocks, trace)
     calls = _trace_calls(trace.getvalue(), bits, delta)
     near = 0
