@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .channel import PathLossParams, delta_mean_pathloss
+from .channel import PathLossParams, delta_mean_pathloss, path_loss_deterministic
 from .protocol import F0, Collision, RoundOutcome, SessionTranscript, SharedBit
 from .scenario import Deployment, ScenarioConfig, text_stream
 
@@ -69,8 +69,6 @@ class EveKnowledge:
     @property
     def delta(self) -> float:
         """Expected dB gap between the Alice and Bob samples."""
-        if self.d_ae == self.d_be:
-            return 0.0
         return delta_mean_pathloss(self.d_ae, self.d_be, self.params.gamma)
 
     @classmethod
@@ -116,10 +114,8 @@ def rss_samples(
     np.subtract(u, v, out=samples[:, 1])
     samples *= cfg.sigma
     samples /= math.sqrt(2.0)
-    samples += (
-        cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_ae / cfg.d0),
-        cfg.pl0 + 10.0 * cfg.gamma * math.log10(d_be / cfg.d0),
-    )
+    params = PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0)
+    samples += (path_loss_deterministic(d_ae, params), path_loss_deterministic(d_be, params))
     np.subtract(cfg.pt, samples, out=samples)
     return samples
 
@@ -188,15 +184,16 @@ def pg_closed_form(delta: float, sigma: float) -> float:
     """Probability that the pairwise ML rule names the transmitter correctly.
 
     Phi(|delta| / (sigma*sqrt(2))) = erfc(-|delta| / (2 sigma)) / 2 for
-    sigma > 0 (within 2 ulp of scipy's ndtr). At sigma = 0 the rule is
-    certain unless the hypotheses coincide (delta = 0), where the abstain
-    policy scores 0. For delta = 0 with sigma > 0 the returned 0.5 is the
-    coin-flip tie-break value; the simulated rule abstains there instead.
+    sigma > 0 (within 2 ulp of scipy's ndtr), and 1 at sigma = 0. Where the
+    hypotheses coincide (delta = 0) every call is an exact tie, which the
+    rule abstains on, so it scores 0 at any sigma.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if delta == 0.0:
+        return 0.0
     if sigma == 0.0:
-        return 1.0 if delta != 0.0 else 0.0
+        return 1.0
     return 0.5 * math.erfc(-abs(delta) / (2.0 * sigma))
 
 

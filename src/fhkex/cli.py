@@ -5,13 +5,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import secrets
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -27,40 +26,6 @@ OUTPUT_DIR_ENV = "FHKEX_OUTPUT_DIR"
 # demo sequences for the six-slot toy run
 FIXTURE_ALICE = (0, 0, 1, 0, 0, 1)
 FIXTURE_BOB = (0, 1, 0, 1, 0, 1)
-
-SUBCOMMANDS = ("session", "analyze", "sweep", "frontier", "fixture")
-
-_SCENARIO_FLAGS = {
-    "gamma": float,
-    "sigma": float,
-    "pl0": float,
-    "d0": float,
-    "pt": float,
-    "slot_duration": float,
-    "n_rounds": int,
-    "seed": int,
-}
-
-
-@dataclass(frozen=True)
-class Invocation:
-    """One parsed command: subcommand, config source, flag overrides, outputs."""
-
-    subcommand: str
-    config_path: str | None = None
-    overrides: dict[str, Any] = dataclasses.field(default_factory=dict)
-    output_dir: str | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise scenario.ConfigError(
-                "unknown-subcommand", f"subcommand must be one of {SUBCOMMANDS}"
-            )
-
-    def get(self, name: str, default=None):
-        return self.overrides.get(name, default)
-
 
 def _fail(code: str, message: str) -> None:
     print(f"error: {code}: {message}", file=sys.stderr)
@@ -90,31 +55,29 @@ def _parse_axis(text: str, cast, limit: int = experiments.SLOT_BUDGET):
     return tuple(cast(p) for p in text.split(","))
 
 
-def _build_scenario(inv: Invocation) -> scenario.ScenarioConfig:
-    cfg = scenario.load_config(inv.config_path) if inv.config_path else scenario.ScenarioConfig()
-    overrides = {}
-    for name, cast in _SCENARIO_FLAGS.items():
-        value = inv.seed if name == "seed" else inv.get(name)
-        if value is not None:
-            overrides[name] = cast(value)
+def _build_scenario(args: argparse.Namespace) -> scenario.ScenarioConfig:
+    cfg = scenario.load_config(args.config) if args.config else scenario.ScenarioConfig()
+    overrides = {
+        name: getattr(args, name) for name in scenario.CONFIG_FIELDS if getattr(args, name) is not None
+    }
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return scenario.validate_config(cfg)
 
 
-def _output_dir(inv: Invocation) -> Path:
+def _output_dir(args: argparse.Namespace) -> Path:
     """The output directory; it must exist, and is checked before anything is drawn or read."""
-    out = Path(inv.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or ".")
     if not out.is_dir():
         raise NotADirectoryError(f"output directory {out} does not exist")
     return out
 
 
-def _resolve_seed(inv: Invocation, cfg: scenario.ScenarioConfig) -> int:
+def _resolve_seed(args: argparse.Namespace, cfg: scenario.ScenarioConfig) -> int:
     """--seed flag wins, then a config-file value; otherwise auto-generate and echo."""
-    if inv.seed is not None:
-        return int(inv.seed)
-    if inv.config_path is not None:
+    if args.seed is not None:
+        return args.seed
+    if args.config is not None:
         return cfg.seed
     seed = secrets.randbits(63)
     print(f"seed={seed} (auto-generated; pass --seed to reproduce)")
@@ -123,14 +86,8 @@ def _resolve_seed(inv: Invocation, cfg: scenario.ScenarioConfig) -> int:
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file mirroring the scenario fields")
-    p.add_argument("--gamma", type=float, help="path loss exponent")
-    p.add_argument("--sigma", type=float, help="shadowing std-dev, dB")
-    p.add_argument("--pl0", type=float, help="reference path loss, dB")
-    p.add_argument("--d0", type=float, help="reference distance, m")
-    p.add_argument("--pt", type=float, help="transmit power, dBm")
-    p.add_argument("--slot-duration", dest="slot_duration", type=float, help="slot length, s")
-    p.add_argument("--n-rounds", dest="n_rounds", type=int, help="protocol slots per session")
-    p.add_argument("--seed", type=int, help="64-bit RNG seed")
+    for f in dataclasses.fields(scenario.ScenarioConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), help=f.metadata["help"])
     p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or '.')")
 
 
@@ -148,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_session = sub.add_parser("session", help="run one seeded protocol session")
     _add_scenario_flags(p_session)
-    p_session.add_argument("--d-be", dest="d_be", type=float, default=20.0,
-                           help="adversary distance behind Bob, m")
+    p_session.add_argument("--d-be", type=float, default=20.0, help="adversary distance behind Bob, m")
     p_session.add_argument("--eve", action="store_true",
                            help="also simulate the eavesdropper and write her trace")
     p_session.add_argument("--rule", choices=adversary.RULES, default=adversary.RULE_ML)
@@ -160,17 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--target", type=float, default=0.99)
     p_analyze.add_argument("--pb", type=float,
                            help="per-slot secret-bit probability (overrides the channel-derived value)")
-    p_analyze.add_argument("--d-be", dest="d_be", type=float, default=20.0)
+    p_analyze.add_argument("--d-be", type=float, default=20.0)
     p_analyze.add_argument("--n", type=int, help="evaluate the key probability at this many slots")
 
     for name in ("sweep", "frontier"):
         p = sub.add_parser(name, help=f"Monte Carlo {name} over a parameter grid")
         _add_scenario_flags(p)
-        p.add_argument("--k-list", dest="k_list", default="128",
-                       help="key sizes, comma list or start:stop:step")
-        p.add_argument("--n-list", dest="n_list", default="60:600:10", help="transmission counts")
-        p.add_argument("--d-be-list", dest="d_be_list", default="20", help="adversary distances, m")
-        p.add_argument("--sigma-list", dest="sigma_list", default="8", help="shadowing std-devs, dB")
+        p.add_argument("--k-list", default="128", help="key sizes, comma list or start:stop:step")
+        p.add_argument("--n-list", default="60:600:10", help="transmission counts")
+        p.add_argument("--d-be-list", default="20", help="adversary distances, m")
+        p.add_argument("--sigma-list", default="8", help="shadowing std-devs, dB")
         p.add_argument("--trials", type=int, default=2000)
         p.add_argument("--rule", choices=adversary.RULES, default=adversary.RULE_ML)
         p.add_argument("--metric", choices=experiments.METRICS, default=experiments.METRIC_PER_BIT)
@@ -180,27 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "frontier":
             p.add_argument("--target", type=float, default=0.99)
             p.add_argument("--column", choices=("p_hat", "p_analytic"), default="p_hat")
-            p.add_argument("--from-csv", dest="from_csv",
-                           help="reuse an existing sweep CSV instead of simulating")
+            p.add_argument("--from-csv", help="reuse an existing sweep CSV instead of simulating")
     return parser
 
 
-def invocation_from_args(args: argparse.Namespace) -> Invocation:
-    options = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("command", "config", "out", "seed") and value is not None
-    }
-    return Invocation(
-        subcommand=args.command,
-        config_path=args.config,
-        overrides=options,
-        output_dir=args.out,
-        seed=args.seed,
-    )
-
-
-def _cmd_fixture(inv: Invocation) -> int:
+def _cmd_fixture(args: argparse.Namespace) -> int:
     bits = np.column_stack((FIXTURE_ALICE, FIXTURE_BOB))
     protocol.write_transcript_csv([bits], sys.stdout)
     collisions = ",".join(map(str, np.flatnonzero(bits[:, 0] == bits[:, 1]) + 1))
@@ -209,18 +148,22 @@ def _cmd_fixture(inv: Invocation) -> int:
     return EXIT_OK
 
 
-def _cmd_session(inv: Invocation) -> int:
-    cfg = _build_scenario(inv)
-    deployment = scenario.build_canonical_deployment(inv.get("d_be", 20.0))
-    if inv.get("eve") and not deployment.d_be >= cfg.d0:
-        raise ValueError(f"adversary distance {deployment.d_be} m below reference distance {cfg.d0} m")
+def _cmd_session(args: argparse.Namespace) -> int:
+    cfg = _build_scenario(args)
+    deployment = scenario.build_canonical_deployment(args.d_be)
+    if args.eve:
+        scenario.check_adversary_distance(args.d_be, cfg.d0)
     if cfg.n_rounds > experiments.SLOT_BUDGET:
         raise experiments.BudgetError(f"{cfg.n_rounds} slots exceed budget {experiments.SLOT_BUDGET}")
-    out = _output_dir(inv)
-    cfg = dataclasses.replace(cfg, seed=_resolve_seed(inv, cfg))
-    rule = inv.get("rule", adversary.RULE_ML)
+    out = _output_dir(args)
+    cfg = dataclasses.replace(cfg, seed=_resolve_seed(args, cfg))
     rng = np.random.default_rng(cfg.seed)
     blocks = experiments.draw_slot_bits(rng, cfg.n_rounds)
+    if args.eve:
+        judged = experiments.session_blocks(rng, blocks, deployment.d_ae, deployment.d_be, cfg, args.rule)
+        # the first block is judged before any file is written, so that a
+        # distance the path-loss model refuses ends the run with no output
+        judged = itertools.chain([next(judged)], judged)
     path = out / "transcript.csv"
     generated = protocol.write_transcript_csv(blocks, dest=str(path), seed=cfg.seed)
     print(f"wrote {path}")
@@ -229,72 +172,66 @@ def _cmd_session(inv: Invocation) -> int:
     print("key: ", end="")
     sys.stdout.writelines(map(protocol.key_text, blocks))
     print()
-    if inv.get("eve"):
+    if args.eve:
         trace = out / "eve_trace.csv"
-        guessed = adversary.write_adversary_trace_csv(
-            experiments.session_blocks(rng, blocks, deployment.d_ae, deployment.d_be, cfg, rule),
-            dest=str(trace),
-        )
+        guessed = adversary.write_adversary_trace_csv(judged, dest=str(trace))
         print(f"wrote {trace}")
-        print(f"adversary ({rule}): guessed {guessed} of "
+        print(f"adversary ({args.rule}): guessed {guessed} of "
               f"{generated} bits; {generated - guessed} secret")
     return EXIT_OK
 
 
-def _cmd_analyze(inv: Invocation) -> int:
-    cfg = _build_scenario(inv)
-    req = analysis.KeyRequest(k=inv.get("k", 128), target=inv.get("target", 0.99))
-    d_be = inv.get("d_be", 20.0)
-    if inv.get("pb") is not None:
-        pb = analysis.Probability(inv.get("pb"))
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    cfg = _build_scenario(args)
+    req = analysis.KeyRequest(k=args.k, target=args.target)
+    d_be = args.d_be
+    if args.pb is not None:
+        pb = analysis.Probability(args.pb)
         print(f"p_b = {float(pb):.6g} (given)")
     else:
         scenario.build_canonical_deployment(d_be)  # names a non-finite or non-positive d_be
-        if not d_be >= cfg.d0:
-            raise ValueError(f"adversary distance {d_be} m below reference distance {cfg.d0} m")
-        pb = analysis.fading_pb(d_be, cfg.sigma, cfg.gamma)
-        d_ab = 2 * scenario.NODE_HALF_SPACING
-        delta = channel.delta_mean_pathloss(d_be + d_ab, d_be, cfg.gamma)
+        scenario.check_adversary_distance(d_be, cfg.d0)
+        delta = channel.delta_mean_pathloss(d_be + 2 * scenario.NODE_HALF_SPACING, d_be, cfg.gamma)
         pg = adversary.pg_closed_form(delta, cfg.sigma)
+        pb = analysis.secret_bit_prob(analysis.COLLISION_PROB, pg)
         print(f"d_be = {d_be} m, sigma = {cfg.sigma} dB, gamma = {cfg.gamma}")
         print(f"delta = {delta:.4f} dB, p_g = {pg:.6g}, p_b = {float(pb):.6g}")
     min_n = analysis.min_transmissions(req, pb)
     print(f"minimum transmissions for k={req.k} at target {req.target}: {min_n}")
-    n = inv.get("n")
+    n = args.n
     if n is not None:
         p = analysis.key_prob(req.k, n, pb)
         print(f"P(L >= {req.k} | N={n}) = {float(p):.6g}")
-        if inv.get("pb") is None and cfg.sigma > 0:
+        if args.pb is None and cfg.sigma > 0:
             region = analysis.privacy_radius(req, n, cfg.sigma, cfg.gamma, d_min=cfg.d0)
             print(f"privacy radius at N={n}: {region.radius:.3f} m "
                   f"around ({region.center.x}, {region.center.y})")
     return EXIT_OK
 
 
-def _make_spec(inv: Invocation) -> experiments.SweepSpec:
+def _make_spec(args: argparse.Namespace) -> experiments.SweepSpec:
     """The sweep's spec, checked in full before its seed is resolved (and an auto seed echoed)."""
-    cfg = _build_scenario(inv)
-    budget = inv.get("budget", experiments.SLOT_BUDGET)
+    cfg = _build_scenario(args)
     spec = experiments.SweepSpec(
-        k=_parse_axis(inv.get("k_list", "128"), int, budget),
-        n_rounds=_parse_axis(inv.get("n_list", "60:600:10"), int, budget),
-        d_be=_parse_axis(inv.get("d_be_list", "20"), float, budget),
-        sigma=_parse_axis(inv.get("sigma_list", "8"), float, budget),
-        trials=inv.get("trials", 2000),
-        rule=inv.get("rule", adversary.RULE_ML),
-        metric=inv.get("metric", experiments.METRIC_PER_BIT),
-        geometry=inv.get("geometry", experiments.GEOMETRY_CANONICAL),
-        budget=budget,
+        k=_parse_axis(args.k_list, int, args.budget),
+        n_rounds=_parse_axis(args.n_list, int, args.budget),
+        d_be=_parse_axis(args.d_be_list, float, args.budget),
+        sigma=_parse_axis(args.sigma_list, float, args.budget),
+        trials=args.trials,
+        rule=args.rule,
+        metric=args.metric,
+        geometry=args.geometry,
+        budget=args.budget,
         scenario=cfg,
     )
     if spec.grid_size == 0:
         raise scenario.ConfigError("empty-grid", "every sweep axis needs at least one value")
-    return dataclasses.replace(spec, base_seed=_resolve_seed(inv, cfg))
+    return dataclasses.replace(spec, base_seed=_resolve_seed(args, cfg))
 
 
-def _cmd_sweep(inv: Invocation) -> int:
-    out = _output_dir(inv)
-    spec = _make_spec(inv)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    out = _output_dir(args)
+    spec = _make_spec(args)
     table = experiments.sweep(spec)
     csv_path = out / "sweep.csv"
     experiments.write_result_csv(table, str(csv_path))
@@ -303,23 +240,22 @@ def _cmd_sweep(inv: Invocation) -> int:
     return EXIT_OK
 
 
-def _cmd_frontier(inv: Invocation) -> int:
-    target = analysis.check_target(inv.get("target", 0.99))
-    out = _output_dir(inv)
-    if inv.get("from_csv"):
-        table = experiments.read_result_csv(inv.get("from_csv"))
+def _cmd_frontier(args: argparse.Namespace) -> int:
+    target = analysis.check_target(args.target)
+    out = _output_dir(args)
+    if args.from_csv:
+        table = experiments.read_result_csv(args.from_csv)
     else:
-        spec = _make_spec(inv)
+        spec = _make_spec(args)
         table = experiments.sweep(spec)
         csv_path = out / "sweep.csv"
         experiments.write_result_csv(table, str(csv_path))
         print(f"wrote {csv_path}")
-    column = inv.get("column", "p_hat")
-    rows = experiments.frontier(table, target=target, column=column)
+    rows = experiments.frontier(table, target=target, column=args.column)
     frontier_path = out / "frontier.csv"
     experiments.write_frontier_csv(rows, str(frontier_path))
     experiments.write_frontier_plot_script("frontier.csv", str(out / "frontier.gp"))
-    print(f"wrote {frontier_path} ({len(rows)} distances, target {target}, {column})")
+    print(f"wrote {frontier_path} ({len(rows)} distances, target {target}, {args.column})")
     return EXIT_OK
 
 
@@ -332,10 +268,10 @@ _COMMANDS = {
 }
 
 
-def dispatch(inv: Invocation) -> int:
-    """Route one invocation; every error path maps to a documented exit code."""
+def dispatch(args: argparse.Namespace) -> int:
+    """Run one parsed command line; every error path maps to a documented exit code."""
     try:
-        return _COMMANDS[inv.subcommand](inv)
+        return _COMMANDS[args.command](args)
     except scenario.ConfigError as exc:
         _fail(exc.code, str(exc))
         return EXIT_CONFIG
@@ -351,14 +287,7 @@ def dispatch(inv: Invocation) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        inv = invocation_from_args(args)
-    except scenario.ConfigError as exc:
-        _fail(exc.code, str(exc))
-        return EXIT_CONFIG
-    return dispatch(inv)
+    return dispatch(build_parser().parse_args(argv))
 
 
 def entry_point() -> None:

@@ -31,6 +31,7 @@ from .scenario import (
     ScenarioConfig,
     build_canonical_deployment,
     build_equidistant_deployment,
+    check_adversary_distance,
     text_stream,
     validate_config,
 )
@@ -118,11 +119,8 @@ class SweepSpec:
         for sigma in self.sigma:
             validate_config(self.scenario.replace(sigma=sigma))
         for d_be in self.d_be:
-            nearest = min(_distances(d_be, self.geometry))
-            if nearest < self.scenario.d0:
-                raise ValueError(
-                    f"adversary distance {nearest} m below reference distance {self.scenario.d0} m"
-                )
+            _distances(d_be, self.geometry)  # names a d_be the geometry cannot place
+            check_adversary_distance(d_be, self.scenario.d0)
         if self.slots > self.budget:
             raise BudgetError(
                 f"{self.slots} simulated slots (slices x trials x longest n) "
@@ -240,7 +238,7 @@ def session_blocks(
     that has skipped every decision draw; rng itself ends after the
     decision draws, where a one-trial simulate_session_block ends.
     """
-    delta = _delta(d_ae, d_be, cfg.gamma)
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     trace_rng = type(rng)(copy.copy(rng.bit_generator))  # independent; cheaper than copy.deepcopy(rng)
     for block in blocks:
         _decision_draws(trace_rng, np.count_nonzero(block[:, 0] != block[:, 1]), rule)
@@ -292,7 +290,8 @@ def simulate_session_block(
     generated = a != bits[:, 1::2]
     values = a[generated] if rule == RULE_RANDOM else None
     draws = _decision_draws(rng, np.count_nonzero(generated), rule)
-    return generated, ~_classify(draws, values, _delta(d_ae, d_be, cfg.gamma), cfg.sigma, rule)[0]
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    return generated, ~_classify(draws, values, delta, cfg.sigma, rule)[0]
 
 
 def slice_successes(
@@ -340,11 +339,6 @@ def slice_successes(
     return successes[:, order]
 
 
-def _delta(d_ae: float, d_be: float, gamma: float) -> float:
-    """Mean path-loss gap between Alice's and Bob's samples; exactly 0 for an equidistant Eve."""
-    return 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, gamma)
-
-
 def _decision_draws(rng: np.random.Generator, m: int, rule: str) -> np.ndarray:
     """The draws that decide m bit rounds: one guess each for the random rule, else v.
 
@@ -378,23 +372,11 @@ def _classify(
     return score < 0.0, score == 0.0
 
 
-def analytic_rule_pg(delta: float, sigma: float, rule: str) -> float:
-    """Per-bit-round correct-guess probability of the simulated rule.
-
-    Differs from the raw closed form only at delta = 0 with sigma > 0,
-    where the abstaining rule scores 0 rather than the coin-flip 0.5.
-    """
+def _slice_pg(d_ae: float, d_be: float, sigma: float, rule: str, gamma: float) -> float:
+    """Per-bit-round correct-guess probability of the simulated rule."""
     if rule == RULE_RANDOM:
         return 0.5
-    if delta == 0.0:
-        return 0.0
-    if sigma == 0.0:
-        return 1.0
-    return pg_closed_form(delta, sigma)
-
-
-def _slice_pg(d_ae: float, d_be: float, sigma: float, rule: str, gamma: float) -> float:
-    return analytic_rule_pg(_delta(d_ae, d_be, gamma), sigma, rule)
+    return pg_closed_form(delta_mean_pathloss(d_ae, d_be, gamma), sigma)
 
 
 def _analytic_column(ks: Sequence[int], n: int, pg: float, metric: str) -> list[float]:
@@ -502,14 +484,6 @@ def frontier(
     return result
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # One RESULT_COLUMNS line: floats as repr, an absent p_analytic as an empty field.
 _RESULT_LINE = "{},{},{!r},{!r},{},{},{},{!r},{!r},{!r},{}\n"
 
@@ -561,14 +535,13 @@ def read_result_csv(src: Union[str, TextIO]) -> ResultTable:
 
 
 def write_frontier_csv(rows: Sequence[FrontierRow], dest: Union[str, TextIO]) -> None:
+    """The csv module's bytes, written directly, as write_result_csv writes them."""
     with text_stream(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["d_be", "min_n", "status"])
-        for r in rows:
-            if r.min_n is None:
-                writer.writerow([_format_value(r.d_be), "", "infeasible"])
-            else:
-                writer.writerow([_format_value(r.d_be), r.min_n, "ok"])
+        fh.write("d_be,min_n,status\n")
+        fh.writelines(
+            f"{r.d_be!r},,infeasible\n" if r.min_n is None else f"{r.d_be!r},{r.min_n},ok\n"
+            for r in rows
+        )
 
 
 def write_sweep_plot_script(csv_name: str, dest: Union[str, TextIO]) -> None:

@@ -115,14 +115,14 @@ class ScenarioConfig:
     simulator is slot-synchronous and never waits.
     """
 
-    gamma: float = 3.5  # path loss exponent
-    sigma: float = 8.0  # shadowing std-dev, dB
-    pl0: float = 40.0  # path loss at reference distance, dB
-    d0: float = 1.0  # reference distance, meters
-    pt: float = 20.0  # transmit power, dBm
-    slot_duration: float = 1e-3  # seconds per slot
-    n_rounds: int = 600
-    seed: int = 0
+    gamma: float = dataclasses.field(default=3.5, metadata={"help": "path loss exponent"})
+    sigma: float = dataclasses.field(default=8.0, metadata={"help": "shadowing std-dev, dB"})
+    pl0: float = dataclasses.field(default=40.0, metadata={"help": "reference path loss, dB"})
+    d0: float = dataclasses.field(default=1.0, metadata={"help": "reference distance, m"})
+    pt: float = dataclasses.field(default=20.0, metadata={"help": "transmit power, dBm"})
+    slot_duration: float = dataclasses.field(default=1e-3, metadata={"help": "slot length, s"})
+    n_rounds: int = dataclasses.field(default=600, metadata={"help": "protocol slots per session"})
+    seed: int = dataclasses.field(default=0, metadata={"help": "64-bit RNG seed"})
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
@@ -130,14 +130,14 @@ class ScenarioConfig:
 
 CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 
-_INT_FIELDS = ("n_rounds", "seed")
+_INT_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if type(f.default) is int)
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Return cfg unchanged iff every field invariant holds, else raise ConfigError."""
-    for name in ("gamma", "sigma", "pl0", "d0", "pt", "slot_duration"):
+    for name in CONFIG_FIELDS:
         value = getattr(cfg, name)
-        if not math.isfinite(value):
+        if name not in _INT_FIELDS and not math.isfinite(value):
             raise ConfigError(f"invalid-{name.replace('_', '-')}", f"{name} must be finite, got {value}")
     if not cfg.gamma > 0.0:
         raise ConfigError("invalid-gamma", f"gamma must be > 0, got {cfg.gamma}")
@@ -155,6 +155,12 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if not isinstance(cfg.seed, int) or not (0 <= cfg.seed < 2**64):
         raise ConfigError("invalid-seed", f"seed must be a 64-bit unsigned int, got {cfg.seed}")
     return cfg
+
+
+def check_adversary_distance(d_be: float, d0: float) -> None:
+    """Refuse an adversary distance, as the user gave it, below the reference distance d0."""
+    if not d_be >= d0:
+        raise ValueError(f"adversary distance {d_be} m below reference distance {d0} m")
 
 
 @contextlib.contextmanager

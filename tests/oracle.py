@@ -5,7 +5,8 @@ import numpy as np
 
 from fhkex.adversary import KIND_BIT, RULE_ML
 from fhkex.analysis import Probability
-from fhkex.experiments import _classify, _decision_draws, _delta
+from fhkex.channel import delta_mean_pathloss
+from fhkex.experiments import _classify, _decision_draws
 from fhkex.protocol import SharedBit, draw_coins
 from fhkex.scenario import ScenarioConfig
 
@@ -81,7 +82,7 @@ def estimate_rule_correctness(
     """
     correct = 0
     remaining = n_bit_rounds
-    delta = _delta(d_ae, d_be, cfg.gamma)
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     while remaining > 0:
         m = min(chunk, remaining)
         values = draw_coins(rng, m)

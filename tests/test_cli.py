@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,30 +17,28 @@ from fhkex.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
-    Invocation,
+    _build_scenario,
     _parse_axis,
     build_parser,
     dispatch,
     main,
 )
 from fhkex.experiments import SLOT_BUDGET
-from fhkex.scenario import ConfigError, ScenarioConfig, build_canonical_deployment
+from fhkex.scenario import CONFIG_FIELDS, ConfigError, ScenarioConfig, build_canonical_deployment
 from oracle import trace_csv_text, transcript_text
 
 
 def test_invocation_validates_subcommand():
-    with pytest.raises(ConfigError):
-        Invocation(subcommand="teleport")
+    with pytest.raises(SystemExit) as exc:
+        main(["teleport"])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_dispatch_direct_invocation(tmp_path, capsys):
-    inv = Invocation(
-        subcommand="session",
-        overrides={"d_be": 20.0, "n_rounds": 12},
-        output_dir=str(tmp_path),
-        seed=4,
+    args = build_parser().parse_args(
+        ["session", "--d-be", "20", "--n-rounds", "12", "--out", str(tmp_path), "--seed", "4"]
     )
-    assert dispatch(inv) == EXIT_OK
+    assert dispatch(args) == EXIT_OK
     assert (tmp_path / "transcript.csv").exists()
     assert "key:" in capsys.readouterr().out
 
@@ -327,6 +326,32 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert len((tmp_path / "transcript.csv").read_text().splitlines()) == 2 + 1 + 10
 
 
+# one value per ScenarioConfig field for the config file, and another for its flag
+_FILE_VALUES = dict(
+    gamma=3.0, sigma=2.0, pl0=30.0, d0=2.0, pt=10.0, slot_duration=0.002, n_rounds=25, seed=6
+)
+_FLAG_VALUES = dict(
+    gamma=4.0, sigma=5.0, pl0=50.0, d0=3.0, pt=15.0, slot_duration=0.005, n_rounds=10, seed=9
+)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ScenarioConfig), ids=lambda f: f.name)
+def test_every_config_flag_overrides_the_file(tmp_path, field):
+    assert set(_FILE_VALUES) == set(_FLAG_VALUES) == set(CONFIG_FIELDS)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_FILE_VALUES))
+    flag = "--" + field.name.replace("_", "-")
+    args = build_parser().parse_args(
+        ["session", "--config", str(cfg_path), flag, str(_FLAG_VALUES[field.name])]
+    )
+    cfg = _build_scenario(args)
+    assert getattr(cfg, field.name) == _FLAG_VALUES[field.name]
+    # every other field keeps its file value
+    assert dataclasses.replace(cfg, **{field.name: _FILE_VALUES[field.name]}) == ScenarioConfig(
+        **_FILE_VALUES
+    )
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -351,6 +376,19 @@ def test_analyze_rejects_adversary_below_reference_distance(capsys, args):
     assert out == ""
     assert err.startswith("error: invalid-value:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["session", "--seed", "1", "--n-rounds", "20", "--eve", "--d-be", "0.1"],
+    ["sweep", "--seed", "1", "--n-list", "20", "--trials", "5", "--d-be-list", "0.1"],
+    ["analyze", "--k", "64", "--d-be", "0.1"],
+])
+def test_below_reference_distance_names_the_typed_distance(tmp_path, capsys, command):
+    assert main([*command, "--out", str(tmp_path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid-value: adversary distance 0.1 m below reference distance 1.0 m\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("d_be", ["inf", "nan"])
@@ -388,7 +426,11 @@ def test_session_files_match_per_round_oracle(tmp_path, capsys, rule, sigma, n):
         assert (cli_dir / name).read_bytes() == (oracle_dir / name).read_bytes()
 
 
-@pytest.mark.parametrize("args", [["--d-be", "0.5"], ["--d0", "30", "--d-be", "20"]])
+# at d_be = d0 = 0.7 the collinear placement puts the adversary at 0.6999999999999993 m,
+# which the path-loss model refuses: the run still ends before any file is written
+@pytest.mark.parametrize(
+    "args", [["--d-be", "0.5"], ["--d0", "30", "--d-be", "20"], ["--d0", "0.7", "--d-be", "0.7"]]
+)
 def test_session_rejects_adversary_below_reference_distance(tmp_path, capsys, args):
     code = main(["session", "--seed", "1", "--n-rounds", "20", "--eve", *args, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG

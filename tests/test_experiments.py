@@ -35,6 +35,7 @@ from fhkex.experiments import (
     slice_successes,
     sweep,
     wilson_interval,
+    write_frontier_csv,
     write_result_csv,
 )
 from fhkex.protocol import run_session
@@ -577,6 +578,26 @@ def test_result_csv_matches_csv_writer():
     assert any(r.p_analytic is not None for r in table.rows)
     table = ResultTable(rows=rows)
     assert result_csv_text(table) == _csv_writer_reference(table)
+
+
+def test_frontier_csv_matches_csv_writer():
+    rows = [
+        FrontierRow(d_be=1e15, min_n=None),
+        FrontierRow(d_be=0.1 + 0.2, min_n=563),
+        FrontierRow(d_be=1 / 3, min_n=None),
+        FrontierRow(d_be=20.0, min_n=10**6),
+    ]
+    buf = io.StringIO()
+    write_frontier_csv(rows, buf)
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(["d_be", "min_n", "status"])
+    for r in rows:
+        if r.min_n is None:
+            writer.writerow([repr(r.d_be), "", "infeasible"])
+        else:
+            writer.writerow([repr(r.d_be), r.min_n, "ok"])
+    assert buf.getvalue() == reference.getvalue()
 
 
 def test_result_csv_header():
