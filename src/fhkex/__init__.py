@@ -9,19 +9,12 @@ evaluates the closed-form secrecy analysis alongside Monte Carlo sweeps.
 
 from .scenario import (
     ConfigError,
-    Deployment,
-    Position,
     ScenarioConfig,
-    build_canonical_deployment,
-    build_equidistant_deployment,
-    distance,
+    build_deployment,
     load_config,
     validate_config,
 )
 from .channel import (
-    PathLossParams,
-    RssSample,
-    ShadowingParams,
     delta_mean_pathloss,
     path_loss_deterministic,
     path_loss_shadowed,
@@ -39,7 +32,6 @@ from .protocol import (
     write_transcript_csv,
 )
 from .adversary import (
-    EveKnowledge,
     Guess,
     Observation,
     RULE_ML,
@@ -57,7 +49,6 @@ from .adversary import (
 from .analysis import (
     InfeasibleError,
     KeyRequest,
-    PrivacyRegion,
     Probability,
     fading_pb,
     key_prob,

@@ -20,9 +20,9 @@ from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .channel import PathLossParams, delta_mean_pathloss, path_loss_deterministic
+from .channel import delta_mean_pathloss, path_loss_deterministic
 from .protocol import F0, Collision, RoundOutcome, SessionTranscript, SharedBit
-from .scenario import Deployment, ScenarioConfig, text_stream
+from .scenario import ScenarioConfig, text_stream
 
 KIND_BIT = "bit-round"
 KIND_COLLISION = "collision-round"
@@ -48,35 +48,6 @@ class Observation:
                 raise ValueError("collision-round observations carry no classifier input")
         else:
             raise ValueError(f"unknown observation kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class EveKnowledge:
-    """What the location- and protocol-aware adversary knows."""
-
-    d_ae: float  # meters
-    d_be: float  # meters
-    params: PathLossParams
-    sigma: float  # dB
-    rule: str = RULE_ML
-
-    def __post_init__(self):
-        if not (self.d_ae > 0.0 and self.d_be > 0.0):
-            raise ValueError("adversary distances must be positive")
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
-
-    @property
-    def delta(self) -> float:
-        """Expected dB gap between the Alice and Bob samples."""
-        return delta_mean_pathloss(self.d_ae, self.d_be, self.params.gamma)
-
-    @classmethod
-    def from_scenario(
-        cls, deployment: Deployment, cfg: ScenarioConfig, rule: str = RULE_ML
-    ) -> "EveKnowledge":
-        plp = PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0)
-        return cls(d_ae=deployment.d_ae, d_be=deployment.d_be, params=plp, sigma=cfg.sigma, rule=rule)
 
 
 @dataclass(frozen=True)
@@ -114,8 +85,7 @@ def rss_samples(
     np.subtract(u, v, out=samples[:, 1])
     samples *= cfg.sigma
     samples /= math.sqrt(2.0)
-    params = PathLossParams(pl0=cfg.pl0, gamma=cfg.gamma, d0=cfg.d0)
-    samples += (path_loss_deterministic(d_ae, params), path_loss_deterministic(d_be, params))
+    samples += (path_loss_deterministic(d_ae, cfg), path_loss_deterministic(d_be, cfg))
     np.subtract(cfg.pt, samples, out=samples)
     return samples
 
@@ -132,7 +102,8 @@ def _observation(outcome: RoundOutcome, slot: int, samples: Sequence[float] | No
 
 def observe_round(
     outcome: RoundOutcome,
-    deployment: Deployment,
+    d_ae: float,
+    d_be: float,
     cfg: ScenarioConfig,
     rng: np.random.Generator,
     slot: int = 0,
@@ -147,7 +118,7 @@ def observe_round(
         return _observation(outcome, slot, None)
     v = rng.standard_normal()
     u = rng.standard_normal()
-    return _observation(outcome, slot, rss_samples(u, v, deployment.d_ae, deployment.d_be, cfg)[0].tolist())
+    return _observation(outcome, slot, rss_samples(u, v, d_ae, d_be, cfg)[0].tolist())
 
 
 def _ml_guess(slot: int, gap: float, delta: float) -> Guess:
@@ -162,15 +133,16 @@ def _ml_guess(slot: int, gap: float, delta: float) -> Guess:
     return Guess(slot=slot, decision=decision)
 
 
-def classify_ml(obs: Observation, knowledge: EveKnowledge) -> Guess:
+def classify_ml(obs: Observation, delta: float) -> Guess:
     """Maximum-likelihood pairwise source assignment on the two samples.
 
+    delta is the expected dB gap PL(d_ae) - PL(d_be) (channel.delta_mean_pathloss).
     With equal-variance Gaussian shadowing the likelihood ratio reduces to
     the sign of (rss_f0 - rss_f1) * delta; an exact tie abstains.
     """
     if obs.kind != KIND_BIT:
         raise ValueError("classifier needs a bit-round observation")
-    return _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, knowledge.delta)
+    return _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, delta)
 
 
 def classify_random(obs: Observation, rng: np.random.Generator) -> Guess:
@@ -232,7 +204,8 @@ def eve_reconstructs_key(
 
 def simulate_eavesdropper(
     transcript: SessionTranscript,
-    deployment: Deployment,
+    d_ae: float,
+    d_be: float,
     cfg: ScenarioConfig,
     rng: np.random.Generator,
     rule: str = RULE_ML,
@@ -245,7 +218,7 @@ def simulate_eavesdropper(
     The ML call is made on v's gap A - B = -delta - sigma * sqrt(2) * v,
     which is authoritative where the written samples nearly tie.
     """
-    knowledge = EveKnowledge.from_scenario(deployment, cfg, rule=rule)
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     bit_records = [r for r in transcript.rounds if isinstance(r.outcome, SharedBit)]
     if rule == RULE_RANDOM:
         guesses = [Guess(slot=r.slot, decision=int(rng.integers(0, 2))) for r in bit_records]
@@ -256,11 +229,11 @@ def simulate_eavesdropper(
         u = np.array([rng.standard_normal() for _ in bit_records])
         guesses = []
         for record, v_i in zip(bit_records, v.tolist()):
-            alice_minus_bob = -knowledge.delta - cfg.sigma * math.sqrt(2.0) * v_i
+            alice_minus_bob = -delta - cfg.sigma * math.sqrt(2.0) * v_i
             # the f0 - f1 gap: Alice sits on f0 iff the bit is 0
             gap = alice_minus_bob if record.outcome.value == 0 else -alice_minus_bob
-            guesses.append(_ml_guess(record.slot, gap, knowledge.delta))
-    samples = rss_samples(u, v, deployment.d_ae, deployment.d_be, cfg).tolist()
+            guesses.append(_ml_guess(record.slot, gap, delta))
+    samples = rss_samples(u, v, d_ae, d_be, cfg).tolist()
     by_slot = dict(zip((r.slot for r in bit_records), samples))
     observations = [_observation(r.outcome, r.slot, by_slot.get(r.slot)) for r in transcript.rounds]
     return observations, guesses

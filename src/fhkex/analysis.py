@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .adversary import pg_closed_form
 from .channel import delta_mean_pathloss
-from .scenario import NODE_HALF_SPACING, Position
+from .scenario import build_deployment
 
 #: Collision probability of two fair one-in-two frequency choices.
 COLLISION_PROB = 0.5
@@ -54,18 +54,6 @@ class KeyRequest:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"key size must be a positive integer, got {self.k}")
         check_target(self.target)
-
-
-@dataclass(frozen=True)
-class PrivacyRegion:
-    """Circle around a node outside which the key target is always met."""
-
-    center: Position
-    radius: float  # meters
-
-    def __post_init__(self):
-        if not (self.radius >= 0.0):
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
 
 
 def secret_bit_prob(p_c: float, p_g: float) -> Probability:
@@ -212,20 +200,13 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = 10**9) -> int:
     return hi
 
 
-def fading_pb(
-    d_be: float,
-    sigma: float,
-    gamma: float = 3.5,
-    d_ab: float = 2 * NODE_HALF_SPACING,
-) -> Probability:
-    """Per-slot secret-bit probability for the collinear deployment.
+def fading_pb(d_be: float, sigma: float, gamma: float = 3.5) -> Probability:
+    """Per-slot secret-bit probability for the collinear geometry.
 
-    The adversary sits d_be behind one node, hence d_ae = d_be + d_ab; her
+    The adversary sits d_be behind one node (scenario.build_deployment); her
     guessing probability is the pairwise-ML closed form.
     """
-    if not (d_be > 0.0):
-        raise ValueError(f"d_be must be positive, got {d_be}")
-    delta = delta_mean_pathloss(d_be + d_ab, d_be, gamma)
+    delta = delta_mean_pathloss(*build_deployment(d_be), gamma)
     return secret_bit_prob(COLLISION_PROB, pg_closed_form(delta, sigma))
 
 
@@ -241,12 +222,11 @@ def privacy_radius(
     n: int,
     sigma: float,
     gamma: float = 3.5,
-    d_ab: float = 2 * NODE_HALF_SPACING,
     d_min: float = 1.0,
     tol: float = 1e-6,
-) -> PrivacyRegion:
-    """Smallest radius R such that every adversary distance above R meets
-    the key target with n transmissions.
+) -> float:
+    """Smallest radius R, around the node the adversary approaches, such that
+    every adversary distance above R meets the key target with n transmissions.
 
     The secret-bit probability, and hence the key probability, is increasing
     in the adversary distance. A bracket lo < R <= hi (target unmet at lo,
@@ -259,12 +239,11 @@ def privacy_radius(
     end). Raises InfeasibleError when the target is unmet even for an
     arbitrarily remote adversary.
     """
-    center = Position(d_ab / 2.0, 0.0)  # the node the adversary approaches
     if n < req.k:
         raise InfeasibleError(f"n = {n} transmissions cannot yield a {req.k}-bit key")
 
     def prob(d_be: float) -> float:
-        return key_prob(req.k, n, fading_pb(d_be, sigma, gamma, d_ab))
+        return key_prob(req.k, n, fading_pb(d_be, sigma, gamma))
 
     far = 1e12  # proxy for the d_be -> infinity limit
     if prob(far) < req.target:
@@ -273,7 +252,7 @@ def privacy_radius(
         )
     lo, p_lo = d_min, prob(d_min)
     if p_lo >= req.target:
-        return PrivacyRegion(center=center, radius=d_min)
+        return d_min
     hi = 2.0 * d_min
     while (p_hi := prob(hi)) < req.target:
         lo, p_lo = hi, p_hi
@@ -304,4 +283,4 @@ def privacy_radius(
             if moved < 0:
                 f_hi *= 0.5
             moved = -1
-    return PrivacyRegion(center=center, radius=hi)
+    return hi

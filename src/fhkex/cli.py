@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import math
 import os
 import secrets
@@ -129,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=2000)
         p.add_argument("--rule", choices=adversary.RULES, default=adversary.RULE_ML)
         p.add_argument("--metric", choices=experiments.METRICS, default=experiments.METRIC_PER_BIT)
-        p.add_argument("--geometry", choices=experiments.GEOMETRIES,
-                       default=experiments.GEOMETRY_CANONICAL)
+        p.add_argument("--geometry", choices=scenario.GEOMETRIES, default=scenario.GEOMETRY_CANONICAL)
         p.add_argument("--budget", type=int, default=experiments.SLOT_BUDGET)
         if name == "frontier":
             p.add_argument("--target", type=float, default=0.99)
@@ -150,9 +148,9 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 def _cmd_session(args: argparse.Namespace) -> int:
     cfg = _build_scenario(args)
-    deployment = scenario.build_canonical_deployment(args.d_be)
+    d_ae, d_be = scenario.build_deployment(args.d_be)
     if args.eve:
-        scenario.check_adversary_distance(args.d_be, cfg.d0)
+        scenario.check_adversary_distance(d_be, cfg.d0)
     if cfg.n_rounds > experiments.SLOT_BUDGET:
         raise experiments.BudgetError(f"{cfg.n_rounds} slots exceed budget {experiments.SLOT_BUDGET}")
     out = _output_dir(args)
@@ -160,10 +158,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     blocks = experiments.draw_slot_bits(rng, cfg.n_rounds)
     if args.eve:
-        judged = experiments.session_blocks(rng, blocks, deployment.d_ae, deployment.d_be, cfg, args.rule)
-        # the first block is judged before any file is written, so that a
-        # distance the path-loss model refuses ends the run with no output
-        judged = itertools.chain([next(judged)], judged)
+        judged = experiments.session_blocks(rng, blocks, d_ae, d_be, cfg, args.rule)
     path = out / "transcript.csv"
     generated = protocol.write_transcript_csv(blocks, dest=str(path), seed=cfg.seed)
     print(f"wrote {path}")
@@ -184,14 +179,13 @@ def _cmd_session(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _build_scenario(args)
     req = analysis.KeyRequest(k=args.k, target=args.target)
-    d_be = args.d_be
     if args.pb is not None:
         pb = analysis.Probability(args.pb)
         print(f"p_b = {float(pb):.6g} (given)")
     else:
-        scenario.build_canonical_deployment(d_be)  # names a non-finite or non-positive d_be
+        d_ae, d_be = scenario.build_deployment(args.d_be)
         scenario.check_adversary_distance(d_be, cfg.d0)
-        delta = channel.delta_mean_pathloss(d_be + 2 * scenario.NODE_HALF_SPACING, d_be, cfg.gamma)
+        delta = channel.delta_mean_pathloss(d_ae, d_be, cfg.gamma)
         pg = adversary.pg_closed_form(delta, cfg.sigma)
         pb = analysis.secret_bit_prob(analysis.COLLISION_PROB, pg)
         print(f"d_be = {d_be} m, sigma = {cfg.sigma} dB, gamma = {cfg.gamma}")
@@ -203,9 +197,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         p = analysis.key_prob(req.k, n, pb)
         print(f"P(L >= {req.k} | N={n}) = {float(p):.6g}")
         if args.pb is None and cfg.sigma > 0:
-            region = analysis.privacy_radius(req, n, cfg.sigma, cfg.gamma, d_min=cfg.d0)
-            print(f"privacy radius at N={n}: {region.radius:.3f} m "
-                  f"around ({region.center.x}, {region.center.y})")
+            radius = analysis.privacy_radius(req, n, cfg.sigma, cfg.gamma, d_min=cfg.d0)
+            print(f"privacy radius at N={n}: {radius:.3f} m "
+                  f"around ({scenario.NODE_HALF_SPACING}, 0.0)")
     return EXIT_OK
 
 
@@ -226,6 +220,9 @@ def _make_spec(args: argparse.Namespace) -> experiments.SweepSpec:
     )
     if spec.grid_size == 0:
         raise scenario.ConfigError("empty-grid", "every sweep axis needs at least one value")
+    slices = len(set(spec.k)) * len(set(spec.sigma))  # the rule and the metric are single
+    if args.command == "frontier" and slices != 1:
+        raise ValueError(f"frontier needs a single (k, sigma, rule, metric) slice, got {slices}")
     return dataclasses.replace(spec, base_seed=_resolve_seed(args, cfg))
 
 

@@ -24,13 +24,15 @@ from typing import Iterator, NamedTuple, Sequence, TextIO, Union
 import numpy as np
 
 from .adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form, rss_samples
-from .analysis import key_probs, secret_bit_prob
+from .analysis import COLLISION_PROB, key_probs, secret_bit_prob
 from .channel import delta_mean_pathloss
 from .protocol import draw_coins
 from .scenario import (
+    GEOMETRIES,
+    GEOMETRY_CANONICAL,
+    GEOMETRY_EQUIDISTANT,
     ScenarioConfig,
-    build_canonical_deployment,
-    build_equidistant_deployment,
+    build_deployment,
     check_adversary_distance,
     text_stream,
     validate_config,
@@ -39,10 +41,6 @@ from .scenario import (
 METRIC_PER_BIT = "per-bit-secret"
 METRIC_WHOLE_KEY = "whole-key"
 METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
-
-GEOMETRY_CANONICAL = "canonical"
-GEOMETRY_EQUIDISTANT = "equidistant"
-GEOMETRIES = (GEOMETRY_CANONICAL, GEOMETRY_EQUIDISTANT)
 
 RESULT_COLUMNS = (
     "k",
@@ -119,7 +117,7 @@ class SweepSpec:
         for sigma in self.sigma:
             validate_config(self.scenario.replace(sigma=sigma))
         for d_be in self.d_be:
-            _distances(d_be, self.geometry)  # names a d_be the geometry cannot place
+            build_deployment(d_be, self.geometry)  # names a d_be the geometry cannot place
             check_adversary_distance(d_be, self.scenario.d0)
         if self.slots > self.budget:
             raise BudgetError(
@@ -183,14 +181,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
-
-
-def _distances(d_be: float, geometry: str) -> tuple[float, float]:
-    if geometry == GEOMETRY_EQUIDISTANT:
-        dep = build_equidistant_deployment(d_be)
-    else:
-        dep = build_canonical_deployment(d_be)
-    return dep.d_ae, dep.d_be
 
 
 class Session(NamedTuple):
@@ -382,13 +372,14 @@ def _slice_pg(d_ae: float, d_be: float, sigma: float, rule: str, gamma: float) -
 def _analytic_column(ks: Sequence[int], n: int, pg: float, metric: str) -> list[float]:
     """Closed-form success probability for every k at n slots, from one binomial tail window."""
     if metric == METRIC_WHOLE_KEY:
-        return [float(tail * (1.0 - pg**k)) for k, tail in zip(ks, key_probs(ks, n, 0.5))]
-    return [float(tail) for tail in key_probs(ks, n, secret_bit_prob(0.5, pg))]
+        tails = key_probs(ks, n, 1.0 - COLLISION_PROB)  # at least k generated bits
+        return [float(tail * (1.0 - pg**k)) for k, tail in zip(ks, tails)]
+    return [float(tail) for tail in key_probs(ks, n, secret_bit_prob(COLLISION_PROB, pg))]
 
 
 def analytic_prob(point: GridPoint, rule: str, metric: str, geometry: str, gamma: float) -> float:
     """Closed-form success probability at one grid point: a sweep's analytic column, one row."""
-    d_ae, d_be = _distances(point.d_be, geometry)
+    d_ae, d_be = build_deployment(point.d_be, geometry)
     pg = _slice_pg(d_ae, d_be, point.sigma, rule, gamma)
     (prob,) = _analytic_column((point.k,), point.n, pg, metric)
     return prob
@@ -423,13 +414,13 @@ def sweep(spec: SweepSpec) -> ResultTable:
     slices = list(itertools.product(spec.d_be, spec.sigma))
     counts, analytic = [], []
     for index, (d_be, sigma) in enumerate(slices):
-        d_ae, d_be_m = _distances(d_be, spec.geometry)
+        d_ae, d_be = build_deployment(d_be, spec.geometry)
         rng = np.random.default_rng(np.random.SeedSequence([spec.base_seed, index]))
         counts.append(slice_successes(
-            rng, spec.trials, spec.k, spec.n_rounds, d_ae, d_be_m,
+            rng, spec.trials, spec.k, spec.n_rounds, d_ae, d_be,
             spec.scenario.replace(sigma=sigma), spec.rule, spec.metric,
         ))
-        pg = _slice_pg(d_ae, d_be_m, sigma, spec.rule, spec.scenario.gamma)
+        pg = _slice_pg(d_ae, d_be, sigma, spec.rule, spec.scenario.gamma)
         analytic.append([_analytic_column(spec.k, n, pg, spec.metric) for n in spec.n_rounds])
     cells = itertools.product(range(len(spec.k)), range(len(spec.n_rounds)), range(len(slices)))
     rows = []

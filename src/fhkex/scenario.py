@@ -1,4 +1,4 @@
-"""Physical playground: node positions, distances, and simulation parameters."""
+"""Scenario inputs: the adversary's distances in two geometries, and the simulation parameters."""
 
 from __future__ import annotations
 
@@ -18,93 +18,33 @@ class ConfigError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class Position:
-    x: float  # meters
-    y: float  # meters
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ConfigError(
-                "invalid-position",
-                f"coordinates must be finite, got ({self.x}, {self.y})",
-            )
-
-
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two positions, in meters."""
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-@dataclass(frozen=True)
-class Deployment:
-    """Positions of the two legitimate nodes and the eavesdropper."""
-
-    alice: Position
-    bob: Position
-    eve: Position
-
-    def __post_init__(self):
-        for label, d in (
-            ("alice/bob", self.d_ab),
-            ("alice/eve", self.d_ae),
-            ("bob/eve", self.d_be),
-        ):
-            if d <= 0.0:
-                raise ConfigError("colocated-nodes", f"{label} are co-located")
-
-    @property
-    def d_ab(self) -> float:
-        return distance(self.alice, self.bob)
-
-    @property
-    def d_ae(self) -> float:
-        return distance(self.alice, self.eve)
-
-    @property
-    def d_be(self) -> float:
-        return distance(self.bob, self.eve)
-
-
 #: Half the default separation of the two legitimate nodes (they sit 50 m apart).
 NODE_HALF_SPACING = 25.0
 
+GEOMETRY_CANONICAL = "canonical"
+GEOMETRY_EQUIDISTANT = "equidistant"
+GEOMETRIES = (GEOMETRY_CANONICAL, GEOMETRY_EQUIDISTANT)
 
-def build_canonical_deployment(d_be: float) -> Deployment:
-    """Collinear deployment: Alice [-25,0], Bob [25,0], Eve [25+d_be, 0].
 
-    Guarantees d_AB = 50 m and d_AE = d_BE + 50 m.
+def build_deployment(d_be: float, geometry: str = GEOMETRY_CANONICAL) -> tuple[float, float]:
+    """The adversary's distances (d_ae, d_be) to Alice and Bob, in meters, from d_be as given.
+
+    Canonical: collinear, Eve d_be behind Bob, who sits 50 m from Alice, so
+    d_ae = d_be + 50. Equidistant: Eve on the perpendicular bisector, d_be
+    from both nodes, which needs d_be >= 25 m (half the node spacing).
     """
     if not math.isfinite(d_be):
         raise ConfigError("invalid-dbe", f"d_be must be finite, got {d_be}")
+    if geometry == GEOMETRY_EQUIDISTANT:
+        if d_be < NODE_HALF_SPACING:
+            raise ConfigError(
+                "invalid-dbe",
+                f"equidistant placement needs d >= {NODE_HALF_SPACING}, got {d_be}",
+            )
+        return d_be, d_be
     if not d_be > 0.0:
         raise ConfigError("invalid-dbe", f"d_be must be positive, got {d_be}")
-    return Deployment(
-        alice=Position(-NODE_HALF_SPACING, 0.0),
-        bob=Position(NODE_HALF_SPACING, 0.0),
-        eve=Position(NODE_HALF_SPACING + d_be, 0.0),
-    )
-
-
-def build_equidistant_deployment(d: float) -> Deployment:
-    """Eve on the perpendicular bisector, at distance d from both nodes.
-
-    Requires d >= 25 m (half the node spacing); below that no planar
-    position is equidistant at distance d.
-    """
-    if not math.isfinite(d):
-        raise ConfigError("invalid-dbe", f"d_be must be finite, got {d}")
-    if d < NODE_HALF_SPACING:
-        raise ConfigError(
-            "invalid-dbe",
-            f"equidistant placement needs d >= {NODE_HALF_SPACING}, got {d}",
-        )
-    h = math.sqrt(d * d - NODE_HALF_SPACING * NODE_HALF_SPACING)
-    return Deployment(
-        alice=Position(-NODE_HALF_SPACING, 0.0),
-        bob=Position(NODE_HALF_SPACING, 0.0),
-        eve=Position(0.0, h),
-    )
+    return d_be + 2 * NODE_HALF_SPACING, d_be
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from fhkex.experiments import (
     sweep,
 )
 from fhkex.protocol import run_session
-from fhkex.scenario import ScenarioConfig, build_canonical_deployment, build_equidistant_deployment
+from fhkex.scenario import ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness
 
 TOY_ALICE = (0, 0, 1, 0, 0, 1)
@@ -103,12 +103,12 @@ def test_criterion_4_adversary_closed_form():
     worst = 0.0
     for d_be in (2.0, 20.0, 35.0):
         for sigma in (2.0, 8.0, 14.0):
-            dep = build_canonical_deployment(d_be)
-            delta = delta_mean_pathloss(dep.d_ae, dep.d_be, cfg.gamma)
+            dep = build_deployment(d_be)
+            delta = delta_mean_pathloss(*dep, cfg.gamma)
             expected = pg_closed_form(delta, sigma)
             rng = np.random.default_rng(int(1000 * d_be + 10 * sigma))
             empirical = estimate_rule_correctness(
-                rng, 10**6, dep.d_ae, dep.d_be, cfg.replace(sigma=sigma), rule=RULE_ML
+                rng, 10**6, *dep, cfg.replace(sigma=sigma), rule=RULE_ML
             )
             err = abs(empirical - expected)
             worst = max(worst, err)
@@ -120,15 +120,15 @@ def test_criterion_5_no_fading_secret_rates():
     n = 10**5
     cfg = ScenarioConfig(sigma=0.0)
 
-    dep = build_equidistant_deployment(60.0)
+    dep = build_deployment(60.0, GEOMETRY_EQUIDISTANT)
     rng = np.random.default_rng(424242)
-    session = simulate_session_counts(rng, n, dep.d_ae, dep.d_be, cfg, rule=RULE_ML)
+    session = simulate_session_counts(rng, n, *dep, cfg, rule=RULE_ML)
     rate_equal = (session.correct.size - int(session.correct.sum())) / n
     assert rate_equal == pytest.approx(0.5, abs=0.005)
 
-    dep = build_canonical_deployment(20.0)
+    dep = build_deployment(20.0)
     rng = np.random.default_rng(424242)
-    session = simulate_session_counts(rng, n, dep.d_ae, dep.d_be, cfg, rule=RULE_ML)
+    session = simulate_session_counts(rng, n, *dep, cfg, rule=RULE_ML)
     rate_unequal = (session.correct.size - int(session.correct.sum())) / n
     assert rate_unequal == 0.0
     _report(
@@ -183,15 +183,15 @@ def test_criterion_6_frontier_trends():
 def test_criterion_7_power_and_reference_invariance():
     base = ScenarioConfig(sigma=8.0, n_rounds=1500)
     shifted = base.replace(pt=base.pt + 23.5, pl0=base.pl0 - 11.75)
-    dep = build_canonical_deployment(20.0)
+    dep = build_deployment(20.0)
 
     for seed in (3, 17, 2029):
         rng_a = np.random.default_rng(seed)
         t_a = run_session(base, rng_a)
-        _, g_a = simulate_eavesdropper(t_a, dep, base, rng_a, rule=RULE_ML)
+        _, g_a = simulate_eavesdropper(t_a, *dep, base, rng_a, rule=RULE_ML)
         rng_b = np.random.default_rng(seed)
         t_b = run_session(shifted, rng_b)
-        _, g_b = simulate_eavesdropper(t_b, dep, shifted, rng_b, rule=RULE_ML)
+        _, g_b = simulate_eavesdropper(t_b, *dep, shifted, rng_b, rule=RULE_ML)
         assert t_a == t_b
         assert g_a == g_b  # every adversary decision unchanged, bit for bit
         assert score_session(t_a, g_a) == score_session(t_b, g_b)

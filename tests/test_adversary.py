@@ -13,7 +13,6 @@ from fhkex.adversary import (
     KIND_COLLISION,
     RULE_ML,
     RULE_RANDOM,
-    EveKnowledge,
     Guess,
     Observation,
     SecrecyReport,
@@ -26,22 +25,14 @@ from fhkex.adversary import (
     simulate_eavesdropper,
     write_adversary_trace_csv,
 )
-from fhkex.channel import PathLossParams
+from fhkex.channel import delta_mean_pathloss
 from oracle import trace_columns, trace_csv_text
 from fhkex.protocol import Collision, SharedBit, run_session
-from fhkex.scenario import (
-    Deployment,
-    ScenarioConfig,
-    build_canonical_deployment,
-    build_equidistant_deployment,
-)
+from fhkex.scenario import GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 
 NO_FADING = ScenarioConfig(sigma=0.0)
-CANONICAL_20 = build_canonical_deployment(20.0)  # d_ae = 70, d_be = 20
-
-
-def _knowledge(deployment, cfg, rule=RULE_ML):
-    return EveKnowledge.from_scenario(deployment, cfg, rule=rule)
+CANONICAL_20 = build_deployment(20.0)  # d_ae = 70, d_be = 20
+EQUIDISTANT_60 = build_deployment(60.0, GEOMETRY_EQUIDISTANT)
 
 
 def test_observation_invariants():
@@ -56,26 +47,25 @@ def test_observation_invariants():
 def test_observe_bit_round_without_fading():
     outcome = SharedBit(value=0, alice_freq="f0", bob_freq="f1")
     rng = np.random.default_rng(0)
-    obs = observe_round(outcome, CANONICAL_20, NO_FADING, rng, slot=3)
+    obs = observe_round(outcome, *CANONICAL_20, NO_FADING, rng, slot=3)
     assert obs.kind == KIND_BIT
     assert obs.rss_f0 == pytest.approx(-84.578431400499, abs=1e-9)  # Alice at 70 m
     assert obs.rss_f1 == pytest.approx(-65.53604984823934, abs=1e-9)  # Bob at 20 m
 
     flipped = SharedBit(value=1, alice_freq="f1", bob_freq="f0")
-    obs = observe_round(flipped, CANONICAL_20, NO_FADING, rng)
+    obs = observe_round(flipped, *CANONICAL_20, NO_FADING, rng)
     assert obs.rss_f1 == pytest.approx(-84.578431400499, abs=1e-9)
     assert obs.rss_f0 == pytest.approx(-65.53604984823934, abs=1e-9)
 
 
 def test_observe_equidistant_samples_equal():
-    dep = build_equidistant_deployment(60.0)
     outcome = SharedBit(value=0, alice_freq="f0", bob_freq="f1")
-    obs = observe_round(outcome, dep, NO_FADING, np.random.default_rng(0))
+    obs = observe_round(outcome, *EQUIDISTANT_60, NO_FADING, np.random.default_rng(0))
     assert obs.rss_f0 == obs.rss_f1
 
 
 def test_observe_collision_round_is_flagged_only():
-    obs = observe_round(Collision(freq="f0"), CANONICAL_20, NO_FADING, np.random.default_rng(0), slot=9)
+    obs = observe_round(Collision(freq="f0"), *CANONICAL_20, NO_FADING, np.random.default_rng(0), slot=9)
     assert obs.kind == KIND_COLLISION
     assert obs.rss_f0 is None and obs.rss_f1 is None
 
@@ -84,58 +74,57 @@ def test_observe_draw_counts():
     cfg = ScenarioConfig(sigma=8.0)
     outcome = SharedBit(value=0, alice_freq="f0", bob_freq="f1")
     rng = np.random.default_rng(21)
-    observe_round(outcome, CANONICAL_20, cfg, rng)
+    observe_round(outcome, *CANONICAL_20, cfg, rng)
     ref = np.random.default_rng(21)
     ref.standard_normal()
     ref.standard_normal()
     assert rng.standard_normal() == ref.standard_normal()
 
     rng2 = np.random.default_rng(22)
-    observe_round(Collision(freq="f1"), CANONICAL_20, cfg, rng2)
+    observe_round(Collision(freq="f1"), *CANONICAL_20, cfg, rng2)
     assert rng2.standard_normal() == np.random.default_rng(22).standard_normal()
 
 
 def test_ml_always_correct_without_fading():
-    knowledge = _knowledge(CANONICAL_20, NO_FADING)
+    delta = delta_mean_pathloss(*CANONICAL_20, NO_FADING.gamma)
     rng = np.random.default_rng(0)
     for value, af, bf in [(0, "f0", "f1"), (1, "f1", "f0")]:
         outcome = SharedBit(value=value, alice_freq=af, bob_freq=bf)
-        obs = observe_round(outcome, CANONICAL_20, NO_FADING, rng)
-        assert classify_ml(obs, knowledge).decision == value
+        obs = observe_round(outcome, *CANONICAL_20, NO_FADING, rng)
+        assert classify_ml(obs, delta).decision == value
 
 
 def test_ml_abstains_when_equidistant():
-    dep = build_equidistant_deployment(60.0)
-    knowledge = _knowledge(dep, NO_FADING)
+    delta = delta_mean_pathloss(*EQUIDISTANT_60, NO_FADING.gamma)
     outcome = SharedBit(value=1, alice_freq="f1", bob_freq="f0")
-    obs = observe_round(outcome, dep, NO_FADING, np.random.default_rng(0))
-    assert classify_ml(obs, knowledge).decision is None
+    obs = observe_round(outcome, *EQUIDISTANT_60, NO_FADING, np.random.default_rng(0))
+    assert classify_ml(obs, delta).decision is None
 
 
 def test_ml_rejects_collision_observation():
-    knowledge = _knowledge(CANONICAL_20, NO_FADING)
+    delta = delta_mean_pathloss(*CANONICAL_20, NO_FADING.gamma)
     with pytest.raises(ValueError):
-        classify_ml(Observation(slot=1, kind=KIND_COLLISION), knowledge)
+        classify_ml(Observation(slot=1, kind=KIND_COLLISION), delta)
 
 
 def test_ml_matches_closed_form_at_sigma8():
     cfg = ScenarioConfig(sigma=8.0)
-    dep = CANONICAL_20
-    knowledge = _knowledge(dep, cfg)
+    d_ae, d_be = CANONICAL_20
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     rng = np.random.default_rng(1000)
     n = 10**6
     # vectorized mirror of observe_round + classify_ml
     values = rng.integers(0, 2, size=n)
     noise = rng.standard_normal((n, 2))
-    pl_ae = 40.0 + 35.0 * math.log10(dep.d_ae)
-    pl_be = 40.0 + 35.0 * math.log10(dep.d_be)
+    pl_ae = 40.0 + 35.0 * math.log10(d_ae)
+    pl_be = 40.0 + 35.0 * math.log10(d_be)
     s_alice = 20.0 - (pl_ae + 8.0 * noise[:, 0])
     s_bob = 20.0 - (pl_be + 8.0 * noise[:, 1])
     rss_f0 = np.where(values == 0, s_alice, s_bob)
     rss_f1 = np.where(values == 0, s_bob, s_alice)
-    score = (rss_f0 - rss_f1) * knowledge.delta
+    score = (rss_f0 - rss_f1) * delta
     correct = np.where(score > 0, values == 1, np.where(score < 0, values == 0, False))
-    expected = pg_closed_form(knowledge.delta, 8.0)
+    expected = pg_closed_form(delta, 8.0)
     assert expected == pytest.approx(0.95382451734016105, abs=1e-12)
     assert correct.mean() == pytest.approx(expected, abs=0.002)
 
@@ -197,7 +186,7 @@ def test_pg_closed_form_matches_scipy_ndtr(delta, sigma):
 def _session_with_guesses(cfg, dep, rule, seed):
     rng = np.random.default_rng(seed)
     transcript = run_session(cfg, rng)
-    observations, guesses = simulate_eavesdropper(transcript, dep, cfg, rng, rule=rule)
+    observations, guesses = simulate_eavesdropper(transcript, *dep, cfg, rng, rule=rule)
     return transcript, observations, guesses
 
 
@@ -250,10 +239,8 @@ def test_decisions_invariant_under_power_and_reference_shift():
 
 def test_swapped_positions_flip_decisions():
     cfg = ScenarioConfig(sigma=8.0)
-    knowledge = _knowledge(CANONICAL_20, cfg)
-    swapped = EveKnowledge(
-        d_ae=knowledge.d_be, d_be=knowledge.d_ae, params=knowledge.params, sigma=knowledge.sigma
-    )
+    delta = delta_mean_pathloss(*CANONICAL_20, cfg.gamma)
+    swapped = delta_mean_pathloss(*CANONICAL_20[::-1], cfg.gamma)
     rng = np.random.default_rng(77)
     for _ in range(200):
         value = int(rng.integers(0, 2))
@@ -262,8 +249,8 @@ def test_swapped_positions_flip_decisions():
             alice_freq="f0" if value == 0 else "f1",
             bob_freq="f1" if value == 0 else "f0",
         )
-        obs = observe_round(outcome, CANONICAL_20, cfg, rng)
-        original = classify_ml(obs, knowledge).decision
+        obs = observe_round(outcome, *CANONICAL_20, cfg, rng)
+        original = classify_ml(obs, delta).decision
         mirrored = classify_ml(obs, swapped).decision
         if original is None:
             assert mirrored is None
@@ -274,7 +261,7 @@ def test_swapped_positions_flip_decisions():
 def test_swapped_positions_preserve_correctness_rate():
     cfg = ScenarioConfig(sigma=8.0, n_rounds=4 * 10**4)
     dep = CANONICAL_20
-    mirrored = Deployment(alice=dep.bob, bob=dep.alice, eve=dep.eve)
+    mirrored = dep[::-1]
     t1, _, g1 = _session_with_guesses(cfg, dep, RULE_ML, seed=5)
     t2, _, g2 = _session_with_guesses(cfg, mirrored, RULE_ML, seed=5)
     r1 = score_session(t1, g1)
@@ -299,8 +286,8 @@ def test_adversary_trace_csv():
     cases = [
         (ScenarioConfig(sigma=8.0, n_rounds=20), CANONICAL_20, RULE_ML, 3),
         # far off, Eve calls little better than a coin: wrong calls of both values
-        (ScenarioConfig(sigma=8.0, n_rounds=40), build_canonical_deployment(300.0), RULE_ML, 3),
-        (ScenarioConfig(sigma=8.0, n_rounds=20), build_equidistant_deployment(60.0), RULE_ML, 3),
+        (ScenarioConfig(sigma=8.0, n_rounds=40), build_deployment(300.0), RULE_ML, 3),
+        (ScenarioConfig(sigma=8.0, n_rounds=20), EQUIDISTANT_60, RULE_ML, 3),
         (ScenarioConfig(sigma=8.0, n_rounds=20), CANONICAL_20, RULE_RANDOM, 3),
     ]
     # by hand: Alice transmits on f_value, so value 1 puts Bob's sample on f0

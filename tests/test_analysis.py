@@ -11,7 +11,6 @@ import fhkex.analysis
 from fhkex.analysis import (
     InfeasibleError,
     KeyRequest,
-    PrivacyRegion,
     Probability,
     fading_pb,
     key_prob,
@@ -20,7 +19,6 @@ from fhkex.analysis import (
     privacy_radius,
     secret_bit_prob,
 )
-from fhkex.scenario import Position
 from oracle import baseline_pg
 
 # Frozen oracle values, precomputed with scipy.stats.binom.sf and cross-checked
@@ -90,12 +88,6 @@ def test_key_request_validation():
         KeyRequest(k=64, target=1.0)
     with pytest.raises(ValueError):
         KeyRequest(k=64, target=0.0)
-
-
-def test_privacy_region_validation():
-    PrivacyRegion(center=Position(25.0, 0.0), radius=0.0)
-    with pytest.raises(ValueError):
-        PrivacyRegion(center=Position(25.0, 0.0), radius=-1.0)
 
 
 def test_secret_bit_prob():
@@ -301,31 +293,29 @@ def test_privacy_radius_infeasible_cases():
 
 def test_privacy_radius_overwhelming_transmissions():
     # a million slots pin the radius to a few meters (oracle: 3.72498944803828)
-    region = privacy_radius(KeyRequest(k=64, target=0.99), n=10**6, sigma=8.0)
-    assert region.radius == pytest.approx(3.72498944803828, abs=1e-4)
-    assert region.center == Position(25.0, 0.0)
+    radius = privacy_radius(KeyRequest(k=64, target=0.99), n=10**6, sigma=8.0)
+    assert radius == pytest.approx(3.72498944803828, abs=1e-4)
     # with billions the radius collapses onto the modeled minimum distance
-    region = privacy_radius(KeyRequest(k=64, target=0.99), n=4 * 10**9, sigma=8.0)
-    assert region.radius == 1.0
+    radius = privacy_radius(KeyRequest(k=64, target=0.99), n=4 * 10**9, sigma=8.0)
+    assert radius == 1.0
 
 
 def test_privacy_radius_matches_frozen_fixture():
-    region = privacy_radius(KeyRequest(k=64, target=0.99), n=400, sigma=8.0)
-    assert region.radius == pytest.approx(ORACLE_PRIVACY_RADIUS_400, abs=1e-4)
+    radius = privacy_radius(KeyRequest(k=64, target=0.99), n=400, sigma=8.0)
+    assert radius == pytest.approx(ORACLE_PRIVACY_RADIUS_400, abs=1e-4)
     # boundary behaviour: met just above, unmet just below
-    above = float(key_prob(64, 400, fading_pb(region.radius + 1e-5, 8.0)))
-    below = float(key_prob(64, 400, fading_pb(region.radius - 1e-3, 8.0)))
+    above = float(key_prob(64, 400, fading_pb(radius + 1e-5, 8.0)))
+    below = float(key_prob(64, 400, fading_pb(radius - 1e-3, 8.0)))
     assert above >= 0.99 > below
 
 
-def bisection_privacy_radius(req, n, sigma, gamma=3.5, d_ab=50.0, d_min=1.0, tol=1e-6):
-    """The radius search before the secant, verbatim: doubling, then bisection to tol."""
-    center = Position(d_ab / 2.0, 0.0)  # the node the adversary approaches
+def bisection_privacy_radius(req, n, sigma, gamma=3.5, d_min=1.0, tol=1e-6):
+    """The radius search before the secant: doubling, then bisection to tol."""
     if n < req.k:
         raise InfeasibleError(f"n = {n} transmissions cannot yield a {req.k}-bit key")
 
     def met(d_be: float) -> bool:
-        return key_prob(req.k, n, fading_pb(d_be, sigma, gamma, d_ab)) >= req.target
+        return key_prob(req.k, n, fading_pb(d_be, sigma, gamma)) >= req.target
 
     far = 1e12  # proxy for the d_be -> infinity limit
     if not met(far):
@@ -333,7 +323,7 @@ def bisection_privacy_radius(req, n, sigma, gamma=3.5, d_ab=50.0, d_min=1.0, tol
             f"target {req.target} unreachable for k={req.k}, n={n}, sigma={sigma}"
         )
     if met(d_min):
-        return PrivacyRegion(center=center, radius=d_min)
+        return d_min
     lo = d_min
     hi = 2.0 * d_min
     while not met(hi):
@@ -345,7 +335,7 @@ def bisection_privacy_radius(req, n, sigma, gamma=3.5, d_ab=50.0, d_min=1.0, tol
             hi = mid
         else:
             lo = mid
-    return PrivacyRegion(center=center, radius=hi)
+    return hi
 
 
 def test_privacy_radius_agrees_with_bisection():
@@ -353,17 +343,17 @@ def test_privacy_radius_agrees_with_bisection():
     for n, sigma, k in itertools.product((400, 1000, 5000, 20000), (2.0, 4.0, 8.0), (64, 128, 256)):
         req = KeyRequest(k=k, target=0.99)
         try:
-            want = bisection_privacy_radius(req, n, sigma).radius
+            want = bisection_privacy_radius(req, n, sigma)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 privacy_radius(req, n, sigma)
             continue
         feasible += 1
-        region = privacy_radius(req, n, sigma)
-        assert abs(region.radius - want) <= 1e-6
-        if region.radius > 1.0:  # the target is met at the radius and missed tol below it
-            assert float(key_prob(k, n, fading_pb(region.radius, sigma))) >= 0.99
-            assert float(key_prob(k, n, fading_pb(region.radius - 1e-6, sigma))) < 0.99
+        radius = privacy_radius(req, n, sigma)
+        assert abs(radius - want) <= 1e-6
+        if radius > 1.0:  # the target is met at the radius and missed tol below it
+            assert float(key_prob(k, n, fading_pb(radius, sigma))) >= 0.99
+            assert float(key_prob(k, n, fading_pb(radius - 1e-6, sigma))) < 0.99
     assert feasible >= 20
 
 
@@ -383,13 +373,13 @@ def test_privacy_radius_evaluation_count(monkeypatch):
 
 
 def test_privacy_radius_monotone_trends():
-    r_400 = privacy_radius(KeyRequest(k=64, target=0.99), n=400, sigma=8.0).radius
-    r_500 = privacy_radius(KeyRequest(k=64, target=0.99), n=500, sigma=8.0).radius
+    r_400 = privacy_radius(KeyRequest(k=64, target=0.99), n=400, sigma=8.0)
+    r_500 = privacy_radius(KeyRequest(k=64, target=0.99), n=500, sigma=8.0)
     assert r_500 < r_400  # more transmissions shrink the exposed region
 
-    r_sigma14 = privacy_radius(KeyRequest(k=64, target=0.99), n=400, sigma=14.0).radius
+    r_sigma14 = privacy_radius(KeyRequest(k=64, target=0.99), n=400, sigma=14.0)
     assert r_sigma14 < r_400  # stronger fading shrinks it too
 
-    r_k64 = privacy_radius(KeyRequest(k=64, target=0.99), n=700, sigma=8.0).radius
-    r_k128 = privacy_radius(KeyRequest(k=128, target=0.99), n=700, sigma=8.0).radius
+    r_k64 = privacy_radius(KeyRequest(k=64, target=0.99), n=700, sigma=8.0)
+    r_k128 = privacy_radius(KeyRequest(k=128, target=0.99), n=700, sigma=8.0)
     assert r_k128 > r_k64  # larger keys push the region outward

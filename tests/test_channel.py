@@ -6,71 +6,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhkex.channel import (
-    PathLossParams,
-    RssSample,
-    ShadowingParams,
     delta_mean_pathloss,
     path_loss_deterministic,
     path_loss_shadowed,
     rss,
 )
+from fhkex.scenario import ScenarioConfig
 
-PLP = PathLossParams(pl0=40.0, gamma=3.5, d0=1.0)
-NO_FADING = ShadowingParams(sigma=0.0)
-
-
-def test_param_validation():
-    with pytest.raises(ValueError):
-        PathLossParams(gamma=0.0)
-    with pytest.raises(ValueError):
-        PathLossParams(d0=-1.0)
-    with pytest.raises(ValueError):
-        ShadowingParams(sigma=-0.5)
-    with pytest.raises(ValueError):
-        RssSample(value=float("inf"))
+NO_FADING = ScenarioConfig(sigma=0.0)  # pl0 40 dB, gamma 3.5, d0 1 m, pt 20 dBm
 
 
 def test_deterministic_loss_reference_distance():
-    assert path_loss_deterministic(1.0, PLP) == 40.0
+    assert path_loss_deterministic(1.0, NO_FADING) == 40.0
 
 
 def test_deterministic_loss_values():
-    assert path_loss_deterministic(10.0, PLP) == pytest.approx(75.0, abs=1e-12)
-    assert path_loss_deterministic(50.0, PLP) == pytest.approx(99.46395015176066, abs=1e-9)
+    assert path_loss_deterministic(10.0, NO_FADING) == pytest.approx(75.0, abs=1e-12)
+    assert path_loss_deterministic(50.0, NO_FADING) == pytest.approx(99.46395015176066, abs=1e-9)
 
 
 def test_deterministic_loss_below_reference_rejected():
     with pytest.raises(ValueError):
-        path_loss_deterministic(0.5, PLP)
+        path_loss_deterministic(0.5, NO_FADING)
 
 
 def test_deterministic_loss_strictly_increasing():
     grid = np.geomspace(1.0, 1e4, 200)
-    losses = [path_loss_deterministic(d, PLP) for d in grid]
+    losses = [path_loss_deterministic(d, NO_FADING) for d in grid]
     assert all(b > a for a, b in zip(losses, losses[1:]))
 
 
 def test_shadowed_loss_degenerates_without_fading():
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert path_loss_shadowed(10.0, PLP, NO_FADING, rng) == 75.0
+        assert path_loss_shadowed(10.0, NO_FADING, rng) == 75.0
 
 
 def test_shadowed_loss_consumes_exactly_one_draw():
-    s = ShadowingParams(sigma=8.0)
+    s = ScenarioConfig(sigma=8.0)
     rng = np.random.default_rng(42)
-    value = path_loss_shadowed(50.0, PLP, s, rng)
+    value = path_loss_shadowed(50.0, s, rng)
     follower = rng.standard_normal()
 
     ref = np.random.default_rng(42)
     first = ref.standard_normal()
     second = ref.standard_normal()
-    assert value == path_loss_deterministic(50.0, PLP) + 8.0 * first
+    assert value == path_loss_deterministic(50.0, NO_FADING) + 8.0 * first
     assert follower == second
 
     # the draw happens even when sigma = 0, keeping replay streams aligned
     rng_a = np.random.default_rng(7)
-    path_loss_shadowed(50.0, PLP, NO_FADING, rng_a)
+    path_loss_shadowed(50.0, NO_FADING, rng_a)
     rng_b = np.random.default_rng(7)
     rng_b.standard_normal()
     assert rng_a.standard_normal() == rng_b.standard_normal()
@@ -78,10 +64,10 @@ def test_shadowed_loss_consumes_exactly_one_draw():
 
 def test_shadowed_loss_moments_sigma8():
     rng = np.random.default_rng(2024)
-    s = ShadowingParams(sigma=8.0)
+    s = ScenarioConfig(sigma=8.0)
     n = 10**6
-    det = path_loss_deterministic(50.0, PLP)
-    samples = np.array([path_loss_shadowed(50.0, PLP, s, rng) for _ in range(n)])
+    det = path_loss_deterministic(50.0, NO_FADING)
+    samples = np.array([path_loss_shadowed(50.0, s, rng) for _ in range(n)])
     assert samples.mean() == pytest.approx(99.46395015176066, abs=0.03)
     assert samples.std() == pytest.approx(8.0, abs=0.03)
     # the sample mean converges onto the deterministic loss
@@ -90,42 +76,42 @@ def test_shadowed_loss_moments_sigma8():
 
 def test_shadowed_loss_moments_sigma14():
     rng = np.random.default_rng(99)
-    s = ShadowingParams(sigma=14.0)
+    s = ScenarioConfig(sigma=14.0)
     samples = 40.0 + 35.0 * math.log10(50.0) + 14.0 * rng.standard_normal(10**6)
     # the implementation must match these moments draw for draw
     rng2 = np.random.default_rng(99)
-    impl = np.array([path_loss_shadowed(50.0, PLP, s, rng2) for _ in range(1000)])
+    impl = np.array([path_loss_shadowed(50.0, s, rng2) for _ in range(1000)])
     assert np.array_equal(impl, samples[:1000])
     assert samples.std() == pytest.approx(14.0, abs=0.05)
 
 
 def test_identical_seeds_replay_bit_exact():
-    s = ShadowingParams(sigma=8.0)
+    s = ScenarioConfig(sigma=8.0)
     a = np.random.default_rng(1234)
     b = np.random.default_rng(1234)
-    seq_a = [path_loss_shadowed(d, PLP, s, a) for d in (1.0, 10.0, 50.0, 70.0)]
-    seq_b = [path_loss_shadowed(d, PLP, s, b) for d in (1.0, 10.0, 50.0, 70.0)]
+    seq_a = [path_loss_shadowed(d, s, a) for d in (1.0, 10.0, 50.0, 70.0)]
+    seq_b = [path_loss_shadowed(d, s, b) for d in (1.0, 10.0, 50.0, 70.0)]
     assert seq_a == seq_b
 
 
 def test_rss_values_without_fading():
     rng = np.random.default_rng(0)
-    assert rss(20.0, 1.0, PLP, NO_FADING, rng).value == -20.0
-    assert rss(20.0, 50.0, PLP, NO_FADING, rng).value == pytest.approx(-79.46395015176066, abs=1e-9)
+    assert rss(1.0, NO_FADING, rng) == -20.0
+    assert rss(50.0, NO_FADING, rng) == pytest.approx(-79.46395015176066, abs=1e-9)
 
 
 def test_rss_linear_in_transmit_power():
     rng = np.random.default_rng(0)
     for d in (1.0, 10.0, 50.0, 500.0):
-        low = rss(20.0, d, PLP, NO_FADING, rng).value
-        high = rss(30.0, d, PLP, NO_FADING, rng).value
+        low = rss(d, NO_FADING, rng)
+        high = rss(d, NO_FADING.replace(pt=30.0), rng)
         assert high - low == pytest.approx(10.0, abs=1e-9)
 
 
 def test_rss_strictly_decreasing_in_distance():
     rng = np.random.default_rng(0)
     grid = np.geomspace(1.0, 1e4, 100)
-    values = [rss(20.0, d, PLP, NO_FADING, rng).value for d in grid]
+    values = [rss(d, NO_FADING, rng) for d in grid]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 

@@ -24,7 +24,7 @@ from fhkex.cli import (
     main,
 )
 from fhkex.experiments import SLOT_BUDGET
-from fhkex.scenario import CONFIG_FIELDS, ConfigError, ScenarioConfig, build_canonical_deployment
+from fhkex.scenario import CONFIG_FIELDS, ConfigError, ScenarioConfig, build_deployment
 from oracle import trace_csv_text, transcript_text
 
 
@@ -63,7 +63,7 @@ def test_analyze_channel_route(capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "p_b = 0.0230877" in out
-    assert "privacy radius at N=400: 267.677 m" in out
+    assert "privacy radius at N=400: 267.677 m around (25.0, 0.0)" in out
 
 
 @pytest.mark.parametrize("d0", ["1", "5", "30"])
@@ -403,8 +403,9 @@ def _oracle_session_files(cfg, rule, d_be, dest):
     """transcript.csv and eve_trace.csv from the per-round engine, seeded as the CLI seeds."""
     rng = np.random.default_rng(cfg.seed)
     transcript = protocol.run_session(cfg, rng)
-    dep = build_canonical_deployment(d_be)
-    observations, guesses = adversary.simulate_eavesdropper(transcript, dep, cfg, rng, rule=rule)
+    observations, guesses = adversary.simulate_eavesdropper(
+        transcript, *build_deployment(d_be), cfg, rng, rule=rule
+    )
     (dest / "transcript.csv").write_text(transcript_text(transcript, cfg.seed))
     (dest / "eve_trace.csv").write_text(trace_csv_text(transcript, observations, guesses))
 
@@ -426,11 +427,7 @@ def test_session_files_match_per_round_oracle(tmp_path, capsys, rule, sigma, n):
         assert (cli_dir / name).read_bytes() == (oracle_dir / name).read_bytes()
 
 
-# at d_be = d0 = 0.7 the collinear placement puts the adversary at 0.6999999999999993 m,
-# which the path-loss model refuses: the run still ends before any file is written
-@pytest.mark.parametrize(
-    "args", [["--d-be", "0.5"], ["--d0", "30", "--d-be", "20"], ["--d0", "0.7", "--d-be", "0.7"]]
-)
+@pytest.mark.parametrize("args", [["--d-be", "0.5"], ["--d0", "30", "--d-be", "20"]])
 def test_session_rejects_adversary_below_reference_distance(tmp_path, capsys, args):
     code = main(["session", "--seed", "1", "--n-rounds", "20", "--eve", *args, "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -439,6 +436,16 @@ def test_session_rejects_adversary_below_reference_distance(tmp_path, capsys, ar
     assert err.startswith("error: invalid-value:")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_session_accepts_adversary_at_reference_distance(tmp_path, capsys):
+    # the typed distance is the modeled one, so d_be = d0 is admitted
+    args = ["session", "--seed", "1", "--n-rounds", "20", "--eve", "--d0", "0.7", "--d-be", "0.7"]
+    assert main([*args, "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eve_trace.csv", "transcript.csv"]
+    rows = (tmp_path / "eve_trace.csv").read_text().splitlines()
+    assert len(rows) == 21
 
 
 @pytest.mark.parametrize("seeded", [True, False])
@@ -528,4 +535,20 @@ def test_sweep_sigma_axis_checked_before_any_work(tmp_path, capsys, monkeypatch,
     assert err.startswith("error: invalid-sigma:") and err.count("\n") == 1
     if sigmas != "-3":  # inf and nan are named as non-finite, not as out of range
         assert f"sigma must be finite, got {sigmas.split(',')[-1]}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("axis", [["--k-list", "8,16"], ["--sigma-list", "0,8"]])
+@pytest.mark.parametrize("seeded", [True, False])
+def test_frontier_refuses_several_slices_before_any_work(tmp_path, capsys, monkeypatch, axis, seeded):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a sweep that frontier cannot use")
+
+    monkeypatch.setattr(experiments, "slice_successes", refuse)
+    seed = ["--seed", "1"] if seeded else []
+    args = ["frontier", *seed, "--n-list", "20,40", "--trials", "10", *axis, "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid-value: frontier needs a single (k, sigma, rule, metric) slice, got 2\n"
     assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhkex.adversary import RULE_ML, RULE_RANDOM, rss_samples, score_session, simulate_eavesdropper
-from fhkex.analysis import key_prob
+from fhkex.analysis import fading_pb, key_prob
 from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import (
     BLOCK_SLOTS,
@@ -39,7 +39,7 @@ from fhkex.experiments import (
     write_result_csv,
 )
 from fhkex.protocol import run_session
-from fhkex.scenario import ScenarioConfig, build_canonical_deployment
+from fhkex.scenario import ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness, trace_columns
 
 
@@ -75,14 +75,14 @@ def test_bulk_rng_draws_match_single_draws():
 ])
 def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
     cfg = ScenarioConfig(sigma=sigma, n_rounds=400)
-    dep = build_canonical_deployment(20.0)
+    dep = build_deployment(20.0)
     rng_obj = np.random.default_rng(seed)
     transcript = run_session(cfg, rng_obj)
-    observations, guesses = simulate_eavesdropper(transcript, dep, cfg, rng_obj, rule=rule)
+    observations, guesses = simulate_eavesdropper(transcript, *dep, cfg, rng_obj, rule=rule)
     report = score_session(transcript, guesses)
 
     rng_vec = np.random.default_rng(seed)
-    session = simulate_session_counts(rng_vec, cfg.n_rounds, dep.d_ae, dep.d_be, cfg, rule=rule)
+    session = simulate_session_counts(rng_vec, cfg.n_rounds, *dep, cfg, rule=rule)
     assert session.correct.size == report.generated
     assert int(session.correct.sum()) == report.guessed_correct
     # draw for draw: the same bits, samples and calls, and both streams end
@@ -102,11 +102,11 @@ def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
 @pytest.mark.parametrize("seed", [1, 99, 12345])
 def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, seed):
     cfg = ScenarioConfig(sigma=sigma)
-    dep = build_canonical_deployment(20.0)
+    dep = build_deployment(20.0)
     rng_session, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
-    session = simulate_session_counts(rng_session, 400, dep.d_ae, dep.d_be, cfg, rule=rule)
+    session = simulate_session_counts(rng_session, 400, *dep, cfg, rule=rule)
     generated, correct = session.correct.size, session.correct
-    gen_mask, secret = simulate_session_block(rng_block, 1, 400, dep.d_ae, dep.d_be, cfg, rule=rule)
+    gen_mask, secret = simulate_session_block(rng_block, 1, 400, *dep, cfg, rule=rule)
     wrong = np.flatnonzero(~correct)
     missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
     assert int(gen_mask.sum()) == generated == secret.size
@@ -125,12 +125,12 @@ def test_rows_read_session_prefixes(metric, rule, seed):
     # one trial: row (k, n) must judge the first n slots of the single
     # session by the per-trial success rule
     cfg = ScenarioConfig(sigma=8.0)
-    dep = build_canonical_deployment(20.0)
+    dep = build_deployment(20.0)
     ks, ns = (0, 1, 2, 5, 10, 30), (1, 2, 5, 17, 40, 80, 120)
     bits = _coins(np.random.default_rng(seed), 2 * ns[-1])  # the session's first draw
     bit_slots = np.flatnonzero(bits[0::2] != bits[1::2])
     correct = simulate_session_counts(
-        np.random.default_rng(seed), ns[-1], dep.d_ae, dep.d_be, cfg, rule=rule
+        np.random.default_rng(seed), ns[-1], *dep, cfg, rule=rule
     ).correct
     expected = []
     for k in ks:
@@ -141,7 +141,7 @@ def test_rows_read_session_prefixes(metric, rule, seed):
             else:
                 expected.append(generated - int(correct[:generated].sum()) >= k)
     counts = slice_successes(
-        np.random.default_rng(seed), 1, ks, ns, dep.d_ae, dep.d_be, cfg, rule, metric
+        np.random.default_rng(seed), 1, ks, ns, *dep, cfg, rule, metric
     )
     assert counts.ravel().tolist() == [int(e) for e in expected]
 
@@ -388,13 +388,24 @@ def test_run_grid_point_rejects_distances_below_reference():
 def test_analytic_prob_composition():
     point = GridPoint(index=0, k=64, n=300, d_be=20.0, sigma=8.0)
     value = analytic_prob(point, RULE_ML, METRIC_PER_BIT, "canonical", gamma=3.5)
-    from fhkex.analysis import fading_pb
-
     assert value == pytest.approx(float(key_prob(64, 300, fading_pb(20.0, 8.0))), abs=1e-12)
 
     # random rule: secret rate one quarter regardless of geometry
     value = analytic_prob(point, RULE_RANDOM, METRIC_PER_BIT, "canonical", gamma=3.5)
     assert value == pytest.approx(float(key_prob(64, 300, 0.25)), abs=1e-12)
+
+
+@pytest.mark.parametrize("d_be", [0.7, 12.3, 0.1 + 0.2])
+def test_sweep_analytic_column_reads_the_typed_distance(d_be):
+    # the sweep and the closed form place the adversary from the same typed distance,
+    # including ones that do not survive a round trip through x = 25 + d_be
+    spec = SweepSpec(
+        k=(1, 4, 16), n_rounds=(40, 200, 600), d_be=(d_be,), sigma=(8.0, 20.0), trials=1,
+        scenario=ScenarioConfig(d0=0.1),
+    )
+    for row in sweep(spec).rows:
+        assert row.d_be == d_be
+        assert row.p_analytic == float(key_prob(row.k, row.n, fading_pb(d_be, row.sigma)))
 
 
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])

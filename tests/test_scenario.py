@@ -6,99 +6,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhkex.scenario import (
+    GEOMETRY_CANONICAL,
+    GEOMETRY_EQUIDISTANT,
     ConfigError,
-    Deployment,
-    Position,
     ScenarioConfig,
-    build_canonical_deployment,
-    build_equidistant_deployment,
-    distance,
+    build_deployment,
     load_config,
     validate_config,
 )
 
-coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-positions = st.builds(Position, coords, coords)
-
-
-def test_distance_identity():
-    assert distance(Position(0, 0), Position(0, 0)) == 0.0
-
-
-def test_distance_axis_aligned():
-    assert distance(Position(-25, 0), Position(25, 0)) == 50.0
-    assert distance(Position(25, 0), Position(45, 0)) == 20.0
-
-
-@given(positions, positions)
-@settings(deadline=None)
-def test_distance_symmetric(a, b):
-    assert distance(a, b) == distance(b, a)
-    assert distance(a, b) >= 0.0
-
-
-@given(positions, positions, positions)
-@settings(deadline=None)
-def test_distance_triangle_inequality(a, b, c):
-    assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
-
-
-def test_position_must_be_finite():
-    with pytest.raises(ConfigError):
-        Position(float("nan"), 0.0)
-    with pytest.raises(ConfigError):
-        Position(0.0, float("inf"))
-
 
 def test_canonical_deployment_distances():
-    dep = build_canonical_deployment(20.0)
-    assert dep.d_ab == 50.0
-    assert dep.d_ae == 70.0
-    assert dep.d_be == 20.0
-
-    dep = build_canonical_deployment(2.0)
-    assert dep.d_ae == 52.0
-    assert dep.d_be == 2.0
-
-    dep = build_canonical_deployment(50.0)
-    assert dep.d_ae == 100.0
-    assert dep.d_be == 50.0
-    assert dep.d_ae / dep.d_be == 2.0
+    assert build_deployment(20.0) == (70.0, 20.0)
+    assert build_deployment(2.0) == (52.0, 2.0)
+    d_ae, d_be = build_deployment(50.0)
+    assert (d_ae, d_be) == (100.0, 50.0)
+    assert d_ae / d_be == 2.0
 
 
 @pytest.mark.parametrize("d_be", [2.0, 12.25, 20.0, 50.0, 1024.0])
 def test_canonical_gap_exact_for_dyadic_distances(d_be):
-    dep = build_canonical_deployment(d_be)
-    assert dep.d_ae - dep.d_be == 50.0
+    d_ae, d_be = build_deployment(d_be)
+    assert d_ae - d_be == 50.0
 
 
 @given(st.floats(min_value=1e-3, max_value=1e6, allow_nan=False))
 @settings(deadline=None)
 def test_canonical_gap_for_arbitrary_distances(d_be):
-    dep = build_canonical_deployment(d_be)
-    assert dep.d_ae - dep.d_be == pytest.approx(50.0, abs=1e-9)
+    d_ae, d_be_out = build_deployment(d_be)
+    assert d_be_out == d_be  # the distance as given
+    assert d_ae - d_be == pytest.approx(50.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
 def test_canonical_rejects_nonpositive(bad):
     with pytest.raises(ConfigError) as err:
-        build_canonical_deployment(bad)
+        build_deployment(bad)
     assert err.value.code == "invalid-dbe"
 
 
 def test_equidistant_deployment():
-    dep = build_equidistant_deployment(60.0)
-    assert dep.d_ae == dep.d_be  # bit-exact by symmetric construction
-    assert dep.d_ae == pytest.approx(60.0, abs=1e-9)
-    assert dep.d_ab == 50.0
+    d_ae, d_be = build_deployment(60.0, GEOMETRY_EQUIDISTANT)
+    assert d_ae == d_be == 60.0
     with pytest.raises(ConfigError):
-        build_equidistant_deployment(24.9)
-
-
-def test_colocated_nodes_rejected():
-    p = Position(1.0, 1.0)
-    with pytest.raises(ConfigError):
-        Deployment(alice=p, bob=p, eve=Position(0.0, 0.0))
+        build_deployment(24.9, GEOMETRY_EQUIDISTANT)
 
 
 def test_validate_config_accepts_defaults():
@@ -136,11 +87,15 @@ def test_validate_config_says_non_finite(field, bad):
     assert f"{field} must be finite, got {bad}" in str(err.value)
 
 
-@pytest.mark.parametrize("build", [build_canonical_deployment, build_equidistant_deployment])
+# ids named after the per-geometry builders this test first covered
+@pytest.mark.parametrize("geometry", [
+    pytest.param(GEOMETRY_CANONICAL, id="build_canonical_deployment"),
+    pytest.param(GEOMETRY_EQUIDISTANT, id="build_equidistant_deployment"),
+])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_deployments_say_non_finite(build, bad):
+def test_deployments_say_non_finite(geometry, bad):
     with pytest.raises(ConfigError) as err:
-        build(bad)
+        build_deployment(bad, geometry)
     assert err.value.code == "invalid-dbe"
     assert f"d_be must be finite, got {bad}" in str(err.value)
 
