@@ -239,9 +239,14 @@ def simulate_eavesdropper(
     return observations, guesses
 
 
-#: An eve_trace.csv bit-slot row's decision and correct fields, indexed by
-#: 3 * value + verdict, the verdict 0 wrong, 1 abstain, 2 correct.
-_TRACE_TAILS = (",1,0\n", ",abstain,0\n", ",0,1\n", ",0,0\n", ",abstain,0\n", ",1,1\n")
+#: eve_trace.csv rows as %-templates: a bit slot's (round, rss_f0, rss_f1) at
+#: 3 * value + verdict, the verdict 0 wrong, 1 abstain, 2 correct, and a
+#: collision's (round) last. %r writes float.__repr__.
+_TRACE_ROWS = (
+    "%d,%r,%r,1,0\n", "%d,%r,%r,abstain,0\n", "%d,%r,%r,0,1\n",
+    "%d,%r,%r,0,0\n", "%d,%r,%r,abstain,0\n", "%d,%r,%r,1,1\n",
+    "%d,,,,\n",
+)
 
 
 def write_adversary_trace_csv(blocks: Iterable[Sequence], dest: Union[str, TextIO]) -> int:
@@ -269,18 +274,15 @@ def write_adversary_trace_csv(blocks: Iterable[Sequence], dest: Union[str, TextI
             values = alice[bit]
             if not values.size == len(samples) == correct.size == abstain.size:
                 raise ValueError("trace needs one entry per bit slot")
-            on_f1 = values == 1  # Alice's sample sits on f1
-            rows = np.empty(alice.size, dtype=object)
-            bit_slots, collision_slots = np.flatnonzero(bit), np.flatnonzero(~bit)
-            rows[collision_slots] = list(map("{},,,,\n".format, (collision_slots + slot).tolist()))
-            rows[bit_slots] = list(map(
-                "{},{!r},{!r}{}".format,
-                (bit_slots + slot).tolist(),
-                np.where(on_f1, samples[:, 1], samples[:, 0]).tolist(),
-                np.where(on_f1, samples[:, 0], samples[:, 1]).tolist(),
-                map(_TRACE_TAILS.__getitem__, (3 * values + 2 * correct + abstain).tolist()),
-            ))
-            fh.write("".join(rows.tolist()))
+            codes = np.full(alice.size, len(_TRACE_ROWS) - 1)
+            codes[bit] = 3 * values + 2 * correct + abstain
+            fields = np.empty((alice.size, 3))  # round, rss_f0, rss_f1
+            fields[:, 0] = np.arange(slot, slot + alice.size)
+            on_f1 = (values == 1)[:, None]  # Alice's sample sits on f1
+            fields[bit, 1:] = np.where(on_f1, samples[:, ::-1], samples)
+            filled = np.column_stack((np.ones_like(bit), bit, bit))
+            rows = "".join(map(_TRACE_ROWS.__getitem__, codes.tolist()))
+            fh.write(rows % tuple(fields[filled].tolist()))
             slot += alice.size
             guessed += int(np.count_nonzero(correct))
     return guessed

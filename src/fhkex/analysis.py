@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .adversary import pg_closed_form
 from .channel import delta_mean_pathloss
-from .scenario import build_deployment
+from .scenario import NODE_HALF_SPACING, build_deployment
 
 #: Collision probability of two fair one-in-two frequency choices.
 COLLISION_PROB = 0.5
@@ -217,6 +217,29 @@ def _log_odds(prob: float) -> float:
     return math.log(prob) - math.log1p(-prob)
 
 
+def _radius_guess(req: KeyRequest, n: int, sigma: float, gamma: float) -> float:
+    """Where a normal approximation puts the privacy radius: the search's first probe.
+
+    The secret-bit count is taken as normal with a continuity correction,
+    which meets the target at the p_b with k - 1/2 = n p_b - z sqrt(n p_b (1 - p_b)),
+    z the target's normal quantile (a Wilson bound). Inverting p_g (the
+    pairwise-ML closed form) and the collinear geometry, d_ae = d_be + 50,
+    gives the distance. Its error costs probes, not accuracy.
+    """
+    z = _normal_quantile(req.target)
+    c = (req.k - 0.5) / n
+    p_b = (c + z * z / (2 * n) + z * math.sqrt(c * (1.0 - c) / n + z * z / (4 * n * n))) / (
+        1.0 + z * z / n
+    )
+    p_g = 1.0 - p_b / (1.0 - COLLISION_PROB)
+    if not p_g > 0.5:
+        return math.inf
+    if not p_g < 1.0:
+        return 0.0
+    delta = sigma * math.sqrt(2.0) * _normal_quantile(p_g)  # PL(d_ae) - PL(d_be), dB
+    return 2 * NODE_HALF_SPACING / math.expm1(min(delta * math.log(10.0) / (10.0 * gamma), 700.0))
+
+
 def privacy_radius(
     req: KeyRequest,
     n: int,
@@ -230,9 +253,12 @@ def privacy_radius(
 
     The secret-bit probability, and hence the key probability, is increasing
     in the adversary distance. A bracket lo < R <= hi (target unmet at lo,
-    met at hi) is found by doubling from d_min, then narrowed to tol by
-    regula falsi with Illinois halving on the log-odds of the key
-    probability minus those of the target. Every probe lies at least tol / 2
+    met at hi) is found by galloping from a normal approximation of R
+    (_radius_guess) by factors 1.1, 1.21, 1.46, ..., each the last one
+    squared, no lower than d_min and no higher than the far proxy of an
+    infinitely remote adversary. It is then narrowed to tol by regula
+    falsi with Illinois halving on the log-odds of the key probability
+    minus those of the target. Every probe lies at least tol / 2
     inside the bracket, so once the estimate stops moving a closing step of
     tol / 2 crosses the root; when four probes have not halved the bracket,
     the next one bisects it (Illinois needs three probes to pull a stuck
@@ -250,13 +276,17 @@ def privacy_radius(
         raise InfeasibleError(
             f"target {req.target} unreachable for k={req.k}, n={n}, sigma={sigma}"
         )
-    lo, p_lo = d_min, prob(d_min)
-    if p_lo >= req.target:
-        return d_min
-    hi = 2.0 * d_min
-    while (p_hi := prob(hi)) < req.target:
-        lo, p_lo = hi, p_hi
-        hi *= 2.0
+    lo = hi = min(max(_radius_guess(req, n, sigma, gamma), d_min), far)
+    factor = 1.1  # the first gallop step; each later one squares the last
+    if (p_hi := prob(hi)) >= req.target:
+        while hi > d_min and (p_lo := prob(lo := max(hi / factor, d_min))) >= req.target:
+            hi, p_hi, factor = lo, p_lo, factor * factor
+        if hi == d_min:
+            return d_min
+    else:
+        p_lo = p_hi
+        while (p_hi := prob(hi := min(lo * factor, far))) < req.target:
+            lo, p_lo, factor = hi, p_hi, factor * factor
 
     odds = _log_odds(req.target)
     f_lo, f_hi = _log_odds(p_lo) - odds, _log_odds(p_hi) - odds

@@ -113,9 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p_analyze)
     p_analyze.add_argument("--k", type=int, default=128, help="key size, bits")
     p_analyze.add_argument("--target", type=float, default=0.99)
-    p_analyze.add_argument("--pb", type=float,
-                           help="per-slot secret-bit probability (overrides the channel-derived value)")
-    p_analyze.add_argument("--d-be", type=float, default=20.0)
+    given_or_derived = p_analyze.add_mutually_exclusive_group()
+    given_or_derived.add_argument(
+        "--pb", type=float, help="per-slot secret-bit probability (overrides the channel-derived value)"
+    )
+    given_or_derived.add_argument("--d-be", type=float, default=20.0)
     p_analyze.add_argument("--n", type=int, help="evaluate the key probability at this many slots")
 
     for name in ("sweep", "frontier"):

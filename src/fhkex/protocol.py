@@ -168,8 +168,8 @@ def run_session(
     return SessionTranscript(rounds=tuple(rounds), key_bits=tuple(key_bits))
 
 
-#: A transcript.csv row after its round field, indexed by 2 * a_bit + b_bit.
-_TRANSCRIPT_TAILS = (",0,0,collision,\n", ",0,1,bit,0\n", ",1,0,bit,1\n", ",1,1,collision,\n")
+#: A transcript.csv row as a %-template of its round, indexed by 2 * a_bit + b_bit.
+_TRANSCRIPT_ROWS = ("%d,0,0,collision,\n", "%d,0,1,bit,0\n", "%d,1,0,bit,1\n", "%d,1,1,collision,\n")
 
 
 def key_text(block: np.ndarray) -> str:
@@ -200,8 +200,9 @@ def write_transcript_csv(
         fh.write("\nround,a_bit,b_bit,outcome,bit_value\n")
         slot = 1
         for block in blocks:
-            tails = map(_TRANSCRIPT_TAILS.__getitem__, (2 * block[:, 0] + block[:, 1]).tolist())
-            fh.write("".join(map(str.__add__, map(str, range(slot, slot + len(block))), tails)))
+            codes = (2 * block[:, 0] + block[:, 1]).tolist()
+            rows = "".join(map(_TRANSCRIPT_ROWS.__getitem__, codes))
+            fh.write(rows % tuple(range(slot, slot + len(block))))
             slot += len(block)
     return generated
 

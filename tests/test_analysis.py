@@ -365,7 +365,7 @@ def test_privacy_radius_evaluation_count(monkeypatch):
     )
     # (k, n, sigma): most probes, where bisection took 25-39
     for (k, n, sigma), most in {
-        (64, 400, 8.0): 17, (128, 700, 8.0): 19, (64, 400, 14.0): 18, (64, 10**6, 8.0): 12,
+        (64, 400, 8.0): 10, (128, 700, 8.0): 10, (64, 400, 14.0): 10, (64, 10**6, 8.0): 10,
     }.items():
         evals.clear()
         privacy_radius(KeyRequest(k=k, target=0.99), n=n, sigma=sigma)

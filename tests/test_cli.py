@@ -90,6 +90,17 @@ def test_analyze_infeasible_pb(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("d_be", ["nan", "-5", "20"])
+def test_analyze_refuses_adversary_distance_with_given_pb(capsys, d_be):
+    # a given p_b leaves no use for the distance, so the pair is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--k", "8", "--pb", "0.5", "--d-be", d_be])
+    assert exc.value.code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --d-be: not allowed with argument --pb" in err
+
+
 def test_invalid_scenario_flag(capsys):
     assert main(["session", "--gamma", "0", "--seed", "1"]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhkex import adversary, experiments, protocol
@@ -205,6 +205,91 @@ def test_session_blocks_do_not_depend_on_block_size(monkeypatch, rule, d_ae, d_b
     assert blocked_files == files
     for ours, theirs in zip(blocked, session):
         assert np.array_equal(ours, theirs)
+
+
+def _split(items, cuts):
+    """items cut into consecutive blocks at the given offsets (clipped; empty blocks kept)."""
+    bounds = [0, *sorted(min(c, len(items)) for c in cuts), len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+#: Samples whose repr switches notation, beside any float hypothesis draws
+_NOTATION_SWITCHES = (
+    1e16, 1e-05, -0.0, 5e-324, 9999999999999998.0, 0.0001, 1e22, 1.7976931348623157e308,
+)
+
+_SLOTS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # Alice's bit
+        st.integers(0, 1),  # Bob's bit
+        st.one_of(st.sampled_from(_NOTATION_SWITCHES), st.floats()),  # Alice's sample
+        st.one_of(st.sampled_from(_NOTATION_SWITCHES), st.floats()),  # Bob's sample
+        st.sampled_from(("wrong", "abstain", "correct")),
+    ),
+    max_size=40,
+)
+_CUTS = st.lists(st.integers(0, 40), max_size=6)
+
+# collision-only and bit-only blocks, and abstain rows for both values
+_EDGE_SLOTS = [
+    (0, 0, 0.0, 0.0, "wrong"), (1, 1, 0.0, 0.0, "correct"),
+    (0, 1, 1e16, -0.0, "abstain"), (1, 0, 1e-05, 5e-324, "abstain"),
+    (1, 0, -0.0, 1e16, "correct"), (0, 1, 5e-324, 1e-05, "wrong"),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots=_SLOTS, cuts=_CUTS)
+@example(slots=_EDGE_SLOTS, cuts=[2])
+@example(slots=_EDGE_SLOTS, cuts=[0, 0, 6])
+def test_trace_writer_matches_per_row_reference(slots, cuts):
+    rows = [("round", "rss_f0", "rss_f1", "decision", "correct")]
+    for slot, (a_bit, b_bit, alice, bob, verdict) in enumerate(slots, start=1):
+        if a_bit == b_bit:
+            rows.append((slot, "", "", "", ""))
+            continue
+        f0, f1 = (alice, bob) if a_bit == 0 else (bob, alice)  # Alice transmits on f_(her bit)
+        decision = {"correct": a_bit, "abstain": "abstain", "wrong": 1 - a_bit}[verdict]
+        rows.append((slot, repr(f0), repr(f1), decision, int(verdict == "correct")))
+    blocks = []
+    for part in _split(slots, cuts):
+        bit_slots = [s for s in part if s[0] != s[1]]
+        blocks.append((
+            np.array([s[0] for s in part], dtype=np.uint8),
+            np.array([s[1] for s in part], dtype=np.uint8),
+            np.array([s[2:4] for s in bit_slots], dtype=float).reshape(-1, 2),
+            np.array([s[4] == "correct" for s in bit_slots], dtype=bool),
+            np.array([s[4] == "abstain" for s in bit_slots], dtype=bool),
+        ))
+    trace = io.StringIO()
+    guessed = adversary.write_adversary_trace_csv(blocks, trace)
+    assert trace.getvalue() == _csv_text(rows)
+    assert guessed == sum(s[0] != s[1] and s[4] == "correct" for s in slots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots=_SLOTS, cuts=_CUTS, seed=st.none() | st.integers(0, 2**63 - 1))
+@example(slots=_EDGE_SLOTS, cuts=[2], seed=None)
+def test_transcript_writer_matches_per_row_reference(slots, cuts, seed):
+    bits = [s[:2] for s in slots]
+    key = "".join(str(a) for a, b in bits if a != b)
+    rows = [("round", "a_bit", "b_bit", "outcome", "bit_value")]
+    rows += [
+        (slot, a, b, "bit" if a != b else "collision", a if a != b else "")
+        for slot, (a, b) in enumerate(bits, start=1)
+    ]
+    blocks = [np.array(part, dtype=np.uint8).reshape(-1, 2) for part in _split(bits, cuts)]
+    transcript = io.StringIO()
+    generated = protocol.write_transcript_csv(blocks, transcript, seed=seed)
+    header = "" if seed is None else f"# seed={seed}\n"
+    assert transcript.getvalue() == f"{header}# key={key}\n" + _csv_text(rows)
+    assert generated == len(key)
 
 
 @settings(max_examples=200, deadline=None)
