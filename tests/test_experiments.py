@@ -547,6 +547,27 @@ def test_sweep_monte_carlo_bytes_are_frozen(spec, digest):
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+# The whole sweep.csv text, p_analytic included: a canonical ML sweep under
+# sigma 8 (three slices, 57 trials over three blocks at n = 600) and an
+# equidistant sigma 0 sweep, where every ML call is an abstaining tie.
+_FROZEN_SWEEP_FILES = [
+    (dict(k=(0, 16, 64), n_rounds=(100, 20, 600, 100), d_be=(2.0, 20.0, 35.0), sigma=(8.0,),
+          trials=57, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_CANONICAL,
+          base_seed=5),
+     "aea4616eaa52600dd542cbcd128e6fd615551f63977dd45c17a7abf14d6ff802"),
+    (dict(k=(0, 8, 64), n_rounds=tuple(range(60, 301, 40)), d_be=(60.0,), sigma=(0.0,),
+          trials=101, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_EQUIDISTANT,
+          base_seed=6),
+     "a39b440942a658bd5424d11e8435ad89e7b84c2edb40e6d5c6e39d560676bc34"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", _FROZEN_SWEEP_FILES, ids=["ml-sigma8", "equidistant-tie"])
+def test_sweep_csv_bytes_are_frozen(spec, digest):
+    text = result_csv_text(sweep(SweepSpec(**spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_result_csv_roundtrip():
     table = sweep(_small_spec())
     text = result_csv_text(table)
