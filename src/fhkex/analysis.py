@@ -158,6 +158,8 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = 10**9) -> int:
     The first probe is the Cornish-Fisher target quantile of the waiting
     time for k successes: negative binomial, with mean k / p, standard
     deviation sqrt(k q) / p and skewness (1 + q) / sqrt(k q), q = 1 - p_b.
+    At k = 1 the waiting time is geometric and the first probe its exact
+    quantile: 1 - q^n meets the target from n = log(1 - target) / log(q).
     From there the search gallops outward in steps 1, 2, 4, ... until the
     answer is bracketed, then binary searches; the tail is monotone
     non-decreasing in n, so the bracket and the answer are exact.
@@ -171,10 +173,13 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = 10**9) -> int:
         return key_prob(k, n, p) >= req.target
 
     q = 1.0 - p
-    z = _normal_quantile(req.target)
-    # mean + sd (z + skew (z^2 - 1) / 6), where sd * skew = (1 + q) / p
-    quantile = (k + z * math.sqrt(k * q) + (z * z - 1.0) * (1.0 + q) / 6.0) / p
-    start = math.ceil(min(max(quantile - 0.5, k), max_n))  # - 0.5: continuity correction
+    if k == 1 and q > 0.0:  # geometric; at p_b = 1, log(q) does not exist
+        quantile = math.log1p(-req.target) / math.log1p(-p)
+    else:
+        z = _normal_quantile(req.target)
+        # mean + sd (z + skew (z^2 - 1) / 6), where sd * skew = (1 + q) / p, less a continuity correction
+        quantile = (k + z * math.sqrt(k * q) + (z * z - 1.0) * (1.0 + q) / 6.0) / p - 0.5
+    start = math.ceil(min(max(quantile, k), max_n))
     step = 1
     if met(start):
         hi = start

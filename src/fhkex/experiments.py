@@ -42,21 +42,6 @@ METRIC_PER_BIT = "per-bit-secret"
 METRIC_WHOLE_KEY = "whole-key"
 METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 
-RESULT_COLUMNS = (
-    "k",
-    "n",
-    "d_be",
-    "sigma",
-    "rule",
-    "metric",
-    "trials",
-    "p_hat",
-    "ci_lo",
-    "ci_hi",
-    "p_analytic",
-)
-
-
 #: Most trial-slots simulated at once: trials run in blocks of BLOCK_SLOTS // n
 #: sessions, so peak memory does not grow with the trial count, and one session
 #: in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes per slot.
@@ -148,8 +133,9 @@ class SweepSpec:
         return points
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One sweep.csv line; its field names, in order, are RESULT_COLUMNS."""
+
     k: int
     n: int
     d_be: float
@@ -161,6 +147,9 @@ class ResultRow:
     ci_lo: float
     ci_hi: float
     p_analytic: float | None
+
+
+RESULT_COLUMNS = ResultRow._fields
 
 
 @dataclass(frozen=True)
@@ -276,9 +265,11 @@ def simulate_session_block(
     simulate_session_counts and ends its stream where that ends.
     """
     bits = draw_coins(rng, 2 * trials * n).reshape(trials, 2 * n)
-    a = bits[:, 0::2]
-    generated = a != bits[:, 1::2]
-    values = a[generated] if rule == RULE_RANDOM else None
+    # a slot's coin pair (a, b) reads as a + 256 b in either byte order:
+    # 1 or 256 iff the coins differ
+    pairs = bits.view(np.uint16)
+    generated = (pairs == 1) | (pairs == 256)
+    values = bits[:, 0::2][generated] if rule == RULE_RANDOM else None
     draws = _decision_draws(rng, np.count_nonzero(generated), rule)
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     return generated, ~_classify(draws, values, delta, cfg.sigma, rule)[0]
@@ -408,7 +399,7 @@ def run_grid_point(
 
 
 def sweep(spec: SweepSpec) -> ResultTable:
-    """One ResultRow per grid point, in deterministic nested-axis order."""
+    """One ResultRow per grid point, in the nested-axis order of spec.grid_points()."""
     if spec.grid_size == 0:
         return ResultTable(rows=())
     slices = list(itertools.product(spec.d_be, spec.sigma))
@@ -419,19 +410,18 @@ def sweep(spec: SweepSpec) -> ResultTable:
         counts.append(slice_successes(
             rng, spec.trials, spec.k, spec.n_rounds, d_ae, d_be,
             spec.scenario.replace(sigma=sigma), spec.rule, spec.metric,
-        ))
+        ).tolist())
         pg = _slice_pg(d_ae, d_be, sigma, spec.rule, spec.scenario.gamma)
         analytic.append([_analytic_column(spec.k, n, pg, spec.metric) for n in spec.n_rounds])
-    cells = itertools.product(range(len(spec.k)), range(len(spec.n_rounds)), range(len(slices)))
+    rule, metric, trials = spec.rule, spec.metric, spec.trials
     rows = []
-    for point, (i, j, s) in zip(spec.grid_points(), cells):
-        successes = int(counts[s][i, j])
-        lo, hi = wilson_interval(successes, spec.trials)
+    for (i, k), (j, n), (s, (d_be, sigma)) in itertools.product(
+        enumerate(spec.k), enumerate(spec.n_rounds), enumerate(slices)
+    ):
+        successes = counts[s][i][j]
+        lo, hi = wilson_interval(successes, trials)
         rows.append(ResultRow(
-            k=point.k, n=point.n, d_be=point.d_be, sigma=point.sigma,
-            rule=spec.rule, metric=spec.metric, trials=spec.trials,
-            p_hat=successes / spec.trials, ci_lo=lo, ci_hi=hi,
-            p_analytic=analytic[s][j][i],
+            k, n, d_be, sigma, rule, metric, trials, successes / trials, lo, hi, analytic[s][j][i]
         ))
     return ResultTable(rows=tuple(rows))
 
@@ -475,8 +465,12 @@ def frontier(
     return result
 
 
-# One RESULT_COLUMNS line: floats as repr, an absent p_analytic as an empty field.
-_RESULT_LINE = "{},{},{!r},{!r},{},{},{},{!r},{!r},{!r},{}\n"
+# One RESULT_COLUMNS line per row, indexed by whether p_analytic is absent:
+# floats as %r (float.__repr__), an absent p_analytic as an empty field (%.0s).
+_RESULT_LINES = (
+    "%d,%d,%r,%r,%s,%s,%d,%r,%r,%r,%r\n",
+    "%d,%d,%r,%r,%s,%s,%d,%r,%r,%r,%.0s\n",
+)
 
 
 def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
@@ -484,13 +478,7 @@ def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
     quoting (numbers, and the rule and metric names)."""
     with text_stream(dest, "w") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
-        fh.writelines(
-            _RESULT_LINE.format(
-                r.k, r.n, r.d_be, r.sigma, r.rule, r.metric, r.trials, r.p_hat, r.ci_lo,
-                r.ci_hi, "" if r.p_analytic is None else repr(r.p_analytic),
-            )
-            for r in table.rows
-        )
+        fh.writelines(_RESULT_LINES[row.p_analytic is None] % row for row in table.rows)
 
 
 def result_csv_text(table: ResultTable) -> str:
@@ -512,14 +500,11 @@ def read_result_csv(src: Union[str, TextIO]) -> ResultTable:
             try:
                 if len(rec) != len(RESULT_COLUMNS):
                     raise ValueError(f"{len(rec)} fields, expected {len(RESULT_COLUMNS)}")
-                rows.append(
-                    ResultRow(
-                        k=int(rec[0]), n=int(rec[1]), d_be=float(rec[2]), sigma=float(rec[3]),
-                        rule=rec[4], metric=rec[5], trials=int(rec[6]),
-                        p_hat=float(rec[7]), ci_lo=float(rec[8]), ci_hi=float(rec[9]),
-                        p_analytic=float(rec[10]) if rec[10] != "" else None,
-                    )
-                )
+                rows.append(ResultRow(
+                    int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3]), rec[4], rec[5],
+                    int(rec[6]), float(rec[7]), float(rec[8]), float(rec[9]),
+                    float(rec[10]) if rec[10] != "" else None,
+                ))
             except ValueError as exc:
                 raise ValueError(f"result CSV line {reader.line_num}: {exc}") from None
         return ResultTable(rows=tuple(rows))

@@ -236,6 +236,17 @@ def test_min_transmissions_evaluation_count(monkeypatch):
         assert len(evals) <= 4  # galloping up from the mean k / p_b took 11-13
 
 
+def test_min_transmissions_geometric_start(monkeypatch):
+    evals = []
+    exact = fhkex.analysis.key_prob
+    monkeypatch.setattr(
+        fhkex.analysis, "key_prob", lambda *args: evals.append(args) or exact(*args)
+    )
+    # k = 1 waits a geometric time, whose quantile is exact; Cornish-Fisher took 20
+    assert min_transmissions(KeyRequest(k=1, target=0.999999), 0.001) == 13_809
+    assert len(evals) <= 3
+
+
 def test_min_transmissions_certain_generation():
     assert min_transmissions(KeyRequest(k=1, target=0.99), 1.0) == 1
 

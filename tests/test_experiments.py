@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fhkex.experiments
 from fhkex.adversary import RULE_ML, RULE_RANDOM, rss_samples, score_session, simulate_eavesdropper
 from fhkex.analysis import fading_pb, key_prob
 from fhkex.channel import delta_mean_pathloss
@@ -38,7 +39,7 @@ from fhkex.experiments import (
     write_frontier_csv,
     write_result_csv,
 )
-from fhkex.protocol import run_session
+from fhkex.protocol import draw_coins, run_session
 from fhkex.scenario import ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness, trace_columns
 
@@ -270,6 +271,38 @@ def test_ml_mask_matches_reference_rule(rows, distances, sigma):
     assert np.array_equal(mask[clear], (written * delta < 0.0)[clear])
 
 
+def test_coin_pair_reads_one_or_256_iff_coins_differ():
+    pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+    for byte_order in "<>":
+        values = pairs.view(byte_order + "u2").ravel()
+        assert np.isin(values, (1, 256)).tolist() == [False, True, True, False]
+
+
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+@pytest.mark.parametrize("trials", [1, 3, 27])
+@pytest.mark.parametrize("n", [1, 7, 600, 16_385])
+def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n):
+    seen = []
+    classify = fhkex.experiments._classify
+    monkeypatch.setattr(
+        fhkex.experiments, "_classify",
+        lambda draws, values, *rest: seen.append(values) or classify(draws, values, *rest),
+    )
+    seed = 1000 * trials + n
+    generated, secret = simulate_session_block(
+        np.random.default_rng(seed), trials, n, 70.0, 20.0, ScenarioConfig(sigma=8.0), rule
+    )
+    bits = draw_coins(np.random.default_rng(seed), 2 * trials * n).reshape(trials, 2 * n)
+    a, b = bits[:, 0::2], bits[:, 1::2]
+    assert generated.dtype == bool
+    assert np.array_equal(generated, a != b)
+    assert secret.size == np.count_nonzero(a != b)
+    if rule == RULE_RANDOM:
+        assert np.array_equal(seen[0], a[a != b])
+    else:
+        assert seen[0] is None
+
+
 def test_engine_counts_every_trial_across_blocks():
     n = 500
     trials = 3 * (BLOCK_SLOTS // n) + 4  # three full blocks and a partial one
@@ -349,6 +382,8 @@ def test_grid_point_order_is_deterministic():
     assert [p.index for p in points] == list(range(8))
     assert points[0] == GridPoint(index=0, k=8, n=30, d_be=5.0, sigma=2.0)
     assert points[-1] == GridPoint(index=7, k=16, n=60, d_be=20.0, sigma=2.0)
+    rows = sweep(spec).rows
+    assert [(r.k, r.n, r.d_be, r.sigma) for r in rows] == [(p.k, p.n, p.d_be, p.sigma) for p in points]
 
 
 def test_empty_axis_gives_empty_table():
@@ -578,6 +613,7 @@ def test_result_csv_roundtrip():
         k=1, n=2, d_be=3.0, sigma=4.0, rule=RULE_ML, metric=METRIC_PER_BIT,
         trials=5, p_hat=0.5, ci_lo=0.2, ci_hi=0.8, p_analytic=None,
     )
+    assert row == (1, 2, 3.0, 4.0, RULE_ML, METRIC_PER_BIT, 5, 0.5, 0.2, 0.8, None)
     table = ResultTable(rows=(row,))
     assert read_result_csv(io.StringIO(result_csv_text(table))) == table
 
