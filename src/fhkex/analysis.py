@@ -23,6 +23,10 @@ COLLISION_PROB = 0.5
 #: mode term; the dropped mass is then below e^-TAIL_CUTOFF of the total.
 TAIL_CUTOFF = 40.0
 
+#: The most transmissions min_transmissions searches, and fhkex analyze --n
+#: takes: key_probs walks O(sqrt(n log n)) terms, about 10^5 here.
+MAX_N = 10**9
+
 
 class InfeasibleError(Exception):
     """The requested target cannot be met for any admissible parameter value."""
@@ -152,7 +156,7 @@ def _normal_quantile(prob: float) -> float:
     return z if prob >= 0.5 else -z
 
 
-def min_transmissions(req: KeyRequest, p_b: float, max_n: int = 10**9) -> int:
+def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
     """Smallest n with key_prob(req.k, n, p_b) >= req.target.
 
     The first probe is the Cornish-Fisher target quantile of the waiting

@@ -57,7 +57,7 @@ def _parse_axis(text: str, cast, limit: int = experiments.SLOT_BUDGET):
 def _build_scenario(args: argparse.Namespace) -> scenario.ScenarioConfig:
     cfg = scenario.load_config(args.config) if args.config else scenario.ScenarioConfig()
     overrides = {
-        name: getattr(args, name) for name in scenario.CONFIG_FIELDS if getattr(args, name) is not None
+        name: getattr(args, name) for name in _READS[args.command] if getattr(args, name) is not None
     }
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
@@ -83,11 +83,28 @@ def _resolve_seed(args: argparse.Namespace, cfg: scenario.ScenarioConfig) -> int
     return seed
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file mirroring the scenario fields")
+# The ScenarioConfig fields each command reads. A sweep takes sigma and n from
+# its axes, and pl0 and pt cancel from every adversary decision.
+_READS = {
+    "fixture": (),
+    "session": scenario.CONFIG_FIELDS,
+    "analyze": ("gamma", "sigma", "d0"),
+    "sweep": ("gamma", "d0", "seed"),
+    "frontier": ("gamma", "d0", "seed"),
+}
+_WRITES_FILES = ("session", "sweep", "frontier")
+
+
+def _add_scenario_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Flags for the scenario fields the command reads, --config if it reads any, --out if it writes."""
+    reads = _READS[command]
+    if reads:
+        p.add_argument("--config", help="JSON config file mirroring the scenario fields")
     for f in dataclasses.fields(scenario.ScenarioConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), help=f.metadata["help"])
-    p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or '.')")
+        if f.name in reads:
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), help=f.metadata["help"])
+    if command in _WRITES_FILES:
+        p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or '.')")
 
 
 @functools.cache
@@ -100,17 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fixture = sub.add_parser("fixture", help="run the scripted six-slot toy example")
-    _add_scenario_flags(p_fixture)
+    _add_scenario_flags(p_fixture, "fixture")
 
     p_session = sub.add_parser("session", help="run one seeded protocol session")
-    _add_scenario_flags(p_session)
+    _add_scenario_flags(p_session, "session")
     p_session.add_argument("--d-be", type=float, default=20.0, help="adversary distance behind Bob, m")
     p_session.add_argument("--eve", action="store_true",
                            help="also simulate the eavesdropper and write her trace")
     p_session.add_argument("--rule", choices=adversary.RULES, default=adversary.RULE_ML)
 
     p_analyze = sub.add_parser("analyze", help="closed-form secrecy table")
-    _add_scenario_flags(p_analyze)
+    _add_scenario_flags(p_analyze, "analyze")
     p_analyze.add_argument("--k", type=int, default=128, help="key size, bits")
     p_analyze.add_argument("--target", type=float, default=0.99)
     given_or_derived = p_analyze.add_mutually_exclusive_group()
@@ -122,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("sweep", "frontier"):
         p = sub.add_parser(name, help=f"Monte Carlo {name} over a parameter grid")
-        _add_scenario_flags(p)
+        _add_scenario_flags(p, name)
         p.add_argument("--k-list", default="128", help="key sizes, comma list or start:stop:step")
         p.add_argument("--n-list", default="60:600:10", help="transmission counts")
         p.add_argument("--d-be-list", default="20", help="adversary distances, m")
@@ -179,6 +196,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n > analysis.MAX_N:
+        raise ValueError(f"--n {args.n} is above {analysis.MAX_N}")
     cfg = _build_scenario(args)
     req = analysis.KeyRequest(k=args.k, target=args.target)
     if args.pb is not None:

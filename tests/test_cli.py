@@ -390,12 +390,12 @@ def test_analyze_rejects_adversary_below_reference_distance(capsys, args):
 
 
 @pytest.mark.parametrize("command", [
-    ["session", "--seed", "1", "--n-rounds", "20", "--eve", "--d-be", "0.1"],
-    ["sweep", "--seed", "1", "--n-list", "20", "--trials", "5", "--d-be-list", "0.1"],
-    ["analyze", "--k", "64", "--d-be", "0.1"],
+    ["session", "--seed", "1", "--n-rounds", "20", "--eve", "--d-be", "0.1", "--out", "{out}"],
+    ["sweep", "--seed", "1", "--n-list", "20", "--trials", "5", "--d-be-list", "0.1", "--out", "{out}"],
+    ["analyze", "--k", "64", "--d-be", "0.1"],  # analyze writes no file, so takes no --out
 ])
 def test_below_reference_distance_names_the_typed_distance(tmp_path, capsys, command):
-    assert main([*command, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert main([arg.format(out=tmp_path) for arg in command]) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: invalid-value: adversary distance 0.1 m below reference distance 1.0 m\n"
