@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -168,6 +169,45 @@ def test_key_probs_against_exact_rationals_at_bound_limit(p):
     want = exact_tails(n, p)
     got = key_probs(range(n + 2), n, p)
     assert max(abs(float(g) - w) for g, w in zip(got, want)) <= 1e-13
+
+
+def _pin_ks(n: int, p: float) -> list[int]:
+    """k at 0, at the mode, two either side of each window edge, and at n + 1.
+
+    The edges are found from log-gamma terms, which may put an edge one off
+    the ratio walk's; two either side covers the edges +-1 either way.
+    """
+    mode = min(n, int((n + 1) * p))
+    cut = fhkex.analysis.TAIL_CUTOFF + math.log(n + 1)
+
+    def log_term(i: int) -> float:  # ln P(X = i), less the ln n! every term shares
+        return i * math.log(p) + (n - i) * math.log1p(-p) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+
+    top = log_term(mode)
+    lo = hi = mode
+    while lo > 0 and log_term(lo - 1) - top >= -cut:
+        lo -= 1
+    while hi < n and log_term(hi + 1) - top >= -cut:
+        hi += 1
+    edges = (lo, hi + 1)  # the lowest k read as 1 by the window's prefix; the first k read as 0
+    ks = {0, mode, n + 1}
+    ks.update(k for e in edges for k in range(e - 2, e + 3) if 0 <= k <= n + 1)
+    return sorted(ks)
+
+
+# SHA-256 of the float.hex of key_probs over the grid of test_key_probs_bits_are_frozen
+KEY_PROBS_SHA256 = "0c20ec31677f6e196d1ce939476d2e3e8bfbc64d13ae83044c0f039276e0bc5d"
+
+
+def test_key_probs_bits_are_frozen():
+    lines = []
+    for n in (*range(1, 61), 999, 10**4, 10**6):
+        for p in (0.5, 0.25, 1e-3, 0.999, 3e-6):
+            ks = _pin_ks(n, p)
+            for k, value in zip(ks, key_probs(ks, n, p)):
+                assert 0.0 <= value <= 1.0, (k, n, p, value)
+                lines.append(f"{k} {n} {p!r} {float.hex(value)}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == KEY_PROBS_SHA256
 
 
 def test_key_prob_against_sequence_enumeration():
