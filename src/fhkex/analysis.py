@@ -65,7 +65,7 @@ def secret_bit_prob(p_c: float, p_g: float) -> Probability:
     return Probability((1.0 - Probability(p_c)) * (1.0 - Probability(p_g)))
 
 
-def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:
+def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[float]:
     """P(at least k successes in n slots) for every k in ks, success probability p_b per slot.
 
     Binomial upper tails read off one window of terms around the mode, built
@@ -87,17 +87,23 @@ def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:
     |U D - U' W| / (W (W + D)) <= D / (W + D) < e^-TAIL_CUTOFF (about 4e-18),
     for every n; the prefix form errs by the same bound. A k below the window
     gets 1 and one above it gets 0, within the same bound.
+
+    Returns plain floats in [0, 1], by construction: the terms are positive
+    and fsum is correctly rounded, so a part's sum is at most the window
+    total and part / total at most 1.
     """
     if not isinstance(n, int) or not all(isinstance(k, int) for k in ks):
         raise ValueError("k and n must be integers")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if any(k < 0 for k in ks):
-        raise ValueError(f"k must be >= 0, got {min(ks)}")
-    p = float(Probability(p_b))
+    if (least := min(ks, default=0)) < 0:
+        raise ValueError(f"k must be >= 0, got {least}")
+    p = float(p_b)
+    if not 0.0 <= p <= 1.0:  # nan too
+        raise ValueError(f"probability out of range: {p_b!r}")
     if p == 0.0 or p == 1.0:
         certain = 0 if p == 0.0 else n  # the one possible success count
-        return [Probability(1.0 if k <= certain else 0.0) for k in ks]
+        return [1.0 if k <= certain else 0.0 for k in ks]
 
     q = 1.0 - p
     floor = math.exp(-TAIL_CUTOFF - math.log(n + 1))
@@ -123,17 +129,17 @@ def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[Probability]:
     probs = []
     for k in ks:
         if k > hi:
-            probs.append(Probability(0.0))  # tail mass below the truncation bound
+            probs.append(0.0)  # tail mass below the truncation bound
         elif k <= lo:
-            probs.append(Probability(1.0))
+            probs.append(1.0)
         elif k > mode:
-            probs.append(Probability(math.fsum(above[k - mode :]) / total))
+            probs.append(math.fsum(above[k - mode :]) / total)
         else:
-            probs.append(Probability(1.0 - math.fsum(below[mode - k :]) / total))
+            probs.append(1.0 - math.fsum(below[mode - k :]) / total)
     return probs
 
 
-def key_prob(k: int, n: int, p_b: float) -> Probability:
+def key_prob(k: int, n: int, p_b: float) -> float:
     """P(at least k successes in n slots), success probability p_b per slot.
 
     The one-k case of key_probs.

@@ -107,10 +107,21 @@ def _add_scenario_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or '.')")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an unknown flag, a bad type or a bad choice with one error line, as every failure does.
+
+    Subparsers are made with the parser's own class, so they refuse alike.
+    """
+
+    def error(self, message: str):
+        _fail("usage", message)
+        self.exit(EXIT_CONFIG)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The fhkex argument parser, built on first use and shared by every later call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fhkex",
         description="Simulation lab for key establishment via frequency-hopping collisions.",
     )
@@ -196,6 +207,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.n is not None and args.n > analysis.MAX_N:
         raise ValueError(f"--n {args.n} is above {analysis.MAX_N}")
     cfg = _build_scenario(args)

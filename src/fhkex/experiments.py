@@ -360,19 +360,31 @@ def _slice_pg(d_ae: float, d_be: float, sigma: float, rule: str, gamma: float) -
     return pg_closed_form(delta_mean_pathloss(d_ae, d_be, gamma), sigma)
 
 
-def _analytic_column(ks: Sequence[int], n: int, pg: float, metric: str) -> list[float]:
-    """Closed-form success probability for every k at n slots, from one binomial tail window."""
+def _analytic_columns(
+    ks: Sequence[int], n_rounds: Sequence[int], pg: float, metric: str
+) -> list[list[float]]:
+    """Closed-form success probability for every k, one column per n, each from one binomial tail window.
+
+    The per-slot success probability, and for the whole-key metric each k's
+    chance that the adversary misses one of the first k bits, are the
+    slice's: computed once, not once per n.
+    """
     if metric == METRIC_WHOLE_KEY:
-        tails = key_probs(ks, n, 1.0 - COLLISION_PROB)  # at least k generated bits
-        return [float(tail * (1.0 - pg**k)) for k, tail in zip(ks, tails)]
-    return [float(tail) for tail in key_probs(ks, n, secret_bit_prob(COLLISION_PROB, pg))]
+        missed = [1.0 - pg**k for k in ks]
+        # at least k generated bits, and a missed one among the first k
+        return [
+            [tail * miss for tail, miss in zip(key_probs(ks, n, 1.0 - COLLISION_PROB), missed)]
+            for n in n_rounds
+        ]
+    p_b = float(secret_bit_prob(COLLISION_PROB, pg))
+    return [key_probs(ks, n, p_b) for n in n_rounds]
 
 
 def analytic_prob(point: GridPoint, rule: str, metric: str, geometry: str, gamma: float) -> float:
     """Closed-form success probability at one grid point: a sweep's analytic column, one row."""
     d_ae, d_be = build_deployment(point.d_be, geometry)
     pg = _slice_pg(d_ae, d_be, point.sigma, rule, gamma)
-    (prob,) = _analytic_column((point.k,), point.n, pg, metric)
+    ((prob,),) = _analytic_columns((point.k,), (point.n,), pg, metric)
     return prob
 
 
@@ -412,16 +424,17 @@ def sweep(spec: SweepSpec) -> ResultTable:
             spec.scenario.replace(sigma=sigma), spec.rule, spec.metric,
         ).tolist())
         pg = _slice_pg(d_ae, d_be, sigma, spec.rule, spec.scenario.gamma)
-        analytic.append([_analytic_column(spec.k, n, pg, spec.metric) for n in spec.n_rounds])
+        analytic.append(_analytic_columns(spec.k, spec.n_rounds, pg, spec.metric))
     rule, metric, trials = spec.rule, spec.metric, spec.trials
+    # (p_hat, ci_lo, ci_hi) once per distinct success count: a slice has at most trials + 1
+    distinct = {c for by_k in counts for by_n in by_k for c in by_n}
+    estimates = {c: (c / trials, *wilson_interval(c, trials)) for c in distinct}
     rows = []
     for (i, k), (j, n), (s, (d_be, sigma)) in itertools.product(
         enumerate(spec.k), enumerate(spec.n_rounds), enumerate(slices)
     ):
-        successes = counts[s][i][j]
-        lo, hi = wilson_interval(successes, trials)
         rows.append(ResultRow(
-            k, n, d_be, sigma, rule, metric, trials, successes / trials, lo, hi, analytic[s][j][i]
+            k, n, d_be, sigma, rule, metric, trials, *estimates[counts[s][i][j]], analytic[s][j][i]
         ))
     return ResultTable(rows=tuple(rows))
 
@@ -466,19 +479,37 @@ def frontier(
 
 
 # One RESULT_COLUMNS line per row, indexed by whether p_analytic is absent:
-# floats as %r (float.__repr__), an absent p_analytic as an empty field (%.0s).
+# floats as %r (float.__repr__), an absent p_analytic as an empty field (%.0s),
+# and p_hat, ci_lo, ci_hi as one %s: their text, "%r,%r,%r", made beforehand.
 _RESULT_LINES = (
-    "%d,%d,%r,%r,%s,%s,%d,%r,%r,%r,%r\n",
-    "%d,%d,%r,%r,%s,%s,%d,%r,%r,%r,%.0s\n",
+    "%d,%d,%r,%r,%s,%s,%d,%s,%r\n",
+    "%d,%d,%r,%r,%s,%s,%d,%s,%.0s\n",
 )
 
 
 def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
     """The csv module's bytes, written directly: no field of a sweep row needs
-    quoting (numbers, and the rule and metric names)."""
+    quoting (numbers, and the rule and metric names).
+
+    A (p_hat, ci_lo, ci_hi) triple depends only on the success count, so its
+    text is made once per distinct triple. A triple holding a zero is keyed
+    with its signs too: 0.0 and -0.0 are equal keys but different text.
+    """
+    texts: dict[tuple, str] = {}
+    lines = []
+    for k, n, d_be, sigma, rule, metric, trials, p_hat, ci_lo, ci_hi, p_analytic in table.rows:
+        key = (p_hat, ci_lo, ci_hi)
+        if 0.0 in key:
+            key += (math.copysign(1.0, p_hat), math.copysign(1.0, ci_lo), math.copysign(1.0, ci_hi))
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = "%r,%r,%r" % (p_hat, ci_lo, ci_hi)
+        lines.append(_RESULT_LINES[p_analytic is None] % (
+            k, n, d_be, sigma, rule, metric, trials, text, p_analytic
+        ))
     with text_stream(dest, "w") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
-        fh.writelines(_RESULT_LINES[row.p_analytic is None] % row for row in table.rows)
+        fh.writelines(lines)
 
 
 def result_csv_text(table: ResultTable) -> str:

@@ -113,6 +113,30 @@ def test_unknown_flag_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fixture", "--sigma", "-5"], "unrecognized arguments: --sigma -5"),
+    (["sweep", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (["frontier", "--rule", "foo"], "argument --rule: invalid choice: 'foo'"),
+    (["teleport"], "argument command: invalid choice: 'teleport'"),
+])
+def test_parser_refusal_is_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: usage: {message}")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_analyze_refuses_n_below_one_before_any_output(capsys, n):
+    assert main(["analyze", "--k", "8", "--pb", "0.5", "--n", n]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid-value: --n must be >= 1, got {n}\n"
+
+
 def test_session_outputs_are_deterministic(tmp_path, capsys):
     args = ["session", "--seed", "5", "--n-rounds", "50", "--out", str(tmp_path)]
     assert main(args) == EXIT_OK

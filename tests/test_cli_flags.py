@@ -30,8 +30,8 @@ def _offered_actions():
 OFFERED = _offered_actions()
 
 
-def _run(argv, out: Path):
-    """(exit code, stdout, {file name: bytes}) of one CLI call; out is emptied first."""
+def _call(argv, out: Path):
+    """(exit code, stdout, {file name: bytes}, stderr) of one CLI call; out is emptied first."""
     for path in out.iterdir():
         path.unlink()
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -41,7 +41,12 @@ def _run(argv, out: Path):
         except SystemExit as exc:
             code = exc.code
     files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-    return code, stdout.getvalue(), files
+    return code, stdout.getvalue(), files, stderr.getvalue()
+
+
+def _run(argv, out: Path):
+    """(exit code, stdout, {file name: bytes}) of one CLI call; out is emptied first."""
+    return _call(argv, out)[:3]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +188,8 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(inputs, argv):
         out = Path(tmp)
         if (argv[0], "--out") in OFFERED:
             argv += ["--out", str(out)]
-        code, _, files = _run(argv, out)
+        code, _, files, err = _call(argv, out)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO), argv
         assert code == EXIT_OK or files == {}, argv
+        if code != EXIT_OK:  # one machine-parseable line, whoever refused
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)

@@ -648,6 +648,56 @@ def test_result_csv_matches_csv_writer():
     assert result_csv_text(table) == _csv_writer_reference(table)
 
 
+def test_result_csv_writes_repeated_estimates_as_csv_writer_does():
+    # (p_hat, ci_lo, ci_hi) text is made once per distinct triple; the signs of zeros still count
+    triples = [
+        (0.5, 0.2, 0.8), (0.0, 0.0, 0.3), (-0.0, 0.0, 0.3), (0.0, -0.0, 0.3),
+        (1.0, 0.9, 1.0), (0.1 + 0.2, 1 / 3, 0.7), (0.0, 0.0, -0.0),
+    ]
+    rows = tuple(
+        ResultRow(
+            k=i % 3, n=10 + i, d_be=(20.0, -0.0)[i % 2], sigma=8.0, rule=RULE_ML,
+            metric=METRIC_PER_BIT, trials=(5, 100, 7)[i % 3], p_hat=p_hat, ci_lo=lo, ci_hi=hi,
+            p_analytic=None if i % 4 == 0 else i / 7,
+        )
+        for i, (p_hat, lo, hi) in enumerate(triples * 5)
+    )
+    table = ResultTable(rows=rows)
+    text = result_csv_text(table)
+    assert text == _csv_writer_reference(table)
+    assert "-0.0,0.0,0.3" in text and "0.0,-0.0,0.3" in text
+    parsed = read_result_csv(io.StringIO(text))
+    assert parsed == table
+    assert result_csv_text(parsed) == text
+
+
+def test_sweep_computes_each_estimate_once_per_success_count(monkeypatch):
+    calls = []
+    exact = fhkex.experiments.wilson_interval
+    monkeypatch.setattr(
+        fhkex.experiments, "wilson_interval", lambda *args: calls.append(args) or exact(*args)
+    )
+    spec = _small_spec(k=(1, 4, 8), n_rounds=(10, 20, 30, 40), trials=20)
+    table = sweep(spec)
+    counts = {round(row.p_hat * spec.trials) for row in table.rows}
+    assert len(counts) < len(table.rows)  # counts repeat, so the rows share intervals
+    assert sorted(calls) == sorted((c, spec.trials) for c in counts)
+    for row in table.rows:
+        assert (row.ci_lo, row.ci_hi) == exact(round(row.p_hat * spec.trials), spec.trials)
+
+
+@pytest.mark.parametrize("metric, per_slice", [(METRIC_PER_BIT, 1), (METRIC_WHOLE_KEY, 0)])
+def test_sweep_computes_secret_bit_prob_once_per_slice(monkeypatch, metric, per_slice):
+    calls = []
+    exact = fhkex.experiments.secret_bit_prob
+    monkeypatch.setattr(
+        fhkex.experiments, "secret_bit_prob", lambda *args: calls.append(args) or exact(*args)
+    )
+    spec = _small_spec(n_rounds=(10, 20, 30, 40), sigma=(0.0, 8.0), trials=5, metric=metric)
+    sweep(spec)
+    assert len(calls) == per_slice * len(spec.d_be) * len(spec.sigma)
+
+
 def test_frontier_csv_matches_csv_writer():
     rows = [
         FrontierRow(d_be=1e15, min_n=None),
