@@ -110,8 +110,13 @@ def _add_scenario_flags(p: argparse.ArgumentParser, command: str) -> None:
 class _Parser(argparse.ArgumentParser):
     """Refuses an unknown flag, a bad type or a bad choice with one error line, as every failure does.
 
-    Subparsers are made with the parser's own class, so they refuse alike.
+    A flag must be typed in full: an abbreviation such as --sigma for
+    --sigma-list is an unknown flag. Subparsers are made with the parser's
+    own class, so they refuse alike.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         _fail("usage", message)
@@ -213,27 +218,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(f"--n {args.n} is above {analysis.MAX_N}")
     cfg = _build_scenario(args)
     req = analysis.KeyRequest(k=args.k, target=args.target)
+    # every line is computed before any is printed: an infeasible request prints nothing
     if args.pb is not None:
         pb = analysis.Probability(args.pb)
-        print(f"p_b = {float(pb):.6g} (given)")
+        lines = [f"p_b = {float(pb):.6g} (given)"]
     else:
         d_ae, d_be = scenario.build_deployment(args.d_be)
         scenario.check_adversary_distance(d_be, cfg.d0)
         delta = channel.delta_mean_pathloss(d_ae, d_be, cfg.gamma)
         pg = adversary.pg_closed_form(delta, cfg.sigma)
         pb = analysis.secret_bit_prob(analysis.COLLISION_PROB, pg)
-        print(f"d_be = {d_be} m, sigma = {cfg.sigma} dB, gamma = {cfg.gamma}")
-        print(f"delta = {delta:.4f} dB, p_g = {pg:.6g}, p_b = {float(pb):.6g}")
+        lines = [
+            f"d_be = {d_be} m, sigma = {cfg.sigma} dB, gamma = {cfg.gamma}",
+            f"delta = {delta:.4f} dB, p_g = {pg:.6g}, p_b = {float(pb):.6g}",
+        ]
     min_n = analysis.min_transmissions(req, pb)
-    print(f"minimum transmissions for k={req.k} at target {req.target}: {min_n}")
+    lines.append(f"minimum transmissions for k={req.k} at target {req.target}: {min_n}")
     n = args.n
     if n is not None:
         p = analysis.key_prob(req.k, n, pb)
-        print(f"P(L >= {req.k} | N={n}) = {float(p):.6g}")
+        lines.append(f"P(L >= {req.k} | N={n}) = {float(p):.6g}")
         if args.pb is None and cfg.sigma > 0:
             radius = analysis.privacy_radius(req, n, cfg.sigma, cfg.gamma, d_min=cfg.d0)
-            print(f"privacy radius at N={n}: {radius:.3f} m "
-                  f"around ({scenario.NODE_HALF_SPACING}, 0.0)")
+            lines.append(f"privacy radius at N={n}: {radius:.3f} m "
+                         f"around ({scenario.NODE_HALF_SPACING}, 0.0)")
+    print(*lines, sep="\n")
     return EXIT_OK
 
 
@@ -263,11 +272,11 @@ def _make_spec(args: argparse.Namespace) -> experiments.SweepSpec:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _output_dir(args)
     spec = _make_spec(args)
-    table = experiments.sweep(spec)
+    rows = experiments.sweep(spec)
     csv_path = out / "sweep.csv"
-    experiments.write_result_csv(table, str(csv_path))
+    experiments.write_result_csv(rows, str(csv_path))
     experiments.write_sweep_plot_script("sweep.csv", str(out / "sweep.gp"))
-    print(f"wrote {csv_path} ({len(table.rows)} grid points, {spec.trials} trials each)")
+    print(f"wrote {csv_path} ({len(rows)} grid points, {spec.trials} trials each)")
     return EXIT_OK
 
 
@@ -275,18 +284,18 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     target = analysis.check_target(args.target)
     out = _output_dir(args)
     if args.from_csv:
-        table = experiments.read_result_csv(args.from_csv)
+        rows = experiments.read_result_csv(args.from_csv)
     else:
         spec = _make_spec(args)
-        table = experiments.sweep(spec)
+        rows = experiments.sweep(spec)
         csv_path = out / "sweep.csv"
-        experiments.write_result_csv(table, str(csv_path))
+        experiments.write_result_csv(rows, str(csv_path))
         print(f"wrote {csv_path}")
-    rows = experiments.frontier(table, target=target, column=args.column)
+    front = experiments.frontier(rows, target=target, column=args.column)
     frontier_path = out / "frontier.csv"
-    experiments.write_frontier_csv(rows, str(frontier_path))
+    experiments.write_frontier_csv(front, str(frontier_path))
     experiments.write_frontier_plot_script("frontier.csv", str(out / "frontier.gp"))
-    print(f"wrote {frontier_path} ({len(rows)} distances, target {target}, {args.column})")
+    print(f"wrote {frontier_path} ({len(front)} distances, target {target}, {args.column})")
     return EXIT_OK
 
 

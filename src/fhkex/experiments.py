@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,8 +44,6 @@ METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 #: Most trial-slots simulated at once: trials run in blocks of BLOCK_SLOTS // n
 #: sessions, so peak memory does not grow with the trial count, and one session
 #: in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes per slot.
-#: A multiple of 16 slots (32 coins, one word of rng.bytes), so a session's
-#: bits are drawn block by block, each block a whole number of words.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
@@ -55,15 +52,6 @@ SLOT_BUDGET = 50_000_000
 
 class BudgetError(ValueError):
     """The slots a sweep would simulate exceed the configured budget."""
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    index: int
-    k: int
-    n: int
-    d_be: float
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -121,17 +109,6 @@ class SweepSpec:
             return 0
         return len(self.d_be) * len(self.sigma) * self.trials * max(self.n_rounds)
 
-    def grid_points(self) -> list[GridPoint]:
-        points = []
-        index = 0
-        for k in self.k:
-            for n in self.n_rounds:
-                for d_be in self.d_be:
-                    for sigma in self.sigma:
-                        points.append(GridPoint(index=index, k=k, n=n, d_be=d_be, sigma=sigma))
-                        index += 1
-        return points
-
 
 class ResultRow(NamedTuple):
     """One sweep.csv line; its field names, in order, are RESULT_COLUMNS."""
@@ -150,11 +127,6 @@ class ResultRow(NamedTuple):
 
 
 RESULT_COLUMNS = ResultRow._fields
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    rows: tuple[ResultRow, ...]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -183,25 +155,13 @@ class Session(NamedTuple):
 
 
 def draw_slot_bits(rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    """Alice's and Bob's bit for n slots, in blocks of BLOCK_SLOTS slots: (m, 2) uint8 arrays.
+    """Alice's and Bob's bit for n slots, in blocks of BLOCK_SLOTS slots: (m, 2) uint8 views.
 
-    The coins of one draw_coins call of 2n interleaved Alice/Bob bits,
-    whatever the block size: coins are drawn BLOCK_SLOTS rounded up to whole
-    words at a time, and a draw's slots past its last full block open the
-    next one (never, when BLOCK_SLOTS is a multiple of 16).
+    The coins of one draw_coins call of 2n interleaved Alice/Bob bits, cut
+    into blocks, so the bits do not depend on the block size.
     """
-    step = -(-BLOCK_SLOTS // 16) * 16
-    blocks, tail = [], np.empty((0, 2), dtype=np.uint8)
-    for start in range(0, n, step):
-        drawn = draw_coins(rng, 2 * min(step, n - start)).reshape(-1, 2)
-        if tail.size:
-            drawn = np.concatenate((tail, drawn))
-        whole = drawn.shape[0] - drawn.shape[0] % BLOCK_SLOTS
-        blocks += [drawn[i:i + BLOCK_SLOTS] for i in range(0, whole, BLOCK_SLOTS)]
-        tail = drawn[whole:]
-    if tail.size:
-        blocks.append(tail)
-    return blocks
+    bits = draw_coins(rng, 2 * n).reshape(-1, 2)
+    return [bits[i:i + BLOCK_SLOTS] for i in range(0, n, BLOCK_SLOTS)]
 
 
 def session_blocks(
@@ -247,15 +207,10 @@ def simulate_session_counts(
 
 
 def simulate_session_block(
-    rng: np.random.Generator,
-    trials: int,
-    n: int,
-    d_ae: float,
-    d_be: float,
-    cfg: ScenarioConfig,
-    rule: str = RULE_ML,
+    rng: np.random.Generator, trials: int, n: int, delta: float, sigma: float, rule: str = RULE_ML
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`trials` sessions of n slots plus eavesdropper, batched.
+    """`trials` sessions of n slots plus eavesdropper, batched, at the adversary's
+    mean path-loss gap delta (channel.delta_mean_pathloss) and shadowing sigma.
 
     Returns (generated, secret): the (trials, n) slot mask of generated key
     bits, and per generated bit in trial-major order whether the adversary
@@ -271,20 +226,12 @@ def simulate_session_block(
     generated = (pairs == 1) | (pairs == 256)
     values = bits[:, 0::2][generated] if rule == RULE_RANDOM else None
     draws = _decision_draws(rng, np.count_nonzero(generated), rule)
-    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    return generated, ~_classify(draws, values, delta, cfg.sigma, rule)[0]
+    return generated, ~_classify(draws, values, delta, sigma, rule)[0]
 
 
 def slice_successes(
-    rng: np.random.Generator,
-    trials: int,
-    ks: Sequence[int],
-    n_rounds: Sequence[int],
-    d_ae: float,
-    d_be: float,
-    cfg: ScenarioConfig,
-    rule: str = RULE_ML,
-    metric: str = METRIC_PER_BIT,
+    rng: np.random.Generator, trials: int, ks: Sequence[int], n_rounds: Sequence[int],
+    delta: float, sigma: float, rule: str = RULE_ML, metric: str = METRIC_PER_BIT,
 ) -> np.ndarray:
     """Successful trials per (k, n), shape (len(ks), len(n_rounds)).
 
@@ -299,7 +246,7 @@ def slice_successes(
     block = max(1, BLOCK_SLOTS // int(ns[-1]))
     for start in range(0, trials, block):
         generated, secret = simulate_session_block(
-            rng, min(block, trials - start), int(ns[-1]), d_ae, d_be, cfg, rule
+            rng, min(block, trials - start), int(ns[-1]), delta, sigma, rule
         )
         # generated bits per trial within its first n slots, for every distinct n
         bits = np.add.reduceat(generated, edges, axis=1, dtype=np.int32).cumsum(axis=1)
@@ -353,11 +300,11 @@ def _classify(
     return score < 0.0, score == 0.0
 
 
-def _slice_pg(d_ae: float, d_be: float, sigma: float, rule: str, gamma: float) -> float:
+def _slice_pg(delta: float, sigma: float, rule: str) -> float:
     """Per-bit-round correct-guess probability of the simulated rule."""
     if rule == RULE_RANDOM:
         return 0.5
-    return pg_closed_form(delta_mean_pathloss(d_ae, d_be, gamma), sigma)
+    return pg_closed_form(delta, sigma)
 
 
 def _analytic_columns(
@@ -380,50 +327,45 @@ def _analytic_columns(
     return [key_probs(ks, n, p_b) for n in n_rounds]
 
 
-def analytic_prob(point: GridPoint, rule: str, metric: str, geometry: str, gamma: float) -> float:
+def analytic_prob(
+    k: int, n: int, d_be: float, sigma: float, rule: str, metric: str, geometry: str, gamma: float
+) -> float:
     """Closed-form success probability at one grid point: a sweep's analytic column, one row."""
-    d_ae, d_be = build_deployment(point.d_be, geometry)
-    pg = _slice_pg(d_ae, d_be, point.sigma, rule, gamma)
-    ((prob,),) = _analytic_columns((point.k,), (point.n,), pg, metric)
+    delta = delta_mean_pathloss(*build_deployment(d_be, geometry), gamma)
+    ((prob,),) = _analytic_columns((k,), (n,), _slice_pg(delta, sigma, rule), metric)
     return prob
 
 
 def run_grid_point(
-    point: GridPoint,
-    trials: int,
-    base_seed: int,
-    cfg: ScenarioConfig,
-    rule: str = RULE_ML,
-    metric: str = METRIC_PER_BIT,
-    geometry: str = GEOMETRY_CANONICAL,
+    k: int, n: int, d_be: float, sigma: float, trials: int, base_seed: int, cfg: ScenarioConfig,
+    rule: str = RULE_ML, metric: str = METRIC_PER_BIT, geometry: str = GEOMETRY_CANONICAL,
 ) -> tuple[float, tuple[float, float]]:
     """Empirical success fraction and Wilson interval at one grid point.
 
-    A one-point sweep: the seed is (base_seed, 0), whatever the point's index.
+    A one-point sweep, seeded (base_seed, 0).
     """
     spec = SweepSpec(
-        k=(point.k,), n_rounds=(point.n,), d_be=(point.d_be,), sigma=(point.sigma,),
+        k=(k,), n_rounds=(n,), d_be=(d_be,), sigma=(sigma,),
         trials=trials, base_seed=base_seed, rule=rule, metric=metric, geometry=geometry,
         scenario=cfg,
     )
-    (row,) = sweep(spec).rows
+    (row,) = sweep(spec)
     return row.p_hat, (row.ci_lo, row.ci_hi)
 
 
-def sweep(spec: SweepSpec) -> ResultTable:
-    """One ResultRow per grid point, in the nested-axis order of spec.grid_points()."""
+def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
+    """One ResultRow per grid point, in the order of itertools.product(k, n_rounds, d_be, sigma)."""
     if spec.grid_size == 0:
-        return ResultTable(rows=())
+        return ()
     slices = list(itertools.product(spec.d_be, spec.sigma))
     counts, analytic = [], []
     for index, (d_be, sigma) in enumerate(slices):
-        d_ae, d_be = build_deployment(d_be, spec.geometry)
+        delta = delta_mean_pathloss(*build_deployment(d_be, spec.geometry), spec.scenario.gamma)
         rng = np.random.default_rng(np.random.SeedSequence([spec.base_seed, index]))
         counts.append(slice_successes(
-            rng, spec.trials, spec.k, spec.n_rounds, d_ae, d_be,
-            spec.scenario.replace(sigma=sigma), spec.rule, spec.metric,
+            rng, spec.trials, spec.k, spec.n_rounds, delta, sigma, spec.rule, spec.metric
         ).tolist())
-        pg = _slice_pg(d_ae, d_be, sigma, spec.rule, spec.scenario.gamma)
+        pg = _slice_pg(delta, sigma, spec.rule)
         analytic.append(_analytic_columns(spec.k, spec.n_rounds, pg, spec.metric))
     rule, metric, trials = spec.rule, spec.metric, spec.trials
     # (p_hat, ci_lo, ci_hi) once per distinct success count: a slice has at most trials + 1
@@ -436,7 +378,7 @@ def sweep(spec: SweepSpec) -> ResultTable:
         rows.append(ResultRow(
             k, n, d_be, sigma, rule, metric, trials, *estimates[counts[s][i][j]], analytic[s][j][i]
         ))
-    return ResultTable(rows=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -446,7 +388,7 @@ class FrontierRow:
 
 
 def frontier(
-    table: ResultTable, target: float, column: str = "p_hat"
+    rows: Sequence[ResultRow], target: float, column: str = "p_hat"
 ) -> list[FrontierRow]:
     """Per adversary distance, the smallest n whose estimate meets the target.
 
@@ -456,13 +398,13 @@ def frontier(
     """
     if column not in ("p_hat", "p_analytic"):
         raise ValueError(f"unknown frontier column {column!r}")
-    if not table.rows:
+    if not rows:
         return []
-    slices = {(r.k, r.sigma, r.rule, r.metric) for r in table.rows}
+    slices = {(r.k, r.sigma, r.rule, r.metric) for r in rows}
     if len(slices) != 1:
         raise ValueError(f"frontier needs a single (k, sigma, rule, metric) slice, got {len(slices)}")
     by_dist: dict[float, list[ResultRow]] = {}
-    for row in table.rows:
+    for row in rows:
         by_dist.setdefault(row.d_be, []).append(row)
     result = []
     running: int | None = None
@@ -487,7 +429,7 @@ _RESULT_LINES = (
 )
 
 
-def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
+def write_result_csv(rows: Sequence[ResultRow], dest: Union[str, TextIO]) -> None:
     """The csv module's bytes, written directly: no field of a sweep row needs
     quoting (numbers, and the rule and metric names).
 
@@ -497,7 +439,7 @@ def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
     """
     texts: dict[tuple, str] = {}
     lines = []
-    for k, n, d_be, sigma, rule, metric, trials, p_hat, ci_lo, ci_hi, p_analytic in table.rows:
+    for k, n, d_be, sigma, rule, metric, trials, p_hat, ci_lo, ci_hi, p_analytic in rows:
         key = (p_hat, ci_lo, ci_hi)
         if 0.0 in key:
             key += (math.copysign(1.0, p_hat), math.copysign(1.0, ci_lo), math.copysign(1.0, ci_hi))
@@ -512,13 +454,7 @@ def write_result_csv(table: ResultTable, dest: Union[str, TextIO]) -> None:
         fh.writelines(lines)
 
 
-def result_csv_text(table: ResultTable) -> str:
-    buf = io.StringIO()
-    write_result_csv(table, buf)
-    return buf.getvalue()
-
-
-def read_result_csv(src: Union[str, TextIO]) -> ResultTable:
+def read_result_csv(src: Union[str, TextIO]) -> tuple[ResultRow, ...]:
     with text_stream(src) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -538,7 +474,7 @@ def read_result_csv(src: Union[str, TextIO]) -> ResultTable:
                 ))
             except ValueError as exc:
                 raise ValueError(f"result CSV line {reader.line_num}: {exc}") from None
-        return ResultTable(rows=tuple(rows))
+        return tuple(rows)
 
 
 def write_frontier_csv(rows: Sequence[FrontierRow], dest: Union[str, TextIO]) -> None:

@@ -19,9 +19,9 @@ from fhkex.experiments import (
     FrontierRow,
     SweepSpec,
     frontier,
-    result_csv_text,
     simulate_session_counts,
     sweep,
+    write_result_csv,
 )
 from fhkex.protocol import run_session
 from fhkex.scenario import ScenarioConfig, build_deployment
@@ -35,6 +35,12 @@ TOY_BOB = (0, 1, 0, 1, 0, 1)
 # Fraction arithmetic and 50-digit mpmath) before the build.
 FROZEN_MIN_N = {64: 156, 128: 295, 256: 567}
 NOMINAL_MIN_N = {64: 160, 128: 300, 256: 570}
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    write_result_csv(rows, buf)
+    return buf.getvalue()
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -83,18 +89,18 @@ def test_criterion_3_monte_carlo_matches_closed_form():
         metric=METRIC_PER_BIT,
         geometry=GEOMETRY_EQUIDISTANT,
     )
-    table = sweep(spec)
-    assert len(table.rows) == 3 * 55
+    rows = sweep(spec)
+    assert len(rows) == 3 * 55
     within = 0
-    for row in table.rows:
+    for row in rows:
         half = (row.ci_hi - row.ci_lo) / 2
         if abs(row.p_hat - row.p_analytic) <= 3 * half:
             within += 1
-    fraction = within / len(table.rows)
-    assert fraction >= 0.99, f"only {within}/{len(table.rows)} points within 3 half-widths"
+    fraction = within / len(rows)
+    assert fraction >= 0.99, f"only {within}/{len(rows)} points within 3 half-widths"
     _report(
         "criterion-3 closed form vs Monte Carlo",
-        f"{within}/{len(table.rows)} grid points within 3 Wilson half-widths",
+        f"{within}/{len(rows)} grid points within 3 Wilson half-widths",
     )
 
 
@@ -202,10 +208,10 @@ def test_criterion_7_power_and_reference_invariance():
             trials=200, base_seed=77, scenario=cfg,
         )
 
-    table_a = sweep(small_spec(base))
-    table_b = sweep(small_spec(shifted))
-    assert result_csv_text(table_a) == result_csv_text(table_b)
-    assert frontier(table_a, target=0.5) == frontier(table_b, target=0.5)
+    rows_a = sweep(small_spec(base))
+    rows_b = sweep(small_spec(shifted))
+    assert _csv_text(rows_a) == _csv_text(rows_b)
+    assert frontier(rows_a, target=0.5) == frontier(rows_b, target=0.5)
     _report("criterion-7 invariance", "decisions, counts, sweep CSV and frontier unchanged")
 
 
@@ -214,14 +220,14 @@ def test_criterion_8_sweep_determinism():
         k=(4, 8), n_rounds=(30, 60), d_be=(20.0,), sigma=(8.0,),
         trials=150, base_seed=99,
     )
-    text_one = result_csv_text(sweep(spec))
-    text_two = result_csv_text(sweep(spec))
+    text_one = _csv_text(sweep(spec))
+    text_two = _csv_text(sweep(spec))
     assert text_one == text_two
     reseeded = SweepSpec(
         k=(4, 8), n_rounds=(30, 60), d_be=(20.0,), sigma=(8.0,),
         trials=150, base_seed=100,
     )
-    assert result_csv_text(sweep(reseeded)) != text_one
+    assert _csv_text(sweep(reseeded)) != text_one
     _report("criterion-8 determinism", "byte-identical CSVs across reruns")
 
 
@@ -248,7 +254,7 @@ def test_abstract_reading_monte_carlo_is_flat_in_distance():
         k=(128,), n_rounds=(563,), d_be=(2.0, 20.0, 100.0), sigma=(8.0,),
         trials=2000, base_seed=564, rule=RULE_RANDOM, metric=METRIC_PER_BIT,
     )
-    rows = sweep(spec).rows
+    rows = sweep(spec)
     assert len(rows) == 3
     for row in rows:
         assert row.p_analytic == pytest.approx(0.90241, abs=5e-6)

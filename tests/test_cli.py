@@ -90,6 +90,19 @@ def test_analyze_infeasible_pb(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["--k", "64", "--sigma", "0", "--d-be", "20"],  # p_b = 0: no minimum n
+    ["--k", "64", "--sigma", "8", "--d-be", "20", "--n", "100"],  # no privacy radius
+    ["--k", "8", "--pb", "0", "--n", "5"],
+])
+def test_analyze_infeasible_prints_nothing(capsys, args):
+    # every line is computed before the first is printed
+    assert main(["analyze", *args]) == EXIT_INFEASIBLE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: infeasible:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("d_be", ["nan", "-5", "20"])
 def test_analyze_refuses_adversary_distance_with_given_pb(capsys, d_be):
     # a given p_b leaves no use for the distance, so the pair is refused, not ignored

@@ -193,3 +193,15 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(inputs, argv):
         assert code == EXIT_OK or files == {}, argv
         if code != EXIT_OK:  # one machine-parseable line, whoever refused
             assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--sigma", "3"], ["analyze", "--tar", "0.9"]])
+def test_abbreviated_flag_is_refused(tmp_path, capsys, argv):
+    # argparse's default would read --sigma as --sigma-list and --tar as --target
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *(["--out", str(tmp_path)] if argv[0] == "sweep" else [])])
+    assert exc.value.code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: usage: unrecognized arguments: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

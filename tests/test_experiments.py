@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -21,15 +22,12 @@ from fhkex.experiments import (
     RESULT_COLUMNS,
     BudgetError,
     FrontierRow,
-    GridPoint,
     ResultRow,
-    ResultTable,
     SweepSpec,
     _classify,
     analytic_prob,
     frontier,
     read_result_csv,
-    result_csv_text,
     run_grid_point,
     simulate_session_block,
     simulate_session_counts,
@@ -107,7 +105,8 @@ def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, see
     rng_session, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
     session = simulate_session_counts(rng_session, 400, *dep, cfg, rule=rule)
     generated, correct = session.correct.size, session.correct
-    gen_mask, secret = simulate_session_block(rng_block, 1, 400, *dep, cfg, rule=rule)
+    delta = delta_mean_pathloss(*dep, cfg.gamma)
+    gen_mask, secret = simulate_session_block(rng_block, 1, 400, delta, cfg.sigma, rule=rule)
     wrong = np.flatnonzero(~correct)
     missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
     assert int(gen_mask.sum()) == generated == secret.size
@@ -142,7 +141,8 @@ def test_rows_read_session_prefixes(metric, rule, seed):
             else:
                 expected.append(generated - int(correct[:generated].sum()) >= k)
     counts = slice_successes(
-        np.random.default_rng(seed), 1, ks, ns, *dep, cfg, rule, metric
+        np.random.default_rng(seed), 1, ks, ns, delta_mean_pathloss(*dep, cfg.gamma), cfg.sigma,
+        rule, metric,
     )
     assert counts.ravel().tolist() == [int(e) for e in expected]
 
@@ -214,7 +214,8 @@ def test_slice_successes_judges_each_trial_session(
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
     rng = np.random.default_rng(seed)
-    counts = slice_successes(rng, trials, ks, ns, d_ae, d_be, cfg, rule, metric)
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    counts = slice_successes(rng, trials, ks, ns, delta, sigma, rule, metric)
     expected, replay = _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric)
     assert counts.tolist() == expected.tolist()
     assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
@@ -290,7 +291,7 @@ def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n)
     )
     seed = 1000 * trials + n
     generated, secret = simulate_session_block(
-        np.random.default_rng(seed), trials, n, 70.0, 20.0, ScenarioConfig(sigma=8.0), rule
+        np.random.default_rng(seed), trials, n, delta_mean_pathloss(70.0, 20.0, 3.5), 8.0, rule
     )
     bits = draw_coins(np.random.default_rng(seed), 2 * trials * n).reshape(trials, 2 * n)
     a, b = bits[:, 0::2], bits[:, 1::2]
@@ -307,10 +308,11 @@ def test_engine_counts_every_trial_across_blocks():
     n = 500
     trials = 3 * (BLOCK_SLOTS // n) + 4  # three full blocks and a partial one
     rng = np.random.default_rng(5)
-    counts = slice_successes(rng, trials, (0,), (1, n), 70.0, 20.0, ScenarioConfig())
+    delta, sigma = delta_mean_pathloss(70.0, 20.0, 3.5), ScenarioConfig().sigma
+    counts = slice_successes(rng, trials, (0,), (1, n), delta, sigma)
     assert counts.tolist() == [[trials, trials]]  # k = 0 succeeds on every trial
     spec = SweepSpec(k=(0, 4), n_rounds=(40, n), d_be=(20.0,), sigma=(8.0,), trials=trials)
-    rows = sweep(spec).rows
+    rows = sweep(spec)
     assert all(r.trials == trials for r in rows)
     assert [r.p_hat for r in rows if r.k == 0] == [1.0, 1.0]
 
@@ -331,7 +333,7 @@ def test_slice_rows_share_sessions(ks, ns, d_be, sigma, rule, metric, trials, se
         k=sorted(ks), n_rounds=sorted(ns), d_be=(d_be,), sigma=(sigma,),
         trials=trials, base_seed=seed, rule=rule, metric=metric,
     )
-    p_hat = {(r.k, r.n): r.p_hat for r in sweep(spec).rows}
+    p_hat = {(r.k, r.n): r.p_hat for r in sweep(spec)}
     for k in spec.k:
         along_n = [p_hat[(k, n)] for n in spec.n_rounds]
         assert along_n == sorted(along_n)
@@ -378,23 +380,22 @@ def test_budget_counts_simulated_slots_before_allocating():
 
 def test_grid_point_order_is_deterministic():
     spec = SweepSpec(k=(8, 16), n_rounds=(30, 60), d_be=(5.0, 20.0), sigma=(2.0,), trials=1)
-    points = spec.grid_points()
-    assert [p.index for p in points] == list(range(8))
-    assert points[0] == GridPoint(index=0, k=8, n=30, d_be=5.0, sigma=2.0)
-    assert points[-1] == GridPoint(index=7, k=16, n=60, d_be=20.0, sigma=2.0)
-    rows = sweep(spec).rows
-    assert [(r.k, r.n, r.d_be, r.sigma) for r in rows] == [(p.k, p.n, p.d_be, p.sigma) for p in points]
+    points = list(itertools.product(spec.k, spec.n_rounds, spec.d_be, spec.sigma))
+    assert len(points) == 8
+    assert points[0] == (8, 30, 5.0, 2.0)
+    assert points[-1] == (16, 60, 20.0, 2.0)
+    rows = sweep(spec)
+    assert [(r.k, r.n, r.d_be, r.sigma) for r in rows] == points
 
 
 def test_empty_axis_gives_empty_table():
     spec = SweepSpec(k=(), n_rounds=(30,), d_be=(20.0,), sigma=(8.0,))
-    assert sweep(spec).rows == ()
+    assert sweep(spec) == ()
 
 
 def test_run_grid_point_equidistant_matches_closed_form():
-    point = GridPoint(index=0, k=128, n=300, d_be=60.0, sigma=0.0)
     p_hat, (lo, hi) = run_grid_point(
-        point, trials=2000, base_seed=42, cfg=ScenarioConfig(),
+        128, 300, 60.0, 0.0, trials=2000, base_seed=42, cfg=ScenarioConfig(),
         geometry=GEOMETRY_EQUIDISTANT,
     )
     expected = float(key_prob(128, 300, 0.5))
@@ -403,30 +404,27 @@ def test_run_grid_point_equidistant_matches_closed_form():
 
 
 def test_run_grid_point_no_fading_unequal_distances_never_succeeds():
-    point = GridPoint(index=0, k=1, n=200, d_be=20.0, sigma=0.0)
-    p_hat, _ = run_grid_point(point, trials=500, base_seed=1, cfg=ScenarioConfig())
+    p_hat, _ = run_grid_point(1, 200, 20.0, 0.0, trials=500, base_seed=1, cfg=ScenarioConfig())
     assert p_hat == 0.0
 
 
 def test_run_grid_point_trivial_key_always_succeeds():
-    point = GridPoint(index=0, k=0, n=10, d_be=20.0, sigma=8.0)
-    p_hat, _ = run_grid_point(point, trials=1, base_seed=0, cfg=ScenarioConfig())
+    p_hat, _ = run_grid_point(0, 10, 20.0, 8.0, trials=1, base_seed=0, cfg=ScenarioConfig())
     assert p_hat == 1.0
 
 
 def test_run_grid_point_rejects_distances_below_reference():
-    point = GridPoint(index=0, k=1, n=10, d_be=0.5, sigma=8.0)
     with pytest.raises(ValueError):
-        run_grid_point(point, trials=1, base_seed=0, cfg=ScenarioConfig())
+        run_grid_point(1, 10, 0.5, 8.0, trials=1, base_seed=0, cfg=ScenarioConfig())
 
 
 def test_analytic_prob_composition():
-    point = GridPoint(index=0, k=64, n=300, d_be=20.0, sigma=8.0)
-    value = analytic_prob(point, RULE_ML, METRIC_PER_BIT, "canonical", gamma=3.5)
+    point = (64, 300, 20.0, 8.0)
+    value = analytic_prob(*point, RULE_ML, METRIC_PER_BIT, "canonical", gamma=3.5)
     assert value == pytest.approx(float(key_prob(64, 300, fading_pb(20.0, 8.0))), abs=1e-12)
 
     # random rule: secret rate one quarter regardless of geometry
-    value = analytic_prob(point, RULE_RANDOM, METRIC_PER_BIT, "canonical", gamma=3.5)
+    value = analytic_prob(*point, RULE_RANDOM, METRIC_PER_BIT, "canonical", gamma=3.5)
     assert value == pytest.approx(float(key_prob(64, 300, 0.25)), abs=1e-12)
 
 
@@ -438,7 +436,7 @@ def test_sweep_analytic_column_reads_the_typed_distance(d_be):
         k=(1, 4, 16), n_rounds=(40, 200, 600), d_be=(d_be,), sigma=(8.0, 20.0), trials=1,
         scenario=ScenarioConfig(d0=0.1),
     )
-    for row in sweep(spec).rows:
+    for row in sweep(spec):
         assert row.d_be == d_be
         assert row.p_analytic == float(key_prob(row.k, row.n, fading_pb(d_be, row.sigma)))
 
@@ -454,24 +452,25 @@ def test_sweep_analytic_column_is_analytic_prob(metric, rule, geometry, d_be):
         k=(0, 1, 16, 64, 700), n_rounds=(1, 40, 200, 600), d_be=d_be, sigma=(0.0, 8.0),
         trials=1, rule=rule, metric=metric, geometry=geometry,
     )
-    for point, row in zip(spec.grid_points(), sweep(spec).rows):
-        assert row.p_analytic == analytic_prob(point, rule, metric, geometry, gamma=3.5)
+    for row in sweep(spec):
+        point = (row.k, row.n, row.d_be, row.sigma)
+        assert row.p_analytic == analytic_prob(*point, rule, metric, geometry, gamma=3.5)
 
 
 def test_run_grid_point_fading_agrees_with_closed_form():
-    point = GridPoint(index=0, k=4, n=150, d_be=60.0, sigma=8.0)
-    p_hat, (lo, hi) = run_grid_point(point, trials=800, base_seed=23, cfg=ScenarioConfig())
-    expected = analytic_prob(point, RULE_ML, METRIC_PER_BIT, "canonical", gamma=3.5)
+    point = (4, 150, 60.0, 8.0)
+    p_hat, (lo, hi) = run_grid_point(*point, trials=800, base_seed=23, cfg=ScenarioConfig())
+    expected = analytic_prob(*point, RULE_ML, METRIC_PER_BIT, "canonical", gamma=3.5)
     half = (hi - lo) / 2
     assert abs(p_hat - expected) <= 3 * half
 
 
 def test_whole_key_metric_agrees_with_its_closed_form():
-    point = GridPoint(index=0, k=2, n=16, d_be=20.0, sigma=8.0)
+    point = (2, 16, 20.0, 8.0)
     p_hat, (lo, hi) = run_grid_point(
-        point, trials=4000, base_seed=7, cfg=ScenarioConfig(), metric=METRIC_WHOLE_KEY
+        *point, trials=4000, base_seed=7, cfg=ScenarioConfig(), metric=METRIC_WHOLE_KEY
     )
-    expected = analytic_prob(point, RULE_ML, METRIC_WHOLE_KEY, "canonical", gamma=3.5)
+    expected = analytic_prob(*point, RULE_ML, METRIC_WHOLE_KEY, "canonical", gamma=3.5)
     half = (hi - lo) / 2
     assert abs(p_hat - expected) <= 3 * half
 
@@ -481,7 +480,7 @@ def test_analytic_column_trends():
         k=(32, 64), n_rounds=(200, 400, 800), d_be=(20.0, 60.0, 200.0), sigma=(8.0, 14.0),
         trials=1, base_seed=0,
     )
-    rows = {(r.k, r.n, r.d_be, r.sigma): r.p_analytic for r in sweep(spec).rows}
+    rows = {(r.k, r.n, r.d_be, r.sigma): r.p_analytic for r in sweep(spec)}
 
     def series(fixed, axis, values):
         return [rows[fixed(v)] for v in values]
@@ -531,6 +530,13 @@ def test_estimate_rule_correctness_pinned_draws(rule, sigma, rate, next_draw):
     assert rng.integers(0, 2**32) == next_draw
 
 
+def _csv_text(rows):
+    """sweep.csv as write_result_csv writes it."""
+    buf = io.StringIO()
+    write_result_csv(rows, buf)
+    return buf.getvalue()
+
+
 def _small_spec(**overrides):
     base = dict(
         k=(4,), n_rounds=(20, 40), d_be=(20.0, 60.0), sigma=(8.0,),
@@ -542,10 +548,10 @@ def _small_spec(**overrides):
 
 def test_sweep_reproducible_and_worker_independent():
     spec = _small_spec()
-    text_1 = result_csv_text(sweep(spec))
-    text_2 = result_csv_text(sweep(spec))
+    text_1 = _csv_text(sweep(spec))
+    text_2 = _csv_text(sweep(spec))
     assert text_1 == text_2
-    assert text_1 != result_csv_text(sweep(_small_spec(base_seed=12)))
+    assert text_1 != _csv_text(sweep(_small_spec(base_seed=12)))
 
 
 # Every column but p_analytic, whose closed form may move in its last bits;
@@ -576,7 +582,7 @@ _FROZEN_SWEEPS = [
 
 @pytest.mark.parametrize("spec, digest", _FROZEN_SWEEPS, ids=["ml-bit", "ml-key", "rand-bit", "rand-key"])
 def test_sweep_monte_carlo_bytes_are_frozen(spec, digest):
-    text = result_csv_text(sweep(SweepSpec(**spec)))
+    text = _csv_text(sweep(SweepSpec(**spec)))
     assert text.splitlines()[0].endswith(",p_analytic")
     body = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
     assert hashlib.sha256(body.encode()).hexdigest() == digest
@@ -599,31 +605,30 @@ _FROZEN_SWEEP_FILES = [
 
 @pytest.mark.parametrize("spec, digest", _FROZEN_SWEEP_FILES, ids=["ml-sigma8", "equidistant-tie"])
 def test_sweep_csv_bytes_are_frozen(spec, digest):
-    text = result_csv_text(sweep(SweepSpec(**spec)))
+    text = _csv_text(sweep(SweepSpec(**spec)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_result_csv_roundtrip():
-    table = sweep(_small_spec())
-    text = result_csv_text(table)
+    rows = sweep(_small_spec())
+    text = _csv_text(rows)
     parsed = read_result_csv(io.StringIO(text))
-    assert parsed == table
+    assert parsed == rows
     # None in the analytic column survives the roundtrip
     row = ResultRow(
         k=1, n=2, d_be=3.0, sigma=4.0, rule=RULE_ML, metric=METRIC_PER_BIT,
         trials=5, p_hat=0.5, ci_lo=0.2, ci_hi=0.8, p_analytic=None,
     )
     assert row == (1, 2, 3.0, 4.0, RULE_ML, METRIC_PER_BIT, 5, 0.5, 0.2, 0.8, None)
-    table = ResultTable(rows=(row,))
-    assert read_result_csv(io.StringIO(result_csv_text(table))) == table
+    assert read_result_csv(io.StringIO(_csv_text((row,)))) == (row,)
 
 
-def _csv_writer_reference(table):
+def _csv_writer_reference(rows):
     """The result CSV as csv.writer writes it, each float as its repr and None as an empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    for r in table.rows:
+    for r in rows:
         writer.writerow([
             "" if v is None else repr(v) if isinstance(v, float) else str(v)
             for v in (getattr(r, col) for col in RESULT_COLUMNS)
@@ -632,8 +637,8 @@ def _csv_writer_reference(table):
 
 
 def test_result_csv_matches_csv_writer():
-    table = sweep(_small_spec())
-    rows = table.rows + (
+    swept = sweep(_small_spec())
+    rows = swept + (
         ResultRow(
             k=1, n=2, d_be=3.0, sigma=0.0, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY,
             trials=5, p_hat=0.0, ci_lo=0.0, ci_hi=1e-300, p_analytic=None,
@@ -643,9 +648,8 @@ def test_result_csv_matches_csv_writer():
             trials=1, p_hat=1.0, ci_lo=0.1 + 0.2, ci_hi=1.0, p_analytic=5e-324,
         ),
     )
-    assert any(r.p_analytic is not None for r in table.rows)
-    table = ResultTable(rows=rows)
-    assert result_csv_text(table) == _csv_writer_reference(table)
+    assert any(r.p_analytic is not None for r in swept)
+    assert _csv_text(rows) == _csv_writer_reference(rows)
 
 
 def test_result_csv_writes_repeated_estimates_as_csv_writer_does():
@@ -662,13 +666,12 @@ def test_result_csv_writes_repeated_estimates_as_csv_writer_does():
         )
         for i, (p_hat, lo, hi) in enumerate(triples * 5)
     )
-    table = ResultTable(rows=rows)
-    text = result_csv_text(table)
-    assert text == _csv_writer_reference(table)
+    text = _csv_text(rows)
+    assert text == _csv_writer_reference(rows)
     assert "-0.0,0.0,0.3" in text and "0.0,-0.0,0.3" in text
     parsed = read_result_csv(io.StringIO(text))
-    assert parsed == table
-    assert result_csv_text(parsed) == text
+    assert parsed == rows
+    assert _csv_text(parsed) == text
 
 
 def test_sweep_computes_each_estimate_once_per_success_count(monkeypatch):
@@ -678,11 +681,11 @@ def test_sweep_computes_each_estimate_once_per_success_count(monkeypatch):
         fhkex.experiments, "wilson_interval", lambda *args: calls.append(args) or exact(*args)
     )
     spec = _small_spec(k=(1, 4, 8), n_rounds=(10, 20, 30, 40), trials=20)
-    table = sweep(spec)
-    counts = {round(row.p_hat * spec.trials) for row in table.rows}
-    assert len(counts) < len(table.rows)  # counts repeat, so the rows share intervals
+    rows = sweep(spec)
+    counts = {round(row.p_hat * spec.trials) for row in rows}
+    assert len(counts) < len(rows)  # counts repeat, so the rows share intervals
     assert sorted(calls) == sorted((c, spec.trials) for c in counts)
-    for row in table.rows:
+    for row in rows:
         assert (row.ci_lo, row.ci_hi) == exact(round(row.p_hat * spec.trials), spec.trials)
 
 
@@ -719,12 +722,12 @@ def test_frontier_csv_matches_csv_writer():
 
 
 def test_result_csv_header():
-    text = result_csv_text(sweep(_small_spec()))
+    text = _csv_text(sweep(_small_spec()))
     assert text.splitlines()[0] == "k,n,d_be,sigma,rule,metric,trials,p_hat,ci_lo,ci_hi,p_analytic"
 
 
-def _table(rows_spec):
-    rows = tuple(
+def _rows(rows_spec):
+    return tuple(
         ResultRow(
             k=8, n=n, d_be=d, sigma=8.0, rule=RULE_ML, metric=METRIC_PER_BIT,
             trials=100, p_hat=p, ci_lo=max(0.0, p - 0.05), ci_hi=min(1.0, p + 0.05),
@@ -732,36 +735,35 @@ def _table(rows_spec):
         )
         for (n, d, p) in rows_spec
     )
-    return ResultTable(rows=rows)
 
 
 def test_frontier_saturated_table():
-    table = _table([(n, d, 1.0) for n in (30, 60, 90) for d in (5.0, 10.0)])
-    rows = frontier(table, target=0.9)
-    assert rows == [FrontierRow(d_be=5.0, min_n=30), FrontierRow(d_be=10.0, min_n=30)]
+    rows = _rows([(n, d, 1.0) for n in (30, 60, 90) for d in (5.0, 10.0)])
+    front = frontier(rows, target=0.9)
+    assert front == [FrontierRow(d_be=5.0, min_n=30), FrontierRow(d_be=10.0, min_n=30)]
 
 
 def test_frontier_single_n_grid():
-    table = _table([(50, 5.0, 0.95), (50, 10.0, 0.2)])
-    rows = frontier(table, target=0.9)
-    assert rows[0] == FrontierRow(d_be=5.0, min_n=50)
-    assert rows[1] == FrontierRow(d_be=10.0, min_n=50)  # carried by isotonic cleanup
+    rows = _rows([(50, 5.0, 0.95), (50, 10.0, 0.2)])
+    front = frontier(rows, target=0.9)
+    assert front[0] == FrontierRow(d_be=5.0, min_n=50)
+    assert front[1] == FrontierRow(d_be=10.0, min_n=50)  # carried by isotonic cleanup
 
 
 def test_frontier_infeasible_rows_marked():
-    table = _table([(50, 5.0, 0.2), (50, 10.0, 0.2)])
-    rows = frontier(table, target=0.9)
-    assert rows == [FrontierRow(d_be=5.0, min_n=None), FrontierRow(d_be=10.0, min_n=None)]
+    rows = _rows([(50, 5.0, 0.2), (50, 10.0, 0.2)])
+    front = frontier(rows, target=0.9)
+    assert front == [FrontierRow(d_be=5.0, min_n=None), FrontierRow(d_be=10.0, min_n=None)]
 
 
 def test_frontier_isotonic_cleanup():
     # Monte Carlo noise put a later (easier) distance above the earlier one
-    table = _table(
+    rows = _rows(
         [(30, 5.0, 0.1), (60, 5.0, 0.95), (30, 10.0, 0.1), (60, 10.0, 0.1), (90, 10.0, 0.95)]
     )
-    rows = frontier(table, target=0.9)
-    assert rows == [FrontierRow(d_be=5.0, min_n=60), FrontierRow(d_be=10.0, min_n=60)]
-    mins = [r.min_n for r in rows]
+    front = frontier(rows, target=0.9)
+    assert front == [FrontierRow(d_be=5.0, min_n=60), FrontierRow(d_be=10.0, min_n=60)]
+    mins = [r.min_n for r in front]
     assert mins == sorted(mins, reverse=True) or len(set(mins)) == 1
 
 
@@ -773,11 +775,11 @@ def test_frontier_requires_single_slice():
                   trials=10, p_hat=1.0, ci_lo=0.9, ci_hi=1.0, p_analytic=None),
     )
     with pytest.raises(ValueError):
-        frontier(ResultTable(rows=rows), target=0.9)
+        frontier(rows, target=0.9)
 
 
 def test_frontier_empty_table():
-    assert frontier(ResultTable(rows=()), target=0.9) == []
+    assert frontier((), target=0.9) == []
 
 
 def test_frontier_analytic_column():
@@ -787,7 +789,7 @@ def test_frontier_analytic_column():
         ResultRow(k=8, n=20, d_be=5.0, sigma=8.0, rule=RULE_ML, metric=METRIC_PER_BIT,
                   trials=10, p_hat=0.0, ci_lo=0.0, ci_hi=0.1, p_analytic=0.99),
     )
-    got = frontier(ResultTable(rows=rows), target=0.9, column="p_analytic")
+    got = frontier(rows, target=0.9, column="p_analytic")
     assert got == [FrontierRow(d_be=5.0, min_n=10)]
     with pytest.raises(ValueError):
-        frontier(ResultTable(rows=rows), target=0.9, column="p_magic")
+        frontier(rows, target=0.9, column="p_magic")
