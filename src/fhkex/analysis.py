@@ -88,6 +88,16 @@ def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[float]:
     for every n; the prefix form errs by the same bound. A k below the window
     gets 1 and one above it gets 0, within the same bound.
 
+    Mirror at p_b = 1/2. Then p == q, both walk ratios are exactly 1.0, and the
+    downward factor i / (n - i + 1) at i = mode - j is the very float division
+    of the upward factor (n - i') / (i' + 1) at i' = mode + j for even n
+    (mode = n / 2), and at i' = mode + j - 1 for odd n (mode = (n + 1) / 2, so
+    the first downward factor is mode / mode = 1). The downward walk therefore
+    multiplies the same factors in the same order, takes as many steps and
+    stops at the same floor: its terms are above[1:] for even n and above[:]
+    for odd n, bit for bit. The mirror is taken only when the integers confirm
+    the mode (n - 2 mode is 0 or -1); otherwise the window is walked down too.
+
     Returns plain floats in [0, 1], by construction: the terms are positive
     and fsum is correctly rounded, so a part's sum is at most the window
     total and part / total at most 1.
@@ -115,13 +125,16 @@ def key_probs(ks: Sequence[int], n: int, p_b: float) -> list[float]:
         if t < floor:
             break
         above.append(t)
-    below = []  # terms mode - 1, mode - 2, ...
-    t, ratio = 1.0, q / p
-    for i in range(mode, 0, -1):
-        t *= i / (n - i + 1) * ratio
-        if t < floor:
-            break
-        below.append(t)
+    if p == q and n - 2 * mode in (0, -1):
+        below = above[1:] if n == 2 * mode else above[:]  # the mirror at p_b = 1/2
+    else:
+        below = []  # terms mode - 1, mode - 2, ...
+        t, ratio = 1.0, q / p
+        for i in range(mode, 0, -1):
+            t *= i / (n - i + 1) * ratio
+            if t < floor:
+                break
+            below.append(t)
 
     total = math.fsum(above + below)
     hi = mode + len(above) - 1

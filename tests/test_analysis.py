@@ -138,7 +138,7 @@ def test_key_prob_against_exact_direct_summation():
                 assert got == pytest.approx(want, abs=1e-13)
 
 
-@pytest.mark.parametrize("n", [60, 600, 2000])
+@pytest.mark.parametrize("n", [60, 600, 601, 2000, 2001])
 @pytest.mark.parametrize("p", [0.5, 0.25, float(fading_pb(20.0, 8.0)), 0.9])
 def test_key_probs_against_exact_rationals(n, p):
     # every k, so the truncated window's edges and the 0/1 answers outside it are checked
@@ -169,6 +169,51 @@ def test_key_probs_against_exact_rationals_at_bound_limit(p):
     want = exact_tails(n, p)
     got = key_probs(range(n + 2), n, p)
     assert max(abs(float(g) - w) for g, w in zip(got, want)) <= 1e-13
+
+
+def two_sided_key_probs(ks, n: int, p: float) -> list[float]:
+    """Reference for key_probs at 0 < p < 1 with n >= 1: the window walked up
+    and down from the mode by the ratio recursion, at every p."""
+    q = 1.0 - p
+    floor = math.exp(-fhkex.analysis.TAIL_CUTOFF - math.log(n + 1))
+    mode = min(n, int((n + 1) * p))
+    above = [1.0]
+    t, ratio = 1.0, p / q
+    for i in range(mode, n):
+        t *= (n - i) / (i + 1) * ratio
+        if t < floor:
+            break
+        above.append(t)
+    below = []
+    t, ratio = 1.0, q / p
+    for i in range(mode, 0, -1):
+        t *= i / (n - i + 1) * ratio
+        if t < floor:
+            break
+        below.append(t)
+    total = math.fsum(above + below)
+    hi = mode + len(above) - 1
+    lo = mode - len(below)
+    probs = []
+    for k in ks:
+        if k > hi:
+            probs.append(0.0)
+        elif k <= lo:
+            probs.append(1.0)
+        elif k > mode:
+            probs.append(math.fsum(above[k - mode :]) / total)
+        else:
+            probs.append(1.0 - math.fsum(below[mode - k :]) / total)
+    return probs
+
+
+# p_b = 1/2 takes the mirrored window; its float neighbours must walk both ways
+@pytest.mark.parametrize("p", [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)], ids=float.hex)
+def test_key_probs_mirror_is_the_two_sided_walk(p):
+    for n in (*range(1, 2001), 10**4, 10**4 + 1, 10**6, 10**6 + 1):
+        ks = range(n + 2)
+        got = [float.hex(value) for value in key_probs(ks, n, p)]
+        assert got == [float.hex(value) for value in two_sided_key_probs(ks, n, p)], n
 
 
 def _pin_ks(n: int, p: float) -> list[int]:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import fhkex
 from fhkex import adversary, experiments, protocol
+from fhkex.analysis import InfeasibleError, KeyRequest, privacy_radius
 from fhkex.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -148,6 +149,31 @@ def test_analyze_refuses_n_below_one_before_any_output(capsys, n):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: invalid-value: --n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("n, tail", [("1", "0.5"), ("1000000000", "1")])
+def test_analyze_takes_n_at_both_ends_of_its_range(capsys, n, tail):
+    assert main(["analyze", "--k", "1", "--pb", "0.5", "--n", n]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "p_b = 0.5 (given)",
+        "minimum transmissions for k=1 at target 0.99: 7",
+        f"P(L >= 1 | N={n}) = {tail}",
+    ]
+
+
+def test_analyze_at_sigma_zero_prints_no_privacy_radius(capsys):
+    # sigma 0 has no privacy radius, yet the command succeeds: at 1e300 m delta rounds
+    # to 0 dB and p_b is 1/2, so the radius line is left out instead of failing the call
+    with pytest.raises(InfeasibleError):
+        privacy_radius(KeyRequest(64), 400, 0.0)
+    assert main(["analyze", "--k", "64", "--sigma", "0", "--d-be", "1e300", "--n", "400"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        "delta = 0.0000 dB, p_g = 0, p_b = 0.5",
+        "minimum transmissions for k=64 at target 0.99: 156",
+        "P(L >= 64 | N=400) = 1",
+    ]
+    assert err == ""
 
 
 def test_session_outputs_are_deterministic(tmp_path, capsys):

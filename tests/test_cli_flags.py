@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhkex.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main
+from fhkex.scenario import CONFIG_FIELDS
 
 
 def _offered_actions():
@@ -193,6 +195,41 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(inputs, argv):
         assert code == EXIT_OK or files == {}, argv
         if code != EXIT_OK:  # one machine-parseable line, whoever refused
             assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+# config-file values off the happy path, and plain ones drawn as often; json writes the
+# non-finite floats as NaN and Infinity, which its reader takes back. No integer here
+# but 10^400 is above 20, and 10^400 slots exceed the budget: no session simulates more
+# than 20 slots.
+_FILE_EDGES = [math.nan, math.inf, -math.inf, 10**400, 1e308, -1e308, -1, -0.5, 0, 0.0,
+               True, False, None, "", "8", {"sigma": 1.0}, [], [1, 2]]
+_FILE_PLAIN = [1, 2, 20, 0.5, 3.5, 1e-3]
+_FILE_KEYS = [*CONFIG_FIELDS, "bogus", "n-rounds", "SIGMA"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config=st.dictionaries(
+    st.sampled_from(_FILE_KEYS),
+    st.one_of(st.sampled_from(_FILE_PLAIN), st.sampled_from(_FILE_EDGES)),
+    max_size=4,
+))
+@example(config={"sigma": 1e308})  # exits 0 with numpy overflow warnings: a known open defect
+def test_fuzzed_config_file_ends_in_a_documented_exit_code(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / "config.json"
+        path.write_text(json.dumps(config))
+        out = root / "out"
+        out.mkdir()
+        for argv in (
+            ["session", "--eve", "--config", str(path), "--out", str(out)],
+            ["analyze", "--k", "64", "--n", "400", "--config", str(path)],
+        ):
+            code, _, files, err = _call(argv, out)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO), (argv, config)
+            assert code == EXIT_OK or files == {}, (argv, config)
+            if code != EXIT_OK:
+                assert err.count("\n") == 1 and err.startswith("error: "), (argv, config, err)
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--sigma", "3"], ["analyze", "--tar", "0.9"]])
