@@ -5,10 +5,10 @@ eavesdropper that met the key-size target, with a Wilson 95% interval and,
 where available, the closed-form probability. Each (d_be, sigma) slice
 simulates its sessions once, at the longest n, from one stream seeded by
 (base_seed, slice index); every (k, n) row of the slice is read off
-prefixes of those same sessions (common random numbers). Each block of
-trials is counted on its compressed stream of generated bits: per-trial
-bit counts at every n and one running sum of the secret flags give both
-metrics. Results are a pure function of the spec.
+prefixes of those same sessions (common random numbers). A trial succeeds
+at n iff the slot that completes its key is below n, so each block of
+trials is counted once per k, from one completing slot per trial, whatever
+the length of the n axis. Results are a pure function of the spec.
 """
 
 from __future__ import annotations
@@ -237,34 +237,45 @@ def slice_successes(
 
     Every trial is one session of max(n_rounds) slots; row n reads its
     first n slots, so the counts are non-decreasing in n (and, for the
-    per-bit metric, non-increasing in k). Trials run in blocks of at most
-    BLOCK_SLOTS trial-slots, each counted on its compressed stream of bits.
+    per-bit metric, non-increasing in k). A trial succeeds at n iff the slot
+    that completes its key is below n: for the per-bit metric the slot of
+    its k-th secret bit; for the whole-key metric the slot of its k-th
+    generated bit, if its first secret bit is among its first k. So k = 0
+    succeeds on every trial per bit and on none for the whole key. Trials
+    run in blocks of at most BLOCK_SLOTS trial-slots.
     """
-    ns, order = np.unique(n_rounds, return_inverse=True)
-    edges = np.concatenate(([0], ns[:-1]))
-    successes = np.zeros((len(ks), ns.size), dtype=np.int64)
-    block = max(1, BLOCK_SLOTS // int(ns[-1]))
+    n_max = max(n_rounds)
+    n_axis = np.asarray(n_rounds)
+    whole_key = metric == METRIC_WHOLE_KEY
+    successes = np.zeros((len(ks), n_axis.size), dtype=np.int64)
+    block = max(1, BLOCK_SLOTS // n_max)
     for start in range(0, trials, block):
-        generated, secret = simulate_session_block(
-            rng, min(block, trials - start), int(ns[-1]), delta, sigma, rule
-        )
-        # generated bits per trial within its first n slots, for every distinct n
-        bits = np.add.reduceat(generated, edges, axis=1, dtype=np.int32).cumsum(axis=1)
-        # S[i]: secret bits among the first i of the block's stream; a trial's bits start at off
-        S = np.concatenate(([0], np.cumsum(secret, dtype=np.int32)))
-        off = np.concatenate(([0], np.cumsum(bits[:-1, -1])))
-        base = S[off]
-        if metric == METRIC_WHOLE_KEY:
-            # index among the trial's bits of its first secret one; at least its count if none
-            first = (np.searchsorted(S, base + 1) - 1 - off)[:, None]
-            for i, k in enumerate(ks):
-                # the first k generated bits exist and the adversary missed one of them
-                successes[i] += ((first < k) & (k <= bits)).sum(axis=0)
-        else:
-            secrets = S[off[:, None] + bits] - base[:, None]
-            for i, k in enumerate(ks):
-                successes[i] += (secrets >= k).sum(axis=0)
-    return successes[:, order]
+        size = min(block, trials - start)
+        generated, secret = simulate_session_block(rng, size, n_max, delta, sigma, rule)
+        # trial * n_max + slot per generated bit, in the order of secret: the
+        # stream the metric counts, which per bit keeps the secret bits only
+        slots = np.flatnonzero(generated)
+        if not whole_key:
+            slots = slots[secret]
+        # where each trial's bits start in the stream, and where the last trial's end
+        bounds = np.searchsorted(slots, np.arange(0, (size + 1) * n_max, n_max))
+        firsts, ends = bounds[:-1], bounds[1:]
+        if whole_key:
+            # each trial's first secret bit, by rank among its own bits; past them if none
+            secret_at = np.append(np.flatnonzero(secret), slots.size)
+            rank = secret_at[np.searchsorted(secret_at, firsts)] - firsts
+        for i, k in enumerate(ks):
+            if k == 0:
+                if not whole_key:
+                    successes[i] += size
+                continue
+            at = firsts + (k - 1)
+            done = at < ends
+            if whole_key:
+                done &= rank < k
+            completing = np.sort(slots[at[done]] % n_max)
+            successes[i] += np.searchsorted(completing, n_axis)
+    return successes
 
 
 def _decision_draws(rng: np.random.Generator, m: int, rule: str) -> np.ndarray:

@@ -55,11 +55,11 @@ class ScenarioConfig:
     simulator is slot-synchronous and never waits.
     """
 
-    gamma: float = dataclasses.field(default=3.5, metadata={"help": "path loss exponent"})
-    sigma: float = dataclasses.field(default=8.0, metadata={"help": "shadowing std-dev, dB"})
-    pl0: float = dataclasses.field(default=40.0, metadata={"help": "reference path loss, dB"})
+    gamma: float = dataclasses.field(default=3.5, metadata={"help": "path loss exponent, in (0, 100]"})
+    sigma: float = dataclasses.field(default=8.0, metadata={"help": "shadowing std-dev, dB, in [0, 1000]"})
+    pl0: float = dataclasses.field(default=40.0, metadata={"help": "reference path loss, dB, |pl0| <= 1e6"})
     d0: float = dataclasses.field(default=1.0, metadata={"help": "reference distance, m"})
-    pt: float = dataclasses.field(default=20.0, metadata={"help": "transmit power, dBm"})
+    pt: float = dataclasses.field(default=20.0, metadata={"help": "transmit power, dBm, |pt| <= 1e6"})
     slot_duration: float = dataclasses.field(default=1e-3, metadata={"help": "slot length, s"})
     n_rounds: int = dataclasses.field(default=600, metadata={"help": "protocol slots per session"})
     seed: int = dataclasses.field(default=0, metadata={"help": "64-bit RNG seed"})
@@ -74,15 +74,25 @@ _INT_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if type(f
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Return cfg unchanged iff every field invariant holds, else raise ConfigError."""
+    """Return cfg unchanged iff every field invariant holds, else raise ConfigError.
+
+    gamma, sigma, pl0 and pt have a finite domain: 0 < gamma <= 100,
+    0 <= sigma <= 1000 dB and |pl0|, |pt| <= 1e6. With an adversary distance
+    that check_adversary_distance admits, log10(d / d0) is at most 309, so
+    every path loss stays within 1.31e6 dB, and every RSS sample, ML score and
+    closed form stays finite.
+    """
     for name in CONFIG_FIELDS:
         value = getattr(cfg, name)
         if name not in _INT_FIELDS and not math.isfinite(value):
             raise ConfigError(f"invalid-{name.replace('_', '-')}", f"{name} must be finite, got {value}")
-    if not cfg.gamma > 0.0:
-        raise ConfigError("invalid-gamma", f"gamma must be > 0, got {cfg.gamma}")
-    if not cfg.sigma >= 0.0:
-        raise ConfigError("invalid-sigma", f"sigma must be >= 0, got {cfg.sigma}")
+    if not 0.0 < cfg.gamma <= 100.0:
+        raise ConfigError("invalid-gamma", f"gamma must be in (0, 100], got {cfg.gamma}")
+    if not 0.0 <= cfg.sigma <= 1000.0:
+        raise ConfigError("invalid-sigma", f"sigma must be in [0, 1000] dB, got {cfg.sigma}")
+    for name in ("pl0", "pt"):
+        if not abs(getattr(cfg, name)) <= 1e6:
+            raise ConfigError(f"invalid-{name}", f"{name} must be in [-1e6, 1e6], got {getattr(cfg, name)}")
     if not cfg.d0 > 0.0:
         raise ConfigError("invalid-d0", f"d0 must be > 0, got {cfg.d0}")
     if not cfg.slot_duration > 0.0:
@@ -98,9 +108,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def check_adversary_distance(d_be: float, d0: float) -> None:
-    """Refuse an adversary distance, as the user gave it, below the reference distance d0."""
+    """Refuse an adversary distance, as the user gave it, below the reference distance d0,
+    or so far above it that the farther node's distance, at most d_be + 50 m, over d0
+    overflows a float."""
     if not d_be >= d0:
         raise ValueError(f"adversary distance {d_be} m below reference distance {d0} m")
+    if math.isinf((d_be + 2 * NODE_HALF_SPACING) / d0):
+        raise ValueError(f"adversary distance {d_be} m over reference distance {d0} m overflows a float")
 
 
 @contextlib.contextmanager

@@ -1,5 +1,8 @@
+import csv
 import dataclasses
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -520,6 +523,63 @@ def test_session_accepts_adversary_at_reference_distance(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["eve_trace.csv", "transcript.csv"]
     rows = (tmp_path / "eve_trace.csv").read_text().splitlines()
     assert len(rows) == 21
+
+
+def _numbers(path):
+    """Every non-empty field of a CSV that reads as a float, header aside."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    numbers = []
+    for field in itertools.chain.from_iterable(rows):
+        try:
+            numbers.append(float(field))
+        except ValueError:
+            pass  # an empty field, a rule or metric name, a decision
+    return numbers
+
+
+# the corners of the config domain, and the adversary distance at its least over
+# the least d0 the ratio check admits, and at its largest over d0 = 1 m
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d0, d_be", [("1e-306", "1e-306"), ("1", "1e308")])
+@pytest.mark.parametrize("gamma", ["5e-324", "100"])
+@pytest.mark.parametrize("sigma", ["0", "1000"])
+def test_domain_corners_stay_finite(tmp_path, capsys, d0, d_be, gamma, sigma):
+    channel = ["--gamma", gamma, "--d0", d0]
+    for pl0, pt in itertools.product(["-1e6", "1e6"], repeat=2):
+        argv = [
+            "session", "--seed", "1", "--n-rounds", "64", "--eve", "--d-be", d_be, "--sigma", sigma,
+            f"--pl0={pl0}", f"--pt={pt}", *channel, "--out", str(tmp_path),
+        ]
+        assert main(argv) == EXIT_OK, argv
+        samples = _numbers(tmp_path / "eve_trace.csv")
+        assert samples and all(math.isfinite(x) for x in samples), argv
+    argv = [
+        "sweep", "--seed", "1", "--k-list", "0,8", "--n-list", "64", "--trials", "5",
+        "--d-be-list", d_be, "--sigma-list", sigma, *channel, "--out", str(tmp_path),
+    ]
+    assert main(argv) == EXIT_OK
+    assert all(math.isfinite(x) for x in _numbers(tmp_path / "sweep.csv"))
+    argv = ["analyze", "--k", "8", "--n", "400", "--d-be", d_be, "--sigma", sigma, *channel]
+    assert main(argv) in (EXIT_OK, EXIT_INFEASIBLE)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["session", "--seed", "1", "--n-rounds", "20", "--eve", "--d-be", "{d_be}", "--out", "{out}"],
+    ["sweep", "--seed", "1", "--n-list", "20", "--trials", "5", "--d-be-list", "{d_be}", "--out", "{out}"],
+    ["analyze", "--k", "64", "--d-be", "{d_be}"],
+])
+@pytest.mark.parametrize("d0, d_be", [("1e-307", "1e-307"), ("0.5", "1e308")])
+def test_distance_over_reference_that_overflows_is_refused(tmp_path, capsys, command, d0, d_be):
+    # (d_be + 50) / d0 overflows: the path loss would be infinite
+    argv = [arg.format(d_be=d_be, out=tmp_path) for arg in command] + ["--d0", d0]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid-value:") and "overflows a float" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("seeded", [True, False])

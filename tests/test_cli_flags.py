@@ -181,9 +181,12 @@ def _argvs(draw):
     return argv
 
 
+# an overflow warning is an error: every admitted input stays finite
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(argv=_argvs())
 @example(argv=["analyze", "--d0", "2", "--n", "99999999999999999999"])  # ran over a minute before --n was capped
+@example(argv=["session", "--n-rounds", "8", "--eve", "--sigma", "1e308"])  # overflowed before sigma had a bound
 def test_fuzzed_argv_ends_in_a_documented_exit_code(inputs, argv):
     argv = [arg.format(**inputs) for arg in argv]
     with tempfile.TemporaryDirectory() as tmp:
@@ -207,13 +210,14 @@ _FILE_PLAIN = [1, 2, 20, 0.5, 3.5, 1e-3]
 _FILE_KEYS = [*CONFIG_FIELDS, "bogus", "n-rounds", "SIGMA"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(config=st.dictionaries(
     st.sampled_from(_FILE_KEYS),
     st.one_of(st.sampled_from(_FILE_PLAIN), st.sampled_from(_FILE_EDGES)),
     max_size=4,
 ))
-@example(config={"sigma": 1e308})  # exits 0 with numpy overflow warnings: a known open defect
+@example(config={"sigma": 1e308})  # overflowed before sigma had a bound
 def test_fuzzed_config_file_ends_in_a_documented_exit_code(config):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

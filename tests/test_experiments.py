@@ -152,17 +152,16 @@ def _coins(rng, count):
     return np.unpackbits(np.frombuffer(rng.bytes((count + 7) // 8), dtype=np.uint8))[:count]
 
 
-def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric):
-    """Successes per (k, n), judged trial by trial on each trial's own session,
-    with every draw replayed by hand in the engine's documented order: per
-    block, all coins, then one decision draw per generated bit (ML: v, whose
-    score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v; random
-    rule: the guess). Also returns the generator, to compare the next draw."""
+def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule):
+    """Per trial, the slots of its generated bits and whether the adversary
+    missed each, with every draw replayed by hand in the engine's documented
+    order: per block, all coins, then one decision draw per generated bit
+    (ML: v, whose score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v;
+    random rule: the guess). Also returns the generator, to compare the next draw."""
     rng = np.random.default_rng(seed)
-    n_max = max(ns)
     block = max(1, BLOCK_SLOTS // n_max)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    counts = np.zeros((len(ks), len(ns)), dtype=int)
+    replay = []
     for start in range(0, trials, block):
         size = min(block, trials - start)
         bits = _coins(rng, size * 2 * n_max).reshape(size, 2 * n_max)
@@ -185,13 +184,23 @@ def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric):
                     for v_i in v[first:last].tolist()
                 ], dtype=bool)
             first = last
-            for j, n in enumerate(ns):
-                generated = int((trial_slots < n).sum())
-                for i, k in enumerate(ks):
-                    if metric == METRIC_WHOLE_KEY:
-                        counts[i, j] += generated >= k and bool(missed[:k].any())
-                    else:
-                        counts[i, j] += int(missed[:generated].sum()) >= k
+            replay.append((trial_slots, missed))
+    return replay, rng
+
+
+def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric):
+    """Successes per (k, n), judged trial by trial on each trial's own session
+    as _replay_trials replays it by hand. Also returns the generator."""
+    replay, rng = _replay_trials(seed, trials, max(ns), d_ae, d_be, cfg, rule)
+    counts = np.zeros((len(ks), len(ns)), dtype=int)
+    for trial_slots, missed in replay:
+        for j, n in enumerate(ns):
+            generated = int((trial_slots < n).sum())
+            for i, k in enumerate(ks):
+                if metric == METRIC_WHOLE_KEY:
+                    counts[i, j] += generated >= k and bool(missed[:k].any())
+                else:
+                    counts[i, j] += int(missed[:generated].sum()) >= k
     return counts, rng
 
 
@@ -315,6 +324,52 @@ def test_engine_counts_every_trial_across_blocks():
     rows = sweep(spec)
     assert all(r.trials == trials for r in rows)
     assert [r.p_hat for r in rows if r.k == 0] == [1.0, 1.0]
+    # k > 0, judged trial by trial: the ks straddle the trials' own counts of
+    # secret bits (ML about 12, random rule about 125) and of generated bits
+    # (about 250), and n + 1 exceeds every count
+    ks, ns = (0, 1, 4, 8, 11, 12, 13, 16, 40, 120, 125, 130, 245, 250, 255, n + 1), (n, 1, 40, 250)
+    cfg = ScenarioConfig(sigma=sigma)
+    for rule, metric in itertools.product((RULE_ML, RULE_RANDOM), (METRIC_PER_BIT, METRIC_WHOLE_KEY)):
+        rng = np.random.default_rng(6)
+        counts = slice_successes(rng, trials, ks, ns, delta, sigma, rule, metric)
+        expected, replay = _judge_sessions(6, trials, ks, ns, 70.0, 20.0, cfg, rule, metric)
+        assert counts.tolist() == expected.tolist(), (rule, metric)
+        assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+        # k = 0: every trial per bit, none for the whole key; k = n + 1: none
+        assert counts[0].tolist() == [trials if metric == METRIC_PER_BIT else 0] * len(ns)
+        assert counts[-1].tolist() == [0] * len(ns)
+
+
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+def test_count_steps_at_the_slot_that_completes_the_key(rule, metric):
+    # one trial, whose key completes at slot s (read off the hand replay): it
+    # fails at n = s and succeeds from n = s + 1
+    seed, n_max = 8, 400
+    cfg = ScenarioConfig(sigma=8.0)
+    d_ae, d_be = build_deployment(20.0)
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    ((slots, missed),), _ = _replay_trials(seed, 1, n_max, d_ae, d_be, cfg, rule)
+    if metric == METRIC_WHOLE_KEY:
+        # the k-th generated bit completes the key if a missed bit is among the first k
+        rank = int(np.argmax(missed))  # the first missed bit, by rank among the trial's bits
+        assert missed[rank] and rank >= 1
+        completing = {k: slots[k - 1] for k in (rank + 1, rank + 5, slots.size)}
+        never = (rank, slots.size + 1)  # no missed bit among the first k; too few bits
+    else:
+        secret_slots = slots[missed]  # the k-th secret bit completes the key
+        completing = {k: secret_slots[k - 1] for k in (1, 2, secret_slots.size)}
+        never = (secret_slots.size + 1,)
+    for k, s in completing.items():
+        assert 1 <= s < n_max
+        counts = slice_successes(
+            np.random.default_rng(seed), 1, (k,), (s, s + 1, n_max), delta, cfg.sigma, rule, metric
+        )
+        assert counts.tolist() == [[0, 1, 1]], k
+    counts = slice_successes(
+        np.random.default_rng(seed), 1, never, (1, n_max), delta, cfg.sigma, rule, metric
+    )
+    assert counts.tolist() == [[0, 0]] * len(never)
 
 
 @settings(max_examples=40, deadline=None)

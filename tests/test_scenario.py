@@ -70,6 +70,13 @@ def test_validate_config_accepts_defaults():
         (dict(n_rounds=0), "invalid-rounds"),
         (dict(seed=-1), "invalid-seed"),
         (dict(seed=2**64), "invalid-seed"),
+        # the finite domain of gamma, sigma, pl0 and pt
+        (dict(gamma=100.00000000000001), "invalid-gamma"),
+        (dict(sigma=1000.0000000000001), "invalid-sigma"),
+        (dict(pl0=1000000.0000000001), "invalid-pl0"),
+        (dict(pl0=-1000000.0000000001), "invalid-pl0"),
+        (dict(pt=1000000.0000000001), "invalid-pt"),
+        (dict(pt=-1e308), "invalid-pt"),
     ],
 )
 def test_validate_config_names_each_violation(kwargs, code):
