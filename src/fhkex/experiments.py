@@ -248,6 +248,14 @@ def slice_successes(
     n_axis = np.asarray(n_rounds)
     whole_key = metric == METRIC_WHOLE_KEY
     successes = np.zeros((len(ks), n_axis.size), dtype=np.int64)
+    # k = 0 is settled without bits, and a trial has at most n_max bits, so no
+    # larger k is ever reached: only 0 < k <= n_max are counted per block
+    counted = []
+    for i, k in enumerate(ks):
+        if 0 < k <= n_max:
+            counted.append((i, k))
+        elif k == 0 and not whole_key:
+            successes[i] = trials
     block = max(1, BLOCK_SLOTS // n_max)
     for start in range(0, trials, block):
         size = min(block, trials - start)
@@ -264,11 +272,7 @@ def slice_successes(
             # each trial's first secret bit, by rank among its own bits; past them if none
             secret_at = np.append(np.flatnonzero(secret), slots.size)
             rank = secret_at[np.searchsorted(secret_at, firsts)] - firsts
-        for i, k in enumerate(ks):
-            if k == 0:
-                if not whole_key:
-                    successes[i] += size
-                continue
+        for i, k in counted:
             at = firsts + (k - 1)
             done = at < ends
             if whole_key:

@@ -187,6 +187,8 @@ def _argvs(draw):
 @given(argv=_argvs())
 @example(argv=["analyze", "--d0", "2", "--n", "99999999999999999999"])  # ran over a minute before --n was capped
 @example(argv=["session", "--n-rounds", "8", "--eve", "--sigma", "1e308"])  # overflowed before sigma had a bound
+@example(argv=["sweep", "--k-list", "99999999999999999999", "--trials", "1", "--n-list", "20"])  # k past int64
+@example(argv=["sweep", "--k-list", str(2**63 - 1), "--trials", "10", "--n-list", "20"])  # stream index + k past int64
 def test_fuzzed_argv_ends_in_a_documented_exit_code(inputs, argv):
     argv = [arg.format(**inputs) for arg in argv]
     with tempfile.TemporaryDirectory() as tmp:

@@ -326,8 +326,10 @@ def test_engine_counts_every_trial_across_blocks():
     assert [r.p_hat for r in rows if r.k == 0] == [1.0, 1.0]
     # k > 0, judged trial by trial: the ks straddle the trials' own counts of
     # secret bits (ML about 12, random rule about 125) and of generated bits
-    # (about 250), and n + 1 exceeds every count
-    ks, ns = (0, 1, 4, 8, 11, 12, 13, 16, 40, 120, 125, 130, 245, 250, 255, n + 1), (n, 1, 40, 250)
+    # (about 250), and n + 1 exceeds every count, as do the ks past an int64's
+    # range that a trial's stream index plus k would overflow
+    huge = (n + 1, 2**62 + 1, 2**63 - 1, 2**63 + 1, 10**20)
+    ks, ns = (0, 1, 4, 8, 11, 12, 13, 16, 40, 120, 125, 130, 245, 250, 255, *huge), (n, 1, 40, 250)
     cfg = ScenarioConfig(sigma=sigma)
     for rule, metric in itertools.product((RULE_ML, RULE_RANDOM), (METRIC_PER_BIT, METRIC_WHOLE_KEY)):
         rng = np.random.default_rng(6)
@@ -335,9 +337,9 @@ def test_engine_counts_every_trial_across_blocks():
         expected, replay = _judge_sessions(6, trials, ks, ns, 70.0, 20.0, cfg, rule, metric)
         assert counts.tolist() == expected.tolist(), (rule, metric)
         assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
-        # k = 0: every trial per bit, none for the whole key; k = n + 1: none
+        # k = 0: every trial per bit, none for the whole key; k > n: none
         assert counts[0].tolist() == [trials if metric == METRIC_PER_BIT else 0] * len(ns)
-        assert counts[-1].tolist() == [0] * len(ns)
+        assert counts[-len(huge):].tolist() == [[0] * len(ns)] * len(huge)
 
 
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
