@@ -239,12 +239,13 @@ def simulate_eavesdropper(
     return observations, guesses
 
 
-#: eve_trace.csv rows as %-templates: a bit slot's (round, rss_f0, rss_f1) at
-#: 3 * value + verdict, the verdict 0 wrong, 1 abstain, 2 correct, and a
-#: collision's (round) last. %r writes float.__repr__.
+#: eve_trace.csv rows as two-stage %-templates: a bit slot's at 3 * value +
+#: verdict, the verdict 0 wrong, 1 abstain, 2 correct, and a collision's last.
+#: The first % fills every round (%d, an int); it leaves each %%r as %r, which
+#: the second fills with a bit slot's rss_f0 and rss_f1 (float.__repr__).
 _TRACE_ROWS = (
-    "%d,%r,%r,1,0\n", "%d,%r,%r,abstain,0\n", "%d,%r,%r,0,1\n",
-    "%d,%r,%r,0,0\n", "%d,%r,%r,abstain,0\n", "%d,%r,%r,1,1\n",
+    "%d,%%r,%%r,1,0\n", "%d,%%r,%%r,abstain,0\n", "%d,%%r,%%r,0,1\n",
+    "%d,%%r,%%r,0,0\n", "%d,%%r,%%r,abstain,0\n", "%d,%%r,%%r,1,1\n",
     "%d,,,,\n",
 )
 
@@ -276,13 +277,11 @@ def write_adversary_trace_csv(blocks: Iterable[Sequence], dest: Union[str, TextI
                 raise ValueError("trace needs one entry per bit slot")
             codes = np.full(alice.size, len(_TRACE_ROWS) - 1)
             codes[bit] = 3 * values + 2 * correct + abstain
-            fields = np.empty((alice.size, 3))  # round, rss_f0, rss_f1
-            fields[:, 0] = np.arange(slot, slot + alice.size)
             on_f1 = (values == 1)[:, None]  # Alice's sample sits on f1
-            fields[bit, 1:] = np.where(on_f1, samples[:, ::-1], samples)
-            filled = np.column_stack((np.ones_like(bit), bit, bit))
+            rss = np.where(on_f1, samples[:, ::-1], samples)  # rss_f0, rss_f1 per bit slot
             rows = "".join(map(_TRACE_ROWS.__getitem__, codes.tolist()))
-            fh.write(rows % tuple(fields[filled].tolist()))
+            rows %= tuple(range(slot, slot + alice.size))
+            fh.write(rows % tuple(rss.ravel().tolist()))
             slot += alice.size
             guessed += int(np.count_nonzero(correct))
     return guessed

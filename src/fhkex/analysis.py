@@ -175,14 +175,82 @@ def _normal_quantile(prob: float) -> float:
     return z if prob >= 0.5 else -z
 
 
+def _poisson_log_tails(k: int, x: float) -> tuple[float, float]:
+    """(log P(X >= k), log P(X <= k - 1)) for X ~ Poisson(x), k >= 1, x > 0.
+
+    The tail on the far side of k from the mode is summed, from its term
+    next to k, until the terms fall below e^-TAIL_CUTOFF of the sum. It
+    lies past the mode and holds under two thirds of the mass, so the other
+    tail, one minus it, keeps its precision.
+    """
+    s, t = 1.0, 1.0  # the summed tail relative to its first term
+    floor = math.exp(-TAIL_CUTOFF)
+    if x < k:  # P(X >= k): terms k, k + 1, ...
+        j = k
+        while t > floor * s:
+            j += 1
+            t *= x / j
+            s += t
+        upper = k * math.log(x) - x - math.lgamma(k + 1) + math.log(s)
+        return upper, math.log1p(-math.exp(upper))
+    j = k - 1  # P(X <= k - 1): terms k - 1, k - 2, ..., 0
+    while j > 0 and t > floor * s:
+        t *= j / x
+        s += t
+        j -= 1
+    lower = (k - 1) * math.log(x) - x - math.lgamma(k) + math.log(s)
+    return math.log1p(-math.exp(lower)), lower
+
+
+def _gamma_quantile(k: int, prob: float) -> float:
+    """x with P(Gamma(k, 1) <= x) = prob, for k >= 1 and 0 < prob < 1.
+
+    Gamma(k, 1) is at most x iff Poisson(x) is at least k, so x is the root
+    of a Poisson tail. Newton steps in log x on the log of the tail that
+    holds prob's smaller side, from the Wilson-Hilferty cube-root
+    approximation, or from the small-x limit x^k / k! = prob where that
+    approximation is not positive. Gamma(1, 1) is exponential: -log(1 - prob).
+    """
+    if k == 1:
+        return -math.log1p(-prob)
+    base = 1.0 - 1.0 / (9.0 * k) + _normal_quantile(prob) / (3.0 * math.sqrt(k))
+    if base > 0.0:
+        u = math.log(k) + 3.0 * math.log(base)
+    else:
+        u = (math.log(prob) + math.lgamma(k + 1)) / k
+    upper = prob <= 0.5
+    goal = math.log(prob) if upper else math.log1p(-prob)
+    for _ in range(50):  # converges in a few steps; the cap only bounds the loop
+        x = math.exp(u)
+        log_upper, log_lower = _poisson_log_tails(k, x)
+        # d log P(X >= k) / d log x = x pmf(k - 1) / P(X >= k), and
+        # d log P(X <= k - 1) / d log x = -x pmf(k - 1) / P(X <= k - 1)
+        log_density = k * u - x - math.lgamma(k)  # log(x pmf(k - 1))
+        if upper:
+            step = (goal - log_upper) / math.exp(log_density - log_upper)
+        else:
+            step = (log_lower - goal) / math.exp(log_density - log_lower)
+        step = max(-1.0, min(1.0, step))
+        u += step
+        if abs(step) < 1e-9:  # above the rounding of the log tails, for k up to MAX_N
+            break
+    return math.exp(u)
+
+
 def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
     """Smallest n with key_prob(req.k, n, p_b) >= req.target.
 
-    The first probe is the Cornish-Fisher target quantile of the waiting
-    time for k successes: negative binomial, with mean k / p, standard
-    deviation sqrt(k q) / p and skewness (1 + q) / sqrt(k q), q = 1 - p_b.
-    At k = 1 the waiting time is geometric and the first probe its exact
-    quantile: 1 - q^n meets the target from n = log(1 - target) / log(q).
+    The first probe is a target quantile of the waiting time T for k
+    successes, q = 1 - p_b. Each success waits ceil(E) slots, E exponential
+    with rate lam = -log(q), so T is a sum of k such ceilings. At p_b <= 0.1
+    (the Poisson limit) and at k = 1, the probe is G / lam + (k - 1) c: G
+    the Gamma(k, 1) target quantile and c = 1 / p_b - 1 / lam, about 1/2,
+    the mean excess of a ceiling over its exponential, for every success
+    but the last, whose ceiling is the probe's own rounding up. At k = 1
+    that is the geometric quantile log(1 - target) / log(q), which is exact.
+    Above p_b = 0.1, where T's discreteness shows, the probe is the
+    Cornish-Fisher quantile of the negative binomial T: mean k / p, standard
+    deviation sqrt(k q) / p and skewness (1 + q) / sqrt(k q).
     From there the search gallops outward in steps 1, 2, 4, ... until the
     answer is bracketed, then binary searches; the tail is monotone
     non-decreasing in n, so the bracket and the answer are exact.
@@ -196,8 +264,11 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
         return key_prob(k, n, p) >= req.target
 
     q = 1.0 - p
-    if k == 1 and q > 0.0:  # geometric; at p_b = 1, log(q) does not exist
-        quantile = math.log1p(-req.target) / math.log1p(-p)
+    if q > 0.0 and (k == 1 or p <= 0.1) and k <= max_n:
+        # at p_b = 1, log(q) does not exist; above max_n no key fits
+        lam = -math.log1p(-p)
+        # (G + (k - 1) (lam / p - 1)) / lam: no 1 / p that overflows
+        quantile = (_gamma_quantile(k, req.target) + (k - 1) * (lam / p - 1.0)) / lam
     else:
         z = _normal_quantile(req.target)
         # mean + sd (z + skew (z^2 - 1) / 6), where sd * skew = (1 + q) / p, less a continuity correction

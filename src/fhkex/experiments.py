@@ -6,9 +6,12 @@ where available, the closed-form probability. Each (d_be, sigma) slice
 simulates its sessions once, at the longest n, from one stream seeded by
 (base_seed, slice index); every (k, n) row of the slice is read off
 prefixes of those same sessions (common random numbers). A trial succeeds
-at n iff the slot that completes its key is below n, so each block of
-trials is counted once per k, from one completing slot per trial, whatever
-the length of the n axis. Results are a pure function of the spec.
+at n iff the slot that completes its key is below n, so each trial gives
+one completing slot per k, whatever the length of the n axis. Each k
+gathers them across blocks and counts them in one sort and one search per
+BLOCK_SLOTS gathered slots, so memory stays bounded by the block; the draws
+and bytes are those of counting block by block. Results are a pure
+function of the spec.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 #: Most trial-slots simulated at once: trials run in blocks of BLOCK_SLOTS // n
 #: sessions, so peak memory does not grow with the trial count, and one session
 #: in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes per slot.
+#: Also about the most completing slots a sweep slice holds between its counts.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
@@ -220,10 +224,10 @@ def simulate_session_block(
     simulate_session_counts and ends its stream where that ends.
     """
     bits = draw_coins(rng, 2 * trials * n).reshape(trials, 2 * n)
-    # a slot's coin pair (a, b) reads as a + 256 b in either byte order:
-    # 1 or 256 iff the coins differ
-    pairs = bits.view(np.uint16)
-    generated = (pairs == 1) | (pairs == 256)
+    # a slot's coin pair (a, b) reads as a + 256 b in either byte order: 0, 1,
+    # 256 or 257, and 1 or 256 iff the coins differ, the only values that one
+    # less (wrapping 0 to 65535) puts below 256
+    generated = (bits.view(np.uint16) - np.uint16(1)) < 256
     values = bits[:, 0::2][generated] if rule == RULE_RANDOM else None
     draws = _decision_draws(rng, np.count_nonzero(generated), rule)
     return generated, ~_classify(draws, values, delta, sigma, rule)[0]
@@ -242,43 +246,67 @@ def slice_successes(
     its k-th secret bit; for the whole-key metric the slot of its k-th
     generated bit, if its first secret bit is among its first k. So k = 0
     succeeds on every trial per bit and on none for the whole key. Trials
-    run in blocks of at most BLOCK_SLOTS trial-slots.
+    run in blocks of at most BLOCK_SLOTS trial-slots. Each counted k gathers
+    its trials' completing slots, as offsets within their trials, across
+    blocks, and counts them against the n axis in one sort and one search
+    once the slots held over every k reach BLOCK_SLOTS, and at the end. So
+    memory is bounded by the block, not by the trial count or the number of
+    k, and the counts are those of counting block by block.
     """
     n_max = max(n_rounds)
     n_axis = np.asarray(n_rounds)
     whole_key = metric == METRIC_WHOLE_KEY
     successes = np.zeros((len(ks), n_axis.size), dtype=np.int64)
     # k = 0 is settled without bits, and a trial has at most n_max bits, so no
-    # larger k is ever reached: only 0 < k <= n_max are counted per block
+    # larger k is ever reached: only 0 < k <= n_max are counted, each with the
+    # completing slots it has gathered since its last count
     counted = []
     for i, k in enumerate(ks):
         if 0 < k <= n_max:
-            counted.append((i, k))
+            counted.append((i, k, []))
         elif k == 0 and not whole_key:
             successes[i] = trials
     block = max(1, BLOCK_SLOTS // n_max)
+    # where each trial of a full block starts among its trial * n_max + slot
+    # indices, and where the last one ends
+    trial_starts = np.arange(0, (block + 1) * n_max, n_max)
+    held = 0  # completing slots held at most: trials gathered since the last count, times counted k
     for start in range(0, trials, block):
         size = min(block, trials - start)
         generated, secret = simulate_session_block(rng, size, n_max, delta, sigma, rule)
         # trial * n_max + slot per generated bit, in the order of secret: the
         # stream the metric counts, which per bit keeps the secret bits only
-        slots = np.flatnonzero(generated)
+        slots = generated.ravel().nonzero()[0]
         if not whole_key:
-            slots = slots[secret]
+            slots = slots.compress(secret)
         # where each trial's bits start in the stream, and where the last trial's end
-        bounds = np.searchsorted(slots, np.arange(0, (size + 1) * n_max, n_max))
-        firsts, ends = bounds[:-1], bounds[1:]
+        bounds = slots.searchsorted(trial_starts[:size + 1])
+        firsts, ends, starts = bounds[:-1], bounds[1:], trial_starts[:size]
         if whole_key:
             # each trial's first secret bit, by rank among its own bits; past them if none
-            secret_at = np.append(np.flatnonzero(secret), slots.size)
-            rank = secret_at[np.searchsorted(secret_at, firsts)] - firsts
-        for i, k in counted:
+            secret_at = np.append(secret.nonzero()[0], slots.size)
+            rank = secret_at[secret_at.searchsorted(firsts)] - firsts
+        held += size * len(counted)
+        # count when this block brings the held slots to BLOCK_SLOTS, or ends
+        # the slice: each k counts as it adds its own, so however many k there
+        # are, fewer than BLOCK_SLOTS plus one block are ever held
+        count = held >= BLOCK_SLOTS or start + size == trials
+        for i, k, completing in counted:
             at = firsts + (k - 1)
             done = at < ends
             if whole_key:
                 done &= rank < k
-            completing = np.sort(slots[at[done]] % n_max)
-            successes[i] += np.searchsorted(completing, n_axis)
+            # each done trial's completing slot, as an offset within its trial
+            offsets = slots[at.compress(done)] - starts.compress(done)
+            if not count:
+                completing.append(offsets)
+                continue
+            if completing:
+                offsets = np.concatenate((*completing, offsets))
+                completing.clear()
+            successes[i] += np.sort(offsets).searchsorted(n_axis)
+        if count:
+            held = 0
     return successes
 
 

@@ -332,6 +332,42 @@ def test_min_transmissions_geometric_start(monkeypatch):
     assert len(evals) <= 3
 
 
+def test_min_transmissions_evaluations_over_grid(monkeypatch):
+    evals = []
+    exact = fhkex.analysis.key_prob
+    monkeypatch.setattr(
+        fhkex.analysis, "key_prob", lambda *args: evals.append(args) or exact(*args)
+    )
+    counts = {}
+    for p, k, target in itertools.product(
+        (0.001, 0.01, 0.1, 0.25, 0.5, 0.9),
+        (1, 2, 4, 8, 16, 64, 128, 256, 512, 1024),
+        (0.01, 0.5, 0.9, 0.99, 0.999, 0.999999),
+    ):
+        evals.clear()
+        n = min_transmissions(KeyRequest(k=k, target=target), p)
+        counts[p, k, target] = len(evals)
+        assert exact(k, n, p) >= target, (p, k, target)
+        assert n == k or exact(k, n - 1, p) < target, (p, k, target)
+    # a Cornish-Fisher start took 18-20 on the skewed small-p, small-k cases,
+    # 3.73 on average and 20 at most
+    assert max(counts[0.001, k, 0.999999] for k in (2, 4, 8, 16)) <= 3
+    assert sum(counts.values()) / len(counts) <= 2.1
+    assert max(counts.values()) <= 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40, 1024])
+@pytest.mark.parametrize("prob", [1e-12, 0.01, 0.5, 0.99, 0.999999])
+def test_gamma_quantile_is_the_poisson_root(k, prob):
+    # P(Gamma(k, 1) <= x) = P(Poisson(x) >= k); each tail summed term by term
+    x = fhkex.analysis._gamma_quantile(k, prob)
+    terms = [math.exp(j * math.log(x) - x - math.lgamma(j + 1)) for j in range(k + 4000)]
+    if prob <= 0.5:
+        assert math.fsum(terms[k:]) == pytest.approx(prob, rel=1e-9)
+    else:
+        assert math.fsum(terms[:k]) == pytest.approx(1.0 - prob, rel=1e-9)
+
+
 def test_min_transmissions_certain_generation():
     assert min_transmissions(KeyRequest(k=1, target=0.99), 1.0) == 1
 

@@ -152,14 +152,15 @@ def _coins(rng, count):
     return np.unpackbits(np.frombuffer(rng.bytes((count + 7) // 8), dtype=np.uint8))[:count]
 
 
-def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule):
+def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK_SLOTS):
     """Per trial, the slots of its generated bits and whether the adversary
     missed each, with every draw replayed by hand in the engine's documented
-    order: per block, all coins, then one decision draw per generated bit
-    (ML: v, whose score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v;
-    random rule: the guess). Also returns the generator, to compare the next draw."""
+    order: per block of block_slots trial-slots, all coins, then one decision
+    draw per generated bit (ML: v, whose score (A - B) * delta has
+    A - B = -delta - sigma * sqrt(2) * v; random rule: the guess). Also
+    returns the generator, to compare the next draw."""
     rng = np.random.default_rng(seed)
-    block = max(1, BLOCK_SLOTS // n_max)
+    block = max(1, block_slots // n_max)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     replay = []
     for start in range(0, trials, block):
@@ -188,10 +189,10 @@ def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule):
     return replay, rng
 
 
-def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric):
+def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_slots=BLOCK_SLOTS):
     """Successes per (k, n), judged trial by trial on each trial's own session
     as _replay_trials replays it by hand. Also returns the generator."""
-    replay, rng = _replay_trials(seed, trials, max(ns), d_ae, d_be, cfg, rule)
+    replay, rng = _replay_trials(seed, trials, max(ns), d_ae, d_be, cfg, rule, block_slots)
     counts = np.zeros((len(ks), len(ns)), dtype=int)
     for trial_slots, missed in replay:
         for j, n in enumerate(ns):
@@ -226,6 +227,40 @@ def test_slice_successes_judges_each_trial_session(
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     counts = slice_successes(rng, trials, ks, ns, delta, sigma, rule, metric)
     expected, replay = _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric)
+    assert counts.tolist() == expected.tolist()
+    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block_slots=st.integers(1, 16),
+    ks=st.lists(st.integers(0, 30), min_size=1, max_size=4).map(lambda ks: [*ks, 1, ks[0]]),
+    ns=st.lists(st.integers(1, 80), min_size=1, max_size=4).map(lambda ns: [*ns, ns[0]]),
+    distances=st.sampled_from([(52.0, 2.0), (70.0, 20.0), (30.0, 30.0)]),
+    sigma=st.sampled_from([0.0, 8.0]),
+    rule=st.sampled_from([RULE_ML, RULE_RANDOM]),
+    metric=st.sampled_from([METRIC_PER_BIT, METRIC_WHOLE_KEY]),
+    trials=st.integers(100, 200),
+    seed=st.integers(0, 2**32),
+)
+def test_gathered_counts_cross_the_flush_limit(
+    block_slots, ks, ns, distances, sigma, rule, metric, trials, seed
+):
+    # BLOCK_SLOTS shrunk in the engine and the replay alike. The engine holds
+    # up to one completing slot per trial and counted k (k = 1 always is one)
+    # and counts them once that bound reaches BLOCK_SLOTS, so a count covers
+    # fewer than BLOCK_SLOTS trials plus one block of at most BLOCK_SLOTS:
+    # under 32, and 100 trials cross the limit at least three times
+    d_ae, d_be = distances
+    cfg = ScenarioConfig(sigma=sigma)
+    rng = np.random.default_rng(seed)
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
+        counts = slice_successes(rng, trials, ks, ns, delta, sigma, rule, metric)
+    expected, replay = _judge_sessions(
+        seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_slots
+    )
     assert counts.tolist() == expected.tolist()
     assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
 
