@@ -242,15 +242,18 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
 
     The first probe is a target quantile of the waiting time T for k
     successes, q = 1 - p_b. Each success waits ceil(E) slots, E exponential
-    with rate lam = -log(q), so T is a sum of k such ceilings. At p_b <= 0.1
-    (the Poisson limit) and at k = 1, the probe is G / lam + (k - 1) c: G
-    the Gamma(k, 1) target quantile and c = 1 / p_b - 1 / lam, about 1/2,
-    the mean excess of a ceiling over its exponential, for every success
-    but the last, whose ceiling is the probe's own rounding up. At k = 1
-    that is the geometric quantile log(1 - target) / log(q), which is exact.
-    Above p_b = 0.1, where T's discreteness shows, the probe is the
-    Cornish-Fisher quantile of the negative binomial T: mean k / p, standard
-    deviation sqrt(k q) / p and skewness (1 + q) / sqrt(k q).
+    with rate lam = -log(q), so T is a sum of k such ceilings. At k = 1, and
+    at p_b <= 0.1 with k p_b < 50 (the Poisson limit), the probe is
+    G / lam + (k - 1) c: G the Gamma(k, 1) target quantile and
+    c = 1 / p_b - 1 / lam, about 1/2, the mean excess of a ceiling over its
+    exponential, for every success but the last, whose ceiling is the
+    probe's own rounding up. At k = 1 that is the geometric quantile
+    log(1 - target) / log(q), which is exact. Above p_b = 0.1, where T's
+    discreteness shows, and at k p_b >= 50, where the k excesses no longer
+    add up to a flat (k - 1) c (p_b = 0.1 and k >= 512 took 4 evaluations
+    from it, 2 from Cornish-Fisher), the probe is the Cornish-Fisher
+    quantile of the negative binomial T: mean k / p, standard deviation
+    sqrt(k q) / p and skewness (1 + q) / sqrt(k q).
     From there the search gallops outward in steps 1, 2, 4, ... until the
     answer is bracketed, then binary searches; the tail is monotone
     non-decreasing in n, so the bracket and the answer are exact.
@@ -264,7 +267,7 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
         return key_prob(k, n, p) >= req.target
 
     q = 1.0 - p
-    if q > 0.0 and (k == 1 or p <= 0.1) and k <= max_n:
+    if q > 0.0 and (k == 1 or (p <= 0.1 and k * p < 50.0)) and k <= max_n:
         # at p_b = 1, log(q) does not exist; above max_n no key fits
         lam = -math.log1p(-p)
         # (G + (k - 1) (lam / p - 1)) / lam: no 1 / p that overflows

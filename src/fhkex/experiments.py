@@ -10,8 +10,10 @@ at n iff the slot that completes its key is below n, so each trial gives
 one completing slot per k, whatever the length of the n axis. Each k
 gathers them across blocks and counts them in one sort and one search per
 BLOCK_SLOTS gathered slots, so memory stays bounded by the block; the draws
-and bytes are those of counting block by block. Results are a pure
-function of the spec.
+and bytes are those of counting block by block. The slices share no state
+and run concurrently, on up to one thread per usable CPU, each holding one
+block at a time. Results are a pure function of the spec, whatever the
+thread count.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import copy
 import csv
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -44,10 +48,12 @@ METRIC_PER_BIT = "per-bit-secret"
 METRIC_WHOLE_KEY = "whole-key"
 METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 
-#: Most trial-slots simulated at once: trials run in blocks of BLOCK_SLOTS // n
-#: sessions, so peak memory does not grow with the trial count, and one session
-#: in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes per slot.
-#: Also about the most completing slots a sweep slice holds between its counts.
+#: Most trial-slots a thread simulates at once: trials run in blocks of
+#: BLOCK_SLOTS // n sessions, so peak memory does not grow with the trial count
+#: (a sweep holds one block per thread, one thread per slice running), and one
+#: session in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes
+#: per slot. Also about the most completing slots a sweep slice holds between
+#: its counts.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
@@ -397,19 +403,33 @@ def run_grid_point(
 
 
 def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
-    """One ResultRow per grid point, in the order of itertools.product(k, n_rounds, d_be, sigma)."""
+    """One ResultRow per grid point, in the order of itertools.product(k, n_rounds, d_be, sigma).
+
+    The slices simulate concurrently, on up to one thread per usable CPU
+    (_each_in_threads); each draws from its own stream, so the rows do not
+    depend on the thread count. The closed forms run after the join.
+    """
     if spec.grid_size == 0:
         return ()
     slices = list(itertools.product(spec.d_be, spec.sigma))
-    counts, analytic = [], []
-    for index, (d_be, sigma) in enumerate(slices):
-        delta = delta_mean_pathloss(*build_deployment(d_be, spec.geometry), spec.scenario.gamma)
+    deltas = [
+        delta_mean_pathloss(*build_deployment(d_be, spec.geometry), spec.scenario.gamma)
+        for d_be, _ in slices
+    ]
+    counts = [None] * len(slices)
+
+    def simulate(index: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence([spec.base_seed, index]))
-        counts.append(slice_successes(
-            rng, spec.trials, spec.k, spec.n_rounds, delta, sigma, spec.rule, spec.metric
-        ).tolist())
-        pg = _slice_pg(delta, sigma, spec.rule)
-        analytic.append(_analytic_columns(spec.k, spec.n_rounds, pg, spec.metric))
+        counts[index] = slice_successes(
+            rng, spec.trials, spec.k, spec.n_rounds, deltas[index], slices[index][1],
+            spec.rule, spec.metric,
+        ).tolist()
+
+    _each_in_threads(simulate, len(slices))
+    analytic = [
+        _analytic_columns(spec.k, spec.n_rounds, _slice_pg(delta, sigma, spec.rule), spec.metric)
+        for delta, (_, sigma) in zip(deltas, slices)
+    ]
     rule, metric, trials = spec.rule, spec.metric, spec.trials
     # (p_hat, ci_lo, ci_hi) once per distinct success count: a slice has at most trials + 1
     distinct = {c for by_k in counts for by_n in by_k for c in by_n}
@@ -422,6 +442,57 @@ def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
             k, n, d_be, sigma, rule, metric, trials, *estimates[counts[s][i][j]], analytic[s][j][i]
         ))
     return tuple(rows)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_in_threads(task: Callable[[int], None], count: int) -> None:
+    """task(i) for every i in range(count), on min(count, usable CPUs) threads, the caller's included.
+
+    Each idle thread takes the next index. The first exception a task raises,
+    a KeyboardInterrupt in the caller's task too, starts no further index:
+    the other threads finish their current task and are joined, and the
+    caller re-raises it. With one thread the caller runs every task and no
+    thread starts. Threads pay off for tasks that spend their time in numpy
+    calls that release the GIL; pure-Python work belongs outside them.
+    """
+    indices = iter(range(count))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def fail(exc: BaseException) -> None:
+        with lock:
+            errors.append(exc)
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    index = None if errors else next(indices, None)
+                if index is None:
+                    return
+                task(index)
+        except BaseException as exc:  # re-raised in the caller, after the join
+            fail(exc)
+
+    threads = []
+    try:
+        for _ in range(min(count, _usable_cpus()) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+    except BaseException as exc:  # a thread that cannot start: those started stop after their task
+        fail(exc)
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)

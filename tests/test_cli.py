@@ -299,6 +299,22 @@ def test_sweep_budget_exceeded(tmp_path, capsys):
     assert main(args) == EXIT_CONFIG
 
 
+def test_sweep_slice_failure_on_a_thread_exits_config_error(tmp_path, capsys, monkeypatch):
+    def successes(rng, *args):
+        raise ValueError("slice failed")
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "slice_successes", successes)
+    args = [
+        "sweep", "--seed", "1", "--k-list", "4", "--n-list", "20",
+        "--d-be-list", "2,20,35", "--sigma-list", "0,8", "--trials", "10", "--out", str(tmp_path),
+    ]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: invalid-value: slice failed\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_frontier_from_sweep(tmp_path):
     args = [
         "frontier", "--seed", "4", "--k-list", "2", "--n-list", "8,16,32",

@@ -3,6 +3,9 @@ import hashlib
 import io
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -644,6 +647,87 @@ def test_sweep_reproducible_and_worker_independent():
     text_2 = _csv_text(sweep(spec))
     assert text_1 == text_2
     assert text_1 != _csv_text(sweep(_small_spec(base_seed=12)))
+
+
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+def test_sweep_rows_do_not_depend_on_the_thread_count(monkeypatch, rule, metric):
+    # six slices, more than any thread count here, each over two blocks at n = 400
+    spec = _small_spec(
+        k=(0, 3, 16), n_rounds=(400, 30, 120), d_be=(2.0, 20.0, 35.0), sigma=(0.0, 8.0),
+        trials=70, rule=rule, metric=metric,
+    )
+    swept = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch as often as they can, so a lost update would show
+    try:
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(fhkex.experiments, "_usable_cpus", lambda cpus=cpus: cpus)
+            swept[cpus] = sweep(spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert swept[1] == swept[2] == swept[5]
+    assert _csv_text(swept[1]) == _csv_text(swept[2]) == _csv_text(swept[5])
+
+
+@pytest.mark.parametrize("slices, cpus", [((2.0,), 5), ((2.0, 20.0, 35.0), 1)])
+def test_sweep_on_one_slice_or_one_cpu_starts_no_thread(monkeypatch, slices, cpus):
+    expected = sweep(_small_spec(d_be=slices))
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(fhkex.experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fhkex.experiments.threading, "Thread", no_thread)
+    assert sweep(_small_spec(d_be=slices)) == expected
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("on_caller", [False, True], ids=["slice-1", "caller-interrupt"])
+def test_sweep_reraises_a_slice_failure_and_starts_no_later_slice(monkeypatch, cpus, on_caller):
+    # slice 1 raises a ValueError, or the caller's slice, whichever it is, a KeyboardInterrupt
+    boom = KeyboardInterrupt() if on_caller else ValueError("slice failed")
+    started = []
+    exact = fhkex.experiments.slice_successes
+
+    def successes(rng, *args):
+        # a slice knows its index only by its stream's seed
+        index = rng.bit_generator.seed_seq.entropy[1]
+        started.append(index)
+        if (threading.current_thread() is threading.main_thread()) if on_caller else index == 1:
+            raise boom
+        time.sleep(0.1)  # the failure is recorded before a running slice ends
+        return exact(rng, *args)
+
+    monkeypatch.setattr(fhkex.experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fhkex.experiments, "slice_successes", successes)
+    spec = _small_spec(d_be=(2.0, 20.0, 35.0, 60.0), sigma=(0.0, 8.0), trials=5)
+    threads = threading.active_count()
+    with pytest.raises(type(boom)) as raised:
+        sweep(spec)
+    assert raised.value is boom
+    # each thread took at most one of the first indices; none took another after the failure
+    assert set(started) <= set(range(cpus))
+    assert threading.active_count() == threads  # every thread was joined
+
+
+def test_sweep_reraises_a_thread_that_cannot_start_after_joining_the_others(monkeypatch):
+    made = []
+    real = threading.Thread
+
+    def thread(*args, **kwargs):
+        if made:
+            raise RuntimeError("can't start new thread")
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(fhkex.experiments, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(fhkex.experiments.threading, "Thread", thread)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        sweep(_small_spec(d_be=(2.0, 20.0, 35.0)))
+    assert len(made) == 1 and not made[0].is_alive()
+    assert threading.active_count() == threads
 
 
 # Every column but p_analytic, whose closed form may move in its last bits;
