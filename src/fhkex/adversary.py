@@ -100,29 +100,8 @@ def _observation(outcome: RoundOutcome, slot: int, samples: Sequence[float] | No
     return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_bob, rss_f1=sample_alice)
 
 
-def observe_round(
-    outcome: RoundOutcome,
-    d_ae: float,
-    d_be: float,
-    cfg: ScenarioConfig,
-    rng: np.random.Generator,
-    slot: int = 0,
-) -> Observation:
-    """Eve's view of one resolved slot.
-
-    Collision-free slots consume two shadowing draws, v then u, as a
-    one-bit session draws them; collision slots consume none and are only
-    flagged.
-    """
-    if isinstance(outcome, Collision):
-        return _observation(outcome, slot, None)
-    v = rng.standard_normal()
-    u = rng.standard_normal()
-    return _observation(outcome, slot, rss_samples(u, v, d_ae, d_be, cfg)[0].tolist())
-
-
 def _ml_guess(slot: int, gap: float, delta: float) -> Guess:
-    """The ML call on the f0 - f1 sample gap: the sign of gap * delta; 0 abstains."""
+    """ML call on the f0 - f1 gap: the sign of gap * delta, delta = PL(d_ae) - PL(d_be); 0 abstains."""
     score = gap * delta
     if score > 0.0:
         decision = 1  # Alice-on-f1 assignment more likely
@@ -131,25 +110,6 @@ def _ml_guess(slot: int, gap: float, delta: float) -> Guess:
     else:
         decision = None
     return Guess(slot=slot, decision=decision)
-
-
-def classify_ml(obs: Observation, delta: float) -> Guess:
-    """Maximum-likelihood pairwise source assignment on the two samples.
-
-    delta is the expected dB gap PL(d_ae) - PL(d_be) (channel.delta_mean_pathloss).
-    With equal-variance Gaussian shadowing the likelihood ratio reduces to
-    the sign of (rss_f0 - rss_f1) * delta; an exact tie abstains.
-    """
-    if obs.kind != KIND_BIT:
-        raise ValueError("classifier needs a bit-round observation")
-    return _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, delta)
-
-
-def classify_random(obs: Observation, rng: np.random.Generator) -> Guess:
-    """Uniform coin flip; one rng draw, never abstains."""
-    if obs.kind != KIND_BIT:
-        raise ValueError("classifier needs a bit-round observation")
-    return Guess(slot=obs.slot, decision=int(rng.integers(0, 2)))
 
 
 def pg_closed_form(delta: float, sigma: float) -> float:
@@ -187,18 +147,6 @@ def score_session(transcript: SessionTranscript, guesses: Sequence[Guess]) -> Se
         generated=generated,
         guessed_correct=correct,
         secret=generated - correct,
-    )
-
-
-def eve_reconstructs_key(
-    transcript: SessionTranscript, guesses: Sequence[Guess], k: int
-) -> bool:
-    """Whole-key advantage: did Eve call the first k generated bits exactly?"""
-    bit_records = [r for r in transcript.rounds if isinstance(r.outcome, SharedBit)]
-    if len(bit_records) < k:
-        return False
-    return all(
-        g.decision == r.outcome.value for g, r in zip(guesses[:k], bit_records[:k])
     )
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .adversary import pg_closed_form
 from .channel import delta_mean_pathloss
-from .scenario import NODE_HALF_SPACING, build_deployment
+from .scenario import NODE_HALF_SPACING, ScenarioConfig, build_deployment
 
 #: Collision probability of two fair one-in-two frequency choices.
 COLLISION_PROB = 0.5
@@ -26,6 +26,9 @@ TAIL_CUTOFF = 40.0
 #: The most transmissions min_transmissions searches, and fhkex analyze --n
 #: takes: key_probs walks O(sqrt(n log n)) terms, about 10^5 here.
 MAX_N = 10**9
+
+#: The width, in meters, to which privacy_radius narrows its bracket.
+RADIUS_TOL = 1e-6
 
 
 class InfeasibleError(Exception):
@@ -302,7 +305,7 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
     return hi
 
 
-def fading_pb(d_be: float, sigma: float, gamma: float = 3.5) -> Probability:
+def fading_pb(d_be: float, sigma: float, gamma: float = ScenarioConfig.gamma) -> Probability:
     """Per-slot secret-bit probability for the collinear geometry.
 
     The adversary sits d_be behind one node (scenario.build_deployment); her
@@ -346,9 +349,8 @@ def privacy_radius(
     req: KeyRequest,
     n: int,
     sigma: float,
-    gamma: float = 3.5,
-    d_min: float = 1.0,
-    tol: float = 1e-6,
+    gamma: float = ScenarioConfig.gamma,
+    d_min: float = ScenarioConfig.d0,
 ) -> float:
     """Smallest radius R, around the node the adversary approaches, such that
     every adversary distance above R meets the key target with n transmissions.
@@ -358,11 +360,11 @@ def privacy_radius(
     met at hi) is found by galloping from a normal approximation of R
     (_radius_guess) by factors 1.1, 1.21, 1.46, ..., each the last one
     squared, no lower than d_min and no higher than the far proxy of an
-    infinitely remote adversary. It is then narrowed to tol by regula
+    infinitely remote adversary. It is then narrowed to RADIUS_TOL by regula
     falsi with Illinois halving on the log-odds of the key probability
-    minus those of the target. Every probe lies at least tol / 2
+    minus those of the target. Every probe lies at least RADIUS_TOL / 2
     inside the bracket, so once the estimate stops moving a closing step of
-    tol / 2 crosses the root; when four probes have not halved the bracket,
+    RADIUS_TOL / 2 crosses the root; when four probes have not halved the bracket,
     the next one bisects it (Illinois needs three probes to pull a stuck
     end). Raises InfeasibleError when the target is unmet even for an
     arbitrarily remote adversary.
@@ -394,14 +396,14 @@ def privacy_radius(
     f_lo, f_hi = _log_odds(p_lo) - odds, _log_odds(p_hi) - odds
     before = [math.inf] * 4  # bracket widths before the last four probes
     moved = 0  # the end the last probe moved: +1 hi, -1 lo
-    while hi - lo > tol:
+    while hi - lo > RADIUS_TOL:
         width = hi - lo
         mid = lo + 0.5 * width  # bisection, unless the secant is usable
         if f_hi > f_lo and width <= 0.5 * before[0]:
             secant = hi - f_hi * width / (f_hi - f_lo)
             if lo < secant < hi:
                 mid = secant
-        mid = min(max(mid, lo + 0.5 * tol), hi - 0.5 * tol)  # the closing step
+        mid = min(max(mid, lo + 0.5 * RADIUS_TOL), hi - 0.5 * RADIUS_TOL)  # the closing step
         before = before[1:] + [width]
         p_mid = prob(mid)
         f_mid = _log_odds(p_mid) - odds

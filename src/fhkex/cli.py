@@ -30,7 +30,7 @@ def _fail(code: str, message: str) -> None:
     print(f"error: {code}: {message}", file=sys.stderr)
 
 
-def _parse_axis(text: str, cast, limit: int = experiments.SLOT_BUDGET):
+def _parse_axis(text: str, cast, limit: int):
     """Axis syntax: comma list '60,80,100' or inclusive range 'start:stop:step' of <= limit values."""
     text = text.strip()
     if ":" in text:

@@ -9,11 +9,11 @@ prefixes of those same sessions (common random numbers). A trial succeeds
 at n iff the slot that completes its key is below n, so each trial gives
 one completing slot per k, whatever the length of the n axis. Each k
 gathers them across blocks and counts them in one sort and one search per
-BLOCK_SLOTS gathered slots, so memory stays bounded by the block; the draws
-and bytes are those of counting block by block. The slices share no state
-and run concurrently, on up to one thread per usable CPU, each holding one
-block at a time. Results are a pure function of the spec, whatever the
-thread count.
+BLOCK_SLOTS gathered slots; the draws and bytes are those of counting block
+by block. The slices share no state and run concurrently, on up to one
+thread per usable CPU, each holding one block at a time: BLOCK_SLOTS
+trial-slots, or one whole trial of a longer n. Results are a pure function
+of the spec, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .protocol import draw_coins
 from .scenario import (
     GEOMETRIES,
     GEOMETRY_CANONICAL,
-    GEOMETRY_EQUIDISTANT,
     ScenarioConfig,
     build_deployment,
     check_adversary_distance,
@@ -48,16 +47,17 @@ METRIC_PER_BIT = "per-bit-secret"
 METRIC_WHOLE_KEY = "whole-key"
 METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 
-#: Most trial-slots a thread simulates at once: trials run in blocks of
-#: BLOCK_SLOTS // n sessions, so peak memory does not grow with the trial count
-#: (a sweep holds one block per thread, one thread per slice running), and one
-#: session in blocks of BLOCK_SLOTS slots, so beyond a block it holds 2 bytes
-#: per slot. Also about the most completing slots a sweep slice holds between
-#: its counts.
+#: Most trial-slots a sweep thread simulates at once while n <= BLOCK_SLOTS: its
+#: trials run in blocks of BLOCK_SLOTS // n sessions, at least one, so a longer
+#: trial is simulated whole. A session runs in blocks of BLOCK_SLOTS slots, and
+#: beyond a block holds 2 bytes per slot. Also about the most completing slots
+#: a sweep slice holds between its counts.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
 SLOT_BUDGET = 50_000_000
+
+WILSON_Z = 1.959963984540054  #: the two-sided 95% standard normal quantile
 
 
 class BudgetError(ValueError):
@@ -139,15 +139,15 @@ class ResultRow(NamedTuple):
 RESULT_COLUMNS = ResultRow._fields
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval; robust near 0 and 1, always contains p_hat."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval, 95% (WILSON_Z); robust near 0 and 1, always contains p_hat."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     # pin the degenerate endpoints so the interval always contains p_hat
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)

@@ -120,11 +120,6 @@ def draw_coins(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
 
 
-def node_round_action(rng: np.random.Generator) -> RoundAction:
-    """Draw the slot's secret bit (one coin, one 32-bit word) and derive the frequency pair."""
-    return RoundAction.from_bit(int(draw_coins(rng, 1)[0]))
-
-
 def resolve_round(a: RoundAction, b: RoundAction) -> RoundOutcome:
     """Combine Alice's (a) and Bob's (b) actions into the slot outcome."""
     if a.tx_freq == b.tx_freq:

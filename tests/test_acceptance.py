@@ -14,7 +14,6 @@ from fhkex.analysis import KeyRequest, fading_pb, key_prob, min_transmissions
 from fhkex.channel import delta_mean_pathloss
 from fhkex.cli import EXIT_OK, main
 from fhkex.experiments import (
-    GEOMETRY_EQUIDISTANT,
     METRIC_PER_BIT,
     FrontierRow,
     SweepSpec,
@@ -24,7 +23,7 @@ from fhkex.experiments import (
     write_result_csv,
 )
 from fhkex.protocol import run_session
-from fhkex.scenario import ScenarioConfig, build_deployment
+from fhkex.scenario import GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness
 
 TOY_ALICE = (0, 0, 1, 0, 0, 1)

@@ -16,10 +16,7 @@ from fhkex.adversary import (
     Guess,
     Observation,
     SecrecyReport,
-    classify_ml,
-    classify_random,
-    eve_reconstructs_key,
-    observe_round,
+    _ml_guess,
     pg_closed_form,
     score_session,
     simulate_eavesdropper,
@@ -27,7 +24,7 @@ from fhkex.adversary import (
 )
 from fhkex.channel import delta_mean_pathloss
 from oracle import trace_columns, trace_csv_text
-from fhkex.protocol import Collision, SharedBit, run_session
+from fhkex.protocol import SharedBit, run_session
 from fhkex.scenario import GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 
 NO_FADING = ScenarioConfig(sigma=0.0)
@@ -44,67 +41,68 @@ def test_observation_invariants():
         Observation(slot=1, kind="weird")
 
 
-def test_observe_bit_round_without_fading():
-    outcome = SharedBit(value=0, alice_freq="f0", bob_freq="f1")
-    rng = np.random.default_rng(0)
-    obs = observe_round(outcome, *CANONICAL_20, NO_FADING, rng, slot=3)
-    assert obs.kind == KIND_BIT
-    assert obs.rss_f0 == pytest.approx(-84.578431400499, abs=1e-9)  # Alice at 70 m
-    assert obs.rss_f1 == pytest.approx(-65.53604984823934, abs=1e-9)  # Bob at 20 m
+def _session_with_guesses(cfg, dep, rule, seed):
+    rng = np.random.default_rng(seed)
+    transcript = run_session(cfg, rng)
+    observations, guesses = simulate_eavesdropper(transcript, *dep, cfg, rng, rule=rule)
+    return transcript, observations, guesses
 
-    flipped = SharedBit(value=1, alice_freq="f1", bob_freq="f0")
-    obs = observe_round(flipped, *CANONICAL_20, NO_FADING, rng)
-    assert obs.rss_f1 == pytest.approx(-84.578431400499, abs=1e-9)
-    assert obs.rss_f0 == pytest.approx(-65.53604984823934, abs=1e-9)
+
+def _bit_observations(transcript, observations):
+    """(value, observation) per bit-generating slot."""
+    return [
+        (r.outcome.value, obs) for r, obs in zip(transcript.rounds, observations)
+        if isinstance(r.outcome, SharedBit)
+    ]
+
+
+def test_observe_bit_round_without_fading():
+    cfg = NO_FADING.replace(n_rounds=50)
+    transcript, observations, _ = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=3)
+    bits = _bit_observations(transcript, observations)
+    assert {value for value, _ in bits} == {0, 1}
+    alice, bob = -84.578431400499, -65.53604984823934  # at 70 m and 20 m
+    for value, obs in bits:
+        assert obs.kind == KIND_BIT
+        # Alice transmits on f_value, Bob on the other frequency
+        expected = (alice, bob) if value == 0 else (bob, alice)
+        assert (obs.rss_f0, obs.rss_f1) == pytest.approx(expected, abs=1e-9)
 
 
 def test_observe_equidistant_samples_equal():
-    outcome = SharedBit(value=0, alice_freq="f0", bob_freq="f1")
-    obs = observe_round(outcome, *EQUIDISTANT_60, NO_FADING, np.random.default_rng(0))
-    assert obs.rss_f0 == obs.rss_f1
+    cfg = NO_FADING.replace(n_rounds=50)
+    transcript, observations, _ = _session_with_guesses(cfg, EQUIDISTANT_60, RULE_ML, seed=3)
+    bits = _bit_observations(transcript, observations)
+    assert bits
+    for _, obs in bits:
+        assert obs.rss_f0 == obs.rss_f1
 
 
 def test_observe_collision_round_is_flagged_only():
-    obs = observe_round(Collision(freq="f0"), *CANONICAL_20, NO_FADING, np.random.default_rng(0), slot=9)
-    assert obs.kind == KIND_COLLISION
-    assert obs.rss_f0 is None and obs.rss_f1 is None
-
-
-def test_observe_draw_counts():
-    cfg = ScenarioConfig(sigma=8.0)
-    outcome = SharedBit(value=0, alice_freq="f0", bob_freq="f1")
-    rng = np.random.default_rng(21)
-    observe_round(outcome, *CANONICAL_20, cfg, rng)
-    ref = np.random.default_rng(21)
-    ref.standard_normal()
-    ref.standard_normal()
-    assert rng.standard_normal() == ref.standard_normal()
-
-    rng2 = np.random.default_rng(22)
-    observe_round(Collision(freq="f1"), *CANONICAL_20, cfg, rng2)
-    assert rng2.standard_normal() == np.random.default_rng(22).standard_normal()
+    cfg = NO_FADING.replace(n_rounds=50)
+    transcript, observations, _ = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=9)
+    assert [obs.slot for obs in observations] == [r.slot for r in transcript.rounds]
+    collisions = [obs for obs in observations if obs.slot in transcript.collision_slots()]
+    assert collisions
+    for obs in collisions:
+        assert obs.kind == KIND_COLLISION
+        assert obs.rss_f0 is None and obs.rss_f1 is None
 
 
 def test_ml_always_correct_without_fading():
-    delta = delta_mean_pathloss(*CANONICAL_20, NO_FADING.gamma)
-    rng = np.random.default_rng(0)
-    for value, af, bf in [(0, "f0", "f1"), (1, "f1", "f0")]:
-        outcome = SharedBit(value=value, alice_freq=af, bob_freq=bf)
-        obs = observe_round(outcome, *CANONICAL_20, NO_FADING, rng)
-        assert classify_ml(obs, delta).decision == value
+    cfg = NO_FADING.replace(n_rounds=100)
+    for d_be in (2.0, 20.0, 300.0):
+        transcript, _, guesses = _session_with_guesses(cfg, build_deployment(d_be), RULE_ML, seed=0)
+        assert {g.decision for g in guesses} == {0, 1}
+        assert [g.decision for g in guesses] == list(transcript.key_bits)
 
 
 def test_ml_abstains_when_equidistant():
-    delta = delta_mean_pathloss(*EQUIDISTANT_60, NO_FADING.gamma)
-    outcome = SharedBit(value=1, alice_freq="f1", bob_freq="f0")
-    obs = observe_round(outcome, *EQUIDISTANT_60, NO_FADING, np.random.default_rng(0))
-    assert classify_ml(obs, delta).decision is None
-
-
-def test_ml_rejects_collision_observation():
-    delta = delta_mean_pathloss(*CANONICAL_20, NO_FADING.gamma)
-    with pytest.raises(ValueError):
-        classify_ml(Observation(slot=1, kind=KIND_COLLISION), delta)
+    for sigma in (0.0, 8.0):
+        cfg = ScenarioConfig(sigma=sigma, n_rounds=100)
+        _, _, guesses = _session_with_guesses(cfg, EQUIDISTANT_60, RULE_ML, seed=1)
+        assert guesses
+        assert all(g.decision is None for g in guesses)
 
 
 def test_ml_matches_closed_form_at_sigma8():
@@ -113,7 +111,7 @@ def test_ml_matches_closed_form_at_sigma8():
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     rng = np.random.default_rng(1000)
     n = 10**6
-    # vectorized mirror of observe_round + classify_ml
+    # vectorized mirror of the pairwise ML call on one fresh sample per node
     values = rng.integers(0, 2, size=n)
     noise = rng.standard_normal((n, 2))
     pl_ae = 40.0 + 35.0 * math.log10(d_ae)
@@ -130,21 +128,22 @@ def test_ml_matches_closed_form_at_sigma8():
 
 
 def test_random_rule_behaviour():
-    rng = np.random.default_rng(4)
+    # every slot generates a bit, so the session makes n guesses
     n = 10**5
-    obs = Observation(slot=1, kind=KIND_BIT, rss_f0=-60.0, rss_f1=-70.0)
-    decisions = np.array([classify_random(obs, rng).decision for _ in range(n)])
-    assert set(np.unique(decisions)) == {0, 1}  # never abstains
-    assert decisions.mean() == pytest.approx(0.5, abs=0.01)
+    alice = np.arange(n) % 2
+    transcript = run_session(ScenarioConfig(), alice_bits=alice.tolist(), bob_bits=(1 - alice).tolist())
+    cfg = ScenarioConfig(sigma=8.0)
+
+    def decisions(dep, seed):
+        _, guesses = simulate_eavesdropper(transcript, *dep, cfg, np.random.default_rng(seed), rule=RULE_RANDOM)
+        return np.array([g.decision for g in guesses])
+
+    first = decisions(CANONICAL_20, 4)
+    assert first.size == n
+    assert set(np.unique(first)) == {0, 1}  # never abstains
+    assert first.mean() == pytest.approx(0.5, abs=0.01)
     # ignores the observation values entirely
-    rng_a = np.random.default_rng(9)
-    rng_b = np.random.default_rng(9)
-    other = Observation(slot=1, kind=KIND_BIT, rss_f0=-70.0, rss_f1=-60.0)
-    seq_a = [classify_random(obs, rng_a).decision for _ in range(100)]
-    seq_b = [classify_random(other, rng_b).decision for _ in range(100)]
-    assert seq_a == seq_b
-    with pytest.raises(ValueError):
-        classify_random(Observation(slot=1, kind=KIND_COLLISION), rng)
+    assert np.array_equal(decisions(build_deployment(300.0), 4), first)
 
 
 def test_pg_closed_form_values():
@@ -181,13 +180,6 @@ def _ulps_apart(a: float, b: float) -> int:
 def test_pg_closed_form_matches_scipy_ndtr(delta, sigma):
     expected = 0.0 if delta == 0.0 else float(ndtr(abs(delta) / (sigma * math.sqrt(2.0))))
     assert _ulps_apart(pg_closed_form(delta, sigma), expected) <= 2
-
-
-def _session_with_guesses(cfg, dep, rule, seed):
-    rng = np.random.default_rng(seed)
-    transcript = run_session(cfg, rng)
-    observations, guesses = simulate_eavesdropper(transcript, *dep, cfg, rng, rule=rule)
-    return transcript, observations, guesses
 
 
 def test_score_session_extremes():
@@ -238,20 +230,15 @@ def test_decisions_invariant_under_power_and_reference_shift():
 
 
 def test_swapped_positions_flip_decisions():
-    cfg = ScenarioConfig(sigma=8.0)
+    cfg = ScenarioConfig(sigma=8.0, n_rounds=500)
     delta = delta_mean_pathloss(*CANONICAL_20, cfg.gamma)
     swapped = delta_mean_pathloss(*CANONICAL_20[::-1], cfg.gamma)
-    rng = np.random.default_rng(77)
-    for _ in range(200):
-        value = int(rng.integers(0, 2))
-        outcome = SharedBit(
-            value=value,
-            alice_freq="f0" if value == 0 else "f1",
-            bob_freq="f1" if value == 0 else "f0",
-        )
-        obs = observe_round(outcome, *CANONICAL_20, cfg, rng)
-        original = classify_ml(obs, delta).decision
-        mirrored = classify_ml(obs, swapped).decision
+    transcript, observations, _ = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=77)
+    bits = _bit_observations(transcript, observations)
+    assert len(bits) >= 200
+    for _, obs in bits:
+        original = _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, delta).decision
+        mirrored = _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, swapped).decision
         if original is None:
             assert mirrored is None
         else:
@@ -269,15 +256,6 @@ def test_swapped_positions_preserve_correctness_rate():
     rate1 = r1.guessed_correct / r1.generated
     rate2 = r2.guessed_correct / r2.generated
     assert rate1 == pytest.approx(rate2, abs=0.01)
-
-
-def test_eve_reconstructs_key():
-    cfg = NO_FADING.replace(n_rounds=100)
-    transcript, _, guesses = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=8)
-    assert eve_reconstructs_key(transcript, guesses, k=10)
-    assert not eve_reconstructs_key(transcript, guesses, k=len(transcript.key_bits) + 1)
-    wrong = [Guess(slot=g.slot, decision=g.decision ^ 1) for g in guesses]
-    assert not eve_reconstructs_key(transcript, wrong, k=10)
 
 
 def test_adversary_trace_csv():
@@ -315,3 +293,13 @@ def test_adversary_trace_csv():
     for d in ("0", "1"):
         assert {(RULE_ML, d, "1"), (RULE_ML, d, "0")} <= calls
     assert (RULE_ML, "abstain", "0") in calls
+
+
+@pytest.mark.parametrize("block, message", [
+    (([0, 1], [1], [], [], []), "bit columns of equal length"),
+    (([0, 1], [1, 0], [(-50.0, -60.0)], [True], [False]), "one entry per bit slot"),
+    (([0, 1], [1, 0], [(-50.0, -60.0)] * 2, [True], [False, False]), "one entry per bit slot"),
+])
+def test_adversary_trace_csv_refuses_misshapen_blocks(block, message):
+    with pytest.raises(ValueError, match=message):
+        write_adversary_trace_csv([block], io.StringIO())

@@ -119,6 +119,9 @@ def test_key_prob_edges():
         key_prob(-1, 10, 0.5)
     with pytest.raises(ValueError):
         key_prob(1, 10, 1.5)
+    for k, n in ((1.5, 10), (1, 10.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            key_prob(k, n, 0.5)
 
 
 def test_key_prob_matches_frozen_oracle():
@@ -474,8 +477,12 @@ def bisection_privacy_radius(req, n, sigma, gamma=3.5, d_min=1.0, tol=1e-6):
 
 def test_privacy_radius_agrees_with_bisection():
     feasible = 0
-    for n, sigma, k in itertools.product((400, 1000, 5000, 20000), (2.0, 4.0, 8.0), (64, 128, 256)):
-        req = KeyRequest(k=k, target=0.99)
+    # the normal approximation starts above the root at 0.99 and below it at 0.5,
+    # so the search gallops down for the one and up for the other
+    for n, sigma, k, target in itertools.product(
+        (400, 1000, 5000, 20000), (2.0, 4.0, 8.0), (64, 128, 256), (0.99, 0.5)
+    ):
+        req = KeyRequest(k=k, target=target)
         try:
             want = bisection_privacy_radius(req, n, sigma)
         except InfeasibleError:
@@ -486,8 +493,8 @@ def test_privacy_radius_agrees_with_bisection():
         radius = privacy_radius(req, n, sigma)
         assert abs(radius - want) <= 1e-6
         if radius > 1.0:  # the target is met at the radius and missed tol below it
-            assert float(key_prob(k, n, fading_pb(radius, sigma))) >= 0.99
-            assert float(key_prob(k, n, fading_pb(radius - 1e-6, sigma))) < 0.99
+            assert float(key_prob(k, n, fading_pb(radius, sigma))) >= target
+            assert float(key_prob(k, n, fading_pb(radius - 1e-6, sigma))) < target
     assert feasible >= 20
 
 

@@ -232,15 +232,15 @@ def test_sweep_axis_range_syntax(tmp_path):
 
 
 def test_float_range_keeps_its_endpoint():
-    assert _parse_axis("0.1:0.3:0.1", float) == (0.1, 0.2, 0.3)
-    assert _parse_axis("0:1:0.3", float) == (0.0, 0.3, 0.6, pytest.approx(0.9))
+    assert _parse_axis("0.1:0.3:0.1", float, SLOT_BUDGET) == (0.1, 0.2, 0.3)
+    assert _parse_axis("0:1:0.3", float, SLOT_BUDGET) == (0.0, 0.3, 0.6, pytest.approx(0.9))
 
 
 # the last two would need terabytes if built; they are refused by their count
 @pytest.mark.parametrize("text", ["1:inf:1", "nan:2:1", "0:1:0", "2:1:1", "1:2", "1:1e12:1", "0:1e300:1e-300"])
 def test_bad_range_is_rejected(text):
     with pytest.raises(ConfigError):
-        _parse_axis(text, float)
+        _parse_axis(text, float, SLOT_BUDGET)
 
 
 @given(start=st.integers(-10**6, 10**6), step=st.integers(1, 10**4),
@@ -248,8 +248,8 @@ def test_bad_range_is_rejected(text):
 def test_int_range_roundtrip(start, step, count, slack):
     stop = start + step * (count - 1)
     expected = tuple(range(start, stop + 1, step))
-    assert _parse_axis(f"{start}:{stop}:{step}", int) == expected
-    assert _parse_axis(f"{start}:{stop + slack % step}:{step}", int) == expected
+    assert _parse_axis(f"{start}:{stop}:{step}", int, SLOT_BUDGET) == expected
+    assert _parse_axis(f"{start}:{stop + slack % step}:{step}", int, SLOT_BUDGET) == expected
 
 
 @given(start=st.integers(0, 10**5), step=st.integers(1, 10**3),
@@ -260,7 +260,7 @@ def test_float_range_roundtrip(start, step, count, digits):
         return f"{units}e-{digits}"
 
     stop = start + step * (count - 1)
-    values = _parse_axis(f"{typed(start)}:{typed(stop)}:{typed(step)}", float)
+    values = _parse_axis(f"{typed(start)}:{typed(stop)}:{typed(step)}", float, SLOT_BUDGET)
     assert len(values) == count
     assert values[0] == float(typed(start)) and values[-1] == float(typed(stop))
     for i, value in enumerate(values):

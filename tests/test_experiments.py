@@ -18,8 +18,6 @@ from fhkex.analysis import fading_pb, key_prob
 from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import (
     BLOCK_SLOTS,
-    GEOMETRY_CANONICAL,
-    GEOMETRY_EQUIDISTANT,
     METRIC_PER_BIT,
     METRIC_WHOLE_KEY,
     RESULT_COLUMNS,
@@ -41,7 +39,7 @@ from fhkex.experiments import (
     write_result_csv,
 )
 from fhkex.protocol import draw_coins, run_session
-from fhkex.scenario import ScenarioConfig, build_deployment
+from fhkex.scenario import GEOMETRY_CANONICAL, GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness, trace_columns
 
 
@@ -50,6 +48,11 @@ def test_wilson_interval_contains_estimate():
         lo, hi = wilson_interval(successes, trials)
         p = successes / trials
         assert 0.0 <= lo <= p <= hi <= 1.0
+
+
+def test_wilson_interval_needs_a_trial():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        wilson_interval(0, 0)
 
 
 def test_wilson_interval_shrinks_with_trials():
@@ -797,6 +800,15 @@ def test_result_csv_roundtrip():
     )
     assert row == (1, 2, 3.0, 4.0, RULE_ML, METRIC_PER_BIT, 5, 0.5, 0.2, 0.8, None)
     assert read_result_csv(io.StringIO(_csv_text((row,)))) == (row,)
+    # blank lines between rows are skipped
+    assert read_result_csv(io.StringIO(text.replace("\n", "\n\n"))) == rows
+
+
+@pytest.mark.parametrize("text, header", [("a,b,c\n", "['a', 'b', 'c']"), ("", "None")])
+def test_result_csv_reader_refuses_another_header(text, header):
+    with pytest.raises(ValueError) as info:
+        read_result_csv(io.StringIO(text))
+    assert str(info.value) == f"unexpected result CSV header: {header}"
 
 
 def _csv_writer_reference(rows):

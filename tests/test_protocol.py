@@ -12,7 +12,6 @@ from fhkex.protocol import (
     RoundRecord,
     SessionTranscript,
     SharedBit,
-    node_round_action,
     resolve_round,
     run_session,
     write_transcript_csv,
@@ -22,17 +21,6 @@ from oracle import bit_columns
 
 TOY_ALICE = [0, 0, 1, 0, 0, 1]
 TOY_BOB = [0, 1, 0, 1, 0, 1]
-
-
-class _FixedBits:
-    """Minimal generator stub replaying a scripted coin sequence, one coin per byte."""
-
-    def __init__(self, bits):
-        self._bits = list(bits)
-
-    def bytes(self, length):
-        assert length == 1
-        return bytes([self._bits.pop(0) << 7])  # coins are read most significant bit first
 
 
 def test_round_action_from_bit():
@@ -51,28 +39,6 @@ def test_round_action_invariants():
         RoundAction(bit=2, tx_freq="f0", rx_freq="f1")
 
 
-def test_node_round_action_scripted_draws():
-    assert node_round_action(_FixedBits([0])).tx_freq == "f0"
-    assert node_round_action(_FixedBits([1])).tx_freq == "f1"
-
-
-def test_node_round_action_consumes_one_draw():
-    # one coin: the top bit of the first byte of one 32-bit word of rng.bytes
-    for seed in (11, 12, 13, 14):
-        rng = np.random.default_rng(seed)
-        action = node_round_action(rng)
-        ref = np.random.default_rng(seed)
-        assert action.bit == ref.bytes(4)[0] >> 7
-        assert int(rng.integers(0, 2**32)) == int(ref.integers(0, 2**32))
-
-
-def test_node_round_action_unbiased():
-    rng = np.random.default_rng(8)
-    n = 10**5
-    ones = sum(node_round_action(rng).bit for _ in range(n))
-    assert ones / n == pytest.approx(0.5, abs=0.01)
-
-
 def test_resolve_round_cases():
     a0, a1 = RoundAction.from_bit(0), RoundAction.from_bit(1)
     assert resolve_round(a0, a0) == Collision(freq="f0")
@@ -84,6 +50,11 @@ def test_resolve_round_cases():
 def test_shared_bit_requires_distinct_frequencies():
     with pytest.raises(ValueError):
         SharedBit(value=0, alice_freq="f0", bob_freq="f0")
+
+
+def test_shared_bit_value_is_a_bit():
+    with pytest.raises(ValueError, match="bit must be 0 or 1, got 2"):
+        SharedBit(value=2, alice_freq="f0", bob_freq="f1")
 
 
 def test_toy_session():

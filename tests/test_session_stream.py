@@ -156,12 +156,6 @@ def _session_outputs(tmp_path, rule):
     return stdout, (tmp_path / "transcript.csv").read_bytes(), (tmp_path / "eve_trace.csv").read_bytes()
 
 
-def test_block_is_whole_words_of_coins():
-    # 16 slots are 32 coins, one 32-bit word of rng.bytes: blocks then split
-    # the coins of one call at word boundaries
-    assert experiments.BLOCK_SLOTS % 16 == 0
-
-
 @pytest.mark.parametrize("block", [1, 7, 16, 48])
 def test_slot_bits_are_one_call_cut_at_block_size(monkeypatch, block):
     monkeypatch.setattr(experiments, "BLOCK_SLOTS", block)
