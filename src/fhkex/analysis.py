@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 from .adversary import pg_closed_form
@@ -164,20 +165,6 @@ def key_prob(k: int, n: int, p_b: float) -> float:
     return prob
 
 
-def _normal_quantile(prob: float) -> float:
-    """Standard normal quantile: Abramowitz-Stegun 26.2.23 (error < 4.5e-4),
-    then two Newton steps on math.erfc, scaled to stay finite in the tails."""
-    tail = min(prob, 1.0 - prob)
-    w = math.sqrt(-2.0 * math.log(tail))  # tail = e^(-w^2 / 2)
-    z = w - (2.515517 + w * (0.802853 + w * 0.010328)) / (
-        1.0 + w * (1.432788 + w * (0.189269 + w * 0.001308))
-    )
-    for _ in range(2):  # z += (Q(z) - tail) / phi(z), Q the upper tail, phi the density
-        ratio = 0.5 * math.erfc(z / math.sqrt(2.0)) / tail  # Q(z) / tail
-        z += (ratio - 1.0) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * (z - w) * (z + w))
-    return z if prob >= 0.5 else -z
-
-
 def _poisson_log_tails(k: int, x: float) -> tuple[float, float]:
     """(log P(X >= k), log P(X <= k - 1)) for X ~ Poisson(x), k >= 1, x > 0.
 
@@ -216,7 +203,7 @@ def _gamma_quantile(k: int, prob: float) -> float:
     """
     if k == 1:
         return -math.log1p(-prob)
-    base = 1.0 - 1.0 / (9.0 * k) + _normal_quantile(prob) / (3.0 * math.sqrt(k))
+    base = 1.0 - 1.0 / (9.0 * k) + NormalDist().inv_cdf(prob) / (3.0 * math.sqrt(k))
     if base > 0.0:
         u = math.log(k) + 3.0 * math.log(base)
     else:
@@ -240,7 +227,7 @@ def _gamma_quantile(k: int, prob: float) -> float:
     return math.exp(u)
 
 
-def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
+def min_transmissions(req: KeyRequest, p_b: float) -> int:
     """Smallest n with key_prob(req.k, n, p_b) >= req.target.
 
     The first probe is a target quantile of the waiting time T for k
@@ -270,16 +257,16 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
         return key_prob(k, n, p) >= req.target
 
     q = 1.0 - p
-    if q > 0.0 and (k == 1 or (p <= 0.1 and k * p < 50.0)) and k <= max_n:
-        # at p_b = 1, log(q) does not exist; above max_n no key fits
+    if q > 0.0 and (k == 1 or (p <= 0.1 and k * p < 50.0)) and k <= MAX_N:
+        # at p_b = 1, log(q) does not exist; above MAX_N no key fits
         lam = -math.log1p(-p)
         # (G + (k - 1) (lam / p - 1)) / lam: no 1 / p that overflows
         quantile = (_gamma_quantile(k, req.target) + (k - 1) * (lam / p - 1.0)) / lam
     else:
-        z = _normal_quantile(req.target)
+        z = NormalDist().inv_cdf(req.target)
         # mean + sd (z + skew (z^2 - 1) / 6), where sd * skew = (1 + q) / p, less a continuity correction
         quantile = (k + z * math.sqrt(k * q) + (z * z - 1.0) * (1.0 + q) / 6.0) / p - 0.5
-    start = math.ceil(min(max(quantile, k), max_n))
+    start = math.ceil(min(max(quantile, k), MAX_N))
     step = 1
     if met(start):
         hi = start
@@ -290,9 +277,9 @@ def min_transmissions(req: KeyRequest, p_b: float, max_n: int = MAX_N) -> int:
     else:
         lo = start
         while True:
-            if lo >= max_n:
-                raise InfeasibleError(f"target {req.target} not reached below n = {max_n}")
-            hi = min(lo + step, max_n)
+            if lo >= MAX_N:
+                raise InfeasibleError(f"target {req.target} not reached below n = {MAX_N}")
+            hi = min(lo + step, MAX_N)
             if met(hi):
                 break
             lo, step = hi, 2 * step
@@ -331,7 +318,7 @@ def _radius_guess(req: KeyRequest, n: int, sigma: float, gamma: float) -> float:
     pairwise-ML closed form) and the collinear geometry, d_ae = d_be + 50,
     gives the distance. Its error costs probes, not accuracy.
     """
-    z = _normal_quantile(req.target)
+    z = NormalDist().inv_cdf(req.target)
     c = (req.k - 0.5) / n
     p_b = (c + z * z / (2 * n) + z * math.sqrt(c * (1.0 - c) / n + z * z / (4 * n * n))) / (
         1.0 + z * z / n
@@ -341,7 +328,7 @@ def _radius_guess(req: KeyRequest, n: int, sigma: float, gamma: float) -> float:
         return math.inf
     if not p_g < 1.0:
         return 0.0
-    delta = sigma * math.sqrt(2.0) * _normal_quantile(p_g)  # PL(d_ae) - PL(d_be), dB
+    delta = sigma * math.sqrt(2.0) * NormalDist().inv_cdf(p_g)  # PL(d_ae) - PL(d_be), dB
     return 2 * NODE_HALF_SPACING / math.expm1(min(delta * math.log(10.0) / (10.0 * gamma), 700.0))
 
 

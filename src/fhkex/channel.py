@@ -23,18 +23,13 @@ def path_loss_deterministic(d: float, cfg: ScenarioConfig) -> float:
     return cfg.pl0 + 10.0 * cfg.gamma * math.log10(d / cfg.d0)
 
 
-def path_loss_shadowed(d: float, cfg: ScenarioConfig, rng: np.random.Generator) -> float:
-    """Deterministic loss plus one fresh Gaussian(0, sigma^2) dB draw.
-
-    Consumes exactly one standard-normal draw from rng regardless of sigma,
-    so seeded replay is independent of the shadowing level.
-    """
-    return path_loss_deterministic(d, cfg) + cfg.sigma * rng.standard_normal()
-
-
 def rss(d: float, cfg: ScenarioConfig, rng: np.random.Generator) -> float:
-    """Received signal strength in dBm: transmit power minus shadowed path loss."""
-    return cfg.pt - path_loss_shadowed(d, cfg, rng)
+    """Received signal strength in dBm: pt less the deterministic loss and one
+    fresh Gaussian(0, sigma^2) dB draw, its shadowing. Consumes exactly one
+    standard-normal draw from rng regardless of sigma, so seeded replay is
+    independent of the shadowing level.
+    """
+    return cfg.pt - (path_loss_deterministic(d, cfg) + cfg.sigma * rng.standard_normal())
 
 
 def delta_mean_pathloss(d_ae: float, d_be: float, gamma: float) -> float:

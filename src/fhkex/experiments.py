@@ -181,26 +181,23 @@ def session_blocks(
     """The eavesdropper on the slot bits of draw_slot_bits, one Session per block.
 
     Continues the stream that drew the bits: the decision draws of every
-    generated bit in slot order (see _decision_draws), then the trace-only
-    draws that place the written samples: u per bit for the ML rule, u and
-    v per bit for the random rule. The trace draws come from a copy of rng
-    that has skipped every decision draw; rng itself ends after the
-    decision draws, where a one-trial simulate_session_block ends.
+    generated bit in slot order (see _judge), then the trace-only draws
+    that place the written samples: u per bit for the ML rule, u and v per
+    bit for the random rule. The trace draws come from a copy of rng that
+    has skipped every decision draw; rng itself ends after the decision
+    draws, where a one-trial batch of slice_successes ends.
     """
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     trace_rng = type(rng)(copy.copy(rng.bit_generator))  # independent; cheaper than copy.deepcopy(rng)
     for block in blocks:
         _decision_draws(trace_rng, np.count_nonzero(block[:, 0] != block[:, 1]), rule)
     for block in blocks:
-        alice, bob = block[:, 0], block[:, 1]
-        values = alice[alice != bob]
-        draws = _decision_draws(rng, values.size, rule)
-        correct, abstain = _classify(draws, values, delta, cfg.sigma, rule)
+        _, draws, correct, abstain = _judge(rng, block, delta, cfg.sigma, rule)
         if rule == RULE_RANDOM:
-            u, v = trace_rng.standard_normal((values.size, 2)).T
+            u, v = trace_rng.standard_normal((draws.size, 2)).T
         else:
-            u, v = trace_rng.standard_normal(values.size), draws
-        yield Session(alice, bob, rss_samples(u, v, d_ae, d_be, cfg), correct, abstain)
+            u, v = trace_rng.standard_normal(draws.size), draws
+        yield Session(block[:, 0], block[:, 1], rss_samples(u, v, d_ae, d_be, cfg), correct, abstain)
 
 
 def simulate_session_counts(
@@ -216,27 +213,25 @@ def simulate_session_counts(
     return Session(*map(np.concatenate, zip(*blocks)))
 
 
-def simulate_session_block(
-    rng: np.random.Generator, trials: int, n: int, delta: float, sigma: float, rule: str = RULE_ML
-) -> tuple[np.ndarray, np.ndarray]:
-    """`trials` sessions of n slots plus eavesdropper, batched, at the adversary's
-    mean path-loss gap delta (channel.delta_mean_pathloss) and shadowing sigma.
+def _judge(
+    rng: np.random.Generator, bits: np.ndarray, delta: float, sigma: float, rule: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The eavesdropper on (m, 2) uint8 coin pairs laid out as draw_slot_bits
+    gives them, at mean path-loss gap delta (channel.delta_mean_pathloss) and
+    shadowing sigma: (generated, draws, correct, abstain), the (m,) slot mask
+    of generated key bits, then per generated bit in slot order its decision
+    draw and _classify's verdict.
 
-    Returns (generated, secret): the (trials, n) slot mask of generated key
-    bits, and per generated bit in trial-major order whether the adversary
-    missed it. Draws every trial's interleaved Alice/Bob coins in one
-    draw_coins call, then one decision draw per generated bit in that
-    order, so one trial replays the bits and verdicts of
-    simulate_session_counts and ends its stream where that ends.
+    One decision draw per generated bit, so T trials of n slots judged as
+    one batch draw and decide what one session of T n slots does.
     """
-    bits = draw_coins(rng, 2 * trials * n).reshape(trials, 2 * n)
     # a slot's coin pair (a, b) reads as a + 256 b in either byte order: 0, 1,
     # 256 or 257, and 1 or 256 iff the coins differ, the only values that one
     # less (wrapping 0 to 65535) puts below 256
-    generated = (bits.view(np.uint16) - np.uint16(1)) < 256
-    values = bits[:, 0::2][generated] if rule == RULE_RANDOM else None
+    generated = (bits.view(np.uint16).ravel() - np.uint16(1)) < 256
+    values = bits[:, 0][generated] if rule == RULE_RANDOM else None
     draws = _decision_draws(rng, np.count_nonzero(generated), rule)
-    return generated, ~_classify(draws, values, delta, sigma, rule)[0]
+    return (generated, draws, *_classify(draws, values, delta, sigma, rule))
 
 
 def slice_successes(
@@ -279,10 +274,12 @@ def slice_successes(
     held = 0  # completing slots held at most: trials gathered since the last count, times counted k
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        generated, secret = simulate_session_block(rng, size, n_max, delta, sigma, rule)
+        bits = draw_coins(rng, 2 * size * n_max).reshape(-1, 2)
+        generated, _, correct, _ = _judge(rng, bits, delta, sigma, rule)
+        secret = ~correct
         # trial * n_max + slot per generated bit, in the order of secret: the
         # stream the metric counts, which per bit keeps the secret bits only
-        slots = generated.ravel().nonzero()[0]
+        slots = generated.nonzero()[0]
         if not whole_key:
             slots = slots.compress(secret)
         # where each trial's bits start in the stream, and where the last trial's end

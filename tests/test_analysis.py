@@ -387,7 +387,7 @@ def test_min_transmissions_infeasible():
     with pytest.raises(InfeasibleError):
         min_transmissions(KeyRequest(k=4, target=0.99), 0.0)
     with pytest.raises(InfeasibleError):
-        min_transmissions(KeyRequest(k=4, target=0.99), 1e-12, max_n=10**6)
+        min_transmissions(KeyRequest(k=4, target=0.99), 1e-12)
 
 
 def test_fading_pb_values():

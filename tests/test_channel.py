@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fhkex.channel import (
     delta_mean_pathloss,
     path_loss_deterministic,
-    path_loss_shadowed,
     rss,
 )
 from fhkex.scenario import ScenarioConfig
@@ -36,16 +35,21 @@ def test_deterministic_loss_strictly_increasing():
     assert all(b > a for a, b in zip(losses, losses[1:]))
 
 
+def _shadowed_loss(d, cfg, rng):
+    """The shadowed path loss that rss subtracts from the transmit power."""
+    return cfg.pt - rss(d, cfg, rng)
+
+
 def test_shadowed_loss_degenerates_without_fading():
     rng = np.random.default_rng(0)
     for _ in range(5):
-        assert path_loss_shadowed(10.0, NO_FADING, rng) == 75.0
+        assert _shadowed_loss(10.0, NO_FADING, rng) == 75.0
 
 
 def test_shadowed_loss_consumes_exactly_one_draw():
     s = ScenarioConfig(sigma=8.0)
     rng = np.random.default_rng(42)
-    value = path_loss_shadowed(50.0, s, rng)
+    value = _shadowed_loss(50.0, s, rng)
     follower = rng.standard_normal()
 
     ref = np.random.default_rng(42)
@@ -56,7 +60,7 @@ def test_shadowed_loss_consumes_exactly_one_draw():
 
     # the draw happens even when sigma = 0, keeping replay streams aligned
     rng_a = np.random.default_rng(7)
-    path_loss_shadowed(50.0, NO_FADING, rng_a)
+    _shadowed_loss(50.0, NO_FADING, rng_a)
     rng_b = np.random.default_rng(7)
     rng_b.standard_normal()
     assert rng_a.standard_normal() == rng_b.standard_normal()
@@ -67,7 +71,7 @@ def test_shadowed_loss_moments_sigma8():
     s = ScenarioConfig(sigma=8.0)
     n = 10**6
     det = path_loss_deterministic(50.0, NO_FADING)
-    samples = np.array([path_loss_shadowed(50.0, s, rng) for _ in range(n)])
+    samples = np.array([_shadowed_loss(50.0, s, rng) for _ in range(n)])
     assert samples.mean() == pytest.approx(99.46395015176066, abs=0.03)
     assert samples.std() == pytest.approx(8.0, abs=0.03)
     # the sample mean converges onto the deterministic loss
@@ -80,7 +84,7 @@ def test_shadowed_loss_moments_sigma14():
     samples = 40.0 + 35.0 * math.log10(50.0) + 14.0 * rng.standard_normal(10**6)
     # the implementation must match these moments draw for draw
     rng2 = np.random.default_rng(99)
-    impl = np.array([path_loss_shadowed(50.0, s, rng2) for _ in range(1000)])
+    impl = np.array([_shadowed_loss(50.0, s, rng2) for _ in range(1000)])
     assert np.array_equal(impl, samples[:1000])
     assert samples.std() == pytest.approx(14.0, abs=0.05)
 
@@ -89,8 +93,8 @@ def test_identical_seeds_replay_bit_exact():
     s = ScenarioConfig(sigma=8.0)
     a = np.random.default_rng(1234)
     b = np.random.default_rng(1234)
-    seq_a = [path_loss_shadowed(d, s, a) for d in (1.0, 10.0, 50.0, 70.0)]
-    seq_b = [path_loss_shadowed(d, s, b) for d in (1.0, 10.0, 50.0, 70.0)]
+    seq_a = [_shadowed_loss(d, s, a) for d in (1.0, 10.0, 50.0, 70.0)]
+    seq_b = [_shadowed_loss(d, s, b) for d in (1.0, 10.0, 50.0, 70.0)]
     assert seq_a == seq_b
 
 

@@ -26,11 +26,12 @@ from fhkex.experiments import (
     ResultRow,
     SweepSpec,
     _classify,
+    _judge,
     analytic_prob,
+    draw_slot_bits,
     frontier,
     read_result_csv,
     run_grid_point,
-    simulate_session_block,
     simulate_session_counts,
     slice_successes,
     sweep,
@@ -112,14 +113,16 @@ def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, see
     session = simulate_session_counts(rng_session, 400, *dep, cfg, rule=rule)
     generated, correct = session.correct.size, session.correct
     delta = delta_mean_pathloss(*dep, cfg.gamma)
-    gen_mask, secret = simulate_session_block(rng_block, 1, 400, delta, cfg.sigma, rule=rule)
+    (block,) = draw_slot_bits(rng_block, 400)
+    gen_mask, _, block_correct, _ = _judge(rng_block, block, delta, cfg.sigma, rule)
+    secret = ~block_correct
     wrong = np.flatnonzero(~correct)
     missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
     assert int(gen_mask.sum()) == generated == secret.size
     assert int(secret.sum()) == generated - int(correct.sum())
     assert (missed[0] if missed.size else 400) == (wrong[0] if wrong.size else 400)
     # the same bits and verdicts, and both streams end after the decision draws
-    assert np.array_equal(gen_mask[0], session.alice != session.bob)
+    assert np.array_equal(gen_mask, session.alice != session.bob)
     assert np.array_equal(secret, ~correct)
     assert rng_block.integers(0, 2**62) == rng_session.integers(0, 2**62)
 
@@ -340,18 +343,43 @@ def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n)
         lambda draws, values, *rest: seen.append(values) or classify(draws, values, *rest),
     )
     seed = 1000 * trials + n
-    generated, secret = simulate_session_block(
-        np.random.default_rng(seed), trials, n, delta_mean_pathloss(70.0, 20.0, 3.5), 8.0, rule
+    rng = np.random.default_rng(seed)
+    generated, _, correct, _ = _judge(
+        rng, draw_coins(rng, 2 * trials * n).reshape(-1, 2), delta_mean_pathloss(70.0, 20.0, 3.5),
+        8.0, rule,
     )
     bits = draw_coins(np.random.default_rng(seed), 2 * trials * n).reshape(trials, 2 * n)
     a, b = bits[:, 0::2], bits[:, 1::2]
     assert generated.dtype == bool
-    assert np.array_equal(generated, a != b)
-    assert secret.size == np.count_nonzero(a != b)
+    assert np.array_equal(generated, (a != b).ravel())
+    assert correct.size == np.count_nonzero(a != b)
     if rule == RULE_RANDOM:
         assert np.array_equal(seen[0], a[a != b])
     else:
         assert seen[0] is None
+
+
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+@pytest.mark.parametrize("d_ae, d_be", [(70.0, 20.0), (40.0, 40.0)])
+def test_batch_of_trials_judges_as_one_long_session(monkeypatch, rule, d_ae, d_be):
+    # a sweep batch of T trials of n slots is one session of T n slots: the
+    # same coins, decision draws and verdicts, and the same next draw
+    trials, n, seed = 5, 37, 8
+    cfg = ScenarioConfig(sigma=8.0)
+    rng_batch = np.random.default_rng(seed)
+    bits = draw_coins(rng_batch, 2 * trials * n).reshape(-1, 2)
+    generated, _, correct, abstain = _judge(
+        rng_batch, bits, delta_mean_pathloss(d_ae, d_be, cfg.gamma), cfg.sigma, rule
+    )
+    monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", 16)  # the session spans 12 blocks
+    rng_session = np.random.default_rng(seed)
+    session = simulate_session_counts(rng_session, trials * n, d_ae, d_be, cfg, rule)
+    assert np.array_equal(generated, session.alice != session.bob)
+    assert np.array_equal(correct, session.correct)
+    assert np.array_equal(abstain, session.abstain)
+    if rule == RULE_ML and d_ae == d_be:
+        assert abstain.all()  # Eve equidistant: every ML call ties
+    assert rng_batch.integers(0, 2**62) == rng_session.integers(0, 2**62)
 
 
 def test_engine_counts_every_trial_across_blocks():
