@@ -5,15 +5,12 @@ eavesdropper that met the key-size target, with a Wilson 95% interval and,
 where available, the closed-form probability. Each (d_be, sigma) slice
 simulates its sessions once, at the longest n, from one stream seeded by
 (base_seed, slice index); every (k, n) row of the slice is read off
-prefixes of those same sessions (common random numbers). A trial succeeds
-at n iff the slot that completes its key is below n, so each trial gives
-one completing slot per k, whatever the length of the n axis. Each k
-gathers them across blocks and counts them in one sort and one search per
-BLOCK_SLOTS gathered slots; the draws and bytes are those of counting block
-by block. The slices share no state and run concurrently, on up to one
-thread per usable CPU, each holding one block at a time: BLOCK_SLOTS
-trial-slots, or one whole trial of a longer n. Results are a pure function
-of the spec, whatever the thread count.
+prefixes of those same sessions (common random numbers), and counted
+from the one slot per trial and k that completes its key (see
+slice_successes). A slice holds 2 bytes per slot of a batch of trials'
+coins plus one block of BLOCK_SLOTS slots, as a session does. The slices
+share no state and run concurrently, on up to one thread per usable CPU;
+results are a pure function of the spec, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -47,11 +44,10 @@ METRIC_PER_BIT = "per-bit-secret"
 METRIC_WHOLE_KEY = "whole-key"
 METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 
-#: Most trial-slots a sweep thread simulates at once while n <= BLOCK_SLOTS: its
-#: trials run in blocks of BLOCK_SLOTS // n sessions, at least one, so a longer
-#: trial is simulated whole. A session runs in blocks of BLOCK_SLOTS slots, and
-#: beyond a block holds 2 bytes per slot. Also about the most completing slots
-#: a sweep slice holds between its counts.
+#: Slots judged at once. A session, and a sweep batch of BLOCK_SLOTS // n trials
+#: (at least one), draw their coins at once and judge them in blocks of
+#: BLOCK_SLOTS slots, so each holds 2 bytes per slot of its coins plus one block.
+#: Also about the most completing slots a sweep slice holds between its counts.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
@@ -247,12 +243,13 @@ def slice_successes(
     its k-th secret bit; for the whole-key metric the slot of its k-th
     generated bit, if its first secret bit is among its first k. So k = 0
     succeeds on every trial per bit and on none for the whole key. Trials
-    run in blocks of at most BLOCK_SLOTS trial-slots. Each counted k gathers
-    its trials' completing slots, as offsets within their trials, across
-    blocks, and counts them against the n axis in one sort and one search
-    once the slots held over every k reach BLOCK_SLOTS, and at the end. So
-    memory is bounded by the block, not by the trial count or the number of
-    k, and the counts are those of counting block by block.
+    run in batches of BLOCK_SLOTS // n_max, at least one, whose coins come
+    from one draw_slot_bits call and are judged block by block, as
+    session_blocks judges them: 2 bytes per slot of coins plus one block.
+    Each counted k gathers its trials' completing slots, as offsets within
+    their trials, and counts them against the n axis in one sort and one
+    search once the slots held over every k reach BLOCK_SLOTS, and at the
+    end; the counts are those of counting batch by batch.
     """
     n_max = max(n_rounds)
     n_axis = np.asarray(n_rounds)
@@ -267,48 +264,50 @@ def slice_successes(
             counted.append((i, k, []))
         elif k == 0 and not whole_key:
             successes[i] = trials
-    block = max(1, BLOCK_SLOTS // n_max)
-    # where each trial of a full block starts among its trial * n_max + slot
+    batch = max(1, BLOCK_SLOTS // n_max)
+    # where each trial of a full batch starts among its trial * n_max + slot
     # indices, and where the last one ends
-    trial_starts = np.arange(0, (block + 1) * n_max, n_max)
+    trial_starts = np.arange(0, (batch + 1) * n_max, n_max)
     held = 0  # completing slots held at most: trials gathered since the last count, times counted k
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        bits = draw_coins(rng, 2 * size * n_max).reshape(-1, 2)
-        generated, _, correct, _ = _judge(rng, bits, delta, sigma, rule)
-        secret = ~correct
-        # trial * n_max + slot per generated bit, in the order of secret: the
-        # stream the metric counts, which per bit keeps the secret bits only
-        slots = generated.nonzero()[0]
-        if not whole_key:
-            slots = slots.compress(secret)
-        # where each trial's bits start in the stream, and where the last trial's end
-        bounds = slots.searchsorted(trial_starts[:size + 1])
-        firsts, ends, starts = bounds[:-1], bounds[1:], trial_starts[:size]
-        if whole_key:
-            # each trial's first secret bit, by rank among its own bits; past them if none
-            secret_at = np.append(secret.nonzero()[0], slots.size)
-            rank = secret_at[secret_at.searchsorted(firsts)] - firsts
-        held += size * len(counted)
-        # count when this block brings the held slots to BLOCK_SLOTS, or ends
-        # the slice: each k counts as it adds its own, so however many k there
-        # are, fewer than BLOCK_SLOTS plus one block are ever held
-        count = held >= BLOCK_SLOTS or start + size == trials
-        for i, k, completing in counted:
-            at = firsts + (k - 1)
-            done = at < ends
+    for start in range(0, trials, batch):
+        size = min(batch, trials - start)
+        # counted bits and slots before each block, and each trial's first secret
+        # bit by rank, n_max or more until found: only one trial spans blocks
+        base, offset, rank = 0, 0, n_max
+        for bits in draw_slot_bits(rng, size * n_max):
+            generated, _, correct, _ = _judge(rng, bits, delta, sigma, rule)
+            secret = ~correct
+            # trial * n_max + slot per generated bit, in the order of secret: the
+            # stream the metric counts, which per bit keeps the secret bits only
+            slots = generated.nonzero()[0]
+            if not whole_key:
+                slots = slots.compress(secret)
+            if offset:
+                slots += offset
+            # where each trial's bits start in the stream, and where the last trial's end
+            bounds = slots.searchsorted(trial_starts[:size + 1])
+            firsts, ends, starts = bounds[:-1], bounds[1:], trial_starts[:size]
             if whole_key:
-                done &= rank < k
-            # each done trial's completing slot, as an offset within its trial
-            offsets = slots[at.compress(done)] - starts.compress(done)
-            if not count:
-                completing.append(offsets)
-                continue
-            if completing:
-                offsets = np.concatenate((*completing, offsets))
+                secret_at = np.append(secret.nonzero()[0], slots.size + n_max)
+                rank = np.minimum(rank, secret_at[secret_at.searchsorted(firsts)] - firsts + base)
+            for _, k, completing in counted:
+                if k <= base:  # its bit was in an earlier block
+                    continue
+                at = firsts + (k - 1 - base)
+                done = at < ends
+                if whole_key:
+                    done &= rank < k
+                # each done trial's completing slot, as an offset within its trial
+                completing.append(slots[at.compress(done)] - starts.compress(done))
+            base, offset = base + slots.size, offset + len(bits)
+        held += size * len(counted)
+        # count when this batch brings the held slots to BLOCK_SLOTS, or ends
+        # the slice: each k holds at most one slot per trial, so however many
+        # k there are, fewer than BLOCK_SLOTS plus one batch are ever held
+        if held >= BLOCK_SLOTS or start + size == trials:
+            for i, _, completing in counted:
+                successes[i] += np.sort(np.concatenate(completing)).searchsorted(n_axis)
                 completing.clear()
-            successes[i] += np.sort(offsets).searchsorted(n_axis)
-        if count:
             held = 0
     return successes
 

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,10 +165,10 @@ def _coins(rng, count):
 def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK_SLOTS):
     """Per trial, the slots of its generated bits and whether the adversary
     missed each, with every draw replayed by hand in the engine's documented
-    order: per block of block_slots trial-slots, all coins, then one decision
-    draw per generated bit (ML: v, whose score (A - B) * delta has
-    A - B = -delta - sigma * sqrt(2) * v; random rule: the guess). Also
-    returns the generator, to compare the next draw."""
+    order: per batch of block_slots // n_max trials (at least one), all its
+    coins, then in one call a decision draw per generated bit (ML: v, whose
+    score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v; random
+    rule: the guess). Also returns the generator, to compare the next draw."""
     rng = np.random.default_rng(seed)
     block = max(1, block_slots // n_max)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
@@ -228,8 +229,8 @@ def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_s
 def test_slice_successes_judges_each_trial_session(
     ks, ns, distances, sigma, rule, metric, trials, seed
 ):
-    # ns arrive unsorted and repeated; above 2,048 slots a block holds at most
-    # 7 trials, so 40 trials span several blocks
+    # ns arrive unsorted and repeated; above 2,048 slots a batch holds at most
+    # 7 trials, so 40 trials span several batches
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
     rng = np.random.default_rng(seed)
@@ -255,11 +256,14 @@ def test_slice_successes_judges_each_trial_session(
 def test_gathered_counts_cross_the_flush_limit(
     block_slots, ks, ns, distances, sigma, rule, metric, trials, seed
 ):
-    # BLOCK_SLOTS shrunk in the engine and the replay alike. The engine holds
-    # up to one completing slot per trial and counted k (k = 1 always is one)
-    # and counts them once that bound reaches BLOCK_SLOTS, so a count covers
-    # fewer than BLOCK_SLOTS trials plus one block of at most BLOCK_SLOTS:
-    # under 32, and 100 trials cross the limit at least three times
+    # BLOCK_SLOTS shrunk in the engine and the replay alike, so a trial longer
+    # than BLOCK_SLOTS is a one-trial batch that the engine judges over several
+    # blocks, with one decision call each, and the replay in one call. The
+    # engine holds up to one completing slot per trial and counted k (k = 1
+    # always is one) and counts them once that bound reaches BLOCK_SLOTS, so a
+    # count covers fewer than BLOCK_SLOTS trials plus one batch of at most
+    # BLOCK_SLOTS trials: under 32, and 100 trials cross the limit at least
+    # three times
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
     rng = np.random.default_rng(seed)
@@ -382,9 +386,30 @@ def test_batch_of_trials_judges_as_one_long_session(monkeypatch, rule, d_ae, d_b
     assert rng_batch.integers(0, 2**62) == rng_session.integers(0, 2**62)
 
 
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+def test_long_trial_holds_its_coins_plus_one_block(rule, metric):
+    # a one-trial batch holds 2 bytes per slot of its coins plus one block,
+    # about 2.25 bytes per slot with draw_coins' packed bytes; a trial judged
+    # whole at once holds about 12
+    n = 2_000_000
+    delta = delta_mean_pathloss(70.0, 20.0, 3.5)
+    tracemalloc.start()
+    try:
+        counts = slice_successes(
+            np.random.default_rng(17), 1, (0, 1, 64, 100_000), (n // 2, 16_385, n), delta, 8.0,
+            rule, metric,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n
+    assert counts[2].tolist() == [1, 1, 1]  # 64 secret bits, or generated bits, come early
+
+
 def test_engine_counts_every_trial_across_blocks():
     n = 500
-    trials = 3 * (BLOCK_SLOTS // n) + 4  # three full blocks and a partial one
+    trials = 3 * (BLOCK_SLOTS // n) + 4  # three full batches and a partial one
     rng = np.random.default_rng(5)
     delta, sigma = delta_mean_pathloss(70.0, 20.0, 3.5), ScenarioConfig().sigma
     counts = slice_successes(rng, trials, (0,), (1, n), delta, sigma)
@@ -784,10 +809,29 @@ _FROZEN_SWEEPS = [
           trials=80, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_EQUIDISTANT,
           base_seed=4),
      "b6aa58f1864ecf20b7f33b8da221689db8985c1c3aa1aab0d887436286322d3e"),
+    # trials longer than BLOCK_SLOTS, one per batch, judged over several blocks:
+    # unsorted n at the block edge 16,384 / 16,385, and k whose completing
+    # slot, or (whole key) first secret bit, lies in a later block. Pinned on
+    # the engine that judged each such trial whole, before it walked blocks.
+    (dict(k=(0, 1, 2, 300, 500), n_rounds=(16385, 5000, 40000, 16384), d_be=(20.0, 3.0),
+          sigma=(8.0,), trials=3, rule=RULE_ML, metric=METRIC_PER_BIT,
+          geometry=GEOMETRY_CANONICAL, base_seed=7),
+     "a36d3b5d6adc3b73729b9cb71ada28cc60b52833d735cb26d953a6ddcfa900b6"),
+    (dict(k=(1, 8, 9000, 12000, 19000), n_rounds=(30000, 16384, 100, 40000, 16385),
+          d_be=(3.0, 20.0), sigma=(8.0, 0.0), trials=3, rule=RULE_ML, metric=METRIC_WHOLE_KEY,
+          geometry=GEOMETRY_CANONICAL, base_seed=8),
+     "f3f4d793ce70d94b2d18750348e82e46818c9946ed2158e04d93f208dc9c6023"),
+    (dict(k=(0, 5, 8250, 10000), n_rounds=(16384, 25000, 16385, 300), d_be=(30.0,),
+          sigma=(0.0, 8.0), trials=3, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY,
+          geometry=GEOMETRY_EQUIDISTANT, base_seed=9),
+     "45d6d0a633163481897d521407d3bab01eef94c5feda4378ce2e690883e69d5b"),
 ]
 
 
-@pytest.mark.parametrize("spec, digest", _FROZEN_SWEEPS, ids=["ml-bit", "ml-key", "rand-bit", "rand-key"])
+@pytest.mark.parametrize(
+    "spec, digest", _FROZEN_SWEEPS,
+    ids=["ml-bit", "ml-key", "rand-bit", "rand-key", "ml-bit-long", "ml-key-long", "rand-key-long"],
+)
 def test_sweep_monte_carlo_bytes_are_frozen(spec, digest):
     text = _csv_text(sweep(SweepSpec(**spec)))
     assert text.splitlines()[0].endswith(",p_analytic")
