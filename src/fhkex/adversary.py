@@ -9,7 +9,8 @@ detectable (a single occupied frequency) and carry no key material.
 The two shadowing draws of a slot are built from two standard normals u and
 v as (u + v)/sqrt(2) for Alice and (u - v)/sqrt(2) for Bob: independent,
 with unit variance. Their difference, sqrt(2) * v, is all the ML rule reads,
-so v decides the bit and u only places the written samples.
+so v, drawn as one uniform U with v = normal_quantile(U), decides the bit
+and u only places the written samples.
 """
 
 from __future__ import annotations
@@ -90,6 +91,49 @@ def rss_samples(
     return samples
 
 
+U_FLOOR = 2.0**-54  #: a draw of 0 as normal_quantile reads it: half Generator.random's least positive one
+
+# Wichura's AS241 (1988) as CPython's statistics holds it: numerator, then denominator, highest power first
+_AS241_CENTRAL, _AS241_NEAR_TAIL, _AS241_FAR_TAIL = (
+    (2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987, 13731.69376550946,
+     1971.5909503065513, 133.14166789178438, 3.3871328727963665, 5226.495278852854, 28729.085735721943,
+     39307.89580009271, 21213.794301586597, 5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0),
+    (0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+     3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835, 1.0507500716444169e-09,
+     0.0005475938084995345, 0.015198666563616457, 0.14810397642748008, 0.6897673349851, 1.6763848301838038,
+     2.053191626637759, 1.0),
+    (2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784, 0.026532189526576124,
+     0.29656057182850487, 1.7848265399172913, 5.463784911164114, 6.657904643501103, 2.0442631033899397e-15,
+     1.421511758316446e-07, 1.8463183175100548e-05, 0.0007868691311456133, 0.014875361290850615,
+     0.1369298809227358, 0.599832206555888, 1.0),
+)
+
+
+def _rational(coeffs: Sequence[float], r: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
+    """scale * num(r) / den(r) at every r by Horner's rule, as statistics rounds it; coeffs as _AS241_*."""
+    num = den = 0.0
+    for a, b in zip(coeffs[:8], coeffs[8:]):
+        num, den = num * r + a, den * r + b
+    return scale * num / den
+
+
+def normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Phi^-1(p) for every p in [0, 1), as statistics.NormalDist().inv_cdf computes it; 0 as U_FLOOR."""
+    q = p - 0.5
+    x = _rational(_AS241_CENTRAL, 0.180625 - q * q, q)  # on every value, the tails' only where they apply
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    low = q[tail] < 0.0
+    # libm's log, as statistics takes it: numpy's own log differs from it in last bits on AVX-512 CPUs
+    tail_p = np.maximum(np.where(low, p[tail], 1.0 - p[tail]), U_FLOOR)
+    r = np.sqrt(-np.fromiter(map(math.log, tail_p.tolist()), float))
+    x_tail = _rational(_AS241_NEAR_TAIL, r - 1.6)
+    far = r > 5.0
+    if far.any():
+        x_tail[far] = _rational(_AS241_FAR_TAIL, r[far] - 5.0)
+    x[tail] = np.where(low, -x_tail, x_tail)
+    return x
+
+
 def _observation(outcome: RoundOutcome, slot: int, samples: Sequence[float] | None) -> Observation:
     """Eve's view of a resolved slot, given Alice's and Bob's samples for a collision-free one."""
     if isinstance(outcome, Collision):
@@ -161,10 +205,10 @@ def simulate_eavesdropper(
     """Observe every slot, and call the bit-generating ones.
 
     Draw order, as in the vectorized engine, one draw per bit-generating
-    slot in slot order: first the decision draws (ML: v, random rule: the
+    slot in slot order: first the decision draws (ML: U, random rule: the
     guess), then the trace-only draws (ML: u, random rule: u and v per slot).
-    The ML call is made on v's gap A - B = -delta - sigma * sqrt(2) * v,
-    which is authoritative where the written samples nearly tie.
+    The ML call is the sign of the gap A - B = -delta - sigma * sqrt(2) * v,
+    v = normal_quantile(U), not the engine's threshold on U.
     """
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     bit_records = [r for r in transcript.rounds if isinstance(r.outcome, SharedBit)]
@@ -173,14 +217,12 @@ def simulate_eavesdropper(
         pairs = [(rng.standard_normal(), rng.standard_normal()) for _ in bit_records]
         u, v = np.array(pairs).reshape(-1, 2).T
     else:
-        v = np.array([rng.standard_normal() for _ in bit_records])
+        v = normal_quantile(np.array([rng.random() for _ in bit_records]))
         u = np.array([rng.standard_normal() for _ in bit_records])
-        guesses = []
-        for record, v_i in zip(bit_records, v.tolist()):
-            alice_minus_bob = -delta - cfg.sigma * math.sqrt(2.0) * v_i
-            # the f0 - f1 gap: Alice sits on f0 iff the bit is 0
-            gap = alice_minus_bob if record.outcome.value == 0 else -alice_minus_bob
-            guesses.append(_ml_guess(record.slot, gap, delta))
+        guesses = [  # the f0 - f1 gap is A - B (Alice on f0) for a bit 0, B - A for a 1
+            _ml_guess(r.slot, (1 - 2 * r.outcome.value) * (-delta - cfg.sigma * math.sqrt(2.0) * vi), delta)
+            for r, vi in zip(bit_records, v.tolist())
+        ]
     samples = rss_samples(u, v, d_ae, d_be, cfg).tolist()
     by_slot = dict(zip((r.slot for r in bit_records), samples))
     observations = [_observation(r.outcome, r.slot, by_slot.get(r.slot)) for r in transcript.rounds]

@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
-from .adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form, rss_samples
+from .adversary import RULE_ML, RULE_RANDOM, RULES, U_FLOOR, normal_quantile, pg_closed_form, rss_samples
 from .analysis import COLLISION_PROB, key_probs, secret_bit_prob
 from .channel import delta_mean_pathloss
 from .protocol import draw_coins
@@ -178,10 +178,11 @@ def session_blocks(
 
     Continues the stream that drew the bits: the decision draws of every
     generated bit in slot order (see _judge), then the trace-only draws
-    that place the written samples: u per bit for the ML rule, u and v per
-    bit for the random rule. The trace draws come from a copy of rng that
-    has skipped every decision draw; rng itself ends after the decision
-    draws, where a one-trial batch of slice_successes ends.
+    that place the written samples: u per bit for the ML rule (v is its
+    decision draw's normal_quantile), u and v per bit for the random rule.
+    The trace draws come from a copy of rng that has skipped every decision
+    draw; rng itself ends after the decision draws, where a one-trial batch
+    of slice_successes ends.
     """
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     trace_rng = type(rng)(copy.copy(rng.bit_generator))  # independent; cheaper than copy.deepcopy(rng)
@@ -192,7 +193,7 @@ def session_blocks(
         if rule == RULE_RANDOM:
             u, v = trace_rng.standard_normal((draws.size, 2)).T
         else:
-            u, v = trace_rng.standard_normal(draws.size), draws
+            u, v = trace_rng.standard_normal(draws.size), normal_quantile(draws)
         yield Session(block[:, 0], block[:, 1], rss_samples(u, v, d_ae, d_be, cfg), correct, abstain)
 
 
@@ -313,14 +314,13 @@ def slice_successes(
 
 
 def _decision_draws(rng: np.random.Generator, m: int, rule: str) -> np.ndarray:
-    """The draws that decide m bit rounds: one guess each for the random rule, else v.
+    """The draws that decide m bit rounds: one guess each for the random rule, else one uniform U.
 
-    v is the normalised difference of the round's two shadowing draws
-    (see adversary.rss_samples), the only part of them the ML rule reads.
+    U stands for v = Phi^-1(U), the normalised difference of the shadowing draws (adversary.rss_samples).
     """
     if rule == RULE_RANDOM:
         return rng.integers(0, 2, size=m)
-    return rng.standard_normal(m)
+    return rng.random(m)
 
 
 def _classify(
@@ -331,18 +331,20 @@ def _classify(
     The ML guess is correct iff (A - B) * delta < 0 for the Alice and Bob
     samples A, B, whatever the bit value: value 0 puts A on f0 and is named
     on a negative score, value 1 puts B on f0 and is named on a positive
-    one. A - B = -delta - sigma * sqrt(2) * v is taken from the decision
-    draw v, which is authoritative where the written samples nearly tie. An
-    exact tie (score 0, always so at delta = 0) abstains, never correct.
-    The random rule's draws are its guesses; it never abstains, and only it
-    reads the bit values.
+    one. With A - B = -delta - sigma * sqrt(2) * Phi^-1(U) for the decision
+    draw U, that is so iff U lies on delta's side of Phi(-delta / (sigma
+    sqrt 2)), even where the samples nearly tie; U at it, and every call at
+    delta = 0, abstains, never correct. The random rule's draws are its
+    guesses; it never abstains, and only it reads the bit values.
     """
     if rule == RULE_RANDOM:
         return draws == values, np.zeros(draws.size, dtype=bool)
-    score = draws * (-sigma * math.sqrt(2.0))
-    score -= delta
-    score *= delta
-    return score < 0.0, score == 0.0
+    if delta == 0.0 or sigma == 0.0:
+        return np.full(draws.size, delta != 0.0), np.full(draws.size, delta == 0.0)
+    threshold = 0.5 * math.erfc(delta / (2.0 * sigma))  # Phi(-delta / (sigma sqrt 2)), as pg_closed_form
+    if threshold <= U_FLOOR:  # a U of 0 is read as U_FLOOR, as normal_quantile reads it
+        threshold -= U_FLOOR
+    return (draws > threshold if delta > 0.0 else draws < threshold), draws == threshold
 
 
 def _slice_pg(delta: float, sigma: float, rule: str) -> float:

@@ -1,9 +1,11 @@
 """Test-side references: the per-round engine's session in the columns the CSV
 writers take, and the estimators that only the tests use."""
 
+import math
+
 import numpy as np
 
-from fhkex.adversary import KIND_BIT, RULE_ML
+from fhkex.adversary import _AS241_CENTRAL, _AS241_FAR_TAIL, _AS241_NEAR_TAIL, KIND_BIT, RULE_ML, U_FLOOR
 from fhkex.analysis import Probability
 from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import _classify, _decision_draws
@@ -58,6 +60,26 @@ def trace_csv_text(transcript, observations, guesses):
         correct = int(guess.decision == record.outcome.value)
         lines.append(f"{record.slot},{obs.rss_f0!r},{obs.rss_f1!r},{decision},{correct}")
     return "\n".join(lines) + "\n"
+
+
+def _as241_ratio(coeffs, r):
+    num = den = 0.0
+    for a, b in zip(coeffs[:8], coeffs[8:]):
+        num, den = num * r + a, den * r + b
+    return num, den
+
+
+def as241(p: float) -> float:
+    """Phi^-1(p), one p at a time in Python floats and libm's log: Wichura's AS241
+    as statistics' pure-Python fallback evaluates it, on adversary's coefficient
+    tables; a p of 0 is read as U_FLOOR."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        num, den = _as241_ratio(_AS241_CENTRAL, 0.180625 - q * q)
+        return q * num / den
+    r = math.sqrt(-math.log(max(p if q < 0.0 else 1.0 - p, U_FLOOR)))
+    num, den = _as241_ratio(_AS241_NEAR_TAIL, r - 1.6) if r <= 5.0 else _as241_ratio(_AS241_FAR_TAIL, r - 5.0)
+    return -(num / den) if q < 0.0 else num / den
 
 
 def baseline_pg(d_ae: float, d_be: float, tol: float = DISTANCE_TOL) -> Probability:

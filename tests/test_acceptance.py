@@ -2,19 +2,23 @@
 
 import contextlib
 import io
+import itertools
 import math
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import bdtr, bdtrc
 
-from fhkex.adversary import RULE_ML, RULE_RANDOM, pg_closed_form, score_session, simulate_eavesdropper
-from fhkex.analysis import KeyRequest, fading_pb, key_prob, min_transmissions
+from fhkex.adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form, score_session, simulate_eavesdropper
+from fhkex.analysis import COLLISION_PROB, KeyRequest, fading_pb, key_prob, min_transmissions, secret_bit_prob
 from fhkex.channel import delta_mean_pathloss
 from fhkex.cli import EXIT_OK, main
 from fhkex.experiments import (
     METRIC_PER_BIT,
+    METRIC_WHOLE_KEY,
+    METRICS,
     FrontierRow,
     SweepSpec,
     frontier,
@@ -23,7 +27,7 @@ from fhkex.experiments import (
     write_result_csv,
 )
 from fhkex.protocol import run_session
-from fhkex.scenario import GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
+from fhkex.scenario import GEOMETRY_CANONICAL, GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness
 
 TOY_ALICE = (0, 0, 1, 0, 0, 1)
@@ -228,6 +232,59 @@ def test_criterion_8_sweep_determinism():
     )
     assert _csv_text(sweep(reseeded)) != text_one
     _report("criterion-8 determinism", "byte-identical CSVs across reruns")
+
+
+# Criterion 9: Monte Carlo against the closed form wherever the rules read
+# their decision draws. Both rules x both metrics x sigma 2 and 8 x both
+# geometries (canonical with Eve 100 and 400 m behind Bob, equidistant at
+# 60 m), k 1, 8 and 32, and each slice's n at which the closed form reaches
+# 0.2, 0.5 and 0.8 (min_transmissions). Every row of the 24 one-slice sweeps
+# is tested: its success count must lie inside the central binomial interval
+# of its closed-form probability at level AGREEMENT_FAMILY_WISE / rows. By
+# Bonferroni, a correct engine fails this gate at a random seed with
+# probability at most AGREEMENT_FAMILY_WISE = 10^-3. Seed and trial count
+# are frozen: a failure is reported, never re-seeded or resized away.
+AGREEMENT_FAMILY_WISE = 1e-3
+AGREEMENT_SEED = 20261020
+AGREEMENT_TRIALS = 10_000
+AGREEMENT_SLICES = (
+    (GEOMETRY_CANONICAL, 100.0), (GEOMETRY_CANONICAL, 400.0), (GEOMETRY_EQUIDISTANT, 60.0),
+)
+AGREEMENT_SIGMA = (2.0, 8.0)
+AGREEMENT_K = (1, 8, 32)
+AGREEMENT_TARGETS = (0.2, 0.5, 0.8)
+
+
+def test_criterion_9_monte_carlo_agrees_over_the_domain():
+    rows = []
+    cases = itertools.product(RULES, METRICS, AGREEMENT_SLICES, AGREEMENT_SIGMA)
+    for index, (rule, metric, (geometry, d_be), sigma) in enumerate(cases):
+        delta = delta_mean_pathloss(*build_deployment(d_be, geometry), ScenarioConfig().gamma)
+        p_g = pg_closed_form(delta, sigma) if rule == RULE_ML else 0.5
+        # per slot: a generated bit (whole key), or a secret one (per bit)
+        p_slot = 1.0 - COLLISION_PROB if metric == METRIC_WHOLE_KEY else secret_bit_prob(COLLISION_PROB, p_g)
+        n_rounds = sorted({
+            min_transmissions(KeyRequest(k, target), p_slot)
+            for k in AGREEMENT_K for target in AGREEMENT_TARGETS
+        })
+        rows += sweep(SweepSpec(
+            k=AGREEMENT_K, n_rounds=n_rounds, d_be=(d_be,), sigma=(sigma,),
+            trials=AGREEMENT_TRIALS, base_seed=AGREEMENT_SEED + index, rule=rule, metric=metric,
+            geometry=geometry,
+        ))
+    alpha = AGREEMENT_FAMILY_WISE / len(rows)
+    outside = []
+    for row in rows:
+        successes = round(row.p_hat * row.trials)
+        below = bdtr(successes, row.trials, row.p_analytic)  # P(X <= successes)
+        above = bdtrc(successes - 1, row.trials, row.p_analytic)  # P(X >= successes)
+        if min(below, above) <= alpha / 2:
+            outside.append(row)
+    assert not outside, f"{len(outside)} of {len(rows)} rows outside their interval: {outside[:3]}"
+    _report(
+        "criterion-9 agreement over the domain",
+        f"{len(rows)} rows, each within its binomial interval at {alpha:.1e}",
+    )
 
 
 # The abstract's "128 bits with less than 564 transmissions", read as a

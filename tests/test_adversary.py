@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,17 +14,19 @@ from fhkex.adversary import (
     KIND_COLLISION,
     RULE_ML,
     RULE_RANDOM,
+    U_FLOOR,
     Guess,
     Observation,
     SecrecyReport,
     _ml_guess,
+    normal_quantile,
     pg_closed_form,
     score_session,
     simulate_eavesdropper,
     write_adversary_trace_csv,
 )
 from fhkex.channel import delta_mean_pathloss
-from oracle import trace_columns, trace_csv_text
+from oracle import as241, trace_columns, trace_csv_text
 from fhkex.protocol import SharedBit, run_session
 from fhkex.scenario import GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 
@@ -180,6 +183,35 @@ def _ulps_apart(a: float, b: float) -> int:
 def test_pg_closed_form_matches_scipy_ndtr(delta, sigma):
     expected = 0.0 if delta == 0.0 else float(ndtr(abs(delta) / (sigma * math.sqrt(2.0))))
     assert _ulps_apart(pg_closed_form(delta, sigma), expected) <= 2
+
+
+def test_normal_quantile_matches_statistics_inv_cdf():
+    # element by element within 8 ulp of statistics.NormalDist().inv_cdf, C or
+    # pure Python: uniform draws, both tails out to 2**-53 and 1 - 2**-53, and
+    # each side of both branch edges, |p - 1/2| = 0.425 and
+    # r = sqrt(-log(min(p, 1 - p))) = 5
+    rng = np.random.default_rng(20261020)
+    tails = 10.0 ** -rng.uniform(1.0, 15.9, 2000)
+    r5 = math.exp(-25.0)
+    edges = np.array([0.075, 0.925, r5, 1.0 - r5, 0.5])
+    p = np.concatenate([
+        rng.random(20_000), tails, 1.0 - tails, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        [r5 * (1.0 - 1e-9), r5 * (1.0 + 1e-9), 2.0**-53, 1.0 - 2.0**-53],
+    ])
+    got = normal_quantile(p).tolist()
+    for p_i, got_i in zip(p.tolist(), got):
+        want = NormalDist().inv_cdf(p_i)
+        assert math.copysign(1.0, got_i) == math.copysign(1.0, want), p_i
+        assert _ulps_apart(abs(got_i), abs(want)) <= 8, p_i
+    # bit for bit the scalar AS241 in Python floats on libm's log, so no CPU's
+    # vectorised log moves a written sample: the points include the lower-tail
+    # ones where numpy's log differs from libm's on this CPU (none on many);
+    # a draw of 0 is read as U_FLOOR
+    wide = 10.0 ** -rng.uniform(1.13, 15.9, 200_000)
+    p = np.concatenate([p, wide[np.log(wide) != [math.log(x) for x in wide.tolist()]], [0.0]])
+    assert normal_quantile(p).tolist() == [as241(p_i) for p_i in p.tolist()]
+    assert normal_quantile(np.zeros(1)).tolist() == normal_quantile(np.array([U_FLOOR])).tolist()
+    assert _ulps_apart(-normal_quantile(np.zeros(1))[0], -NormalDist().inv_cdf(U_FLOOR)) <= 8
 
 
 def test_score_session_extremes():

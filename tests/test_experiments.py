@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fhkex.experiments
-from fhkex.adversary import RULE_ML, RULE_RANDOM, rss_samples, score_session, simulate_eavesdropper
+from fhkex.adversary import (
+    RULE_ML,
+    RULE_RANDOM,
+    U_FLOOR,
+    normal_quantile,
+    rss_samples,
+    score_session,
+    simulate_eavesdropper,
+)
 from fhkex.analysis import fading_pb, key_prob
 from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import (
@@ -73,6 +82,9 @@ def test_bulk_rng_draws_match_single_draws():
     assert np.array_equal(
         a.standard_normal((8, 2)).ravel(), [b.standard_normal() for _ in range(16)]
     )
+    a = np.random.default_rng(987)
+    b = np.random.default_rng(987)
+    assert np.array_equal(a.random(16), [b.random() for _ in range(16)])
 
 
 # ML cases keep their earlier ids ("seed-sigma"); random-rule ids add the rule
@@ -166,9 +178,10 @@ def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK
     """Per trial, the slots of its generated bits and whether the adversary
     missed each, with every draw replayed by hand in the engine's documented
     order: per batch of block_slots // n_max trials (at least one), all its
-    coins, then in one call a decision draw per generated bit (ML: v, whose
-    score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v; random
-    rule: the guess). Also returns the generator, to compare the next draw."""
+    coins, then in one call a decision draw per generated bit (ML: a uniform
+    U, whose score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v
+    for v = statistics.NormalDist().inv_cdf(U); random rule: the guess).
+    Also returns the generator, to compare the next draw."""
     rng = np.random.default_rng(seed)
     block = max(1, block_slots // n_max)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
@@ -183,7 +196,7 @@ def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK
         if rule == RULE_RANDOM:
             guesses = rng.integers(0, 2, size=m)
         else:
-            v = rng.standard_normal(m)
+            v = [NormalDist().inv_cdf(u) for u in rng.random(m).tolist()]
         first = 0
         for trial_slots, trial_values in zip(slots, values):
             last = first + trial_values.size
@@ -192,7 +205,7 @@ def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK
             else:
                 missed = np.array([
                     not (-delta - cfg.sigma * math.sqrt(2.0) * v_i) * delta < 0.0
-                    for v_i in v[first:last].tolist()
+                    for v_i in v[first:last]
                 ], dtype=bool)
             first = last
             replay.append((trial_slots, missed))
@@ -288,10 +301,11 @@ def _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta):
     return np.where(score > 0.0, values == 1, np.where(score < 0.0, values == 0, False))
 
 
-# (u, v) shadowing draws of one bit round; v None puts v at the tie point
-# -delta / (sigma sqrt 2), where A - B rounds to 0 or to a tiny gap of either sign
+# One bit round's shadowing draw u and decision draw U, a value Generator.random
+# can return; U None puts U at the tie, Phi(-delta / (sigma sqrt 2)), where
+# v = Phi^-1(U) makes A - B round to 0 or to a tiny gap of either sign
 _NOISE_ROW = st.one_of(
-    st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    st.tuples(st.floats(-6.0, 6.0), st.integers(0, 2**53 - 1).map(lambda i: i * 2.0**-53)),
     st.tuples(st.floats(-6.0, 6.0), st.none()),
 )
 
@@ -306,26 +320,34 @@ def test_ml_mask_matches_reference_rule(rows, distances, sigma):
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    tie_v = -delta / (sigma * math.sqrt(2.0)) if sigma > 0.0 else 0.0
+    tie = 0.5 * math.erfc(delta / (2.0 * sigma)) if sigma > 0.0 else 0.5  # at sigma 0 no draw is one
     values = np.array([value for value, _ in rows])
     u = np.array([u for _, (u, _) in rows])
-    v = np.array([tie_v if v is None else v for _, (_, v) in rows])
-    mask, abstain = _classify(v, values, delta, sigma, RULE_ML)
+    # a tie of 1 is no draw: the last draw below it stands in
+    draws = np.array([min(tie, 1.0 - 2.0**-53) if d is None else d for _, (_, d) in rows])
+    mask, abstain = _classify(draws, values, delta, sigma, RULE_ML)
+    assert mask.dtype == bool
+    assert not mask[abstain].any()  # an abstention is never correct
+    if delta == 0.0:
+        assert abstain.all()
+    elif sigma == 0.0:
+        assert mask.all() and not abstain.any()
+    else:
+        # only the tie abstains, and every draw at it does, unless no draw is at
+        # it: then a draw of 0, read as U_FLOOR, lies on delta's side
+        assert np.array_equal(abstain, (draws == tie) & (tie > U_FLOOR))
 
-    # v decides: the reference rule on the sample gap A - B = -delta - sigma sqrt(2) v
+    # v = Phi^-1(U) decides as well: the reference rule on the sample gap
+    # A - B = -delta - sigma sqrt(2) v, wherever it is clear of a tie
+    v = normal_quantile(draws)
     alice_minus_bob = np.array([-delta - sigma * math.sqrt(2.0) * v_i for v_i in v.tolist()])
     expected = _reference_classify_bit_rounds(values, alice_minus_bob, np.zeros(values.size), delta)
-    assert mask.dtype == bool
-    assert np.array_equal(mask, expected)
-    ties = alice_minus_bob == 0.0
-    assert not mask[ties].any()  # an exact tie abstains whatever the bit
-    assert np.array_equal(abstain, ties | (delta == 0.0))
-    if delta == 0.0:
-        assert not mask.any()
-    # the written samples, built from (u, v), agree with v's call off near-ties
+    clear = (np.abs(alice_minus_bob) > 1e-9) & ~abstain
+    assert np.array_equal(mask[clear], expected[clear])
+    # the written samples, built from (u, v), agree with U's call off near-ties
     samples = rss_samples(u, v, d_ae, d_be, cfg)
     written = samples[:, 0] - samples[:, 1]
-    clear = np.abs(written) > 1e-9
+    clear = (np.abs(written) > 1e-9) & ~abstain
     assert np.array_equal(mask[clear], (written * delta < 0.0)[clear])
 
 
@@ -665,15 +687,16 @@ def test_estimate_rule_correctness_random_is_half():
 
 
 @pytest.mark.parametrize("rule, sigma, rate, next_draw", [
-    (RULE_ML, 0.0, 1.0, 3457870722),
-    (RULE_ML, 8.0, 0.9582, 3457870722),
+    (RULE_ML, 0.0, 1.0, 1439427560),
+    (RULE_ML, 8.0, 0.9574, 1439427560),
     (RULE_RANDOM, 0.0, 0.5012, 2854317815),
     (RULE_RANDOM, 8.0, 0.5012, 2854317815),
 ])
 def test_estimate_rule_correctness_pinned_draws(rule, sigma, rate, next_draw):
     # frozen from a stand-alone per-bit loop over the same draws, chunk edges
-    # included: per chunk, coins read bit by bit from rng.bytes, then one v
-    # (scored as (-delta - sigma sqrt(2) v) * delta < 0) or one guess per bit
+    # included: per chunk, coins read bit by bit from rng.bytes, then one
+    # uniform U (scored as (-delta - sigma sqrt(2) v) * delta < 0 for
+    # v = statistics.NormalDist().inv_cdf(U)) or one guess per bit
     rng = np.random.default_rng(20261018)
     cfg = ScenarioConfig(sigma=sigma)
     got = estimate_rule_correctness(rng, 5000, 70.0, 20.0, cfg, rule, chunk=1500)
@@ -789,9 +812,10 @@ def test_sweep_reraises_a_thread_that_cannot_start_after_joining_the_others(monk
 # Every column but p_analytic, whose closed form may move in its last bits;
 # the Monte Carlo columns are a frozen function of the spec. Both orders of
 # sigma, unsorted and repeated n, and trial counts spanning several blocks.
-# Re-pinned when the draws last changed (coins from rng.bytes, one normal per
+# Re-pinned when the draws last changed (coins from rng.bytes, one uniform per
 # ML decision), after the hand replay of test_slice_successes_judges_each_trial_session
-# and the engine-against-oracle tests passed on the new draws.
+# and the engine-against-oracle tests passed on the new draws; the random-rule
+# entries, and the ML entries whose decisions end their stream, did not move.
 _FROZEN_SWEEPS = [
     (dict(k=(0, 3, 16), n_rounds=(40, 10, 120, 40), d_be=(25.0, 60.0), sigma=(0.0, 8.0),
           trials=70, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_EQUIDISTANT,
@@ -800,7 +824,7 @@ _FROZEN_SWEEPS = [
     (dict(k=(0, 1, 4, 12), n_rounds=(8, 30, 600), d_be=(2.0, 20.0), sigma=(0.0, 8.0),
           trials=60, rule=RULE_ML, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_CANONICAL,
           base_seed=2),
-     "b6105eef4c58c26025fc737cdf169885761f633301d9a358842550cf7a97f71f"),
+     "9aa61018aacace18f0ac6656bea28b79d783110c443b779da39a1ad06b0664e1"),
     (dict(k=(2, 0, 9), n_rounds=(50, 5, 200), d_be=(20.0, 35.0), sigma=(8.0, 0.0),
           trials=90, rule=RULE_RANDOM, metric=METRIC_PER_BIT, geometry=GEOMETRY_CANONICAL,
           base_seed=3),
@@ -812,15 +836,16 @@ _FROZEN_SWEEPS = [
     # trials longer than BLOCK_SLOTS, one per batch, judged over several blocks:
     # unsorted n at the block edge 16,384 / 16,385, and k whose completing
     # slot, or (whole key) first secret bit, lies in a later block. Pinned on
-    # the engine that judged each such trial whole, before it walked blocks.
+    # the engine that judged each such trial whole, before it walked blocks;
+    # the two ML entries re-pinned with the draws, as above.
     (dict(k=(0, 1, 2, 300, 500), n_rounds=(16385, 5000, 40000, 16384), d_be=(20.0, 3.0),
           sigma=(8.0,), trials=3, rule=RULE_ML, metric=METRIC_PER_BIT,
           geometry=GEOMETRY_CANONICAL, base_seed=7),
-     "a36d3b5d6adc3b73729b9cb71ada28cc60b52833d735cb26d953a6ddcfa900b6"),
+     "84ef7c4d32b390348c251f4aed82059dcb452ccc79bfd2955c502ab062ad5e02"),
     (dict(k=(1, 8, 9000, 12000, 19000), n_rounds=(30000, 16384, 100, 40000, 16385),
           d_be=(3.0, 20.0), sigma=(8.0, 0.0), trials=3, rule=RULE_ML, metric=METRIC_WHOLE_KEY,
           geometry=GEOMETRY_CANONICAL, base_seed=8),
-     "f3f4d793ce70d94b2d18750348e82e46818c9946ed2158e04d93f208dc9c6023"),
+     "1ea595de805804943c9dc941d781d32c36e53cfc9a2b5563e9c98a5f5e126802"),
     (dict(k=(0, 5, 8250, 10000), n_rounds=(16384, 25000, 16385, 300), d_be=(30.0,),
           sigma=(0.0, 8.0), trials=3, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY,
           geometry=GEOMETRY_EQUIDISTANT, base_seed=9),
@@ -846,11 +871,11 @@ _FROZEN_SWEEP_FILES = [
     (dict(k=(0, 16, 64), n_rounds=(100, 20, 600, 100), d_be=(2.0, 20.0, 35.0), sigma=(8.0,),
           trials=57, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_CANONICAL,
           base_seed=5),
-     "aea4616eaa52600dd542cbcd128e6fd615551f63977dd45c17a7abf14d6ff802"),
+     "9b62a8d14a315bd76bc49cb51acacf384806db5c386587acb4487ed336901eef"),
     (dict(k=(0, 8, 64), n_rounds=tuple(range(60, 301, 40)), d_be=(60.0,), sigma=(0.0,),
           trials=101, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_EQUIDISTANT,
           base_seed=6),
-     "a39b440942a658bd5424d11e8435ad89e7b84c2edb40e6d5c6e39d560676bc34"),
+     "ed7f1dc2559458ec00afe3f782c372ceffdab8ae1a1dbda4a61c6c08900f889a"),
 ]
 
 

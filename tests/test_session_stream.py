@@ -1,7 +1,7 @@
 """`fhkex session` drawn and written in blocks of slots: pinned bytes, block-size invariance.
 
 The hashes were taken when the draws last changed (coins from rng.bytes, one
-normal per ML decision), from the CLI's output once it had matched the
+uniform per ML decision), from the CLI's output once it had matched the
 per-round oracle byte for byte and did not depend on the block size; any byte
 a later change moves fails here.
 """
@@ -51,18 +51,18 @@ SESSION_SHA256 = {
     ),
     ("ml-pairwise", 8.0, 6): (
         "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
-        "0975225e18f14298d0b273d3cb0757fe46691f3ce621a11be4d0453e5bdff348",
+        "d774e479d551ee480647d70dc39343d2e61b4a09a6a5f626fba44008fd8f2412",
         "4d1833572a7956f22da5d6d5269bafc9f82c711fb0dcff388f44bd1e155dfbb5",
     ),
     ("ml-pairwise", 8.0, 2000): (
         "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
-        "0e533c8c24299a7f2884fbb664cc9f25fa16237c4281abb59891231219a4ed51",
-        "6115d91d09e8ad26a204a37270076250bab0e055dbf35871f0381b6dd4c4e547",
+        "11a899a6fc24a196b83888167d8453cf52314ecba883f131f4a4386e576a8410",
+        "611533931064560b3977607c3c5639d9ca2f07853d883a9160e30835e104c210",
     ),
     ("ml-pairwise", 8.0, 40000): (
         "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
-        "5ca5bf96ba9f6b99dd91b63dd1b54f43b744c6ee9eecfec61585ebb0ce054526",
-        "8549f197b2e577ae5f12981d1bc9d5a498f0e7231dc7d6b606170bb160546979",
+        "dadf3fcea4f2019957999f4efa95531a976fb3b90b83ff044b48aa3607a8f58d",
+        "c7371a05c9f58cfc670f4a09eba86482f4f0479a4509ed424c088e2fb1e141ad",
     ),
     ("random-guess", 0.0, 1): (
         "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
@@ -289,33 +289,35 @@ def test_transcript_writer_matches_per_row_reference(slots, cuts, seed):
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    cuts=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)), max_size=5),
+    cuts=st.lists(st.tuples(*[st.integers(0, 40)] * 4), max_size=5),
     tail=st.integers(0, 40),
 )
 def test_draws_in_blocks_equal_one_call(seed, cuts, tail):
     # a session's draws in stream order: its coins, in blocks of whole 16-slot
-    # words plus any tail (against one call of 2n coins), shadowing normals,
-    # int64 guesses
-    words, pairs, guesses = (sum(sizes) for sizes in zip((0, 0, 0), *cuts))
+    # words plus any tail (against one call of 2n coins), ML decision
+    # uniforms, shadowing normals, int64 guesses
+    words, uniforms, pairs, guesses = (sum(sizes) for sizes in zip((0, 0, 0, 0), *cuts))
     slots = 16 * words + tail
     rng = np.random.default_rng(seed)
     whole = (
         protocol.draw_coins(rng, 2 * slots).reshape(-1, 2),
+        rng.random(uniforms),
         rng.standard_normal((pairs, 2)),
         rng.integers(0, 2, size=guesses),
     )
     rng = np.random.default_rng(seed)
     blocks = (
-        [protocol.draw_coins(rng, 2 * m).reshape(-1, 2) for m in [16 * w for w, _, _ in cuts] + [tail]],
-        [rng.standard_normal((m, 2)) for _, m, _ in cuts],
-        [rng.integers(0, 2, size=m) for _, _, m in cuts],
+        [protocol.draw_coins(rng, 2 * m).reshape(-1, 2) for m in [16 * w for w, *_ in cuts] + [tail]],
+        [rng.random(m) for _, m, _, _ in cuts],
+        [rng.standard_normal((m, 2)) for _, _, m, _ in cuts],
+        [rng.integers(0, 2, size=m) for *_, m in cuts],
     )
     for one_call, parts in zip(whole, blocks):
         assert np.array_equal(np.concatenate([one_call[:0], *parts]), one_call)
 
 
-class _ScriptedNormals:
-    """Generator stand-in: each standard_normal call returns the next scripted array.
+class _ScriptedDraws:
+    """Generator stand-in: each random or standard_normal call returns the next scripted array.
 
     Its bit generator is the list of arrays still to come, so a copy made the
     way session_blocks makes one (the same type on a copy of the bit
@@ -325,10 +327,12 @@ class _ScriptedNormals:
     def __init__(self, draws):
         self.bit_generator = draws
 
-    def standard_normal(self, size):
+    def _next(self, size):
         draw = self.bit_generator.pop(0)
         assert draw.shape == (size,)
         return draw.copy()
+
+    random = standard_normal = _next
 
 
 def _trace_calls(text, bits, delta):
@@ -348,32 +352,60 @@ def _call(a_bit, score):
     return "abstain" if score == 0.0 else str(a_bit if score < 0.0 else 1 - a_bit)
 
 
+def _scripted_trace(draws, cfg, d_ae, d_be):
+    """eve_trace.csv of one block whose decision draws are scripted, with its
+    bit columns: a bit in every slot, Alice's alternating from 0, and u
+    scripted at several scales."""
+    u = np.random.default_rng(3).standard_normal(draws.size) * 10.0 ** np.arange(-3, 3).repeat(15)[:draws.size]
+    a_bits = np.arange(draws.size) % 2
+    bits = np.column_stack((a_bits, 1 - a_bits)).astype(np.uint8)
+    trace = io.StringIO()
+    # rng draws the decisions; session_blocks' copy of it skips them, then draws u
+    blocks = experiments.session_blocks(_ScriptedDraws([draws, u]), [bits], d_ae, d_be, cfg)
+    adversary.write_adversary_trace_csv(blocks, trace)
+    return trace.getvalue(), bits
+
+
 def test_trace_near_ties_follow_v():
-    # v's call is authoritative: the decision column is the call on
-    # (-delta - sigma sqrt(2) v) * delta, even where the samples written from
-    # (u, v) round to the other sign; off near-ties (|A - B| > 1e-9) the
-    # written (A - B) * delta agrees with it
+    # the decision draw U's call is authoritative: the decision column names
+    # the bit iff U lies on delta's side of the tie Phi(-delta / (sigma sqrt 2)),
+    # even where the samples written from (u, v = Phi^-1(U)) round to the
+    # other sign; off near-ties (|A - B| > 1e-9) the written (A - B) * delta
+    # agrees with it
     cfg = ScenarioConfig(sigma=8.0)
     d_ae, d_be = 85.0, 35.0
     delta = 10.0 * cfg.gamma * math.log10(d_ae / d_be)
-    tie = -delta / (cfg.sigma * math.sqrt(2.0))
-    v = np.array([tie + k * math.ulp(tie) for k in range(-40, 41)] + [-2.0, -0.5, 0.0, 0.5, 2.0])
-    u = np.random.default_rng(3).standard_normal(v.size) * 10.0 ** np.arange(-3, 3).repeat(15)[:v.size]
-    a_bits = np.arange(v.size) % 2
-    bits = np.column_stack((a_bits, 1 - a_bits)).astype(np.uint8)
-    trace = io.StringIO()
-    # rng draws v; session_blocks' copy of it skips v, then draws u
-    blocks = experiments.session_blocks(_ScriptedNormals([v, u]), [bits], d_ae, d_be, cfg)
-    adversary.write_adversary_trace_csv(blocks, trace)
-    calls = _trace_calls(trace.getvalue(), bits, delta)
+    tie = 0.5 * math.erfc(delta / (2.0 * cfg.sigma))
+    draws = np.array([tie + k * math.ulp(tie) for k in range(-40, 41)] + [0.02, 0.3, 0.5, 0.7, 0.98])
+    text, bits = _scripted_trace(draws, cfg, d_ae, d_be)
+    calls = _trace_calls(text, bits, delta)
     near = 0
-    for (gap, decision, a_bit), v_i in zip(calls, v.tolist()):
-        assert decision == _call(a_bit, (-delta - cfg.sigma * math.sqrt(2.0) * v_i) * delta)
+    for (gap, decision, a_bit), draw in zip(calls, draws.tolist()):
+        assert decision == ("abstain" if draw == tie else str(a_bit if draw > tie else 1 - a_bit))
         if abs(gap) > 1e-9:
             assert decision == _call(a_bit, gap * delta)
         else:
             near += 1
     assert near > 0  # the case exercises near-ties
+
+
+@pytest.mark.parametrize("sigma", [0.5, 8.0])
+def test_trace_samples_are_finite_at_the_extreme_draws(sigma):
+    # U = 0, which Generator.random can return, is read as U_FLOOR: v stays
+    # finite, and at sigma 0.5, where the tie lies below U_FLOOR, U = 0 still
+    # names the bit as v's written gap does
+    cfg = ScenarioConfig(sigma=sigma)
+    d_ae, d_be = 85.0, 35.0
+    delta = 10.0 * cfg.gamma * math.log10(d_ae / d_be)
+    draws = np.array([0.0, 0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-53])
+    text, bits = _scripted_trace(draws, cfg, d_ae, d_be)
+    calls = _trace_calls(text, bits, delta)
+    assert len(calls) == draws.size
+    for gap, decision, a_bit in calls:
+        assert math.isfinite(gap) and abs(gap) > 1e-9
+        assert decision == _call(a_bit, gap * delta)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert all(math.isfinite(float(x)) for row in rows for x in row[1:3])
 
 
 @pytest.mark.parametrize("sigma", [0.0, 8.0])
