@@ -1,4 +1,4 @@
-"""Eavesdropper model: RSS observation, source classification, secrecy scoring.
+"""Eavesdropper model: RSS samples and source classification.
 
 Eve monitors both frequencies. On a collision-free slot she records one RSS
 sample per frequency (fresh independent shadowing per sample) and tries to
@@ -16,61 +16,16 @@ and u only places the written samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
 from .channel import delta_mean_pathloss, path_loss_deterministic
-from .protocol import F0, Collision, RoundOutcome, SessionTranscript, SharedBit
 from .scenario import ScenarioConfig, text_stream
-
-KIND_BIT = "bit-round"
-KIND_COLLISION = "collision-round"
 
 RULE_ML = "ml-pairwise"
 RULE_RANDOM = "random-guess"
 RULES = (RULE_ML, RULE_RANDOM)
-
-
-@dataclass(frozen=True)
-class Observation:
-    slot: int
-    kind: str  # KIND_BIT or KIND_COLLISION
-    rss_f0: float | None = None  # dBm
-    rss_f1: float | None = None  # dBm
-
-    def __post_init__(self):
-        if self.kind == KIND_BIT:
-            if self.rss_f0 is None or self.rss_f1 is None:
-                raise ValueError("bit-round observations need one sample per frequency")
-        elif self.kind == KIND_COLLISION:
-            if self.rss_f0 is not None or self.rss_f1 is not None:
-                raise ValueError("collision-round observations carry no classifier input")
-        else:
-            raise ValueError(f"unknown observation kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Guess:
-    slot: int
-    decision: int | None  # 0, 1, or None for abstain
-
-
-@dataclass(frozen=True)
-class SecrecyReport:
-    """Per-session secrecy accounting: a bit is secret iff Eve did not call it."""
-
-    n_rounds: int
-    generated: int
-    guessed_correct: int
-    secret: int
-
-    def __post_init__(self):
-        if self.secret != self.generated - self.guessed_correct:
-            raise ValueError("secret must equal generated - guessed_correct")
-        if not (0 <= self.secret <= self.generated <= self.n_rounds):
-            raise ValueError("counts must satisfy secret <= generated <= n_rounds")
 
 
 def rss_samples(
@@ -134,28 +89,6 @@ def normal_quantile(p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _observation(outcome: RoundOutcome, slot: int, samples: Sequence[float] | None) -> Observation:
-    """Eve's view of a resolved slot, given Alice's and Bob's samples for a collision-free one."""
-    if isinstance(outcome, Collision):
-        return Observation(slot=slot, kind=KIND_COLLISION)
-    sample_alice, sample_bob = samples
-    if outcome.alice_freq == F0:
-        return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_alice, rss_f1=sample_bob)
-    return Observation(slot=slot, kind=KIND_BIT, rss_f0=sample_bob, rss_f1=sample_alice)
-
-
-def _ml_guess(slot: int, gap: float, delta: float) -> Guess:
-    """ML call on the f0 - f1 gap: the sign of gap * delta, delta = PL(d_ae) - PL(d_be); 0 abstains."""
-    score = gap * delta
-    if score > 0.0:
-        decision = 1  # Alice-on-f1 assignment more likely
-    elif score < 0.0:
-        decision = 0
-    else:
-        decision = None
-    return Guess(slot=slot, decision=decision)
-
-
 def pg_closed_form(delta: float, sigma: float) -> float:
     """Probability that the pairwise ML rule names the transmitter correctly.
 
@@ -173,60 +106,46 @@ def pg_closed_form(delta: float, sigma: float) -> float:
     return 0.5 * math.erfc(-abs(delta) / (2.0 * sigma))
 
 
-def score_session(transcript: SessionTranscript, guesses: Sequence[Guess]) -> SecrecyReport:
-    """Count secret bits: generated bits minus Eve's correct calls.
-
-    Guesses must cover exactly the bit-generating slots, in order; an
-    abstention is never correct.
-    """
-    bit_records = [r for r in transcript.rounds if isinstance(r.outcome, SharedBit)]
-    if [g.slot for g in guesses] != [r.slot for r in bit_records]:
-        raise ValueError("guesses must cover exactly the bit-generating slots, in order")
-    correct = sum(
-        1 for g, r in zip(guesses, bit_records) if g.decision == r.outcome.value
-    )
-    generated = len(bit_records)
-    return SecrecyReport(
-        n_rounds=transcript.n_rounds,
-        generated=generated,
-        guessed_correct=correct,
-        secret=generated - correct,
-    )
-
-
 def simulate_eavesdropper(
-    transcript: SessionTranscript,
+    alice: Sequence[int],
+    bob: Sequence[int],
     d_ae: float,
     d_be: float,
     cfg: ScenarioConfig,
     rng: np.random.Generator,
     rule: str = RULE_ML,
-) -> tuple[list[Observation], list[Guess]]:
-    """Observe every slot, and call the bit-generating ones.
+) -> tuple[list[list[float]], list[int | None]]:
+    """Eve's samples and calls on the bit-generating slots of a session's bits.
 
-    Draw order, as in the vectorized engine, one draw per bit-generating
+    Returns, per slot whose bits differ, in slot order: Alice's and Bob's RSS
+    [A, B] at Eve (dBm), and the call on the key bit, 0, 1 or None for an
+    abstention. Draw order, as in the vectorized engine, one draw per bit
     slot in slot order: first the decision draws (ML: U, random rule: the
     guess), then the trace-only draws (ML: u, random rule: u and v per slot).
-    The ML call is the sign of the gap A - B = -delta - sigma * sqrt(2) * v,
-    v = normal_quantile(U), not the engine's threshold on U.
+    The ML call is the sign of gap * delta, delta = PL(d_ae) - PL(d_be), None
+    on a tie; the f0 - f1 gap is A - B = -delta - sigma * sqrt(2) * v (Alice
+    on f0) for a bit 0 and B - A for a 1, with v = normal_quantile(U), not the
+    engine's threshold on U.
     """
-    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    bit_records = [r for r in transcript.rounds if isinstance(r.outcome, SharedBit)]
+    values = [a for a, b in zip(alice, bob) if a != b]
     if rule == RULE_RANDOM:
-        guesses = [Guess(slot=r.slot, decision=int(rng.integers(0, 2))) for r in bit_records]
-        pairs = [(rng.standard_normal(), rng.standard_normal()) for _ in bit_records]
-        u, v = np.array(pairs).reshape(-1, 2).T
+        calls = [int(rng.integers(0, 2)) for _ in values]
+        uv = [(rng.standard_normal(), rng.standard_normal()) for _ in values]
     else:
-        v = normal_quantile(np.array([rng.random() for _ in bit_records]))
-        u = np.array([rng.standard_normal() for _ in bit_records])
-        guesses = [  # the f0 - f1 gap is A - B (Alice on f0) for a bit 0, B - A for a 1
-            _ml_guess(r.slot, (1 - 2 * r.outcome.value) * (-delta - cfg.sigma * math.sqrt(2.0) * vi), delta)
-            for r, vi in zip(bit_records, v.tolist())
-        ]
-    samples = rss_samples(u, v, d_ae, d_be, cfg).tolist()
-    by_slot = dict(zip((r.slot for r in bit_records), samples))
-    observations = [_observation(r.outcome, r.slot, by_slot.get(r.slot)) for r in transcript.rounds]
-    return observations, guesses
+        calls = []  # made in the loop below
+        v = normal_quantile(np.array([rng.random() for _ in values])).tolist()
+        uv = [(rng.standard_normal(), vi) for vi in v]
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    pl_ae, pl_be = path_loss_deterministic(d_ae, cfg), path_loss_deterministic(d_be, cfg)
+    samples = []
+    for value, (u, v) in zip(values, uv):
+        # rss_samples' operations, in its order
+        samples.append([cfg.pt - (cfg.sigma * (u + v) / math.sqrt(2.0) + pl_ae),
+                        cfg.pt - (cfg.sigma * (u - v) / math.sqrt(2.0) + pl_be)])
+        if rule != RULE_RANDOM:
+            score = (1 - 2 * value) * (-delta - cfg.sigma * math.sqrt(2.0) * v) * delta
+            calls.append(1 if score > 0.0 else 0 if score < 0.0 else None)
+    return samples, calls
 
 
 #: eve_trace.csv rows as two-stage %-templates: a bit slot's at 3 * value +

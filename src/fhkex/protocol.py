@@ -11,101 +11,11 @@ with distinct seeds share no mutable state and may run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
 import numpy as np
 
 from .scenario import ScenarioConfig, text_stream
-
-F0 = "f0"
-F1 = "f1"
-
-
-def freq_for_bit(bit: int) -> str:
-    return F1 if bit else F0
-
-
-@dataclass(frozen=True)
-class RoundAction:
-    bit: int
-    tx_freq: str
-    rx_freq: str
-
-    def __post_init__(self):
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit}")
-        if self.tx_freq != freq_for_bit(self.bit) or self.rx_freq == self.tx_freq:
-            raise ValueError("node must transmit on f_bit and listen on the other frequency")
-
-    @classmethod
-    def from_bit(cls, bit: int) -> "RoundAction":
-        return cls(bit=bit, tx_freq=freq_for_bit(bit), rx_freq=freq_for_bit(1 - bit))
-
-
-@dataclass(frozen=True)
-class Collision:
-    """Both nodes picked the same frequency; the slot yields no key bit."""
-
-    freq: str
-
-
-@dataclass(frozen=True)
-class SharedBit:
-    """Collision-free slot: one key bit, equal to Alice's draw."""
-
-    value: int
-    alice_freq: str
-    bob_freq: str
-
-    def __post_init__(self):
-        if self.alice_freq == self.bob_freq:
-            raise ValueError("shared bit requires the nodes on different frequencies")
-        if self.value not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.value}")
-
-
-RoundOutcome = Union[Collision, SharedBit]
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    slot: int  # 1-based slot index
-    alice: RoundAction
-    bob: RoundAction
-    outcome: RoundOutcome
-
-
-@dataclass(frozen=True)
-class SessionTranscript:
-    rounds: tuple[RoundRecord, ...]
-    key_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        generated = tuple(
-            r.outcome.value for r in self.rounds if isinstance(r.outcome, SharedBit)
-        )
-        if self.key_bits != generated:
-            raise ValueError("key_bits must equal the ordered shared-bit values")
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def key_string(self) -> str:
-        return "".join(str(b) for b in self.key_bits)
-
-    def collision_slots(self) -> list[int]:
-        return [r.slot for r in self.rounds if isinstance(r.outcome, Collision)]
-
-    def alice_key_view(self) -> tuple[int, ...]:
-        """Key as Alice reconstructs it: her own bit on each generating slot."""
-        return tuple(r.alice.bit for r in self.rounds if isinstance(r.outcome, SharedBit))
-
-    def bob_key_view(self) -> tuple[int, ...]:
-        """Key as Bob reconstructs it: his bit flipped on each generating slot."""
-        return tuple(r.bob.bit ^ 1 for r in self.rounds if isinstance(r.outcome, SharedBit))
 
 
 def draw_coins(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -120,26 +30,20 @@ def draw_coins(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
 
 
-def resolve_round(a: RoundAction, b: RoundAction) -> RoundOutcome:
-    """Combine Alice's (a) and Bob's (b) actions into the slot outcome."""
-    if a.tx_freq == b.tx_freq:
-        return Collision(freq=a.tx_freq)
-    return SharedBit(value=a.bit, alice_freq=a.tx_freq, bob_freq=b.tx_freq)
-
-
 def run_session(
     cfg: ScenarioConfig,
     rng: np.random.Generator | None = None,
     *,
     alice_bits: Sequence[int] | None = None,
     bob_bits: Sequence[int] | None = None,
-) -> SessionTranscript:
-    """Run cfg.n_rounds slots and collect the transcript.
+) -> tuple[list[int], list[int], list[int]]:
+    """Run cfg.n_rounds slots: Alice's bit per slot, Bob's bit per slot, and the key.
 
-    Draw order is contractual for replay: one draw_coins call of 2n coins,
-    per slot Alice's bit then Bob's. Scripted mode replaces the rng draws
-    with the supplied sequences (both must be given, equal length,
-    overriding cfg.n_rounds).
+    Equal bits put both nodes on one frequency, a collision; differing bits
+    yield Alice's bit (Bob flips his own). Draw order is contractual for
+    replay: one draw_coins call of 2n coins, per slot Alice's bit then Bob's.
+    Scripted mode replaces the rng draws with the supplied sequences (both
+    must be given, equal length, overriding cfg.n_rounds).
     """
     if alice_bits is not None or bob_bits is not None:
         if alice_bits is None or bob_bits is None:
@@ -151,16 +55,15 @@ def run_session(
             rng = np.random.default_rng(cfg.seed)
         alice_bits, bob_bits = draw_coins(rng, 2 * cfg.n_rounds).reshape(-1, 2).T.tolist()
 
-    rounds = []
-    key_bits = []
-    for slot, (a_bit, b_bit) in enumerate(zip(alice_bits, bob_bits), start=1):
-        a = RoundAction.from_bit(int(a_bit))
-        b = RoundAction.from_bit(int(b_bit))
-        outcome = resolve_round(a, b)
-        rounds.append(RoundRecord(slot=slot, alice=a, bob=b, outcome=outcome))
-        if isinstance(outcome, SharedBit):
-            key_bits.append(outcome.value)
-    return SessionTranscript(rounds=tuple(rounds), key_bits=tuple(key_bits))
+    alice, bob, key = [], [], []
+    for a_bit, b_bit in zip(map(int, alice_bits), map(int, bob_bits)):
+        if a_bit not in (0, 1) or b_bit not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1, got {a_bit} and {b_bit}")
+        alice.append(a_bit)
+        bob.append(b_bit)
+        if a_bit != b_bit:
+            key.append(a_bit)
+    return alice, bob, key
 
 
 #: A transcript.csv row as a %-template of its round, indexed by 2 * a_bit + b_bit.

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 
-from fhkex.adversary import _AS241_CENTRAL, _AS241_FAR_TAIL, _AS241_NEAR_TAIL, KIND_BIT, RULE_ML, U_FLOOR
+from fhkex.adversary import _AS241_CENTRAL, _AS241_FAR_TAIL, _AS241_NEAR_TAIL, RULE_ML, U_FLOOR
 from fhkex.analysis import Probability
 from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import _classify, _decision_draws
-from fhkex.protocol import SharedBit, draw_coins
+from fhkex.protocol import draw_coins
 from fhkex.scenario import ScenarioConfig
 
 #: Distance tolerance (meters) below which the no-fading adversary is
@@ -17,48 +17,40 @@ from fhkex.scenario import ScenarioConfig
 DISTANCE_TOL = 1e-3
 
 
-def bit_columns(transcript):
-    """Alice's and Bob's bit per slot: the columns of one write_transcript_csv block."""
-    return [r.alice.bit for r in transcript.rounds], [r.bob.bit for r in transcript.rounds]
+def bit_columns(alice, bob):
+    """Alice's and Bob's bit per slot as one write_transcript_csv block, shape (n, 2)."""
+    return np.array([alice, bob], dtype=np.uint8).T
 
 
-def trace_columns(transcript, observations, guesses):
+def trace_columns(alice, bob, samples, calls):
     """(alice bits, bob bits, Alice/Bob samples, correct, abstain): one block of write_adversary_trace_csv."""
-    values = transcript.key_bits
-    bit_obs = [obs for obs in observations if obs.kind == KIND_BIT]
-    samples = [
-        (obs.rss_f0, obs.rss_f1) if value == 0 else (obs.rss_f1, obs.rss_f0)
-        for obs, value in zip(bit_obs, values)
-    ]
-    correct = [g.decision == value for g, value in zip(guesses, values)]
-    abstain = [g.decision is None for g in guesses]
-    return (*bit_columns(transcript), samples, correct, abstain)
+    values = [a for a, b in zip(alice, bob) if a != b]
+    correct = [call == value for call, value in zip(calls, values)]
+    return alice, bob, samples, correct, [call is None for call in calls]
 
 
-def transcript_text(transcript, seed):
-    """transcript.csv straight from the per-round engine's records, with no writer in between."""
-    lines = [f"# seed={seed}", f"# key={transcript.key_string}", "round,a_bit,b_bit,outcome,bit_value"]
-    for r in transcript.rounds:
-        if isinstance(r.outcome, SharedBit):
-            lines.append(f"{r.slot},{r.alice.bit},{r.bob.bit},bit,{r.outcome.value}")
-        else:
-            lines.append(f"{r.slot},{r.alice.bit},{r.bob.bit},collision,")
+def transcript_text(alice, bob, seed):
+    """transcript.csv straight from the per-round engine's bits, with no writer in between."""
+    key = "".join(str(a) for a, b in zip(alice, bob) if a != b)
+    lines = [f"# seed={seed}", f"# key={key}", "round,a_bit,b_bit,outcome,bit_value"]
+    for slot, (a, b) in enumerate(zip(alice, bob), start=1):
+        lines.append(f"{slot},{a},{b},bit,{a}" if a != b else f"{slot},{a},{b},collision,")
     return "\n".join(lines) + "\n"
 
 
-def trace_csv_text(transcript, observations, guesses):
-    """eve_trace.csv straight from the per-round engine: each observation's own f0/f1
-    samples and each guess's own decision, with no column mapping in between."""
-    by_slot = {g.slot: g for g in guesses}
+def trace_csv_text(alice, bob, samples, calls):
+    """eve_trace.csv straight from the per-round engine: per bit slot, Alice's sample on
+    f_a and Bob's on the other frequency, and the call, with no writer in between."""
     lines = ["round,rss_f0,rss_f1,decision,correct"]
-    for record, obs in zip(transcript.rounds, observations):
-        if obs.kind != KIND_BIT:
-            lines.append(f"{record.slot},,,,")
+    bit_slots = iter(zip(samples, calls))
+    for slot, (a, b) in enumerate(zip(alice, bob), start=1):
+        if a == b:
+            lines.append(f"{slot},,,,")
             continue
-        guess = by_slot[record.slot]
-        decision = "abstain" if guess.decision is None else guess.decision
-        correct = int(guess.decision == record.outcome.value)
-        lines.append(f"{record.slot},{obs.rss_f0!r},{obs.rss_f1!r},{decision},{correct}")
+        (rss_alice, rss_bob), call = next(bit_slots)
+        rss_f0, rss_f1 = (rss_alice, rss_bob) if a == 0 else (rss_bob, rss_alice)
+        decision = "abstain" if call is None else call
+        lines.append(f"{slot},{rss_f0!r},{rss_f1!r},{decision},{int(call == a)}")
     return "\n".join(lines) + "\n"
 
 

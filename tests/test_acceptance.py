@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import bdtr, bdtrc
 
-from fhkex.adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form, score_session, simulate_eavesdropper
+from fhkex.adversary import RULE_ML, RULE_RANDOM, RULES, pg_closed_form, simulate_eavesdropper
 from fhkex.analysis import COLLISION_PROB, KeyRequest, fading_pb, key_prob, min_transmissions, secret_bit_prob
 from fhkex.channel import delta_mean_pathloss
 from fhkex.cli import EXIT_OK, main
@@ -51,9 +51,9 @@ def _report(criterion: str, detail: str) -> None:
 
 
 def test_criterion_1_scripted_toy_run():
-    transcript = run_session(ScenarioConfig(), alice_bits=TOY_ALICE, bob_bits=TOY_BOB)
-    assert transcript.collision_slots() == [1, 5, 6]
-    assert transcript.key_bits == (0, 1, 0)
+    alice, bob, key = run_session(ScenarioConfig(), alice_bits=TOY_ALICE, bob_bits=TOY_BOB)
+    assert [slot for slot, (a, b) in enumerate(zip(alice, bob), start=1) if a == b] == [1, 5, 6]
+    assert key == [0, 1, 0]
 
     best = min(
         _timed(lambda: run_session(ScenarioConfig(), alice_bits=TOY_ALICE, bob_bits=TOY_BOB))
@@ -196,14 +196,14 @@ def test_criterion_7_power_and_reference_invariance():
 
     for seed in (3, 17, 2029):
         rng_a = np.random.default_rng(seed)
-        t_a = run_session(base, rng_a)
-        _, g_a = simulate_eavesdropper(t_a, *dep, base, rng_a, rule=RULE_ML)
+        *bits_a, key_a = run_session(base, rng_a)
+        _, calls_a = simulate_eavesdropper(*bits_a, *dep, base, rng_a, rule=RULE_ML)
         rng_b = np.random.default_rng(seed)
-        t_b = run_session(shifted, rng_b)
-        _, g_b = simulate_eavesdropper(t_b, *dep, shifted, rng_b, rule=RULE_ML)
-        assert t_a == t_b
-        assert g_a == g_b  # every adversary decision unchanged, bit for bit
-        assert score_session(t_a, g_a) == score_session(t_b, g_b)
+        *bits_b, key_b = run_session(shifted, rng_b)
+        _, calls_b = simulate_eavesdropper(*bits_b, *dep, shifted, rng_b, rule=RULE_ML)
+        assert (bits_a, key_a) == (bits_b, key_b)
+        assert calls_a == calls_b  # every adversary decision unchanged, bit for bit
+        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
     def small_spec(cfg):
         return SweepSpec(

@@ -10,24 +10,17 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from fhkex.adversary import (
-    KIND_BIT,
-    KIND_COLLISION,
     RULE_ML,
     RULE_RANDOM,
     U_FLOOR,
-    Guess,
-    Observation,
-    SecrecyReport,
-    _ml_guess,
     normal_quantile,
     pg_closed_form,
-    score_session,
     simulate_eavesdropper,
     write_adversary_trace_csv,
 )
 from fhkex.channel import delta_mean_pathloss
 from oracle import as241, trace_columns, trace_csv_text
-from fhkex.protocol import SharedBit, run_session
+from fhkex.protocol import run_session
 from fhkex.scenario import GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 
 NO_FADING = ScenarioConfig(sigma=0.0)
@@ -35,77 +28,74 @@ CANONICAL_20 = build_deployment(20.0)  # d_ae = 70, d_be = 20
 EQUIDISTANT_60 = build_deployment(60.0, GEOMETRY_EQUIDISTANT)
 
 
-def test_observation_invariants():
-    with pytest.raises(ValueError):
-        Observation(slot=1, kind=KIND_BIT, rss_f0=-60.0, rss_f1=None)
-    with pytest.raises(ValueError):
-        Observation(slot=1, kind=KIND_COLLISION, rss_f0=-60.0)
-    with pytest.raises(ValueError):
-        Observation(slot=1, kind="weird")
-
-
-def _session_with_guesses(cfg, dep, rule, seed):
+def _session_with_calls(cfg, dep, rule, seed):
+    """Alice's and Bob's bits, the key, and Eve's samples and calls, from one generator."""
     rng = np.random.default_rng(seed)
-    transcript = run_session(cfg, rng)
-    observations, guesses = simulate_eavesdropper(transcript, *dep, cfg, rng, rule=rule)
-    return transcript, observations, guesses
+    alice, bob, key = run_session(cfg, rng)
+    samples, calls = simulate_eavesdropper(alice, bob, *dep, cfg, rng, rule=rule)
+    return alice, bob, key, samples, calls
 
 
-def _bit_observations(transcript, observations):
-    """(value, observation) per bit-generating slot."""
-    return [
-        (r.outcome.value, obs) for r, obs in zip(transcript.rounds, observations)
-        if isinstance(r.outcome, SharedBit)
-    ]
+def _f0_f1(key, samples):
+    """(value, rss_f0, rss_f1) per bit-generating slot: Alice transmits on f_value."""
+    return [(value, *(pair if value == 0 else pair[::-1])) for value, pair in zip(key, samples)]
+
+
+def _call(gap, delta):
+    """The pairwise ML call on an f0 - f1 gap: the sign of gap * delta, None on a tie."""
+    score = gap * delta
+    return 1 if score > 0.0 else 0 if score < 0.0 else None
+
+
+def _secret(key, calls):
+    """Generated bits that Eve did not call correctly; an abstention is never correct."""
+    return sum(call != value for call, value in zip(calls, key))
 
 
 def test_observe_bit_round_without_fading():
     cfg = NO_FADING.replace(n_rounds=50)
-    transcript, observations, _ = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=3)
-    bits = _bit_observations(transcript, observations)
-    assert {value for value, _ in bits} == {0, 1}
+    _, _, key, samples, _ = _session_with_calls(cfg, CANONICAL_20, RULE_ML, seed=3)
+    bits = _f0_f1(key, samples)
+    assert {value for value, *_ in bits} == {0, 1}
     alice, bob = -84.578431400499, -65.53604984823934  # at 70 m and 20 m
-    for value, obs in bits:
-        assert obs.kind == KIND_BIT
+    for value, rss_f0, rss_f1 in bits:
         # Alice transmits on f_value, Bob on the other frequency
         expected = (alice, bob) if value == 0 else (bob, alice)
-        assert (obs.rss_f0, obs.rss_f1) == pytest.approx(expected, abs=1e-9)
+        assert (rss_f0, rss_f1) == pytest.approx(expected, abs=1e-9)
 
 
 def test_observe_equidistant_samples_equal():
     cfg = NO_FADING.replace(n_rounds=50)
-    transcript, observations, _ = _session_with_guesses(cfg, EQUIDISTANT_60, RULE_ML, seed=3)
-    bits = _bit_observations(transcript, observations)
+    _, _, key, samples, _ = _session_with_calls(cfg, EQUIDISTANT_60, RULE_ML, seed=3)
+    bits = _f0_f1(key, samples)
     assert bits
-    for _, obs in bits:
-        assert obs.rss_f0 == obs.rss_f1
+    for _, rss_f0, rss_f1 in bits:
+        assert rss_f0 == rss_f1
 
 
 def test_observe_collision_round_is_flagged_only():
     cfg = NO_FADING.replace(n_rounds=50)
-    transcript, observations, _ = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=9)
-    assert [obs.slot for obs in observations] == [r.slot for r in transcript.rounds]
-    collisions = [obs for obs in observations if obs.slot in transcript.collision_slots()]
+    alice, bob, key, samples, calls = _session_with_calls(cfg, CANONICAL_20, RULE_ML, seed=9)
+    collisions = sum(a == b for a, b in zip(alice, bob))
     assert collisions
-    for obs in collisions:
-        assert obs.kind == KIND_COLLISION
-        assert obs.rss_f0 is None and obs.rss_f1 is None
+    # one sample pair and one call per bit-generating slot, none for a collision
+    assert len(samples) == len(calls) == len(key) == len(alice) - collisions
 
 
 def test_ml_always_correct_without_fading():
     cfg = NO_FADING.replace(n_rounds=100)
     for d_be in (2.0, 20.0, 300.0):
-        transcript, _, guesses = _session_with_guesses(cfg, build_deployment(d_be), RULE_ML, seed=0)
-        assert {g.decision for g in guesses} == {0, 1}
-        assert [g.decision for g in guesses] == list(transcript.key_bits)
+        _, _, key, _, calls = _session_with_calls(cfg, build_deployment(d_be), RULE_ML, seed=0)
+        assert set(calls) == {0, 1}
+        assert calls == key
 
 
 def test_ml_abstains_when_equidistant():
     for sigma in (0.0, 8.0):
         cfg = ScenarioConfig(sigma=sigma, n_rounds=100)
-        _, _, guesses = _session_with_guesses(cfg, EQUIDISTANT_60, RULE_ML, seed=1)
-        assert guesses
-        assert all(g.decision is None for g in guesses)
+        *_, calls = _session_with_calls(cfg, EQUIDISTANT_60, RULE_ML, seed=1)
+        assert calls
+        assert all(call is None for call in calls)
 
 
 def test_ml_matches_closed_form_at_sigma8():
@@ -134,12 +124,12 @@ def test_random_rule_behaviour():
     # every slot generates a bit, so the session makes n guesses
     n = 10**5
     alice = np.arange(n) % 2
-    transcript = run_session(ScenarioConfig(), alice_bits=alice.tolist(), bob_bits=(1 - alice).tolist())
+    alice, bob, _ = run_session(ScenarioConfig(), alice_bits=alice.tolist(), bob_bits=(1 - alice).tolist())
     cfg = ScenarioConfig(sigma=8.0)
 
     def decisions(dep, seed):
-        _, guesses = simulate_eavesdropper(transcript, *dep, cfg, np.random.default_rng(seed), rule=RULE_RANDOM)
-        return np.array([g.decision for g in guesses])
+        _, calls = simulate_eavesdropper(alice, bob, *dep, cfg, np.random.default_rng(seed), rule=RULE_RANDOM)
+        return np.array(calls)
 
     first = decisions(CANONICAL_20, 4)
     assert first.size == n
@@ -216,61 +206,41 @@ def test_normal_quantile_matches_statistics_inv_cdf():
 
 def test_score_session_extremes():
     cfg = NO_FADING.replace(n_rounds=300)
-    transcript, _, guesses = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=1)
-    report = score_session(transcript, guesses)
+    _, _, key, _, calls = _session_with_calls(cfg, CANONICAL_20, RULE_ML, seed=1)
     # without fading every unequal-distance guess is right
-    assert report.guessed_correct == report.generated
-    assert report.secret == 0
+    assert calls == key
+    assert _secret(key, calls) == 0
 
-    flipped = [Guess(slot=g.slot, decision=None if g.decision is None else g.decision ^ 1) for g in guesses]
-    report = score_session(transcript, flipped)
-    assert report.secret == report.generated
+    flipped = [None if call is None else call ^ 1 for call in calls]
+    assert _secret(key, flipped) == len(key)
 
 
 def test_score_session_random_rule_quarter():
     cfg = ScenarioConfig(sigma=8.0, n_rounds=10**5)
-    transcript, _, guesses = _session_with_guesses(cfg, CANONICAL_20, RULE_RANDOM, seed=12)
-    report = score_session(transcript, guesses)
-    assert report.secret / report.n_rounds == pytest.approx(0.25, abs=0.007)
-
-
-def test_score_session_coverage_mismatch_rejected():
-    cfg = NO_FADING.replace(n_rounds=50)
-    transcript, _, guesses = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=2)
-    with pytest.raises(ValueError):
-        score_session(transcript, guesses[:-1])
-    shifted = [Guess(slot=g.slot + 1, decision=g.decision) for g in guesses]
-    with pytest.raises(ValueError):
-        score_session(transcript, shifted)
-
-
-def test_secrecy_report_invariants():
-    with pytest.raises(ValueError):
-        SecrecyReport(n_rounds=10, generated=5, guessed_correct=2, secret=4)
-    with pytest.raises(ValueError):
-        SecrecyReport(n_rounds=4, generated=5, guessed_correct=0, secret=5)
+    _, _, key, _, calls = _session_with_calls(cfg, CANONICAL_20, RULE_RANDOM, seed=12)
+    assert _secret(key, calls) / cfg.n_rounds == pytest.approx(0.25, abs=0.007)
 
 
 def test_decisions_invariant_under_power_and_reference_shift():
     base = ScenarioConfig(sigma=8.0, n_rounds=2000)
     shifted = base.replace(pt=base.pt + 17.25, pl0=base.pl0 + 6.5)
-    t1, _, g1 = _session_with_guesses(base, CANONICAL_20, RULE_ML, seed=55)
-    t2, _, g2 = _session_with_guesses(shifted, CANONICAL_20, RULE_ML, seed=55)
-    assert t1 == t2
-    assert g1 == g2
-    assert score_session(t1, g1) == score_session(t2, g2)
+    *bits_1, _, calls_1 = _session_with_calls(base, CANONICAL_20, RULE_ML, seed=55)
+    *bits_2, _, calls_2 = _session_with_calls(shifted, CANONICAL_20, RULE_ML, seed=55)
+    assert bits_1 == bits_2
+    assert calls_1 == calls_2
+    assert _secret(bits_1[2], calls_1) == _secret(bits_2[2], calls_2)
 
 
 def test_swapped_positions_flip_decisions():
     cfg = ScenarioConfig(sigma=8.0, n_rounds=500)
     delta = delta_mean_pathloss(*CANONICAL_20, cfg.gamma)
     swapped = delta_mean_pathloss(*CANONICAL_20[::-1], cfg.gamma)
-    transcript, observations, _ = _session_with_guesses(cfg, CANONICAL_20, RULE_ML, seed=77)
-    bits = _bit_observations(transcript, observations)
+    _, _, key, samples, _ = _session_with_calls(cfg, CANONICAL_20, RULE_ML, seed=77)
+    bits = _f0_f1(key, samples)
     assert len(bits) >= 200
-    for _, obs in bits:
-        original = _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, delta).decision
-        mirrored = _ml_guess(obs.slot, obs.rss_f0 - obs.rss_f1, swapped).decision
+    for _, rss_f0, rss_f1 in bits:
+        original = _call(rss_f0 - rss_f1, delta)
+        mirrored = _call(rss_f0 - rss_f1, swapped)
         if original is None:
             assert mirrored is None
         else:
@@ -281,18 +251,16 @@ def test_swapped_positions_preserve_correctness_rate():
     cfg = ScenarioConfig(sigma=8.0, n_rounds=4 * 10**4)
     dep = CANONICAL_20
     mirrored = dep[::-1]
-    t1, _, g1 = _session_with_guesses(cfg, dep, RULE_ML, seed=5)
-    t2, _, g2 = _session_with_guesses(cfg, mirrored, RULE_ML, seed=5)
-    r1 = score_session(t1, g1)
-    r2 = score_session(t2, g2)
-    rate1 = r1.guessed_correct / r1.generated
-    rate2 = r2.guessed_correct / r2.generated
+    _, _, key_1, _, calls_1 = _session_with_calls(cfg, dep, RULE_ML, seed=5)
+    _, _, key_2, _, calls_2 = _session_with_calls(cfg, mirrored, RULE_ML, seed=5)
+    rate1 = 1.0 - _secret(key_1, calls_1) / len(key_1)
+    rate2 = 1.0 - _secret(key_2, calls_2) / len(key_2)
     assert rate1 == pytest.approx(rate2, abs=0.01)
 
 
 def test_adversary_trace_csv():
     # the writer's output must equal the trace formatted straight from the
-    # per-round engine's observations and guesses, not merely undo its input mapping
+    # per-round engine's samples and calls, not merely undo its input mapping
     cases = [
         (ScenarioConfig(sigma=8.0, n_rounds=20), CANONICAL_20, RULE_ML, 3),
         # far off, Eve calls little better than a coin: wrong calls of both values
@@ -311,15 +279,15 @@ def test_adversary_trace_csv():
     ]
     calls = set()
     for cfg, dep, rule, seed in cases:
-        transcript, observations, guesses = _session_with_guesses(cfg, dep, rule, seed=seed)
+        alice, bob, key, samples, eve_calls = _session_with_calls(cfg, dep, rule, seed=seed)
         buf = io.StringIO()
-        write_adversary_trace_csv([trace_columns(transcript, observations, guesses)], buf)
-        assert buf.getvalue() == trace_csv_text(transcript, observations, guesses)
+        write_adversary_trace_csv([trace_columns(alice, bob, samples, eve_calls)], buf)
+        assert buf.getvalue() == trace_csv_text(alice, bob, samples, eve_calls)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "round,rss_f0,rss_f1,decision,correct"
-        assert len(lines) == 1 + transcript.n_rounds
+        assert len(lines) == 1 + cfg.n_rounds
         collision_rows = [l for l in lines[1:] if l.endswith(",,,")]
-        assert len(collision_rows) == len(transcript.collision_slots())
+        assert len(collision_rows) == cfg.n_rounds - len(key)
         calls |= {(rule, *line.split(",")[3:]) for line in lines[1:]}
     # the cases cover a right and a wrong call of each value, and an ML tie
     for d in ("0", "1"):

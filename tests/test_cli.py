@@ -495,15 +495,14 @@ def test_analyze_rejects_non_finite_adversary_distance(capsys, d_be):
 def _oracle_session_files(cfg, rule, d_be, dest):
     """transcript.csv and eve_trace.csv from the per-round engine, seeded as the CLI seeds."""
     rng = np.random.default_rng(cfg.seed)
-    transcript = protocol.run_session(cfg, rng)
-    observations, guesses = adversary.simulate_eavesdropper(
-        transcript, *build_deployment(d_be), cfg, rng, rule=rule
-    )
-    (dest / "transcript.csv").write_text(transcript_text(transcript, cfg.seed))
-    (dest / "eve_trace.csv").write_text(trace_csv_text(transcript, observations, guesses))
+    alice, bob, _ = protocol.run_session(cfg, rng)
+    samples, calls = adversary.simulate_eavesdropper(alice, bob, *build_deployment(d_be), cfg, rng, rule=rule)
+    (dest / "transcript.csv").write_text(transcript_text(alice, bob, cfg.seed))
+    (dest / "eve_trace.csv").write_text(trace_csv_text(alice, bob, samples, calls))
 
 
-@pytest.mark.parametrize("n", [1, 6, 2000])
+# 40,000 slots span three default blocks of BLOCK_SLOTS (16,384)
+@pytest.mark.parametrize("n", [1, 6, 2000, 40_000])
 @pytest.mark.parametrize("sigma", [0.0, 8.0])
 @pytest.mark.parametrize("rule", adversary.RULES)
 def test_session_files_match_per_round_oracle(tmp_path, capsys, rule, sigma, n):

@@ -21,7 +21,6 @@ from fhkex.adversary import (
     U_FLOOR,
     normal_quantile,
     rss_samples,
-    score_session,
     simulate_eavesdropper,
 )
 from fhkex.analysis import fading_pb, key_prob
@@ -96,20 +95,19 @@ def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
     cfg = ScenarioConfig(sigma=sigma, n_rounds=400)
     dep = build_deployment(20.0)
     rng_obj = np.random.default_rng(seed)
-    transcript = run_session(cfg, rng_obj)
-    observations, guesses = simulate_eavesdropper(transcript, *dep, cfg, rng_obj, rule=rule)
-    report = score_session(transcript, guesses)
+    alice, bob, key = run_session(cfg, rng_obj)
+    samples, calls = simulate_eavesdropper(alice, bob, *dep, cfg, rng_obj, rule=rule)
 
     rng_vec = np.random.default_rng(seed)
     session = simulate_session_counts(rng_vec, cfg.n_rounds, *dep, cfg, rule=rule)
-    assert session.correct.size == report.generated
-    assert int(session.correct.sum()) == report.guessed_correct
+    assert session.correct.size == len(key)
+    assert int(session.correct.sum()) == sum(call == value for call, value in zip(calls, key))
     # draw for draw: the same bits, samples and calls, and both streams end
     # together once the session's generator skips the trace-only draws,
     # which the session takes from a copy of it
-    alice, bob, samples, correct, abstain = trace_columns(transcript, observations, guesses)
+    *_, correct, abstain = trace_columns(alice, bob, samples, calls)
     assert (session.alice.tolist(), session.bob.tolist()) == (alice, bob)
-    assert session.samples.tolist() == [list(pair) for pair in samples]
+    assert session.samples.tolist() == samples
     assert (session.correct.tolist(), session.abstain.tolist()) == (correct, abstain)
     m = session.correct.size
     rng_vec.standard_normal((m, 2) if rule == RULE_RANDOM else m)
@@ -686,11 +684,12 @@ def test_estimate_rule_correctness_random_is_half():
     assert rate == pytest.approx(0.5, abs=0.01)
 
 
+# ids name the case, not its pins, so a re-pin keeps them
 @pytest.mark.parametrize("rule, sigma, rate, next_draw", [
-    (RULE_ML, 0.0, 1.0, 1439427560),
-    (RULE_ML, 8.0, 0.9574, 1439427560),
-    (RULE_RANDOM, 0.0, 0.5012, 2854317815),
-    (RULE_RANDOM, 8.0, 0.5012, 2854317815),
+    pytest.param(RULE_ML, 0.0, 1.0, 1439427560, id="ml-pairwise-0.0"),
+    pytest.param(RULE_ML, 8.0, 0.9574, 1439427560, id="ml-pairwise-8.0"),
+    pytest.param(RULE_RANDOM, 0.0, 0.5012, 2854317815, id="random-guess-0.0"),
+    pytest.param(RULE_RANDOM, 8.0, 0.5012, 2854317815, id="random-guess-8.0"),
 ])
 def test_estimate_rule_correctness_pinned_draws(rule, sigma, rate, next_draw):
     # frozen from a stand-alone per-bit loop over the same draws, chunk edges
