@@ -212,6 +212,10 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.pb is not None:  # a given p_b leaves the channel unread: its flags are refused, not ignored
+        for name in _READS["analyze"]:
+            if getattr(args, name) is not None:
+                raise scenario.ConfigError("usage", f"argument --{name}: not allowed with argument --pb")
     if args.n is not None and args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.n is not None and args.n > analysis.MAX_N:

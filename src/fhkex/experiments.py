@@ -9,8 +9,11 @@ prefixes of those same sessions (common random numbers), and counted
 from the one slot per trial and k that completes its key (see
 slice_successes). A slice holds 2 bytes per slot of a batch of trials'
 coins plus one block of BLOCK_SLOTS slots, as a session does. The slices
-share no state and run concurrently, on up to one thread per usable CPU;
-results are a pure function of the spec, whatever the thread count.
+share no state and run one after another, in index order, on the calling
+thread; results are a pure function of the spec. A slice's block loop is
+short numpy calls and Python glue under the GIL, so two threads ran slower
+than one: 2.94 vs 2.44 ms for the bench frontier spec (3 slices), 212 vs
+173 ms for an 8-slice, 10^4-trial sweep (2 vCPUs, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ import copy
 import csv
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -403,9 +404,11 @@ def run_grid_point(
 def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
     """One ResultRow per grid point, in the order of itertools.product(k, n_rounds, d_be, sigma).
 
-    The slices simulate concurrently, on up to one thread per usable CPU
-    (_each_in_threads); each draws from its own stream, so the rows do not
-    depend on the thread count. The closed forms run after the join.
+    The slices simulate one after another, in index order, on the calling
+    thread, each from its own stream seeded (base_seed, index); two threads
+    ran them 15-25% slower, as the GIL serialises their Python glue (see the
+    module docstring). A slice that raises ends the sweep: no later slice
+    starts. The closed forms run after the last slice.
     """
     if spec.grid_size == 0:
         return ()
@@ -414,16 +417,13 @@ def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
         delta_mean_pathloss(*build_deployment(d_be, spec.geometry), spec.scenario.gamma)
         for d_be, _ in slices
     ]
-    counts = [None] * len(slices)
-
-    def simulate(index: int) -> None:
-        rng = np.random.default_rng(np.random.SeedSequence([spec.base_seed, index]))
-        counts[index] = slice_successes(
-            rng, spec.trials, spec.k, spec.n_rounds, deltas[index], slices[index][1],
-            spec.rule, spec.metric,
+    counts = [
+        slice_successes(
+            np.random.default_rng(np.random.SeedSequence([spec.base_seed, index])),
+            spec.trials, spec.k, spec.n_rounds, delta, sigma, spec.rule, spec.metric,
         ).tolist()
-
-    _each_in_threads(simulate, len(slices))
+        for index, (delta, (_, sigma)) in enumerate(zip(deltas, slices))
+    ]
     analytic = [
         _analytic_columns(spec.k, spec.n_rounds, _slice_pg(delta, sigma, spec.rule), spec.metric)
         for delta, (_, sigma) in zip(deltas, slices)
@@ -440,57 +440,6 @@ def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
             k, n, d_be, sigma, rule, metric, trials, *estimates[counts[s][i][j]], analytic[s][j][i]
         ))
     return tuple(rows)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _each_in_threads(task: Callable[[int], None], count: int) -> None:
-    """task(i) for every i in range(count), on min(count, usable CPUs) threads, the caller's included.
-
-    Each idle thread takes the next index. The first exception a task raises,
-    a KeyboardInterrupt in the caller's task too, starts no further index:
-    the other threads finish their current task and are joined, and the
-    caller re-raises it. With one thread the caller runs every task and no
-    thread starts. Threads pay off for tasks that spend their time in numpy
-    calls that release the GIL; pure-Python work belongs outside them.
-    """
-    indices = iter(range(count))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def fail(exc: BaseException) -> None:
-        with lock:
-            errors.append(exc)
-
-    def work() -> None:
-        try:
-            while True:
-                with lock:
-                    index = None if errors else next(indices, None)
-                if index is None:
-                    return
-                task(index)
-        except BaseException as exc:  # re-raised in the caller, after the join
-            fail(exc)
-
-    threads = []
-    try:
-        for _ in range(min(count, _usable_cpus()) - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-    except BaseException as exc:  # a thread that cannot start: those started stop after their task
-        fail(exc)
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,23 @@ def test_analyze_refuses_adversary_distance_with_given_pb(capsys, d_be):
     assert "argument --d-be: not allowed with argument --pb" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--sigma", "8"), ("--gamma", "3"), ("--d0", "1")])
+def test_analyze_refuses_channel_flag_with_given_pb(capsys, flag, value):
+    # a given p_b leaves the channel unread, so its flags are refused, not ignored
+    assert main(["analyze", "--k", "8", "--pb", "0.5", flag, value]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: usage: argument {flag}: not allowed with argument --pb\n"
+
+
+def test_analyze_given_pb_accepts_a_config_file(tmp_path, capsys):
+    # a shared config file may hold every scenario field
+    config = tmp_path / "config.json"
+    config.write_text('{"sigma": 4.0, "gamma": 3.0, "d0": 1.0}')
+    assert main(["analyze", "--k", "128", "--pb", "0.5", "--config", str(config)]) == EXIT_OK
+    assert "minimum transmissions for k=128 at target 0.99: 295" in capsys.readouterr().out
+
+
 def test_invalid_scenario_flag(capsys):
     assert main(["session", "--gamma", "0", "--seed", "1"]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -299,11 +316,10 @@ def test_sweep_budget_exceeded(tmp_path, capsys):
     assert main(args) == EXIT_CONFIG
 
 
-def test_sweep_slice_failure_on_a_thread_exits_config_error(tmp_path, capsys, monkeypatch):
+def test_sweep_slice_failure_exits_config_error(tmp_path, capsys, monkeypatch):
     def successes(rng, *args):
         raise ValueError("slice failed")
 
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(experiments, "slice_successes", successes)
     args = [
         "sweep", "--seed", "1", "--k-list", "4", "--n-list", "20",
