@@ -741,7 +741,10 @@ def test_sweep_starts_no_thread(monkeypatch, rule):
     assert sweep(spec) == expected
 
 
-def test_sweep_reraises_a_slice_failure_and_starts_no_later_slice(monkeypatch):
+@pytest.mark.parametrize("distances", [2, 3])
+@pytest.mark.parametrize("failing", [1], ids=["slice-1"])
+def test_sweep_reraises_a_slice_failure_and_starts_no_later_slice(monkeypatch, failing, distances):
+    # two sigmas by 2 or 3 distances: 4 or 6 slices, of which slice 1 raises
     boom = ValueError("slice failed")
     started = []
     exact = fhkex.experiments.slice_successes
@@ -750,16 +753,16 @@ def test_sweep_reraises_a_slice_failure_and_starts_no_later_slice(monkeypatch):
         # a slice knows its index only by its stream's seed
         index = rng.bit_generator.seed_seq.entropy[1]
         started.append(index)
-        if index == 1:
+        if index == failing:
             raise boom
         return exact(rng, *args)
 
     monkeypatch.setattr(fhkex.experiments, "slice_successes", successes)
-    spec = _small_spec(d_be=(2.0, 20.0, 35.0, 60.0), sigma=(0.0, 8.0), trials=5)
+    spec = _small_spec(d_be=(2.0, 20.0, 35.0, 60.0)[:distances], sigma=(0.0, 8.0), trials=5)
     with pytest.raises(ValueError) as raised:
         sweep(spec)
     assert raised.value is boom
-    assert started == [0, 1]
+    assert started == list(range(failing + 1))
 
 
 # Every column but p_analytic, whose closed form may move in its last bits;
