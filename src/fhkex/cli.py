@@ -107,6 +107,15 @@ def _add_scenario_flags(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or '.')")
 
 
+class _Typed(argparse.Action):
+    """Stores a flag's value, as argparse's default action does, and notes the
+    flag in the namespace's `typed`: a default value is not a typed one."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.typed = (*namespace.typed, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses an unknown flag, a bad type or a bad choice with one error line, as every failure does.
 
@@ -156,15 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("sweep", "frontier"):
         p = sub.add_parser(name, help=f"Monte Carlo {name} over a parameter grid")
         _add_scenario_flags(p, name)
-        p.add_argument("--k-list", default="128", help="key sizes, comma list or start:stop:step")
-        p.add_argument("--n-list", default="60:600:10", help="transmission counts")
-        p.add_argument("--d-be-list", default="20", help="adversary distances, m")
-        p.add_argument("--sigma-list", default="8", help="shadowing std-devs, dB")
-        p.add_argument("--trials", type=int, default=2000)
-        p.add_argument("--rule", choices=adversary.RULES, default=adversary.RULE_ML)
-        p.add_argument("--metric", choices=experiments.METRICS, default=experiments.METRIC_PER_BIT)
-        p.add_argument("--geometry", choices=scenario.GEOMETRIES, default=scenario.GEOMETRY_CANONICAL)
-        p.add_argument("--budget", type=int, default=experiments.SLOT_BUDGET)
+        # the grid flags note themselves when typed, since frontier --from-csv refuses them
+        p.set_defaults(typed=())
+        grid = functools.partial(p.add_argument, action=_Typed)
+        grid("--k-list", default="128", help="key sizes, comma list or start:stop:step")
+        grid("--n-list", default="60:600:10", help="transmission counts")
+        grid("--d-be-list", default="20", help="adversary distances, m")
+        grid("--sigma-list", default="8", help="shadowing std-devs, dB")
+        grid("--trials", type=int, default=2000)
+        grid("--rule", choices=adversary.RULES, default=adversary.RULE_ML)
+        grid("--metric", choices=experiments.METRICS, default=experiments.METRIC_PER_BIT)
+        grid("--geometry", choices=scenario.GEOMETRIES, default=scenario.GEOMETRY_CANONICAL)
+        grid("--budget", type=int, default=experiments.SLOT_BUDGET)
         if name == "frontier":
             p.add_argument("--target", type=float, default=0.99)
             p.add_argument("--column", choices=("p_hat", "p_analytic"), default="p_hat")
@@ -285,6 +297,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
+    if args.from_csv:  # the CSV is read as it is: a flag that shapes a sweep is refused, not ignored
+        given = [f"--{name}" for name in _READS["frontier"] if getattr(args, name) is not None]
+        for flag in (*args.typed, *given):
+            raise scenario.ConfigError("usage", f"argument {flag}: not allowed with argument --from-csv")
     target = analysis.check_target(args.target)
     out = _output_dir(args)
     if args.from_csv:

@@ -3,10 +3,10 @@
 Each grid point reports the fraction of protocol sessions against the
 eavesdropper that met the key-size target, with a Wilson 95% interval and,
 where available, the closed-form probability. Each (d_be, sigma) slice
-simulates its sessions once, at the longest n, from one stream seeded by
-(base_seed, slice index); every (k, n) row of the slice is read off
-prefixes of those same sessions (common random numbers), and counted
-from the one slot per trial and k that completes its key (see
+simulates its sessions once, at the longest n, from one default_rng
+(PCG64) stream seeded by (base_seed, slice index); every (k, n) row of the
+slice is read off prefixes of those same sessions (common random numbers),
+and counted from the one slot per trial and k that completes its key (see
 slice_successes). A slice holds 2 bytes per slot of a batch of trials'
 coins plus one block of BLOCK_SLOTS slots, as a session does. The slices
 share no state and run one after another, in index order, on the calling
@@ -14,6 +14,9 @@ thread; results are a pure function of the spec. A slice's block loop is
 short numpy calls and Python glue under the GIL, so two threads ran slower
 than one: 2.94 vs 2.44 ms for the bench frontier spec (3 slices), 212 vs
 173 ms for an 8-slice, 10^4-trial sweep (2 vCPUs, Python 3.11.7, numpy 2.4.6).
+A slice draws only what its counts read, yet every byte is that of drawing
+it all: a fixed ML verdict advances past its decision uniforms, and per bit
+a block that misses no bit is not indexed (see slice_successes).
 """
 
 from __future__ import annotations
@@ -190,7 +193,8 @@ def session_blocks(
     for block in blocks:
         _decision_draws(trace_rng, np.count_nonzero(block[:, 0] != block[:, 1]), rule)
     for block in blocks:
-        _, draws, correct, abstain = _judge(rng, block, delta, cfg.sigma, rule)
+        _, draws, correct = _judge(rng, block, delta, cfg.sigma, rule)
+        abstain = _abstain(draws, correct, delta, cfg.sigma, rule)
         if rule == RULE_RANDOM:
             u, v = trace_rng.standard_normal((draws.size, 2)).T
         else:
@@ -211,25 +215,49 @@ def simulate_session_counts(
     return Session(*map(np.concatenate, zip(*blocks)))
 
 
+def _generated(bits: np.ndarray) -> np.ndarray:
+    """The (m,) mask of the slots that generate a key bit, for (m, 2) uint8
+    coin pairs laid out as draw_slot_bits gives them."""
+    # a slot's coin pair (a, b) reads as a + 256 b in either byte order: 0, 1,
+    # 256 or 257, and 1 or 256 iff the coins differ, the only values that one
+    # less (wrapping 0 to 65535) puts below 256
+    return (bits.view(np.uint16).ravel() - np.uint16(1)) < 256
+
+
 def _judge(
     rng: np.random.Generator, bits: np.ndarray, delta: float, sigma: float, rule: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eavesdropper on (m, 2) uint8 coin pairs laid out as draw_slot_bits
     gives them, at mean path-loss gap delta (channel.delta_mean_pathloss) and
-    shadowing sigma: (generated, draws, correct, abstain), the (m,) slot mask
-    of generated key bits, then per generated bit in slot order its decision
-    draw and _classify's verdict.
+    shadowing sigma: (generated, draws, correct), the (m,) slot mask of
+    generated key bits, then per generated bit in slot order its decision
+    draw and whether _classify names its value.
 
     One decision draw per generated bit, so T trials of n slots judged as
     one batch draw and decide what one session of T n slots does.
     """
-    # a slot's coin pair (a, b) reads as a + 256 b in either byte order: 0, 1,
-    # 256 or 257, and 1 or 256 iff the coins differ, the only values that one
-    # less (wrapping 0 to 65535) puts below 256
-    generated = (bits.view(np.uint16).ravel() - np.uint16(1)) < 256
+    generated = _generated(bits)
     values = bits[:, 0][generated] if rule == RULE_RANDOM else None
     draws = _decision_draws(rng, np.count_nonzero(generated), rule)
-    return (generated, draws, *_classify(draws, values, delta, sigma, rule))
+    return generated, draws, _classify(draws, values, delta, sigma, rule)
+
+
+def _skip_uniforms(rng: np.random.Generator, m: int) -> None:
+    """Move rng past m uniforms, where rng.random(m) would leave it, without drawing them.
+
+    Each uniform is one 64-bit word of default_rng's PCG64, so this is its
+    bit generator's advance(m). advance also drops a held spare 32-bit half
+    (see protocol.draw_coins), which rng.random leaves held, so a held one
+    is put back.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    bit_generator.advance(int(m))  # advance takes a Python int, not a numpy one
+    if state["has_uint32"]:
+        spare = state["uinteger"]
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, spare
+        bit_generator.state = state
 
 
 def slice_successes(
@@ -252,6 +280,14 @@ def slice_successes(
     their trials, and counts them against the n axis in one sort and one
     search once the slots held over every k reach BLOCK_SLOTS, and at the
     end; the counts are those of counting batch by batch.
+
+    rng is a default_rng (PCG64) generator. Only what a count reads is
+    drawn or indexed, and the stream is that of drawing everything: an ML
+    slice whose verdict is fixed (delta = 0 or sigma = 0) advances rng past
+    each block's decision uniforms (_skip_uniforms) instead of drawing
+    them, and for the per-bit metric a block that misses no bit completes
+    no key, so its slots are not indexed. Near a node (d_be 2 m at sigma 8,
+    p_g = 0.999994) most blocks miss no bit.
     """
     n_max = max(n_rounds)
     n_axis = np.asarray(n_rounds)
@@ -266,6 +302,9 @@ def slice_successes(
             counted.append((i, k, []))
         elif k == 0 and not whole_key:
             successes[i] = trials
+    # a fixed ML verdict (see _ml_cut) reads no decision draw: its uniforms are
+    # skipped, not drawn, and every bit is missed at delta = 0, none at sigma = 0
+    fixed = rule == RULE_ML and _ml_cut(delta, sigma) is None
     batch = max(1, BLOCK_SLOTS // n_max)
     # where each trial of a full batch starts among its trial * n_max + slot
     # indices, and where the last one ends
@@ -277,8 +316,17 @@ def slice_successes(
         # bit by rank, n_max or more until found: only one trial spans blocks
         base, offset, rank = 0, 0, n_max
         for bits in draw_slot_bits(rng, size * n_max):
-            generated, _, correct, _ = _judge(rng, bits, delta, sigma, rule)
-            secret = ~correct
+            if fixed:
+                generated = _generated(bits)
+                count = np.count_nonzero(generated)
+                _skip_uniforms(rng, count)
+                secret = np.full(count, delta == 0.0)
+            else:
+                generated, _, correct = _judge(rng, bits, delta, sigma, rule)
+                secret = ~correct
+            if not (whole_key or secret.any()):
+                offset += len(bits)  # no key completes in a block that misses no bit
+                continue
             # trial * n_max + slot per generated bit, in the order of secret: the
             # stream the metric counts, which per bit keeps the secret bits only
             slots = generated.nonzero()[0]
@@ -308,8 +356,9 @@ def slice_successes(
         # k there are, fewer than BLOCK_SLOTS plus one batch are ever held
         if held >= BLOCK_SLOTS or start + size == trials:
             for i, _, completing in counted:
-                successes[i] += np.sort(np.concatenate(completing)).searchsorted(n_axis)
-                completing.clear()
+                if completing:  # none where every block since the last count was skipped
+                    successes[i] += np.sort(np.concatenate(completing)).searchsorted(n_axis)
+                    completing.clear()
             held = 0
     return successes
 
@@ -324,28 +373,56 @@ def _decision_draws(rng: np.random.Generator, m: int, rule: str) -> np.ndarray:
     return rng.random(m)
 
 
+def _ml_cut(delta: float, sigma: float) -> float | None:
+    """The decision draw U at which the ML rule ties, Phi(-delta / (sigma sqrt 2)),
+    as pg_closed_form computes it; None where no draw decides: at delta = 0
+    every call ties, and at sigma = 0 with delta != 0 every call is correct.
+
+    A cut at or below U_FLOOR is moved below it, since a U of 0 is read as
+    U_FLOOR, as normal_quantile reads it, and lies on delta's side.
+    """
+    if delta == 0.0 or sigma == 0.0:
+        return None
+    cut = 0.5 * math.erfc(delta / (2.0 * sigma))
+    return cut - U_FLOOR if cut <= U_FLOOR else cut
+
+
 def _classify(
     draws: np.ndarray, values: np.ndarray | None, delta: float, sigma: float, rule: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per bit round, (correct, abstain): did the rule name the value, did it abstain.
+) -> np.ndarray:
+    """Per bit round, whether the rule named the value.
 
     The ML guess is correct iff (A - B) * delta < 0 for the Alice and Bob
     samples A, B, whatever the bit value: value 0 puts A on f0 and is named
     on a negative score, value 1 puts B on f0 and is named on a positive
     one. With A - B = -delta - sigma * sqrt(2) * Phi^-1(U) for the decision
-    draw U, that is so iff U lies on delta's side of Phi(-delta / (sigma
-    sqrt 2)), even where the samples nearly tie; U at it, and every call at
-    delta = 0, abstains, never correct. The random rule's draws are its
-    guesses; it never abstains, and only it reads the bit values.
+    draw U, that is so iff U lies strictly on delta's side of _ml_cut, even
+    where the samples nearly tie. The random rule's draws are its guesses;
+    only it reads the bit values.
     """
     if rule == RULE_RANDOM:
-        return draws == values, np.zeros(draws.size, dtype=bool)
-    if delta == 0.0 or sigma == 0.0:
-        return np.full(draws.size, delta != 0.0), np.full(draws.size, delta == 0.0)
-    threshold = 0.5 * math.erfc(delta / (2.0 * sigma))  # Phi(-delta / (sigma sqrt 2)), as pg_closed_form
-    if threshold <= U_FLOOR:  # a U of 0 is read as U_FLOOR, as normal_quantile reads it
-        threshold -= U_FLOOR
-    return (draws > threshold if delta > 0.0 else draws < threshold), draws == threshold
+        return draws == values
+    cut = _ml_cut(delta, sigma)
+    if cut is None:
+        return np.full(draws.size, delta != 0.0)
+    return draws > cut if delta > 0.0 else draws < cut
+
+
+def _abstain(
+    draws: np.ndarray, correct: np.ndarray, delta: float, sigma: float, rule: str
+) -> np.ndarray:
+    """Per bit round, whether the rule abstained, given _classify's verdicts.
+
+    The ML rule abstains on a tie: U at _ml_cut, or, where the verdict is
+    fixed, every call that is not correct (every call at delta = 0, none
+    at sigma = 0). An abstention is never correct. The random rule never
+    abstains. Only a session's trace writes this; a sweep counts missed
+    bits, abstained or wrong alike.
+    """
+    if rule == RULE_RANDOM:
+        return np.zeros(draws.size, dtype=bool)
+    cut = _ml_cut(delta, sigma)
+    return ~correct if cut is None else draws == cut
 
 
 def _slice_pg(delta: float, sigma: float, rule: str) -> float:

@@ -25,9 +25,34 @@ def draw_coins(rng: np.random.Generator, count: int) -> np.ndarray:
     several calls read the stream one call would iff every call but the
     last takes a multiple of 32 coins. No coins read nothing (rng.bytes(0)
     would read a word).
+
+    The engine's generators are default_rng's, PCG64. rng.bytes takes its
+    words one 32-bit draw at a time: a held spare half first (state
+    has_uint32, uinteger), then each 64-bit word's low half, holding its
+    high half as the spare for the next 32-bit draw. The coins read the
+    whole 64-bit words raw (bit_generator.random_raw), and take a held
+    spare, or an odd last word, by that same 32-bit draw. So the coins, and
+    every later draw of any kind, are those of rng.bytes, at about half its
+    cost (32,000 coins: 6 against 12 us).
     """
-    raw = rng.bytes(-(-count // 8)) if count else b""
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+    words = -(-count // 32)
+    if not words:
+        return np.zeros(0, dtype=np.uint8)
+    bit_generator = rng.bit_generator
+    spare = bit_generator.state["has_uint32"]
+    pairs, odd = divmod(words - spare, 2)
+    # each raw word's low half, then its high half, as little-endian 32-bit words
+    halves = bit_generator.random_raw(pairs).astype("<u8", copy=False).view("<u4")
+    if spare or odd:
+        c_api = bit_generator.ctypes
+        whole = np.empty(words, dtype="<u4")
+        if spare:
+            whole[0] = c_api.next_uint32(c_api.state)
+        whole[spare:spare + halves.size] = halves
+        if odd:
+            whole[-1] = c_api.next_uint32(c_api.state)
+        halves = whole
+    return np.unpackbits(halves.view(np.uint8), count=count)
 
 
 def run_session(

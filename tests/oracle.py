@@ -101,6 +101,6 @@ def estimate_rule_correctness(
         m = min(chunk, remaining)
         values = draw_coins(rng, m)
         draws = _decision_draws(rng, m, rule)
-        correct += int(_classify(draws, values, delta, cfg.sigma, rule)[0].sum())
+        correct += int(_classify(draws, values, delta, cfg.sigma, rule).sum())
         remaining -= m
     return correct / n_bit_rounds

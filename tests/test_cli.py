@@ -384,6 +384,49 @@ def test_frontier_from_csv_rejects_bad_row(tmp_path, capsys, cut):
     assert not (tmp_path / "frontier.csv").exists()
 
 
+@pytest.fixture
+def result_csv(tmp_path):
+    """A small sweep.csv in its own directory, to read back with frontier --from-csv."""
+    source = tmp_path / "source"
+    source.mkdir()
+    argv = ["sweep", "--seed", "4", "--k-list", "2", "--n-list", "8,16", "--trials", "10", "--out", str(source)]
+    assert main(argv) == EXIT_OK
+    return source / "sweep.csv"
+
+
+# each value is the flag's default, or the value a config file could hold, so a
+# refusal shows that the flag was typed, not that its value moved
+@pytest.mark.parametrize("flag, value", [
+    ("--k-list", "128"), ("--n-list", "60:600:10"), ("--d-be-list", "20"), ("--sigma-list", "8"),
+    ("--trials", "2000"), ("--rule", adversary.RULE_ML), ("--metric", experiments.METRIC_PER_BIT),
+    ("--geometry", "canonical"), ("--budget", str(SLOT_BUDGET)), ("--seed", "0"), ("--gamma", "3.5"),
+    ("--d0", "1"),
+])
+def test_frontier_from_csv_refuses_a_flag_it_would_ignore(tmp_path, capsys, result_csv, flag, value):
+    # the CSV's rows are read as they are, so a flag that shapes a sweep is
+    # refused before any output, as analyze --pb refuses the channel flags
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["frontier", "--from-csv", str(result_csv), flag, value, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: usage: argument {flag}: not allowed with argument --from-csv\n")
+    assert list(out.iterdir()) == []
+
+
+def test_frontier_from_csv_accepts_config_target_column_and_out(tmp_path, capsys, result_csv):
+    config = tmp_path / "config.json"
+    config.write_text('{"gamma": 2.0, "seed": 3}')
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [
+        "frontier", "--from-csv", str(result_csv), "--config", str(config), "--target", "0.3",
+        "--column", "p_analytic", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == ["frontier.csv", "frontier.gp"]
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir"
     assert main(["session", "--seed", "1", "--n-rounds", "5", "--out", str(missing)]) == EXIT_IO

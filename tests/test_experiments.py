@@ -32,6 +32,7 @@ from fhkex.experiments import (
     FrontierRow,
     ResultRow,
     SweepSpec,
+    _abstain,
     _classify,
     _judge,
     analytic_prob,
@@ -123,7 +124,7 @@ def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, see
     generated, correct = session.correct.size, session.correct
     delta = delta_mean_pathloss(*dep, cfg.gamma)
     (block,) = draw_slot_bits(rng_block, 400)
-    gen_mask, _, block_correct, _ = _judge(rng_block, block, delta, cfg.sigma, rule)
+    gen_mask, _, block_correct = _judge(rng_block, block, delta, cfg.sigma, rule)
     secret = ~block_correct
     wrong = np.flatnonzero(~correct)
     missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
@@ -287,6 +288,72 @@ def test_gathered_counts_cross_the_flush_limit(
     assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
 
 
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 8_100])
+def test_skipped_uniforms_leave_the_stream_where_drawn_ones_do(spare, m):
+    # advance drops a held spare 32-bit half, which random(m) leaves held
+    rng, twin = np.random.default_rng(m), np.random.default_rng(m)
+    if spare:
+        assert rng.integers(0, 2) == twin.integers(0, 2)
+    assert rng.bit_generator.state["has_uint32"] == spare
+    fhkex.experiments._skip_uniforms(rng, np.count_nonzero(np.ones(m)))  # a numpy count, as the engine passes
+    twin.random(m)
+    assert rng.bit_generator.state["has_uint32"] == twin.bit_generator.state["has_uint32"] == spare
+    assert rng.integers(0, 2, size=3).tolist() == twin.integers(0, 2, size=3).tolist()
+    assert np.array_equal(draw_coins(rng, 65), draw_coins(twin, 65))
+    assert rng.bytes(5) == twin.bytes(5)
+    assert rng.random(3).tolist() == twin.random(3).tolist()
+    assert rng.standard_normal(2).tolist() == twin.standard_normal(2).tolist()
+
+
+# a d_be 2 m slice at sigma 8, where p_g = 0.999994 and most blocks miss no bit;
+# a d_be 20 m one, whose shrunk blocks of 1 or 7 slots often miss none, so a
+# whole key can complete in a block that was skipped per bit; and an
+# equidistant sigma 0 slice, whose fixed verdict skips every decision uniform.
+# 600 slots make a default batch of 27 trials, whose coins fill an odd number
+# of 32-bit words, so a spare half is held across every other skip. 2,000
+# trials of 600 slots miss about 3.6 bits at d_be 2; shrunk blocks hold one
+# trial each, and judge 12 trials
+@pytest.mark.parametrize("block_slots", [BLOCK_SLOTS, 1, 7])
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+@pytest.mark.parametrize("d_ae, d_be, sigma", [(52.0, 2.0, 8.0), (70.0, 20.0, 8.0), (60.0, 60.0, 0.0)])
+def test_skipped_draws_and_blocks_keep_the_replayed_counts(
+    monkeypatch, d_ae, d_be, sigma, metric, block_slots
+):
+    ks, ns = (1, 2, 64, 128), (60, 300, 600)
+    trials = 2000 if block_slots == BLOCK_SLOTS else 12
+    cfg = ScenarioConfig(sigma=sigma)
+    delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    rng = np.random.default_rng(35)
+    monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
+    counts = slice_successes(rng, trials, ks, ns, delta, sigma, RULE_ML, metric)
+    expected, replay = _judge_sessions(35, trials, ks, ns, d_ae, d_be, cfg, RULE_ML, metric, block_slots)
+    assert counts.tolist() == expected.tolist()
+    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+    if d_be != 2.0 or block_slots == BLOCK_SLOTS:
+        assert counts.any()  # keys complete, among blocks that were skipped
+    if d_be == 2.0 and metric == METRIC_PER_BIT:
+        assert counts[-1].tolist() == [0, 0, 0]  # p_g near 1: no trial misses 128 bits
+
+
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+@pytest.mark.parametrize("d_ae, d_be, sigma", [(60.0, 60.0, 8.0), (70.0, 20.0, 0.0), (60.0, 60.0, 0.0)])
+def test_fixed_verdict_draws_no_decision(monkeypatch, d_ae, d_be, sigma, metric):
+    # at delta = 0 every ML call ties and at sigma = 0 every one is correct,
+    # so a sweep slice reads no decision uniform and draws none
+    def refuse(*args):
+        raise AssertionError("drew a decision uniform at a fixed verdict")
+
+    cfg = ScenarioConfig(sigma=sigma)
+    delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    monkeypatch.setattr(fhkex.experiments, "_decision_draws", refuse)
+    rng = np.random.default_rng(36)
+    counts = slice_successes(rng, 40, (0, 1, 30), (20, 100), delta, sigma, RULE_ML, metric)
+    expected, replay = _judge_sessions(36, 40, (0, 1, 30), (20, 100), d_ae, d_be, cfg, RULE_ML, metric)
+    assert counts.tolist() == expected.tolist()
+    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+
+
 def _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta):
     """The engine's earlier ML rule, kept verbatim as the reference: which
     sample sits on f0 follows the bit value; score 0 abstains."""
@@ -321,7 +388,8 @@ def test_ml_mask_matches_reference_rule(rows, distances, sigma):
     u = np.array([u for _, (u, _) in rows])
     # a tie of 1 is no draw: the last draw below it stands in
     draws = np.array([min(tie, 1.0 - 2.0**-53) if d is None else d for _, (_, d) in rows])
-    mask, abstain = _classify(draws, values, delta, sigma, RULE_ML)
+    mask = _classify(draws, values, delta, sigma, RULE_ML)
+    abstain = _abstain(draws, mask, delta, sigma, RULE_ML)
     assert mask.dtype == bool
     assert not mask[abstain].any()  # an abstention is never correct
     if delta == 0.0:
@@ -366,7 +434,7 @@ def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n)
     )
     seed = 1000 * trials + n
     rng = np.random.default_rng(seed)
-    generated, _, correct, _ = _judge(
+    generated, _, correct = _judge(
         rng, draw_coins(rng, 2 * trials * n).reshape(-1, 2), delta_mean_pathloss(70.0, 20.0, 3.5),
         8.0, rule,
     )
@@ -390,9 +458,9 @@ def test_batch_of_trials_judges_as_one_long_session(monkeypatch, rule, d_ae, d_b
     cfg = ScenarioConfig(sigma=8.0)
     rng_batch = np.random.default_rng(seed)
     bits = draw_coins(rng_batch, 2 * trials * n).reshape(-1, 2)
-    generated, _, correct, abstain = _judge(
-        rng_batch, bits, delta_mean_pathloss(d_ae, d_be, cfg.gamma), cfg.sigma, rule
-    )
+    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    generated, draws, correct = _judge(rng_batch, bits, delta, cfg.sigma, rule)
+    abstain = _abstain(draws, correct, delta, cfg.sigma, rule)
     monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", 16)  # the session spans 12 blocks
     rng_session = np.random.default_rng(seed)
     session = simulate_session_counts(rng_session, trials * n, d_ae, d_be, cfg, rule)
