@@ -264,6 +264,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _make_spec(args: argparse.Namespace) -> experiments.SweepSpec:
     """The sweep's spec, checked in full before its seed is resolved (and an auto seed echoed)."""
+    if args.budget < 1:  # it also caps the axes' ranges, which would take the blame
+        raise scenario.ConfigError("invalid-budget", f"--budget must be >= 1, got {args.budget}")
     cfg = _build_scenario(args)
     spec = experiments.SweepSpec(
         k=_parse_axis(args.k_list, int, args.budget),

@@ -6,9 +6,10 @@ where available, the closed-form probability. Each (d_be, sigma) slice
 simulates its sessions once, at the longest n, from one default_rng
 (PCG64) stream seeded by (base_seed, slice index); every (k, n) row of the
 slice is read off prefixes of those same sessions (common random numbers),
-and counted from the one slot per trial and k that completes its key (see
-slice_successes). A slice holds 2 bytes per slot of a batch of trials'
-coins plus one block of BLOCK_SLOTS slots, as a session does. The slices
+and counted from the one slot per trial and k that completes its key, all
+k of a block in one array pass (see slice_successes). A slice holds 2 bytes
+per slot of a batch of trials' coins plus one block of BLOCK_SLOTS slots, as
+a session does, and its counts, one per (distinct k, n value). The slices
 share no state and run one after another, in index order, on the calling
 thread; results are a pure function of the spec. A slice's block loop is
 short numpy calls and Python glue under the GIL, so two threads ran slower
@@ -21,6 +22,7 @@ a block that misses no bit is not indexed (see slice_successes).
 
 from __future__ import annotations
 
+import bisect
 import copy
 import csv
 import itertools
@@ -51,7 +53,9 @@ METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 #: Slots judged at once. A session, and a sweep batch of BLOCK_SLOTS // n trials
 #: (at least one), draw their coins at once and judge them in blocks of
 #: BLOCK_SLOTS slots, so each holds 2 bytes per slot of its coins plus one block.
-#: Also about the most completing slots a sweep slice holds between its counts.
+#: Also the most (trial, k) cells a sweep block counts at once, as it takes only
+#: the k whose completing bit it holds: at most n distinct k for a batch of
+#: several trials, and at most BLOCK_SLOTS for one trial's block of bits.
 BLOCK_SLOTS = 16_384
 
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
@@ -276,10 +280,10 @@ def slice_successes(
     run in batches of BLOCK_SLOTS // n_max, at least one, whose coins come
     from one draw_slot_bits call and are judged block by block, as
     session_blocks judges them: 2 bytes per slot of coins plus one block.
-    Each counted k gathers its trials' completing slots, as offsets within
-    their trials, and counts them against the n axis in one sort and one
-    search once the slots held over every k reach BLOCK_SLOTS, and at the
-    end; the counts are those of counting batch by batch.
+    Each block bins, in one array pass, the completing slots it holds, as
+    offsets within their trials, into one (distinct k) x (n values)
+    histogram, summed along n at the end; its (trial, k) arrays stay within
+    BLOCK_SLOTS cells.
 
     rng is a default_rng (PCG64) generator. Only what a count reads is
     drawn or indexed, and the stream is that of drawing everything: an ML
@@ -290,31 +294,29 @@ def slice_successes(
     p_g = 0.999994) most blocks miss no bit.
     """
     n_max = max(n_rounds)
-    n_axis = np.asarray(n_rounds)
     whole_key = metric == METRIC_WHOLE_KEY
-    successes = np.zeros((len(ks), n_axis.size), dtype=np.int64)
-    # k = 0 is settled without bits, and a trial has at most n_max bits, so no
-    # larger k is ever reached: only 0 < k <= n_max are counted, each with the
-    # completing slots it has gathered since its last count
-    counted = []
-    for i, k in enumerate(ks):
-        if 0 < k <= n_max:
-            counted.append((i, k, []))
-        elif k == 0 and not whole_key:
-            successes[i] = trials
+    # k = 0 needs no bit and no trial has more than n_max, so only the distinct
+    # 0 < k <= n_max are counted, also as kth, the index k - 1 of their bit
+    keys = sorted({k for k in ks if 0 < k <= n_max})
+    kth = np.array(keys, dtype=np.int64) - 1
+    ns = np.array(sorted(n_rounds))
     # a fixed ML verdict (see _ml_cut) reads no decision draw: its uniforms are
     # skipped, not drawn, and every bit is missed at delta = 0, none at sigma = 0
     fixed = rule == RULE_ML and _ml_cut(delta, sigma) is None
     batch = max(1, BLOCK_SLOTS // n_max)
     # where each trial of a full batch starts among its trial * n_max + slot
-    # indices, and where the last one ends
-    trial_starts = np.arange(0, (batch + 1) * n_max, n_max)
-    held = 0  # completing slots held at most: trials gathered since the last count, times counted k
+    # indices, one per row, and where the last one ends. The i-th key's slot at
+    # offset o in its trial is coded i n_max + o, its index plus shift, which
+    # counts at each n > o as it falls below the sorted edges i n_max + n
+    trial_starts = np.arange(0, (batch + 1) * n_max, n_max)[:, None]
+    shift = np.arange(0, kth.size * n_max, n_max) - trial_starts[:batch]
+    edges = np.add.outer(shift[0], ns).ravel()
+    hist = np.zeros(edges.size, dtype=np.int64)
     for start in range(0, trials, batch):
         size = min(batch, trials - start)
-        # counted bits and slots before each block, and each trial's first secret
-        # bit by rank, n_max or more until found: only one trial spans blocks
-        base, offset, rank = 0, 0, n_max
+        # counted bits and slots before each block, each trial's first secret bit
+        # by rank (n_max or more until found; one trial spans blocks), the first key due
+        base, offset, rank, lo = 0, 0, n_max, 0
         for bits in draw_slot_bits(rng, size * n_max):
             if fixed:
                 generated = _generated(bits)
@@ -334,32 +336,32 @@ def slice_successes(
                 slots = slots.compress(secret)
             if offset:
                 slots += offset
-            # where each trial's bits start in the stream, and where the last trial's end
             bounds = slots.searchsorted(trial_starts[:size + 1])
-            firsts, ends, starts = bounds[:-1], bounds[1:], trial_starts[:size]
+            firsts, ends = bounds[:-1], bounds[1:]
             if whole_key:
                 secret_at = np.append(secret.nonzero()[0], slots.size + n_max)
                 rank = np.minimum(rank, secret_at[secret_at.searchsorted(firsts)] - firsts + base)
-            for _, k, completing in counted:
-                if k <= base:  # its bit was in an earlier block
-                    continue
-                at = firsts + (k - 1 - base)
+            # only the keys whose completing bit this block holds (see BLOCK_SLOTS)
+            hi = bisect.bisect_right(keys, base + slots.size)
+            if lo < hi:
+                at = firsts + kth[lo:hi]
+                if base:
+                    at -= base
                 done = at < ends
                 if whole_key:
-                    done &= rank < k
-                # each done trial's completing slot, as an offset within its trial
-                completing.append(slots[at.compress(done)] - starts.compress(done))
-            base, offset = base + slots.size, offset + len(bits)
-        held += size * len(counted)
-        # count when this batch brings the held slots to BLOCK_SLOTS, or ends
-        # the slice: each k holds at most one slot per trial, so however many
-        # k there are, fewer than BLOCK_SLOTS plus one batch are ever held
-        if held >= BLOCK_SLOTS or start + size == trials:
-            for i, _, completing in counted:
-                if completing:  # none where every block since the last count was skipped
-                    successes[i] += np.sort(np.concatenate(completing)).searchsorted(n_axis)
-                    completing.clear()
-            held = 0
+                    done &= rank <= kth[lo:hi]
+                codes = (slots.take(at, mode="clip") + shift[:size, lo:hi])[done]
+                hist += np.bincount(edges.searchsorted(codes, side="right"), minlength=hist.size)
+            base, offset, lo = base + slots.size, offset + len(bits), hi
+    counts = hist.reshape(kth.size, ns.size)
+    np.add.accumulate(counts, axis=1, out=counts)  # summed along n, in place
+    cols = ns.searchsorted(n_rounds)
+    successes = np.zeros((len(ks), len(n_rounds)), dtype=np.int64)
+    for i, k in enumerate(ks):
+        if 0 < k <= n_max:
+            successes[i] = counts[bisect.bisect_left(keys, k), cols]
+        elif k == 0 and not whole_key:
+            successes[i] = trials
     return successes
 
 

@@ -701,6 +701,21 @@ def test_sweep_refuses_range_longer_than_budget(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("axes", [
+    [],  # the default axes, whose n range is longer than any budget below 1
+    ["--k-list", "4", "--n-list", "20,40", "--d-be-list", "20", "--sigma-list", "8"],
+])
+@pytest.mark.parametrize("command", ["sweep", "frontier"])
+def test_sweep_refuses_budget_below_one_before_its_axes(tmp_path, capsys, command, axes, budget):
+    args = [command, "--seed", "1", *axes, "--trials", "1", "--budget", budget, "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid-budget: --budget must be >= 1, got {budget}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("target", ["2", "0", "1", "nan", "-0.5"])
 @pytest.mark.parametrize("from_csv", [False, True])
 def test_frontier_rejects_target_outside_unit_interval(tmp_path, capsys, target, from_csv):

@@ -269,11 +269,10 @@ def test_gathered_counts_cross_the_flush_limit(
     # BLOCK_SLOTS shrunk in the engine and the replay alike, so a trial longer
     # than BLOCK_SLOTS is a one-trial batch that the engine judges over several
     # blocks, with one decision call each, and the replay in one call. The
-    # engine holds up to one completing slot per trial and counted k (k = 1
-    # always is one) and counts them once that bound reaches BLOCK_SLOTS, so a
-    # count covers fewer than BLOCK_SLOTS trials plus one batch of at most
-    # BLOCK_SLOTS trials: under 32, and 100 trials cross the limit at least
-    # three times
+    # engine counts each block's completing slots as the block ends, over the
+    # counted k (k = 1 always is one) whose completing bit the block holds;
+    # 100 trials, in batches of at most BLOCK_SLOTS (under 17) trials, span at
+    # least seven blocks
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
     rng = np.random.default_rng(seed)
@@ -286,6 +285,30 @@ def test_gathered_counts_cross_the_flush_limit(
     )
     assert counts.tolist() == expected.tolist()
     assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+
+
+# one trial of 200 slots with every k from 0 to n_max + 1 counted, repeated and
+# out of order: in blocks of 7 slots the trial spans 29 blocks, and by the
+# later ones most k completed in an earlier block; by default it is one block.
+# At d_be 20 and sigma 8 (p_g about 0.95) about 5 of its bits are secret and
+# 100 generated, so the per-bit counts stop at a small k and the whole-key ones
+# near k = 100
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("block_slots", [BLOCK_SLOTS, 7])
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+def test_every_key_size_of_a_trial_that_spans_blocks(monkeypatch, metric, block_slots, seed):
+    n_max = 200
+    ks = [*range(n_max + 2)][::-1] + [*range(0, n_max + 2, 3)]
+    ns = (n_max, 1, 57, 130, 57)
+    cfg = ScenarioConfig(sigma=8.0)
+    delta = delta_mean_pathloss(70.0, 20.0, cfg.gamma)
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
+    counts = slice_successes(rng, 1, ks, ns, delta, cfg.sigma, RULE_ML, metric)
+    expected, replay = _judge_sessions(seed, 1, ks, ns, 70.0, 20.0, cfg, RULE_ML, metric, block_slots)
+    assert counts.tolist() == expected.tolist()
+    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+    assert any(row[0] for k, row in zip(ks, counts) if k > 1)  # more than one bit, at n = n_max
 
 
 @pytest.mark.parametrize("spare", [False, True])
@@ -491,6 +514,38 @@ def test_long_trial_holds_its_coins_plus_one_block(rule, metric):
         tracemalloc.stop()
     assert peak < 3 * n
     assert counts[2].tolist() == [1, 1, 1]  # 64 secret bits, or generated bits, come early
+
+
+def test_counting_every_key_size_holds_the_counts_plus_one_block(monkeypatch):
+    # a block takes only the counted k whose completing bit it holds, so its
+    # (trial, k) arrays stay within BLOCK_SLOTS cells however many k are
+    # counted. Counting every k of a one-trial slice adds to what counting
+    # k = 1 holds only the slice's six arrays of one cell per k (n is single
+    # here): the keys as a list and as an array, their code shifts, the edges,
+    # the histogram and the returned counts. Arrays of (trial, k) cells over
+    # every k would add two more at once
+    n, block = 2**14, 256
+    monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", block)
+    delta = delta_mean_pathloss(70.0, 20.0, 3.5)
+    every_k = tuple(range(1, n + 1))
+
+    def peak(ks, metric):
+        rng = np.random.default_rng(18)
+        tracemalloc.start()
+        try:
+            counts = slice_successes(rng, 1, ks, (n,), delta, 8.0, RULE_ML, metric)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top, counts
+
+    for metric in (METRIC_PER_BIT, METRIC_WHOLE_KEY):
+        peak((1,), metric)  # numpy's first calls allocate once, outside the measure
+        one, (one_count,) = peak((1,), metric)
+        every, counts = peak(every_k, metric)
+        assert every < one + 6 * n * 8 + 16 * block * 8, metric
+        assert counts[0].tolist() == one_count.tolist()
+        assert counts[:, 0].any() and not counts[:, 0].all()  # keys complete, not every one
 
 
 def test_engine_counts_every_trial_across_blocks():
