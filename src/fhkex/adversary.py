@@ -112,29 +112,32 @@ def simulate_eavesdropper(
     d_ae: float,
     d_be: float,
     cfg: ScenarioConfig,
-    rng: np.random.Generator,
+    decisions: np.random.PCG64,
+    trace: np.random.Generator,
     rule: str = RULE_ML,
 ) -> tuple[list[list[float]], list[int | None]]:
     """Eve's samples and calls on the bit-generating slots of a session's bits.
 
     Returns, per slot whose bits differ, in slot order: Alice's and Bob's RSS
     [A, B] at Eve (dBm), and the call on the key bit, 0, 1 or None for an
-    abstention. Draw order, as in the vectorized engine, one draw per bit
-    slot in slot order: first the decision draws (ML: U, random rule: the
-    guess), then the trace-only draws (ML: u, random rule: u and v per slot).
+    abstention. Draw order, as in the vectorized engine, per bit slot in slot
+    order: one raw 64-bit word w from decisions (random rule: its top bit is
+    the guess; ML: U = (w >> 11) 2^-53), and from trace the draws that place
+    the samples (ML: u, random rule: u and v).
     The ML call is the sign of gap * delta, delta = PL(d_ae) - PL(d_be), None
     on a tie; the f0 - f1 gap is A - B = -delta - sigma * sqrt(2) * v (Alice
     on f0) for a bit 0 and B - A for a 1, with v = normal_quantile(U), not the
     engine's threshold on U.
     """
     values = [a for a, b in zip(alice, bob) if a != b]
+    words = [decisions.random_raw() for _ in values]
     if rule == RULE_RANDOM:
-        calls = [int(rng.integers(0, 2)) for _ in values]
-        uv = [(rng.standard_normal(), rng.standard_normal()) for _ in values]
+        calls = [w >> 63 for w in words]
+        uv = [(trace.standard_normal(), trace.standard_normal()) for _ in values]
     else:
         calls = []  # made in the loop below
-        v = normal_quantile(np.array([rng.random() for _ in values])).tolist()
-        uv = [(rng.standard_normal(), vi) for vi in v]
+        v = normal_quantile(np.array([(w >> 11) * 2.0**-53 for w in words])).tolist()
+        uv = [(trace.standard_normal(), vi) for vi in v]
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     pl_ae, pl_be = path_loss_deterministic(d_ae, cfg), path_loss_deterministic(d_be, cfg)
     samples = []

@@ -202,10 +202,11 @@ def _cmd_session(args: argparse.Namespace) -> int:
         raise experiments.BudgetError(f"{cfg.n_rounds} slots exceed budget {experiments.SLOT_BUDGET}")
     out = _output_dir(args)
     cfg = dataclasses.replace(cfg, seed=_resolve_seed(args, cfg))
-    rng = np.random.default_rng(cfg.seed)
-    blocks = experiments.draw_slot_bits(rng, cfg.n_rounds)
+    coins, decisions, trace = experiments.session_streams(cfg.seed)
+    # listed: the transcript reads the blocks twice, for its key line and its rows
+    blocks = list(experiments.draw_slot_bits(coins, cfg.n_rounds))
     if args.eve:
-        judged = experiments.session_blocks(rng, blocks, d_ae, d_be, cfg, args.rule)
+        judged = experiments.session_blocks(decisions, trace, blocks, d_ae, d_be, cfg, args.rule)
     path = out / "transcript.csv"
     generated = protocol.write_transcript_csv(blocks, dest=str(path), seed=cfg.seed)
     print(f"wrote {path}")
@@ -267,11 +268,12 @@ def _make_spec(args: argparse.Namespace) -> experiments.SweepSpec:
     if args.budget < 1:  # it also caps the axes' ranges, which would take the blame
         raise scenario.ConfigError("invalid-budget", f"--budget must be >= 1, got {args.budget}")
     cfg = _build_scenario(args)
+    limit = min(args.budget, experiments.ROW_LIMIT)  # no axis is longer than the grid
     spec = experiments.SweepSpec(
-        k=_parse_axis(args.k_list, int, args.budget),
-        n_rounds=_parse_axis(args.n_list, int, args.budget),
-        d_be=_parse_axis(args.d_be_list, float, args.budget),
-        sigma=_parse_axis(args.sigma_list, float, args.budget),
+        k=_parse_axis(args.k_list, int, limit),
+        n_rounds=_parse_axis(args.n_list, int, limit),
+        d_be=_parse_axis(args.d_be_list, float, limit),
+        sigma=_parse_axis(args.sigma_list, float, limit),
         trials=args.trials,
         rule=args.rule,
         metric=args.metric,

@@ -3,39 +3,40 @@
 Each grid point reports the fraction of protocol sessions against the
 eavesdropper that met the key-size target, with a Wilson 95% interval and,
 where available, the closed-form probability. Each (d_be, sigma) slice
-simulates its sessions once, at the longest n, from one default_rng
-(PCG64) stream seeded by (base_seed, slice index); every (k, n) row of the
-slice is read off prefixes of those same sessions (common random numbers),
-and counted from the one slot per trial and k that completes its key, all
-k of a block in one array pass (see slice_successes). A slice holds 2 bytes
-per slot of a batch of trials' coins plus one block of BLOCK_SLOTS slots, as
-a session does, and its counts, one per (distinct k, n value). The slices
-share no state and run one after another, in index order, on the calling
-thread; results are a pure function of the spec. A slice's block loop is
-short numpy calls and Python glue under the GIL, so two threads ran slower
-than one: 2.94 vs 2.44 ms for the bench frontier spec (3 slices), 212 vs
-173 ms for an 8-slice, 10^4-trial sweep (2 vCPUs, Python 3.11.7, numpy 2.4.6).
-A slice draws only what its counts read, yet every byte is that of drawing
-it all: a fixed ML verdict advances past its decision uniforms, and per bit
-a block that misses no bit is not indexed (see slice_successes).
+simulates its sessions once, at the longest n, from a coin and a decision
+stream (protocol.stream) keyed by its parameters, the entropy (base_seed,
+float64 bits of d_be, float64 bits of sigma): a slice's rows do not depend
+on the other distances or sigmas, or on their order, and a repeated
+distance repeats its rows. Every (k, n) row of the slice is read off
+prefixes of those same sessions (common random numbers), and counted from
+the one slot per trial and k that completes its key, all k of a block in
+one array pass (see slice_successes). A slice draws its coins block by
+block, so it holds one block of BLOCK_SLOTS slots and its counts, one per
+(distinct k, n value). The slices share no state and run one after
+another, in grid order, on the calling thread; results are a pure function
+of the spec. A slice's block loop is short numpy calls and Python glue
+under the GIL, so two threads ran slower than one: 2.94 vs 2.44 ms for the
+bench frontier spec (3 slices), 212 vs 173 ms for an 8-slice, 10^4-trial
+sweep (2 vCPUs, Python 3.11.7, numpy 2.4.6). A slice draws only what its
+counts read: a fixed ML verdict reads nothing from its decision stream, and
+per bit a block that misses no bit is not indexed (see slice_successes).
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
 from .adversary import RULE_ML, RULE_RANDOM, RULES, U_FLOOR, normal_quantile, pg_closed_form, rss_samples
 from .analysis import COLLISION_PROB, key_probs, secret_bit_prob
 from .channel import delta_mean_pathloss
-from .protocol import draw_coins
+from .protocol import COINS, DECISIONS, TRACE, draw_coins, stream
 from .scenario import (
     GEOMETRIES,
     GEOMETRY_CANONICAL,
@@ -50,9 +51,9 @@ METRIC_PER_BIT = "per-bit-secret"
 METRIC_WHOLE_KEY = "whole-key"
 METRICS = (METRIC_PER_BIT, METRIC_WHOLE_KEY)
 
-#: Slots judged at once. A session, and a sweep batch of BLOCK_SLOTS // n trials
-#: (at least one), draw their coins at once and judge them in blocks of
-#: BLOCK_SLOTS slots, so each holds 2 bytes per slot of its coins plus one block.
+#: Slots drawn and judged at once. A session, and a sweep batch of
+#: BLOCK_SLOTS // n trials (at least one), draw and judge their coins in blocks
+#: of BLOCK_SLOTS slots; a sweep holds one block, a session all of its blocks.
 #: Also the most (trial, k) cells a sweep block counts at once, as it takes only
 #: the k whose completing bit it holds: at most n distinct k for a batch of
 #: several trials, and at most BLOCK_SLOTS for one trial's block of bits.
@@ -61,11 +62,14 @@ BLOCK_SLOTS = 16_384
 #: Default cap on the slots one sweep (slices x trials x longest n) or session may simulate.
 SLOT_BUDGET = 50_000_000
 
+#: The most rows (grid points) one sweep may write, checked before any axis is copied.
+ROW_LIMIT = 1_000_000
+
 WILSON_Z = 1.959963984540054  #: the two-sided 95% standard normal quantile
 
 
 class BudgetError(ValueError):
-    """The slots a sweep would simulate exceed the configured budget."""
+    """The slots a sweep would simulate exceed the configured budget, or its rows ROW_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,9 @@ class SweepSpec:
     scenario: ScenarioConfig = ScenarioConfig()
 
     def __post_init__(self):
+        rows = math.prod(map(len, (self.k, self.n_rounds, self.d_be, self.sigma)))
+        if rows > ROW_LIMIT:
+            raise BudgetError(f"{rows} grid points (k x n x d_be x sigma) exceed the row limit {ROW_LIMIT}")
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         object.__setattr__(self, "n_rounds", tuple(int(v) for v in self.n_rounds))
         object.__setattr__(self, "d_be", tuple(float(v) for v in self.d_be))
@@ -168,54 +175,62 @@ class Session(NamedTuple):
     abstain: np.ndarray  # (generated,) Eve abstained: an ML tie
 
 
-def draw_slot_bits(rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    """Alice's and Bob's bit for n slots, in blocks of BLOCK_SLOTS slots: (m, 2) uint8 views.
+def draw_slot_bits(coins: np.random.PCG64, n: int) -> Iterator[np.ndarray]:
+    """Alice's and Bob's bit for n slots, drawn block by block: (m, 2) uint8 arrays of BLOCK_SLOTS slots.
 
-    The coins of one draw_coins call of 2n interleaved Alice/Bob bits, cut
-    into blocks, so the bits do not depend on the block size.
+    The coins of one draw_coins call of 2n interleaved Alice/Bob bits: each
+    block reads the whole words it needs and holds the rest of its last word
+    for the next, so the bits do not depend on the block size.
     """
-    bits = draw_coins(rng, 2 * n).reshape(-1, 2)
-    return [bits[i:i + BLOCK_SLOTS] for i in range(0, n, BLOCK_SLOTS)]
+    held = np.zeros(0, dtype=np.uint8)
+    for start in range(0, n, BLOCK_SLOTS):
+        count = 2 * min(BLOCK_SLOTS, n - start)
+        bits = draw_coins(coins, -(-(count - held.size) // 64) * 64)
+        if held.size:
+            bits = np.concatenate((held, bits))
+        held = bits[count:]
+        yield bits[:count].reshape(-1, 2)
 
 
 def session_blocks(
-    rng: np.random.Generator, blocks: Sequence[np.ndarray], d_ae: float, d_be: float,
-    cfg: ScenarioConfig, rule: str = RULE_ML,
+    decisions: np.random.PCG64, trace: np.random.Generator, blocks: Iterable[np.ndarray],
+    d_ae: float, d_be: float, cfg: ScenarioConfig, rule: str = RULE_ML,
 ) -> Iterator[Session]:
     """The eavesdropper on the slot bits of draw_slot_bits, one Session per block.
 
-    Continues the stream that drew the bits: the decision draws of every
-    generated bit in slot order (see _judge), then the trace-only draws
-    that place the written samples: u per bit for the ML rule (v is its
-    decision draw's normal_quantile), u and v per bit for the random rule.
-    The trace draws come from a copy of rng that has skipped every decision
-    draw; rng itself ends after the decision draws, where a one-trial batch
-    of slice_successes ends.
+    Per generated bit in slot order, one decision word (see _judge) and the
+    trace draws that place the written samples: u for the ML rule (v is
+    normal_quantile of its word's uniform U), u and v for the random rule.
     """
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    trace_rng = type(rng)(copy.copy(rng.bit_generator))  # independent; cheaper than copy.deepcopy(rng)
     for block in blocks:
-        _decision_draws(trace_rng, np.count_nonzero(block[:, 0] != block[:, 1]), rule)
-    for block in blocks:
-        _, draws, correct = _judge(rng, block, delta, cfg.sigma, rule)
-        abstain = _abstain(draws, correct, delta, cfg.sigma, rule)
+        _, words, correct = _judge(decisions, block, delta, cfg.sigma, rule)
+        uniforms = (words >> 11) * 2.0**-53  # U, as Generator.random reads a word
+        abstain = _abstain(uniforms, correct, delta, cfg.sigma, rule)
         if rule == RULE_RANDOM:
-            u, v = trace_rng.standard_normal((draws.size, 2)).T
+            u, v = trace.standard_normal((words.size, 2)).T
         else:
-            u, v = trace_rng.standard_normal(draws.size), normal_quantile(draws)
+            u, v = trace.standard_normal(words.size), normal_quantile(uniforms)
         yield Session(block[:, 0], block[:, 1], rss_samples(u, v, d_ae, d_be, cfg), correct, abstain)
 
 
+def session_streams(seed: int) -> tuple[np.random.PCG64, np.random.PCG64, np.random.Generator]:
+    """A session's coin and decision streams and its trace Generator, keyed by its seed alone."""
+    entropy = (seed,)
+    return stream(entropy, COINS), stream(entropy, DECISIONS), np.random.Generator(stream(entropy, TRACE))
+
+
 def simulate_session_counts(
-    rng: np.random.Generator,
+    seed: int,
     n: int,
     d_ae: float,
     d_be: float,
     cfg: ScenarioConfig,
     rule: str = RULE_ML,
 ) -> Session:
-    """One full session plus eavesdropper, drawn as the per-round engine draws: session_blocks joined."""
-    blocks = session_blocks(rng, draw_slot_bits(rng, n), d_ae, d_be, cfg, rule)
+    """One full session plus eavesdropper from the streams of seed, as `fhkex session` draws it: session_blocks joined."""
+    coins, decisions, trace = session_streams(seed)
+    blocks = session_blocks(decisions, trace, draw_slot_bits(coins, n), d_ae, d_be, cfg, rule)
     return Session(*map(np.concatenate, zip(*blocks)))
 
 
@@ -229,44 +244,28 @@ def _generated(bits: np.ndarray) -> np.ndarray:
 
 
 def _judge(
-    rng: np.random.Generator, bits: np.ndarray, delta: float, sigma: float, rule: str
+    decisions: np.random.PCG64, bits: np.ndarray, delta: float, sigma: float, rule: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eavesdropper on (m, 2) uint8 coin pairs laid out as draw_slot_bits
     gives them, at mean path-loss gap delta (channel.delta_mean_pathloss) and
-    shadowing sigma: (generated, draws, correct), the (m,) slot mask of
+    shadowing sigma: (generated, words, correct), the (m,) slot mask of
     generated key bits, then per generated bit in slot order its decision
-    draw and whether _classify names its value.
+    word, one raw 64-bit word of decisions, and whether _classify names its
+    value.
 
-    One decision draw per generated bit, so T trials of n slots judged as
+    One decision word per generated bit, so T trials of n slots judged as
     one batch draw and decide what one session of T n slots does.
     """
     generated = _generated(bits)
     values = bits[:, 0][generated] if rule == RULE_RANDOM else None
-    draws = _decision_draws(rng, np.count_nonzero(generated), rule)
-    return generated, draws, _classify(draws, values, delta, sigma, rule)
-
-
-def _skip_uniforms(rng: np.random.Generator, m: int) -> None:
-    """Move rng past m uniforms, where rng.random(m) would leave it, without drawing them.
-
-    Each uniform is one 64-bit word of default_rng's PCG64, so this is its
-    bit generator's advance(m). advance also drops a held spare 32-bit half
-    (see protocol.draw_coins), which rng.random leaves held, so a held one
-    is put back.
-    """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    bit_generator.advance(int(m))  # advance takes a Python int, not a numpy one
-    if state["has_uint32"]:
-        spare = state["uinteger"]
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = 1, spare
-        bit_generator.state = state
+    words = decisions.random_raw(np.count_nonzero(generated))
+    return generated, words, _classify(words, values, delta, sigma, rule)
 
 
 def slice_successes(
-    rng: np.random.Generator, trials: int, ks: Sequence[int], n_rounds: Sequence[int],
-    delta: float, sigma: float, rule: str = RULE_ML, metric: str = METRIC_PER_BIT,
+    coins: np.random.PCG64, decisions: np.random.PCG64, trials: int, ks: Sequence[int],
+    n_rounds: Sequence[int], delta: float, sigma: float, rule: str = RULE_ML,
+    metric: str = METRIC_PER_BIT,
 ) -> np.ndarray:
     """Successful trials per (k, n), shape (len(ks), len(n_rounds)).
 
@@ -278,18 +277,16 @@ def slice_successes(
     generated bit, if its first secret bit is among its first k. So k = 0
     succeeds on every trial per bit and on none for the whole key. Trials
     run in batches of BLOCK_SLOTS // n_max, at least one, whose coins come
-    from one draw_slot_bits call and are judged block by block, as
-    session_blocks judges them: 2 bytes per slot of coins plus one block.
-    Each block bins, in one array pass, the completing slots it holds, as
-    offsets within their trials, into one (distinct k) x (n values)
-    histogram, summed along n at the end; its (trial, k) arrays stay within
+    from one draw_slot_bits call on the coin stream, drawn and judged block
+    by block as a session's are, so a slice holds one block. Each block
+    bins, in one array pass, the completing slots it holds, as offsets
+    within their trials, into one (distinct k) x (n values) histogram,
+    summed along n at the end; its (trial, k) arrays stay within
     BLOCK_SLOTS cells.
 
-    rng is a default_rng (PCG64) generator. Only what a count reads is
-    drawn or indexed, and the stream is that of drawing everything: an ML
-    slice whose verdict is fixed (delta = 0 or sigma = 0) advances rng past
-    each block's decision uniforms (_skip_uniforms) instead of drawing
-    them, and for the per-bit metric a block that misses no bit completes
+    Only what a count reads is drawn or indexed: an ML slice whose verdict
+    is fixed (delta = 0 or sigma = 0) reads nothing from its decision
+    stream, and for the per-bit metric a block that misses no bit completes
     no key, so its slots are not indexed. Near a node (d_be 2 m at sigma 8,
     p_g = 0.999994) most blocks miss no bit.
     """
@@ -300,8 +297,8 @@ def slice_successes(
     keys = sorted({k for k in ks if 0 < k <= n_max})
     kth = np.array(keys, dtype=np.int64) - 1
     ns = np.array(sorted(n_rounds))
-    # a fixed ML verdict (see _ml_cut) reads no decision draw: its uniforms are
-    # skipped, not drawn, and every bit is missed at delta = 0, none at sigma = 0
+    # a fixed ML verdict (see _ml_cut) reads no decision word: every bit is
+    # missed at delta = 0, none at sigma = 0
     fixed = rule == RULE_ML and _ml_cut(delta, sigma) is None
     batch = max(1, BLOCK_SLOTS // n_max)
     # where each trial of a full batch starts among its trial * n_max + slot
@@ -317,14 +314,12 @@ def slice_successes(
         # counted bits and slots before each block, each trial's first secret bit
         # by rank (n_max or more until found; one trial spans blocks), the first key due
         base, offset, rank, lo = 0, 0, n_max, 0
-        for bits in draw_slot_bits(rng, size * n_max):
+        for bits in draw_slot_bits(coins, size * n_max):
             if fixed:
                 generated = _generated(bits)
-                count = np.count_nonzero(generated)
-                _skip_uniforms(rng, count)
-                secret = np.full(count, delta == 0.0)
+                secret = np.full(np.count_nonzero(generated), delta == 0.0)
             else:
-                generated, _, correct = _judge(rng, bits, delta, sigma, rule)
+                generated, _, correct = _judge(decisions, bits, delta, sigma, rule)
                 secret = ~correct
             if not (whole_key or secret.any()):
                 offset += len(bits)  # no key completes in a block that misses no bit
@@ -365,16 +360,6 @@ def slice_successes(
     return successes
 
 
-def _decision_draws(rng: np.random.Generator, m: int, rule: str) -> np.ndarray:
-    """The draws that decide m bit rounds: one guess each for the random rule, else one uniform U.
-
-    U stands for v = Phi^-1(U), the normalised difference of the shadowing draws (adversary.rss_samples).
-    """
-    if rule == RULE_RANDOM:
-        return rng.integers(0, 2, size=m)
-    return rng.random(m)
-
-
 def _ml_cut(delta: float, sigma: float) -> float | None:
     """The decision draw U at which the ML rule ties, Phi(-delta / (sigma sqrt 2)),
     as pg_closed_form computes it; None where no draw decides: at delta = 0
@@ -390,30 +375,35 @@ def _ml_cut(delta: float, sigma: float) -> float | None:
 
 
 def _classify(
-    draws: np.ndarray, values: np.ndarray | None, delta: float, sigma: float, rule: str
+    words: np.ndarray, values: np.ndarray | None, delta: float, sigma: float, rule: str
 ) -> np.ndarray:
-    """Per bit round, whether the rule named the value.
+    """Per bit round, whether the rule named the value, from its uint64 decision word w.
 
+    The random rule's guess is w's top bit; only it reads the bit values.
     The ML guess is correct iff (A - B) * delta < 0 for the Alice and Bob
     samples A, B, whatever the bit value: value 0 puts A on f0 and is named
     on a negative score, value 1 puts B on f0 and is named on a positive
-    one. With A - B = -delta - sigma * sqrt(2) * Phi^-1(U) for the decision
-    draw U, that is so iff U lies strictly on delta's side of _ml_cut, even
-    where the samples nearly tie. The random rule's draws are its guesses;
-    only it reads the bit values.
+    one. With A - B = -delta - sigma * sqrt(2) * Phi^-1(U) for w's uniform
+    U = (w >> 11) 2^-53, Generator.random's, that is so iff U lies strictly
+    on delta's side of _ml_cut, even where the samples nearly tie. As U
+    grows with w, and c 2^53 is exact for the cut c, that is a word at or
+    above the first one whose U exceeds c, or at or below the last one
+    whose U is under it: one comparison, no U made.
     """
     if rule == RULE_RANDOM:
-        return draws == values
+        return words >> 63 == values
     cut = _ml_cut(delta, sigma)
     if cut is None:
-        return np.full(draws.size, delta != 0.0)
-    return draws > cut if delta > 0.0 else draws < cut
+        return np.full(words.size, delta != 0.0)
+    if delta > 0.0:
+        return words >= np.uint64((math.floor(cut * 2.0**53) + 1) << 11)
+    return words <= np.uint64((math.ceil(cut * 2.0**53) << 11) - 1)
 
 
 def _abstain(
-    draws: np.ndarray, correct: np.ndarray, delta: float, sigma: float, rule: str
+    uniforms: np.ndarray, correct: np.ndarray, delta: float, sigma: float, rule: str
 ) -> np.ndarray:
-    """Per bit round, whether the rule abstained, given _classify's verdicts.
+    """Per bit round, whether the rule abstained, given the decision words' uniforms and _classify's verdicts.
 
     The ML rule abstains on a tie: U at _ml_cut, or, where the verdict is
     fixed, every call that is not correct (every call at delta = 0, none
@@ -422,9 +412,9 @@ def _abstain(
     bits, abstained or wrong alike.
     """
     if rule == RULE_RANDOM:
-        return np.zeros(draws.size, dtype=bool)
+        return np.zeros(uniforms.size, dtype=bool)
     cut = _ml_cut(delta, sigma)
-    return ~correct if cut is None else draws == cut
+    return ~correct if cut is None else uniforms == cut
 
 
 def _slice_pg(delta: float, sigma: float, rule: str) -> float:
@@ -469,7 +459,7 @@ def run_grid_point(
 ) -> tuple[float, tuple[float, float]]:
     """Empirical success fraction and Wilson interval at one grid point.
 
-    A one-point sweep, seeded (base_seed, 0).
+    A one-point sweep: its streams are keyed (base_seed, d_be, sigma).
     """
     spec = SweepSpec(
         k=(k,), n_rounds=(n,), d_be=(d_be,), sigma=(sigma,),
@@ -483,11 +473,12 @@ def run_grid_point(
 def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
     """One ResultRow per grid point, in the order of itertools.product(k, n_rounds, d_be, sigma).
 
-    The slices simulate one after another, in index order, on the calling
-    thread, each from its own stream seeded (base_seed, index); two threads
-    ran them 15-25% slower, as the GIL serialises their Python glue (see the
-    module docstring). A slice that raises ends the sweep: no later slice
-    starts. The closed forms run after the last slice.
+    The slices simulate one after another, in grid order, on the calling
+    thread, each from its own coin and decision streams, keyed (base_seed,
+    float64 bits of d_be, float64 bits of sigma); two threads ran them
+    15-25% slower, as the GIL serialises their Python glue (see the module
+    docstring). A slice that raises ends the sweep: no later slice starts.
+    The closed forms run after the last slice.
     """
     if spec.grid_size == 0:
         return ()
@@ -496,13 +487,13 @@ def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
         delta_mean_pathloss(*build_deployment(d_be, spec.geometry), spec.scenario.gamma)
         for d_be, _ in slices
     ]
-    counts = [
-        slice_successes(
-            np.random.default_rng(np.random.SeedSequence([spec.base_seed, index])),
-            spec.trials, spec.k, spec.n_rounds, delta, sigma, spec.rule, spec.metric,
-        ).tolist()
-        for index, (delta, (_, sigma)) in enumerate(zip(deltas, slices))
-    ]
+    counts = []
+    for delta, key in zip(deltas, slices):
+        entropy = (spec.base_seed, *(np.array(key) + 0.0).view(np.uint64).tolist())  # -0.0 as 0.0
+        counts.append(slice_successes(
+            stream(entropy, COINS), stream(entropy, DECISIONS),
+            spec.trials, spec.k, spec.n_rounds, delta, key[1], spec.rule, spec.metric,
+        ).tolist())
     analytic = [
         _analytic_columns(spec.k, spec.n_rounds, _slice_pg(delta, sigma, spec.rule), spec.metric)
         for delta, (_, sigma) in zip(deltas, slices)

@@ -8,7 +8,7 @@ import numpy as np
 from fhkex.adversary import _AS241_CENTRAL, _AS241_FAR_TAIL, _AS241_NEAR_TAIL, RULE_ML, U_FLOOR
 from fhkex.analysis import Probability
 from fhkex.channel import delta_mean_pathloss
-from fhkex.experiments import _classify, _decision_draws
+from fhkex.experiments import _classify
 from fhkex.protocol import draw_coins
 from fhkex.scenario import ScenarioConfig
 
@@ -82,7 +82,8 @@ def baseline_pg(d_ae: float, d_be: float, tol: float = DISTANCE_TOL) -> Probabil
 
 
 def estimate_rule_correctness(
-    rng: np.random.Generator,
+    coins: np.random.PCG64,
+    decisions: np.random.PCG64,
     n_bit_rounds: int,
     d_ae: float,
     d_be: float,
@@ -92,15 +93,15 @@ def estimate_rule_correctness(
 ) -> float:
     """Empirical per-bit-round correct-guess frequency over synthetic bit rounds.
 
-    Per chunk: the bit values from draw_coins, then one decision draw per bit.
+    Per chunk: the bit values from draw_coins on the coin stream, and one
+    decision word per bit from the decision stream.
     """
     correct = 0
     remaining = n_bit_rounds
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     while remaining > 0:
         m = min(chunk, remaining)
-        values = draw_coins(rng, m)
-        draws = _decision_draws(rng, m, rule)
-        correct += int(_classify(draws, values, delta, cfg.sigma, rule).sum())
+        values = draw_coins(coins, m)
+        correct += int(_classify(decisions.random_raw(m), values, delta, cfg.sigma, rule).sum())
         remaining -= m
     return correct / n_bit_rounds

@@ -7,7 +7,6 @@ import math
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 from scipy.special import bdtr, bdtrc
 
@@ -22,6 +21,7 @@ from fhkex.experiments import (
     FrontierRow,
     SweepSpec,
     frontier,
+    session_streams,
     simulate_session_counts,
     sweep,
     write_result_csv,
@@ -115,9 +115,9 @@ def test_criterion_4_adversary_closed_form():
             dep = build_deployment(d_be)
             delta = delta_mean_pathloss(*dep, cfg.gamma)
             expected = pg_closed_form(delta, sigma)
-            rng = np.random.default_rng(int(1000 * d_be + 10 * sigma))
+            coins, decisions, _ = session_streams(int(1000 * d_be + 10 * sigma))
             empirical = estimate_rule_correctness(
-                rng, 10**6, *dep, cfg.replace(sigma=sigma), rule=RULE_ML
+                coins, decisions, 10**6, *dep, cfg.replace(sigma=sigma), rule=RULE_ML
             )
             err = abs(empirical - expected)
             worst = max(worst, err)
@@ -130,14 +130,12 @@ def test_criterion_5_no_fading_secret_rates():
     cfg = ScenarioConfig(sigma=0.0)
 
     dep = build_deployment(60.0, GEOMETRY_EQUIDISTANT)
-    rng = np.random.default_rng(424242)
-    session = simulate_session_counts(rng, n, *dep, cfg, rule=RULE_ML)
+    session = simulate_session_counts(424242, n, *dep, cfg, rule=RULE_ML)
     rate_equal = (session.correct.size - int(session.correct.sum())) / n
     assert rate_equal == pytest.approx(0.5, abs=0.005)
 
     dep = build_deployment(20.0)
-    rng = np.random.default_rng(424242)
-    session = simulate_session_counts(rng, n, *dep, cfg, rule=RULE_ML)
+    session = simulate_session_counts(424242, n, *dep, cfg, rule=RULE_ML)
     rate_unequal = (session.correct.size - int(session.correct.sum())) / n
     assert rate_unequal == 0.0
     _report(
@@ -195,15 +193,17 @@ def test_criterion_7_power_and_reference_invariance():
     dep = build_deployment(20.0)
 
     for seed in (3, 17, 2029):
-        rng_a = np.random.default_rng(seed)
-        *bits_a, key_a = run_session(base, rng_a)
-        _, calls_a = simulate_eavesdropper(*bits_a, *dep, base, rng_a, rule=RULE_ML)
-        rng_b = np.random.default_rng(seed)
-        *bits_b, key_b = run_session(shifted, rng_b)
-        _, calls_b = simulate_eavesdropper(*bits_b, *dep, shifted, rng_b, rule=RULE_ML)
+        coins_a, decisions_a, trace_a = session_streams(seed)
+        *bits_a, key_a = run_session(base, coins_a)
+        _, calls_a = simulate_eavesdropper(*bits_a, *dep, base, decisions_a, trace_a, rule=RULE_ML)
+        coins_b, decisions_b, trace_b = session_streams(seed)
+        *bits_b, key_b = run_session(shifted, coins_b)
+        _, calls_b = simulate_eavesdropper(*bits_b, *dep, shifted, decisions_b, trace_b, rule=RULE_ML)
         assert (bits_a, key_a) == (bits_b, key_b)
         assert calls_a == calls_b  # every adversary decision unchanged, bit for bit
-        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+        assert coins_a.random_raw() == coins_b.random_raw()
+        assert decisions_a.random_raw() == decisions_b.random_raw()
+        assert trace_a.standard_normal() == trace_b.standard_normal()
 
     def small_spec(cfg):
         return SweepSpec(

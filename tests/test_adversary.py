@@ -19,6 +19,7 @@ from fhkex.adversary import (
     write_adversary_trace_csv,
 )
 from fhkex.channel import delta_mean_pathloss
+from fhkex.experiments import session_streams
 from oracle import as241, trace_columns, trace_csv_text
 from fhkex.protocol import run_session
 from fhkex.scenario import GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
@@ -29,10 +30,10 @@ EQUIDISTANT_60 = build_deployment(60.0, GEOMETRY_EQUIDISTANT)
 
 
 def _session_with_calls(cfg, dep, rule, seed):
-    """Alice's and Bob's bits, the key, and Eve's samples and calls, from one generator."""
-    rng = np.random.default_rng(seed)
-    alice, bob, key = run_session(cfg, rng)
-    samples, calls = simulate_eavesdropper(alice, bob, *dep, cfg, rng, rule=rule)
+    """Alice's and Bob's bits, the key, and Eve's samples and calls, from the streams of seed."""
+    coins, decisions, trace = session_streams(seed)
+    alice, bob, key = run_session(cfg, coins)
+    samples, calls = simulate_eavesdropper(alice, bob, *dep, cfg, decisions, trace, rule=rule)
     return alice, bob, key, samples, calls
 
 
@@ -128,7 +129,8 @@ def test_random_rule_behaviour():
     cfg = ScenarioConfig(sigma=8.0)
 
     def decisions(dep, seed):
-        _, calls = simulate_eavesdropper(alice, bob, *dep, cfg, np.random.default_rng(seed), rule=RULE_RANDOM)
+        _, decisions, trace = session_streams(seed)
+        _, calls = simulate_eavesdropper(alice, bob, *dep, cfg, decisions, trace, rule=RULE_RANDOM)
         return np.array(calls)
 
     first = decisions(CANONICAL_20, 4)

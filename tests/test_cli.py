@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ from fhkex.cli import (
     dispatch,
     main,
 )
-from fhkex.experiments import SLOT_BUDGET
+from fhkex.experiments import SLOT_BUDGET, session_streams
 from fhkex.scenario import CONFIG_FIELDS, ConfigError, ScenarioConfig, build_deployment
 from oracle import trace_csv_text, transcript_text
 
@@ -316,6 +315,26 @@ def test_sweep_budget_exceeded(tmp_path, capsys):
     assert main(args) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("k_list, code", [
+    ("1:1001:1", "invalid-value"),  # 1,001,000 rows: the grid is refused
+    ("1:2000000:1", "invalid-axis"),  # longer than the row limit: the range is refused unbuilt
+])
+def test_sweep_refuses_rows_over_the_row_limit(tmp_path, capsys, monkeypatch, k_list, code):
+    # 1,000 slots, well within the slot budget, but over a million rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated past the row limit")
+
+    monkeypatch.setattr(experiments, "slice_successes", refuse)
+    args = [
+        "sweep", "--seed", "1", "--k-list", k_list, "--n-list", "1:1000:1",
+        "--d-be-list", "20", "--sigma-list", "8", "--trials", "1", "--out", str(tmp_path),
+    ]
+    assert main(args) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {code}:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_slice_failure_exits_config_error(tmp_path, capsys, monkeypatch):
     def successes(rng, *args):
         raise ValueError("slice failed")
@@ -553,9 +572,11 @@ def test_analyze_rejects_non_finite_adversary_distance(capsys, d_be):
 
 def _oracle_session_files(cfg, rule, d_be, dest):
     """transcript.csv and eve_trace.csv from the per-round engine, seeded as the CLI seeds."""
-    rng = np.random.default_rng(cfg.seed)
-    alice, bob, _ = protocol.run_session(cfg, rng)
-    samples, calls = adversary.simulate_eavesdropper(alice, bob, *build_deployment(d_be), cfg, rng, rule=rule)
+    _, decisions, trace = session_streams(cfg.seed)
+    alice, bob, _ = protocol.run_session(cfg)
+    samples, calls = adversary.simulate_eavesdropper(
+        alice, bob, *build_deployment(d_be), cfg, decisions, trace, rule=rule
+    )
     (dest / "transcript.csv").write_text(transcript_text(alice, bob, cfg.seed))
     (dest / "eve_trace.csv").write_text(trace_csv_text(alice, bob, samples, calls))
 

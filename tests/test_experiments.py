@@ -28,9 +28,11 @@ from fhkex.experiments import (
     METRIC_PER_BIT,
     METRIC_WHOLE_KEY,
     RESULT_COLUMNS,
+    ROW_LIMIT,
     BudgetError,
     FrontierRow,
     ResultRow,
+    Session,
     SweepSpec,
     _abstain,
     _classify,
@@ -40,6 +42,8 @@ from fhkex.experiments import (
     frontier,
     read_result_csv,
     run_grid_point,
+    session_blocks,
+    session_streams,
     simulate_session_counts,
     slice_successes,
     sweep,
@@ -47,9 +51,26 @@ from fhkex.experiments import (
     write_frontier_csv,
     write_result_csv,
 )
-from fhkex.protocol import draw_coins, run_session
+from fhkex.protocol import COINS, DECISIONS, draw_coins, run_session, stream
 from fhkex.scenario import GEOMETRY_CANONICAL, GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness, trace_columns
+
+
+def _slice_streams(seed):
+    """A slice's coin and decision streams, as a session of seed has them."""
+    return stream((seed,), COINS), stream((seed,), DECISIONS)
+
+
+def _next_words(*streams):
+    """The next raw word of each stream: equal lists mean the streams end together."""
+    return [s.random_raw() for s in streams]
+
+
+def _engine_session(seed, n, d_ae, d_be, cfg, rule):
+    """simulate_session_counts' session, from streams the caller keeps: (session, coins, decisions, trace)."""
+    coins, decisions, trace = session_streams(seed)
+    blocks = session_blocks(decisions, trace, draw_slot_bits(coins, n), d_ae, d_be, cfg, rule)
+    return Session(*map(np.concatenate, zip(*blocks))), coins, decisions, trace
 
 
 def test_wilson_interval_contains_estimate():
@@ -93,24 +114,24 @@ def test_bulk_rng_draws_match_single_draws():
 def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
     cfg = ScenarioConfig(sigma=sigma, n_rounds=400)
     dep = build_deployment(20.0)
-    rng_obj = np.random.default_rng(seed)
-    alice, bob, key = run_session(cfg, rng_obj)
-    samples, calls = simulate_eavesdropper(alice, bob, *dep, cfg, rng_obj, rule=rule)
+    coins_obj, decisions_obj, trace_obj = session_streams(seed)
+    alice, bob, key = run_session(cfg, coins_obj)
+    samples, calls = simulate_eavesdropper(alice, bob, *dep, cfg, decisions_obj, trace_obj, rule=rule)
 
-    rng_vec = np.random.default_rng(seed)
-    session = simulate_session_counts(rng_vec, cfg.n_rounds, *dep, cfg, rule=rule)
+    session, *streams_vec = _engine_session(seed, cfg.n_rounds, *dep, cfg, rule)
     assert session.correct.size == len(key)
     assert int(session.correct.sum()) == sum(call == value for call, value in zip(calls, key))
-    # draw for draw: the same bits, samples and calls, and both streams end
-    # together once the session's generator skips the trace-only draws,
-    # which the session takes from a copy of it
+    # draw for draw: the same bits, samples and calls, and the coin, decision
+    # and trace streams of both engines end together
     *_, correct, abstain = trace_columns(alice, bob, samples, calls)
     assert (session.alice.tolist(), session.bob.tolist()) == (alice, bob)
     assert session.samples.tolist() == samples
     assert (session.correct.tolist(), session.abstain.tolist()) == (correct, abstain)
-    m = session.correct.size
-    rng_vec.standard_normal((m, 2) if rule == RULE_RANDOM else m)
-    assert rng_vec.integers(0, 2**62) == rng_obj.integers(0, 2**62)
+    coins_vec, decisions_vec, trace_vec = streams_vec
+    assert _next_words(coins_vec, decisions_vec, trace_vec.bit_generator) == _next_words(
+        coins_obj, decisions_obj, trace_obj.bit_generator
+    )
+    assert np.array_equal(simulate_session_counts(seed, cfg.n_rounds, *dep, cfg, rule).samples, session.samples)
 
 
 @pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
@@ -119,22 +140,22 @@ def test_vectorized_engine_matches_per_round_engine(seed, sigma, rule):
 def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, seed):
     cfg = ScenarioConfig(sigma=sigma)
     dep = build_deployment(20.0)
-    rng_session, rng_block = np.random.default_rng(seed), np.random.default_rng(seed)
-    session = simulate_session_counts(rng_session, 400, *dep, cfg, rule=rule)
+    session, coins_session, decisions_session, _ = _engine_session(seed, 400, *dep, cfg, rule)
     generated, correct = session.correct.size, session.correct
     delta = delta_mean_pathloss(*dep, cfg.gamma)
-    (block,) = draw_slot_bits(rng_block, 400)
-    gen_mask, _, block_correct = _judge(rng_block, block, delta, cfg.sigma, rule)
+    coins_block, decisions_block = _slice_streams(seed)
+    (block,) = draw_slot_bits(coins_block, 400)
+    gen_mask, _, block_correct = _judge(decisions_block, block, delta, cfg.sigma, rule)
     secret = ~block_correct
     wrong = np.flatnonzero(~correct)
     missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
     assert int(gen_mask.sum()) == generated == secret.size
     assert int(secret.sum()) == generated - int(correct.sum())
     assert (missed[0] if missed.size else 400) == (wrong[0] if wrong.size else 400)
-    # the same bits and verdicts, and both streams end after the decision draws
+    # the same bits and verdicts, and the coin and decision streams end together
     assert np.array_equal(gen_mask, session.alice != session.bob)
     assert np.array_equal(secret, ~correct)
-    assert rng_block.integers(0, 2**62) == rng_session.integers(0, 2**62)
+    assert _next_words(coins_block, decisions_block) == _next_words(coins_session, decisions_session)
 
 
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
@@ -146,11 +167,9 @@ def test_rows_read_session_prefixes(metric, rule, seed):
     cfg = ScenarioConfig(sigma=8.0)
     dep = build_deployment(20.0)
     ks, ns = (0, 1, 2, 5, 10, 30), (1, 2, 5, 17, 40, 80, 120)
-    bits = _coins(np.random.default_rng(seed), 2 * ns[-1])  # the session's first draw
+    bits = _coins(np.random.Generator(stream((seed,), COINS)), 2 * ns[-1])  # the session's coins
     bit_slots = np.flatnonzero(bits[0::2] != bits[1::2])
-    correct = simulate_session_counts(
-        np.random.default_rng(seed), ns[-1], *dep, cfg, rule=rule
-    ).correct
+    correct = simulate_session_counts(seed, ns[-1], *dep, cfg, rule=rule).correct
     expected = []
     for k in ks:
         for n in ns:
@@ -160,40 +179,46 @@ def test_rows_read_session_prefixes(metric, rule, seed):
             else:
                 expected.append(generated - int(correct[:generated].sum()) >= k)
     counts = slice_successes(
-        np.random.default_rng(seed), 1, ks, ns, delta_mean_pathloss(*dep, cfg.gamma), cfg.sigma,
-        rule, metric,
+        *_slice_streams(seed), 1, ks, ns, delta_mean_pathloss(*dep, cfg.gamma), cfg.sigma, rule, metric,
     )
     assert counts.ravel().tolist() == [int(e) for e in expected]
 
 
 def _coins(rng, count):
-    """count coins, by hand: the bits of rng.bytes, most significant first."""
-    return np.unpackbits(np.frombuffer(rng.bytes((count + 7) // 8), dtype=np.uint8))[:count]
+    """count coins, by hand: the bits of rng.bytes of whole 64-bit words, each byte least significant first."""
+    raw = np.frombuffer(rng.bytes(8 * -(-count // 64)), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:count]
 
 
-def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK_SLOTS):
+def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK_SLOTS, draw_fixed=False):
     """Per trial, the slots of its generated bits and whether the adversary
     missed each, with every draw replayed by hand in the engine's documented
     order: per batch of block_slots // n_max trials (at least one), all its
-    coins, then in one call a decision draw per generated bit (ML: a uniform
-    U, whose score (A - B) * delta has A - B = -delta - sigma * sqrt(2) * v
-    for v = statistics.NormalDist().inv_cdf(U); random rule: the guess).
-    Also returns the generator, to compare the next draw."""
-    rng = np.random.default_rng(seed)
+    coins from the coin stream of seed, then a decision word per generated
+    bit from its decision stream (ML: a uniform U, whose score (A - B) *
+    delta has A - B = -delta - sigma * sqrt(2) * v for
+    v = statistics.NormalDist().inv_cdf(U); random rule: the word's top bit
+    is the guess). A fixed ML verdict, at delta = 0 or sigma = 0, reads no
+    word, unless draw_fixed. Also returns both streams, to compare their
+    next words."""
+    coins, decisions = (np.random.Generator(s) for s in _slice_streams(seed))
     block = max(1, block_slots // n_max)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    fixed = rule == RULE_ML and (delta == 0.0 or cfg.sigma == 0.0) and not draw_fixed
     replay = []
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        bits = _coins(rng, size * 2 * n_max).reshape(size, 2 * n_max)
+        bits = _coins(coins, size * 2 * n_max).reshape(size, 2 * n_max)
         alice, bob = bits[:, 0::2], bits[:, 1::2]
         slots = [np.flatnonzero(a != b) for a, b in zip(alice, bob)]
         values = [a[s] for a, s in zip(alice, slots)]
         m = sum(v.size for v in values)
         if rule == RULE_RANDOM:
-            guesses = rng.integers(0, 2, size=m)
+            guesses = np.array([w >> 63 for w in decisions.bit_generator.random_raw(m).tolist()], dtype=int)
+        elif fixed:
+            v = [0.0] * m  # read nowhere: the score's sign does not depend on v
         else:
-            v = [NormalDist().inv_cdf(u) for u in rng.random(m).tolist()]
+            v = [NormalDist().inv_cdf(u) for u in decisions.random(m).tolist()]
         first = 0
         for trial_slots, trial_values in zip(slots, values):
             last = first + trial_values.size
@@ -206,13 +231,15 @@ def _replay_trials(seed, trials, n_max, d_ae, d_be, cfg, rule, block_slots=BLOCK
                 ], dtype=bool)
             first = last
             replay.append((trial_slots, missed))
-    return replay, rng
+    return replay, (coins.bit_generator, decisions.bit_generator)
 
 
-def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_slots=BLOCK_SLOTS):
+def _judge_sessions(
+    seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_slots=BLOCK_SLOTS, draw_fixed=False
+):
     """Successes per (k, n), judged trial by trial on each trial's own session
-    as _replay_trials replays it by hand. Also returns the generator."""
-    replay, rng = _replay_trials(seed, trials, max(ns), d_ae, d_be, cfg, rule, block_slots)
+    as _replay_trials replays it by hand. Also returns its two streams."""
+    replay, streams = _replay_trials(seed, trials, max(ns), d_ae, d_be, cfg, rule, block_slots, draw_fixed)
     counts = np.zeros((len(ks), len(ns)), dtype=int)
     for trial_slots, missed in replay:
         for j, n in enumerate(ns):
@@ -222,7 +249,7 @@ def _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_s
                     counts[i, j] += generated >= k and bool(missed[:k].any())
                 else:
                     counts[i, j] += int(missed[:generated].sum()) >= k
-    return counts, rng
+    return counts, streams
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,12 +270,12 @@ def test_slice_successes_judges_each_trial_session(
     # 7 trials, so 40 trials span several batches
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
-    rng = np.random.default_rng(seed)
+    streams = _slice_streams(seed)
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    counts = slice_successes(rng, trials, ks, ns, delta, sigma, rule, metric)
+    counts = slice_successes(*streams, trials, ks, ns, delta, sigma, rule, metric)
     expected, replay = _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric)
     assert counts.tolist() == expected.tolist()
-    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+    assert _next_words(*streams) == _next_words(*replay)
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,28 +290,28 @@ def test_slice_successes_judges_each_trial_session(
     trials=st.integers(100, 200),
     seed=st.integers(0, 2**32),
 )
-def test_gathered_counts_cross_the_flush_limit(
+def test_gathered_counts_over_many_shrunk_blocks(
     block_slots, ks, ns, distances, sigma, rule, metric, trials, seed
 ):
     # BLOCK_SLOTS shrunk in the engine and the replay alike, so a trial longer
-    # than BLOCK_SLOTS is a one-trial batch that the engine judges over several
-    # blocks, with one decision call each, and the replay in one call. The
-    # engine counts each block's completing slots as the block ends, over the
-    # counted k (k = 1 always is one) whose completing bit the block holds;
-    # 100 trials, in batches of at most BLOCK_SLOTS (under 17) trials, span at
-    # least seven blocks
+    # than BLOCK_SLOTS is a one-trial batch that the engine draws and judges
+    # over several blocks, with one decision call each, and the replay in one
+    # call. The engine counts each block's completing slots as the block ends,
+    # over the counted k (k = 1 always is one) whose completing bit the block
+    # holds; 100 trials, in batches of at most BLOCK_SLOTS (under 17) trials,
+    # span at least seven blocks
     d_ae, d_be = distances
     cfg = ScenarioConfig(sigma=sigma)
-    rng = np.random.default_rng(seed)
+    streams = _slice_streams(seed)
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
-        counts = slice_successes(rng, trials, ks, ns, delta, sigma, rule, metric)
+        counts = slice_successes(*streams, trials, ks, ns, delta, sigma, rule, metric)
     expected, replay = _judge_sessions(
         seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_slots
     )
     assert counts.tolist() == expected.tolist()
-    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+    assert _next_words(*streams) == _next_words(*replay)
 
 
 # one trial of 200 slots with every k from 0 to n_max + 1 counted, repeated and
@@ -302,41 +329,46 @@ def test_every_key_size_of_a_trial_that_spans_blocks(monkeypatch, metric, block_
     ns = (n_max, 1, 57, 130, 57)
     cfg = ScenarioConfig(sigma=8.0)
     delta = delta_mean_pathloss(70.0, 20.0, cfg.gamma)
-    rng = np.random.default_rng(seed)
+    streams = _slice_streams(seed)
     monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
-    counts = slice_successes(rng, 1, ks, ns, delta, cfg.sigma, RULE_ML, metric)
+    counts = slice_successes(*streams, 1, ks, ns, delta, cfg.sigma, RULE_ML, metric)
     expected, replay = _judge_sessions(seed, 1, ks, ns, 70.0, 20.0, cfg, RULE_ML, metric, block_slots)
     assert counts.tolist() == expected.tolist()
-    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+    assert _next_words(*streams) == _next_words(*replay)
     assert any(row[0] for k, row in zip(ks, counts) if k > 1)  # more than one bit, at n = n_max
 
 
-@pytest.mark.parametrize("spare", [False, True])
-@pytest.mark.parametrize("m", [0, 1, 2, 7, 8_100])
-def test_skipped_uniforms_leave_the_stream_where_drawn_ones_do(spare, m):
-    # advance drops a held spare 32-bit half, which random(m) leaves held
-    rng, twin = np.random.default_rng(m), np.random.default_rng(m)
-    if spare:
-        assert rng.integers(0, 2) == twin.integers(0, 2)
-    assert rng.bit_generator.state["has_uint32"] == spare
-    fhkex.experiments._skip_uniforms(rng, np.count_nonzero(np.ones(m)))  # a numpy count, as the engine passes
-    twin.random(m)
-    assert rng.bit_generator.state["has_uint32"] == twin.bit_generator.state["has_uint32"] == spare
-    assert rng.integers(0, 2, size=3).tolist() == twin.integers(0, 2, size=3).tolist()
-    assert np.array_equal(draw_coins(rng, 65), draw_coins(twin, 65))
-    assert rng.bytes(5) == twin.bytes(5)
-    assert rng.random(3).tolist() == twin.random(3).tolist()
-    assert rng.standard_normal(2).tolist() == twin.standard_normal(2).tolist()
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("trials", [0, 1, 2, 7, 8_100])
+def test_skipped_uniforms_leave_the_stream_where_drawn_ones_do(tied, trials):
+    # a fixed ML verdict (tied: Eve equidistant, every call abstains; else
+    # sigma 0, every call correct) skips its decision uniforms by reading
+    # nothing from its decision stream, which no other draw shares: its counts,
+    # and where its coin stream ends, are those of a replay that draws every
+    # uniform. 20 slots make batches of 819 trials, so 8,100 trials take ten
+    d_ae, d_be, sigma = (60.0, 60.0, 8.0) if tied else (70.0, 20.0, 0.0)
+    cfg = ScenarioConfig(sigma=sigma)
+    delta = 0.0 if tied else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    ks, ns = (0, 1, 4, 12), (5, 20)
+    coins, decisions = _slice_streams(trials)
+    counts = slice_successes(coins, decisions, trials, ks, ns, delta, sigma, RULE_ML, METRIC_PER_BIT)
+    expected, (replay_coins, replay_decisions) = _judge_sessions(
+        trials, trials, ks, ns, d_ae, d_be, cfg, RULE_ML, METRIC_PER_BIT, draw_fixed=True
+    )
+    assert counts.tolist() == expected.tolist()
+    assert _next_words(coins) == _next_words(replay_coins)
+    assert _next_words(decisions) == _next_words(stream((trials,), DECISIONS))  # untouched
+    assert counts[2:].any() == (tied and trials > 0)  # missed bits only where Eve ties
 
 
 # a d_be 2 m slice at sigma 8, where p_g = 0.999994 and most blocks miss no bit;
 # a d_be 20 m one, whose shrunk blocks of 1 or 7 slots often miss none, so a
 # whole key can complete in a block that was skipped per bit; and an
-# equidistant sigma 0 slice, whose fixed verdict skips every decision uniform.
-# 600 slots make a default batch of 27 trials, whose coins fill an odd number
-# of 32-bit words, so a spare half is held across every other skip. 2,000
-# trials of 600 slots miss about 3.6 bits at d_be 2; shrunk blocks hold one
-# trial each, and judge 12 trials
+# equidistant sigma 0 slice, whose fixed verdict reads no decision word.
+# 600 slots make a default batch of 27 trials, whose 32,400 coins end inside
+# a 64-bit word, so each batch drops the rest of its last word. 2,000 trials
+# of 600 slots miss about 3.6 bits at d_be 2; shrunk blocks hold one trial
+# each, and judge 12 trials
 @pytest.mark.parametrize("block_slots", [BLOCK_SLOTS, 1, 7])
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
 @pytest.mark.parametrize("d_ae, d_be, sigma", [(52.0, 2.0, 8.0), (70.0, 20.0, 8.0), (60.0, 60.0, 0.0)])
@@ -347,12 +379,12 @@ def test_skipped_draws_and_blocks_keep_the_replayed_counts(
     trials = 2000 if block_slots == BLOCK_SLOTS else 12
     cfg = ScenarioConfig(sigma=sigma)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    rng = np.random.default_rng(35)
+    streams = _slice_streams(35)
     monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
-    counts = slice_successes(rng, trials, ks, ns, delta, sigma, RULE_ML, metric)
+    counts = slice_successes(*streams, trials, ks, ns, delta, sigma, RULE_ML, metric)
     expected, replay = _judge_sessions(35, trials, ks, ns, d_ae, d_be, cfg, RULE_ML, metric, block_slots)
     assert counts.tolist() == expected.tolist()
-    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+    assert _next_words(*streams) == _next_words(*replay)
     if d_be != 2.0 or block_slots == BLOCK_SLOTS:
         assert counts.any()  # keys complete, among blocks that were skipped
     if d_be == 2.0 and metric == METRIC_PER_BIT:
@@ -361,20 +393,20 @@ def test_skipped_draws_and_blocks_keep_the_replayed_counts(
 
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
 @pytest.mark.parametrize("d_ae, d_be, sigma", [(60.0, 60.0, 8.0), (70.0, 20.0, 0.0), (60.0, 60.0, 0.0)])
-def test_fixed_verdict_draws_no_decision(monkeypatch, d_ae, d_be, sigma, metric):
+def test_fixed_verdict_draws_no_decision(d_ae, d_be, sigma, metric):
     # at delta = 0 every ML call ties and at sigma = 0 every one is correct,
-    # so a sweep slice reads no decision uniform and draws none
-    def refuse(*args):
-        raise AssertionError("drew a decision uniform at a fixed verdict")
+    # so a sweep slice reads no decision word
+    class Refusing:
+        def random_raw(self, *args):
+            raise AssertionError("drew a decision word at a fixed verdict")
 
     cfg = ScenarioConfig(sigma=sigma)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    monkeypatch.setattr(fhkex.experiments, "_decision_draws", refuse)
-    rng = np.random.default_rng(36)
-    counts = slice_successes(rng, 40, (0, 1, 30), (20, 100), delta, sigma, RULE_ML, metric)
-    expected, replay = _judge_sessions(36, 40, (0, 1, 30), (20, 100), d_ae, d_be, cfg, RULE_ML, metric)
+    coins = stream((36,), COINS)
+    counts = slice_successes(coins, Refusing(), 40, (0, 1, 30), (20, 100), delta, sigma, RULE_ML, metric)
+    expected, (replay_coins, _) = _judge_sessions(36, 40, (0, 1, 30), (20, 100), d_ae, d_be, cfg, RULE_ML, metric)
     assert counts.tolist() == expected.tolist()
-    assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+    assert _next_words(coins) == _next_words(replay_coins)
 
 
 def _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta):
@@ -387,12 +419,14 @@ def _reference_classify_bit_rounds(values, sample_alice, sample_bob, delta):
     return np.where(score > 0.0, values == 1, np.where(score < 0.0, values == 0, False))
 
 
-# One bit round's shadowing draw u and decision draw U, a value Generator.random
-# can return; U None puts U at the tie, Phi(-delta / (sigma sqrt 2)), where
-# v = Phi^-1(U) makes A - B round to 0 or to a tiny gap of either sign
+# One bit round's shadowing draw u and decision word w, any 64-bit word; or,
+# as (step, low bits), a word whose uniform U = (w >> 11) 2^-53 lies within two
+# steps of 2^-53 of the tie Phi(-delta / (sigma sqrt 2)), where v = Phi^-1(U)
+# makes A - B round to 0 or to a tiny gap of either sign, with any of the 11
+# low bits that U ignores
 _NOISE_ROW = st.one_of(
-    st.tuples(st.floats(-6.0, 6.0), st.integers(0, 2**53 - 1).map(lambda i: i * 2.0**-53)),
-    st.tuples(st.floats(-6.0, 6.0), st.none()),
+    st.tuples(st.floats(-6.0, 6.0), st.integers(0, 2**64 - 1)),
+    st.tuples(st.floats(-6.0, 6.0), st.tuples(st.integers(-2, 2), st.integers(0, 2**11 - 1))),
 )
 
 
@@ -409,12 +443,22 @@ def test_ml_mask_matches_reference_rule(rows, distances, sigma):
     tie = 0.5 * math.erfc(delta / (2.0 * sigma)) if sigma > 0.0 else 0.5  # at sigma 0 no draw is one
     values = np.array([value for value, _ in rows])
     u = np.array([u for _, (u, _) in rows])
-    # a tie of 1 is no draw: the last draw below it stands in
-    draws = np.array([min(tie, 1.0 - 2.0**-53) if d is None else d for _, (_, d) in rows])
-    mask = _classify(draws, values, delta, sigma, RULE_ML)
+
+    def word(w):
+        if isinstance(w, int):
+            return w
+        step, low = w
+        return min(max(math.floor(tie * 2.0**53) + step, 0), 2**53 - 1) << 11 | low
+
+    words = np.array([word(w) for _, (_, w) in rows], dtype=np.uint64)
+    draws = np.array([(w >> 11) * 2.0**-53 for w in words.tolist()])
+    mask = _classify(words, values, delta, sigma, RULE_ML)
     abstain = _abstain(draws, mask, delta, sigma, RULE_ML)
     assert mask.dtype == bool
     assert not mask[abstain].any()  # an abstention is never correct
+    cut = fhkex.experiments._ml_cut(delta, sigma)
+    if cut is not None:  # the word thresholds compare U with the cut
+        assert np.array_equal(mask, draws > cut if delta > 0.0 else draws < cut)
     if delta == 0.0:
         assert abstain.all()
     elif sigma == 0.0:
@@ -453,15 +497,15 @@ def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n)
     classify = fhkex.experiments._classify
     monkeypatch.setattr(
         fhkex.experiments, "_classify",
-        lambda draws, values, *rest: seen.append(values) or classify(draws, values, *rest),
+        lambda words, values, *rest: seen.append(values) or classify(words, values, *rest),
     )
     seed = 1000 * trials + n
-    rng = np.random.default_rng(seed)
+    coins, decisions = _slice_streams(seed)
     generated, _, correct = _judge(
-        rng, draw_coins(rng, 2 * trials * n).reshape(-1, 2), delta_mean_pathloss(70.0, 20.0, 3.5),
+        decisions, draw_coins(coins, 2 * trials * n).reshape(-1, 2), delta_mean_pathloss(70.0, 20.0, 3.5),
         8.0, rule,
     )
-    bits = draw_coins(np.random.default_rng(seed), 2 * trials * n).reshape(trials, 2 * n)
+    bits = draw_coins(stream((seed,), COINS), 2 * trials * n).reshape(trials, 2 * n)
     a, b = bits[:, 0::2], bits[:, 1::2]
     assert generated.dtype == bool
     assert np.array_equal(generated, (a != b).ravel())
@@ -476,43 +520,47 @@ def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n)
 @pytest.mark.parametrize("d_ae, d_be", [(70.0, 20.0), (40.0, 40.0)])
 def test_batch_of_trials_judges_as_one_long_session(monkeypatch, rule, d_ae, d_be):
     # a sweep batch of T trials of n slots is one session of T n slots: the
-    # same coins, decision draws and verdicts, and the same next draw
+    # same coins, decision words and verdicts, and the same next words
     trials, n, seed = 5, 37, 8
     cfg = ScenarioConfig(sigma=8.0)
-    rng_batch = np.random.default_rng(seed)
-    bits = draw_coins(rng_batch, 2 * trials * n).reshape(-1, 2)
+    coins, decisions = _slice_streams(seed)
+    bits = draw_coins(coins, 2 * trials * n).reshape(-1, 2)
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    generated, draws, correct = _judge(rng_batch, bits, delta, cfg.sigma, rule)
-    abstain = _abstain(draws, correct, delta, cfg.sigma, rule)
+    generated, words, correct = _judge(decisions, bits, delta, cfg.sigma, rule)
+    abstain = _abstain((words >> 11) * 2.0**-53, correct, delta, cfg.sigma, rule)
     monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", 16)  # the session spans 12 blocks
-    rng_session = np.random.default_rng(seed)
-    session = simulate_session_counts(rng_session, trials * n, d_ae, d_be, cfg, rule)
+    session, *session_streams_ = _engine_session(seed, trials * n, d_ae, d_be, cfg, rule)
     assert np.array_equal(generated, session.alice != session.bob)
     assert np.array_equal(correct, session.correct)
     assert np.array_equal(abstain, session.abstain)
     if rule == RULE_ML and d_ae == d_be:
         assert abstain.all()  # Eve equidistant: every ML call ties
-    assert rng_batch.integers(0, 2**62) == rng_session.integers(0, 2**62)
+    assert _next_words(coins, decisions) == _next_words(*session_streams_[:2])
+
+
+#: The most a one-trial slice may hold at once, in bytes, whatever its length:
+#: one block's arrays (about 30 bytes per slot of BLOCK_SLOTS, measured) and
+#: numpy's first-call allocations
+PEAK_PER_BLOCK = 2**21
 
 
 @pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
 @pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
 def test_long_trial_holds_its_coins_plus_one_block(rule, metric):
-    # a one-trial batch holds 2 bytes per slot of its coins plus one block,
-    # about 2.25 bytes per slot with draw_coins' packed bytes; a trial judged
-    # whole at once holds about 12
+    # a one-trial batch draws its coins block by block, so it holds one block
+    # of them whatever its length; its coins held whole would take 4 MB here
     n = 2_000_000
     delta = delta_mean_pathloss(70.0, 20.0, 3.5)
     tracemalloc.start()
     try:
         counts = slice_successes(
-            np.random.default_rng(17), 1, (0, 1, 64, 100_000), (n // 2, 16_385, n), delta, 8.0,
+            *_slice_streams(17), 1, (0, 1, 64, 100_000), (n // 2, 16_385, n), delta, 8.0,
             rule, metric,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n
+    assert peak < PEAK_PER_BLOCK
     assert counts[2].tolist() == [1, 1, 1]  # 64 secret bits, or generated bits, come early
 
 
@@ -530,10 +578,10 @@ def test_counting_every_key_size_holds_the_counts_plus_one_block(monkeypatch):
     every_k = tuple(range(1, n + 1))
 
     def peak(ks, metric):
-        rng = np.random.default_rng(18)
+        streams = _slice_streams(18)
         tracemalloc.start()
         try:
-            counts = slice_successes(rng, 1, ks, (n,), delta, 8.0, RULE_ML, metric)
+            counts = slice_successes(*streams, 1, ks, (n,), delta, 8.0, RULE_ML, metric)
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -551,9 +599,8 @@ def test_counting_every_key_size_holds_the_counts_plus_one_block(monkeypatch):
 def test_engine_counts_every_trial_across_blocks():
     n = 500
     trials = 3 * (BLOCK_SLOTS // n) + 4  # three full batches and a partial one
-    rng = np.random.default_rng(5)
     delta, sigma = delta_mean_pathloss(70.0, 20.0, 3.5), ScenarioConfig().sigma
-    counts = slice_successes(rng, trials, (0,), (1, n), delta, sigma)
+    counts = slice_successes(*_slice_streams(5), trials, (0,), (1, n), delta, sigma)
     assert counts.tolist() == [[trials, trials]]  # k = 0 succeeds on every trial
     spec = SweepSpec(k=(0, 4), n_rounds=(40, n), d_be=(20.0,), sigma=(8.0,), trials=trials)
     rows = sweep(spec)
@@ -567,11 +614,11 @@ def test_engine_counts_every_trial_across_blocks():
     ks, ns = (0, 1, 4, 8, 11, 12, 13, 16, 40, 120, 125, 130, 245, 250, 255, *huge), (n, 1, 40, 250)
     cfg = ScenarioConfig(sigma=sigma)
     for rule, metric in itertools.product((RULE_ML, RULE_RANDOM), (METRIC_PER_BIT, METRIC_WHOLE_KEY)):
-        rng = np.random.default_rng(6)
-        counts = slice_successes(rng, trials, ks, ns, delta, sigma, rule, metric)
+        streams = _slice_streams(6)
+        counts = slice_successes(*streams, trials, ks, ns, delta, sigma, rule, metric)
         expected, replay = _judge_sessions(6, trials, ks, ns, 70.0, 20.0, cfg, rule, metric)
         assert counts.tolist() == expected.tolist(), (rule, metric)
-        assert rng.integers(0, 2**62) == replay.integers(0, 2**62)
+        assert _next_words(*streams) == _next_words(*replay)
         # k = 0: every trial per bit, none for the whole key; k > n: none
         assert counts[0].tolist() == [trials if metric == METRIC_PER_BIT else 0] * len(ns)
         assert counts[-len(huge):].tolist() == [[0] * len(ns)] * len(huge)
@@ -581,8 +628,10 @@ def test_engine_counts_every_trial_across_blocks():
 @pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
 def test_count_steps_at_the_slot_that_completes_the_key(rule, metric):
     # one trial, whose key completes at slot s (read off the hand replay): it
-    # fails at n = s and succeeds from n = s + 1
-    seed, n_max = 8, 400
+    # fails at n = s and succeeds from n = s + 1. Seed 9: the random-rule
+    # trial of seed 8 misses its first bit, which leaves no k >= 1 with no
+    # missed bit among its first k
+    seed, n_max = 9, 400
     cfg = ScenarioConfig(sigma=8.0)
     d_ae, d_be = build_deployment(20.0)
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
@@ -600,11 +649,11 @@ def test_count_steps_at_the_slot_that_completes_the_key(rule, metric):
     for k, s in completing.items():
         assert 1 <= s < n_max
         counts = slice_successes(
-            np.random.default_rng(seed), 1, (k,), (s, s + 1, n_max), delta, cfg.sigma, rule, metric
+            *_slice_streams(seed), 1, (k,), (s, s + 1, n_max), delta, cfg.sigma, rule, metric
         )
         assert counts.tolist() == [[0, 1, 1]], k
     counts = slice_successes(
-        np.random.default_rng(seed), 1, never, (1, n_max), delta, cfg.sigma, rule, metric
+        *_slice_streams(seed), 1, never, (1, n_max), delta, cfg.sigma, rule, metric
     )
     assert counts.tolist() == [[0, 0]] * len(never)
 
@@ -656,6 +705,23 @@ def test_sweep_spec_validation():
         SweepSpec(**{**good, "k": (8, -1)})
 
 
+def test_row_limit_refuses_a_grid_before_allocating():
+    # 10^6 key sizes by 1,000 n values simulate only 1,000 slots, well within
+    # the slot budget, but would write 10^9 rows: refused before an axis is copied
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"1000000000 grid points .* exceed the row limit {ROW_LIMIT}"):
+            SweepSpec(k=range(1, 10**6 + 1), n_rounds=range(1, 1001), d_be=(20.0,), sigma=(8.0,), trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    side = math.isqrt(ROW_LIMIT)
+    assert SweepSpec(k=range(side), n_rounds=range(1, ROW_LIMIT // side + 1), d_be=(20.0,), sigma=(8.0,)).grid_size <= ROW_LIMIT
+    with pytest.raises(BudgetError):
+        SweepSpec(k=range(side), n_rounds=range(1, ROW_LIMIT // side + 2), d_be=(20.0,), sigma=(8.0, 2.0))
+
+
 def test_budget_counts_simulated_slots_before_allocating():
     # one billion slots would need gigabytes; the spec refuses before any draw
     with pytest.raises(BudgetError):
@@ -668,6 +734,46 @@ def test_budget_counts_simulated_slots_before_allocating():
     assert spec.slots == 2 * 7 * 50
     with pytest.raises(BudgetError):
         SweepSpec(k=(1,), n_rounds=(10, 50), d_be=(20.0, 60.0), sigma=(8.0,), trials=7, budget=699)
+
+
+@pytest.mark.parametrize("metric", [METRIC_PER_BIT, METRIC_WHOLE_KEY])
+@pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
+def test_slice_rows_do_not_depend_on_the_other_slices(rule, metric):
+    # a slice's streams are keyed by (base_seed, d_be, sigma), not by its place
+    # in the grid: its rows are the same alone, among other distances and
+    # sigmas, in any order, and repeated. Two batches of 40 trials at n = 400
+    def rows(d_be, sigma, key=(20.0, 8.0)):
+        spec = _small_spec(
+            k=(0, 3, 16), n_rounds=(400, 30, 120), d_be=d_be, sigma=sigma, trials=70,
+            rule=rule, metric=metric,
+        )
+        return [r for r in sweep(spec) if (r.d_be, r.sigma) == key]
+
+    alone = rows((20.0,), (8.0,))
+    assert len(alone) == 9 and any(0.0 < r.p_hat < 1.0 for r in alone)
+    assert rows((35.0, 2.0, 20.0), (0.0, 8.0)) == alone
+    assert rows((20.0, 35.0), (8.0, 0.0)) == alone
+    assert rows((20.0, 20.0), (8.0,)) == [r for r in alone for _ in range(2)]  # each row, twice
+    assert rows((2.0, 20.0), (8.0,), key=(2.0, 8.0)) == rows((2.0,), (0.0, 8.0), key=(2.0, 8.0))
+    assert rows((20.0,), (-0.0,), key=(20.0, 0.0)) == rows((20.0,), (0.0,), key=(20.0, 0.0))
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8_100])
+def test_decision_words_are_generator_uniforms_and_top_bit_guesses(m):
+    # a decision is one raw 64-bit word w: the ML rule reads it as
+    # Generator.random does, U = (w >> 11) 2^-53, and the random rule's guess
+    # is its top bit. A numpy release that changed Generator.random fails here
+    # instead of moving every pinned byte silently
+    seed_seq = np.random.SeedSequence([m, DECISIONS])
+    words = np.random.PCG64(seed_seq).random_raw(m)
+    uniforms = np.random.Generator(np.random.PCG64(seed_seq)).random(m)
+    assert uniforms.tolist() == [(w >> 11) * 2.0**-53 for w in words.tolist()]
+    for delta in (-4.0, 19.0):  # Eve nearer Alice or nearer Bob: the cut above or below 1/2
+        cut = fhkex.experiments._ml_cut(delta, 8.0)
+        named = _classify(words, None, delta, 8.0, RULE_ML)
+        assert np.array_equal(named, uniforms > cut if delta > 0.0 else uniforms < cut)
+    ones = np.ones(m, dtype=np.uint8)
+    assert _classify(words, ones, 19.0, 8.0, RULE_RANDOM).tolist() == [w >> 63 == 1 for w in words.tolist()]
 
 
 def test_grid_point_order_is_deterministic():
@@ -798,30 +904,33 @@ def test_analytic_column_trends():
 
 
 def test_estimate_rule_correctness_random_is_half():
-    rng = np.random.default_rng(17)
+    coins, decisions = _slice_streams(17)
     rate = estimate_rule_correctness(
-        rng, 10**5, 70.0, 20.0, ScenarioConfig(sigma=8.0), rule=RULE_RANDOM
+        coins, decisions, 10**5, 70.0, 20.0, ScenarioConfig(sigma=8.0), rule=RULE_RANDOM
     )
     assert rate == pytest.approx(0.5, abs=0.01)
 
 
 # ids name the case, not its pins, so a re-pin keeps them
 @pytest.mark.parametrize("rule, sigma, rate, next_draw", [
-    pytest.param(RULE_ML, 0.0, 1.0, 1439427560, id="ml-pairwise-0.0"),
-    pytest.param(RULE_ML, 8.0, 0.9574, 1439427560, id="ml-pairwise-8.0"),
-    pytest.param(RULE_RANDOM, 0.0, 0.5012, 2854317815, id="random-guess-0.0"),
-    pytest.param(RULE_RANDOM, 8.0, 0.5012, 2854317815, id="random-guess-8.0"),
+    pytest.param(RULE_ML, 0.0, 1.0, 617421993, id="ml-pairwise-0.0"),
+    pytest.param(RULE_ML, 8.0, 0.9526, 617421993, id="ml-pairwise-8.0"),
+    pytest.param(RULE_RANDOM, 0.0, 0.495, 617421993, id="random-guess-0.0"),
+    pytest.param(RULE_RANDOM, 8.0, 0.495, 617421993, id="random-guess-8.0"),
 ])
 def test_estimate_rule_correctness_pinned_draws(rule, sigma, rate, next_draw):
     # frozen from a stand-alone per-bit loop over the same draws, chunk edges
-    # included: per chunk, coins read bit by bit from rng.bytes, then one
-    # uniform U (scored as (-delta - sigma sqrt(2) v) * delta < 0 for
-    # v = statistics.NormalDist().inv_cdf(U)) or one guess per bit
-    rng = np.random.default_rng(20261018)
+    # included: per chunk, coins read bit by bit, least significant first,
+    # from the coin stream's Generator.bytes of whole 64-bit words, then per
+    # bit one decision word: a uniform U from Generator.random (scored as
+    # (-delta - sigma sqrt(2) v) * delta < 0 for
+    # v = statistics.NormalDist().inv_cdf(U)) or a guess, the word's top bit.
+    # next_draw is the top half of the decision stream's next word
+    coins, decisions = _slice_streams(20261018)
     cfg = ScenarioConfig(sigma=sigma)
-    got = estimate_rule_correctness(rng, 5000, 70.0, 20.0, cfg, rule, chunk=1500)
+    got = estimate_rule_correctness(coins, decisions, 5000, 70.0, 20.0, cfg, rule, chunk=1500)
     assert got == rate
-    assert rng.integers(0, 2**32) == next_draw
+    assert decisions.random_raw() >> 32 == next_draw
 
 
 def _csv_text(rows):
@@ -872,63 +981,63 @@ def test_sweep_reraises_a_slice_failure_and_starts_no_later_slice(monkeypatch, f
     started = []
     exact = fhkex.experiments.slice_successes
 
-    def successes(rng, *args):
-        # a slice knows its index only by its stream's seed
-        index = rng.bit_generator.seed_seq.entropy[1]
-        started.append(index)
-        if index == failing:
+    def successes(coins, *args):
+        # a slice is known by its streams' seed: base seed, d_be and sigma bits
+        key = tuple(np.array(coins.seed_seq.entropy[1:3], dtype=np.uint64).view(float).tolist())
+        started.append(key)
+        if key == slices[failing]:
             raise boom
-        return exact(rng, *args)
+        return exact(coins, *args)
 
     monkeypatch.setattr(fhkex.experiments, "slice_successes", successes)
     spec = _small_spec(d_be=(2.0, 20.0, 35.0, 60.0)[:distances], sigma=(0.0, 8.0), trials=5)
+    slices = list(itertools.product(spec.d_be, spec.sigma))
     with pytest.raises(ValueError) as raised:
         sweep(spec)
     assert raised.value is boom
-    assert started == list(range(failing + 1))
+    assert started == slices[:failing + 1]
 
 
 # Every column but p_analytic, whose closed form may move in its last bits;
 # the Monte Carlo columns are a frozen function of the spec. Both orders of
 # sigma, unsorted and repeated n, and trial counts spanning several blocks.
-# Re-pinned when the draws last changed (coins from rng.bytes, one uniform per
-# ML decision), after the hand replay of test_slice_successes_judges_each_trial_session
-# and the engine-against-oracle tests passed on the new draws; the random-rule
-# entries, and the ML entries whose decisions end their stream, did not move.
+# Re-pinned when the draws last changed (one PCG64 stream per purpose, slices
+# keyed by (base_seed, d_be, sigma), coins and decisions read as raw words),
+# after the hand replay of test_slice_successes_judges_each_trial_session and
+# the engine-against-oracle tests passed on the new draws.
 _FROZEN_SWEEPS = [
     (dict(k=(0, 3, 16), n_rounds=(40, 10, 120, 40), d_be=(25.0, 60.0), sigma=(0.0, 8.0),
           trials=70, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_EQUIDISTANT,
           base_seed=1),
-     "ab4c986feebabe722480c599e394e2a6af7fafe4f63b8b45cb37871dd15d3d53"),
+     "92098713ae1f969c7cb8f37fd1647a795b6a0e3048a8db4c4b23fc1a40042be8"),
     (dict(k=(0, 1, 4, 12), n_rounds=(8, 30, 600), d_be=(2.0, 20.0), sigma=(0.0, 8.0),
           trials=60, rule=RULE_ML, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_CANONICAL,
           base_seed=2),
-     "9aa61018aacace18f0ac6656bea28b79d783110c443b779da39a1ad06b0664e1"),
+     "345032d1cbadf4f51b6e2a764c9791f2846b8e0445834579afcd0c208e700c48"),
     (dict(k=(2, 0, 9), n_rounds=(50, 5, 200), d_be=(20.0, 35.0), sigma=(8.0, 0.0),
           trials=90, rule=RULE_RANDOM, metric=METRIC_PER_BIT, geometry=GEOMETRY_CANONICAL,
           base_seed=3),
-     "da261e002170b6500de0eba9742d8bf0b2e880f500aeaf02c59060a96672ca49"),
+     "455fca40956df6a1328f9c4c9545aa25671b2825acb6ab6464e946ad78a5e62c"),
     (dict(k=(0, 2, 5), n_rounds=(300, 12, 12, 90), d_be=(30.0,), sigma=(0.0, 8.0),
           trials=80, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY, geometry=GEOMETRY_EQUIDISTANT,
           base_seed=4),
-     "b6aa58f1864ecf20b7f33b8da221689db8985c1c3aa1aab0d887436286322d3e"),
+     "b7a57fd3ab4c4d04918fc63d665c491658ac22f61789c102e99b20a37fada669"),
     # trials longer than BLOCK_SLOTS, one per batch, judged over several blocks:
     # unsorted n at the block edge 16,384 / 16,385, and k whose completing
-    # slot, or (whole key) first secret bit, lies in a later block. Pinned on
-    # the engine that judged each such trial whole, before it walked blocks;
-    # the two ML entries re-pinned with the draws, as above.
+    # slot, or (whole key) first secret bit, lies in a later block; re-pinned
+    # with the draws, as above.
     (dict(k=(0, 1, 2, 300, 500), n_rounds=(16385, 5000, 40000, 16384), d_be=(20.0, 3.0),
           sigma=(8.0,), trials=3, rule=RULE_ML, metric=METRIC_PER_BIT,
           geometry=GEOMETRY_CANONICAL, base_seed=7),
-     "84ef7c4d32b390348c251f4aed82059dcb452ccc79bfd2955c502ab062ad5e02"),
+     "fff48aa74586c10811b681ed0b99f6e83f772ed9cd1c59041b9f4e5e79d2aa80"),
     (dict(k=(1, 8, 9000, 12000, 19000), n_rounds=(30000, 16384, 100, 40000, 16385),
           d_be=(3.0, 20.0), sigma=(8.0, 0.0), trials=3, rule=RULE_ML, metric=METRIC_WHOLE_KEY,
           geometry=GEOMETRY_CANONICAL, base_seed=8),
-     "1ea595de805804943c9dc941d781d32c36e53cfc9a2b5563e9c98a5f5e126802"),
+     "4293aa6ef6a9f47779eeb586bf9605cdeaa576f92a78809880aead7a2a5631f2"),
     (dict(k=(0, 5, 8250, 10000), n_rounds=(16384, 25000, 16385, 300), d_be=(30.0,),
           sigma=(0.0, 8.0), trials=3, rule=RULE_RANDOM, metric=METRIC_WHOLE_KEY,
           geometry=GEOMETRY_EQUIDISTANT, base_seed=9),
-     "45d6d0a633163481897d521407d3bab01eef94c5feda4378ce2e690883e69d5b"),
+     "828c2a6e65ee8be7f34fc745b8af24ff1959602e4fcf3b3d141df1b973d9feaa"),
 ]
 
 
@@ -950,11 +1059,11 @@ _FROZEN_SWEEP_FILES = [
     (dict(k=(0, 16, 64), n_rounds=(100, 20, 600, 100), d_be=(2.0, 20.0, 35.0), sigma=(8.0,),
           trials=57, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_CANONICAL,
           base_seed=5),
-     "9b62a8d14a315bd76bc49cb51acacf384806db5c386587acb4487ed336901eef"),
+     "3388d2085fb532ab9592335817e798448e01ffd0bf6a8311ca3709dd1d92e8db"),
     (dict(k=(0, 8, 64), n_rounds=tuple(range(60, 301, 40)), d_be=(60.0,), sigma=(0.0,),
           trials=101, rule=RULE_ML, metric=METRIC_PER_BIT, geometry=GEOMETRY_EQUIDISTANT,
           base_seed=6),
-     "ed7f1dc2559458ec00afe3f782c372ceffdab8ae1a1dbda4a61c6c08900f889a"),
+     "bd347228f18b00ade0aeee7f46c6d04e7768ac4b43416bbd2b01f662e8b6697e"),
 ]
 
 

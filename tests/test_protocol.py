@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhkex.protocol import draw_coins, run_session, write_transcript_csv
+from fhkex.protocol import COINS, DECISIONS, draw_coins, run_session, stream, write_transcript_csv
 from fhkex.scenario import ScenarioConfig
 from oracle import bit_columns
 
@@ -15,51 +15,60 @@ TOY_BOB = [0, 1, 0, 1, 0, 1]
 
 
 def _bytes_coins(rng, count):
-    """count coins straight from rng.bytes, most significant bit first; no coins read nothing."""
-    raw = rng.bytes((count + 7) // 8) if count else b""
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count)
+    """count coins straight from rng.bytes of whole 64-bit words, each byte least significant bit first."""
+    raw = rng.bytes(8 * -(-count // 64)) if count else b""
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little")
 
 
-# a 32-bit draw leaves the high half of PCG64's 64-bit word held as a spare,
-# a second takes it; a uniform reads a whole word and leaves a spare as it
-# is. Each prefix, then whether it leaves a spare held
+def _streams(seed):
+    """A coin stream, its twin read through Generator.bytes, and another purpose's stream."""
+    return (
+        stream((seed,), COINS), np.random.Generator(stream((seed,), COINS)),
+        np.random.Generator(stream((seed,), DECISIONS)),
+    )
+
+
+# Draws made before the coins, then whether they leave a spare 32-bit half held
+# on another purpose's stream, which the coins never read: a 32-bit draw holds
+# the high half of PCG64's 64-bit word, a second takes it, and a uniform reads
+# a whole word and leaves a spare as it is. Coins read their own stream's
+# whole words: 129 coins three of them, 65 coins two
 _PREFIXES = {
     "none": ([], 0),
     "spare": ([("integers", 1)], 1),
     "spare-taken": ([("integers", 2)], 0),
     "uniforms-over-spare": ([("integers", 3), ("random", 2)], 1),
-    "odd-coin-words": ([("coins", 65)], 1),
-    "even-coin-words": ([("integers", 1), ("coins", 33)], 1),
+    "odd-coin-words": ([("coins", 129)], 0),
+    "even-coin-words": ([("integers", 1), ("coins", 65)], 1),
 }
 
 
-def _draw(rng, kind, size):
+def _draw(coins, other, kind, size):
     if kind == "coins":
-        return draw_coins(rng, size)
-    return rng.integers(0, 2, size=size) if kind == "integers" else rng.random(size)
+        return draw_coins(coins, size)
+    return other.integers(0, 2, size=size) if kind == "integers" else other.random(size)
 
 
 @pytest.mark.parametrize("prefix", sorted(_PREFIXES))
 @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 63, 64, 65, 32_400])
 def test_coins_are_the_bits_of_rng_bytes(prefix, count):
-    # draw_coins reads PCG64's words raw, yet must read the stream rng.bytes
-    # reads: a held spare half first, and an odd last word's high half left held
+    # draw_coins reads whole raw words of its stream: the bits of rng.bytes of
+    # those words on a twin, whatever another purpose's stream holds
     seed = 7919 * count + len(prefix)
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    coins, twin, other = _streams(seed)
     draws, spare = _PREFIXES[prefix]
     for kind, size in draws:
-        drawn = _draw(rng, kind, size)
-        assert np.array_equal(drawn, _bytes_coins(twin, size) if kind == "coins" else _draw(twin, kind, size))
-    assert rng.bit_generator.state["has_uint32"] == twin.bit_generator.state["has_uint32"] == spare
-    for step in range(3):  # coins, then a 32-bit draw and a uniform between further coins
-        coins = draw_coins(rng, count)
-        assert coins.dtype == np.uint8 and np.array_equal(coins, _bytes_coins(twin, count)), step
-        assert rng.integers(0, 2) == twin.integers(0, 2)
-        assert draw_coins(rng, count + step).tolist() == _bytes_coins(twin, count + step).tolist()
-        assert rng.random() == twin.random()
-    assert rng.bytes(5) == twin.bytes(5)
-    assert rng.integers(0, 2, size=7).tolist() == twin.integers(0, 2, size=7).tolist()
-    assert rng.random(3).tolist() == twin.random(3).tolist()
+        drawn = _draw(coins, other, kind, size)
+        if kind == "coins":
+            assert np.array_equal(drawn, _bytes_coins(twin, size))
+    assert other.bit_generator.state["has_uint32"] == spare
+    for step in range(3):  # coins, with a 32-bit draw and a uniform of the other stream between them
+        drawn = draw_coins(coins, count)
+        assert drawn.dtype == np.uint8 and np.array_equal(drawn, _bytes_coins(twin, count)), step
+        other.integers(0, 2)
+        assert draw_coins(coins, count + step).tolist() == _bytes_coins(twin, count + step).tolist()
+        other.random()
+    assert coins.random_raw(3).tolist() == twin.bit_generator.random_raw(3).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,13 +79,12 @@ def test_coins_are_the_bits_of_rng_bytes(prefix, count):
     ),
 )
 def test_coins_keep_the_stream_of_rng_bytes_among_other_draws(seed, draws):
-    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    coins, twin, other = _streams(seed)
     for kind, size in draws:
-        expected = _bytes_coins(twin, size) if kind == "coins" else _draw(twin, kind, size)
-        assert np.array_equal(_draw(rng, kind, size), expected), (kind, size)
-    assert rng.bytes(5) == twin.bytes(5)
-    assert rng.integers(0, 2, size=7).tolist() == twin.integers(0, 2, size=7).tolist()
-    assert rng.random(3).tolist() == twin.random(3).tolist()
+        drawn = _draw(coins, other, kind, size)
+        if kind == "coins":
+            assert np.array_equal(drawn, _bytes_coins(twin, size)), size
+    assert coins.random_raw(3).tolist() == twin.bit_generator.random_raw(3).tolist()
 
 
 def _collision_slots(alice, bob):

@@ -1,7 +1,7 @@
 """`fhkex session` drawn and written in blocks of slots: pinned bytes, block-size invariance.
 
-The hashes were taken when the draws last changed (coins from rng.bytes, one
-uniform per ML decision), from the CLI's output once it had matched the
+The hashes were taken when the draws last changed (one PCG64 stream per
+purpose, coins and decisions read as raw words), from the CLI's output once it had matched the
 per-round oracle byte for byte and did not depend on the block size; any byte
 a later change moves fails here.
 """
@@ -19,90 +19,91 @@ from hypothesis import strategies as st
 
 from fhkex import adversary, experiments, protocol
 from fhkex.cli import EXIT_OK, main
+from fhkex.experiments import session_streams
 from fhkex.scenario import ScenarioConfig
 
 # (rule, sigma, n) -> SHA-256 of transcript.csv, eve_trace.csv and stdout of
 # `fhkex session --seed 2024 --d-be 35 --eve --out .`; n = 40000 spans three blocks
 SESSION_SHA256 = {
     ("ml-pairwise", 0.0, 1): (
-        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "a5e4df1bf601313d78b74f95ff5ea9919f55ed752524ed5d336d955cc3622b4b",
         "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
         "6c3c6caa0384d1e41cdcf3e087f5cd9ec4cea629473fb78e8749a5d97a6d76bc",
     ),
     ("ml-pairwise", 0.0, 6): (
-        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
-        "75e5abd7336fbd9e186a9bee728dd26b673a97b7f36cabc9d680120cc9798e52",
-        "4d1833572a7956f22da5d6d5269bafc9f82c711fb0dcff388f44bd1e155dfbb5",
+        "a77adb52dd058308241a03881819c3694269971e32c1a4fb2414fbc6e2fe3b1d",
+        "22964cb04a9250ff4f393bb284c9c3d7a55ba21e97ca6f9556e04d3723db19db",
+        "03e12511db0339ee68c9521b844859bddc4e93cd0bccf2ea3f5a82eeb9b5854f",
     ),
     ("ml-pairwise", 0.0, 2000): (
-        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
-        "efbc1de054a20361f4d0f069fe165277ad6f16fd691ac01979f77c255cca7022",
-        "96d04ef063af60a2fb3561fc67558d672139e8a21621512678c8f292a86cbeea",
+        "4f6e16dc651624bf8e9604770d62bb66f66a676799732571baa7e4d53a9e3745",
+        "59c8e0e6b6e22af2224a653d43343e7e6ea156e5b8cebb597d6f8ce7f0c564e6",
+        "d4da89dcbaded93586fa68ae15dadb6b8cebaa42806c4543ba6696e4ad2f27eb",
     ),
     ("ml-pairwise", 0.0, 40000): (
-        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
-        "a513fe4db89fdc7c49ad2839d769053a530253a4e4e8515505453786f3295cb4",
-        "a37274261dd93f13c66d1e62bbb09dbf5ce50e606b9f524c531aceed7186e6aa",
+        "bea7ecd8a334de88a3a69145ff1c548ea3d4b85276ff6cb447f254f6fc6da811",
+        "7516958d747bb04c107d0ad6ea6fe4b9acbf5b341a53446c1cc163439e04b271",
+        "9234752fef5cd22d2cbbbab507a8aba2e0262fcbb59609df1714c412646a2f35",
     ),
     ("ml-pairwise", 8.0, 1): (
-        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "a5e4df1bf601313d78b74f95ff5ea9919f55ed752524ed5d336d955cc3622b4b",
         "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
         "6c3c6caa0384d1e41cdcf3e087f5cd9ec4cea629473fb78e8749a5d97a6d76bc",
     ),
     ("ml-pairwise", 8.0, 6): (
-        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
-        "d774e479d551ee480647d70dc39343d2e61b4a09a6a5f626fba44008fd8f2412",
-        "4d1833572a7956f22da5d6d5269bafc9f82c711fb0dcff388f44bd1e155dfbb5",
+        "a77adb52dd058308241a03881819c3694269971e32c1a4fb2414fbc6e2fe3b1d",
+        "79fb4825f5e421a17e075e28f4e7f41256156707d996d4ff5cade8582f4c3ee4",
+        "d19bd90da8859d636c6d31e17ae22b4c323eeedb1378d374b58b0955ae0eff63",
     ),
     ("ml-pairwise", 8.0, 2000): (
-        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
-        "11a899a6fc24a196b83888167d8453cf52314ecba883f131f4a4386e576a8410",
-        "611533931064560b3977607c3c5639d9ca2f07853d883a9160e30835e104c210",
+        "4f6e16dc651624bf8e9604770d62bb66f66a676799732571baa7e4d53a9e3745",
+        "8f68b5eb3b4bd0646c5e8c25bb5a75539eff93e6302bd0f70e47bc5cdc646476",
+        "76a1da68806115f0e306bd35b0472e7fddf390c0aa25fdde77d9e0a8ccb567d3",
     ),
     ("ml-pairwise", 8.0, 40000): (
-        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
-        "dadf3fcea4f2019957999f4efa95531a976fb3b90b83ff044b48aa3607a8f58d",
-        "c7371a05c9f58cfc670f4a09eba86482f4f0479a4509ed424c088e2fb1e141ad",
+        "bea7ecd8a334de88a3a69145ff1c548ea3d4b85276ff6cb447f254f6fc6da811",
+        "0aff989ca6db205c76669c8e10c672795d103406545febbf33433c0c2d9ac88e",
+        "984a74b2e117045316b19519858d6f57d2aa09b613a977b33cae7ed3555869a3",
     ),
     ("random-guess", 0.0, 1): (
-        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "a5e4df1bf601313d78b74f95ff5ea9919f55ed752524ed5d336d955cc3622b4b",
         "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
         "748659b3d9b1662c0dc0d690cadddbe51d6d2978ffb672e2bccca2014f5f560b",
     ),
     ("random-guess", 0.0, 6): (
-        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
-        "49ba9cacb380d90ffd2900df702f4b5ea0d6b3d6cd161a17a470aff8a6ceda07",
-        "0dee377ddb15f39acc1156a66925612c34e4b30fbc089c6e1bae63d620fb2ab1",
+        "a77adb52dd058308241a03881819c3694269971e32c1a4fb2414fbc6e2fe3b1d",
+        "404dd4ea6612ea595a9c0fe73cf61f102d5ab6b76c1a4bb8b044b04089d7c85e",
+        "2f804646bd3b88df2ca3c704ade4a2cb1e661a5a62bbb108bd91ab4ab291cbc7",
     ),
     ("random-guess", 0.0, 2000): (
-        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
-        "0f5247bdbc98dfcc315eb7bf708204ca5963d454387bc72ecc85db8609e6ca0e",
-        "ca0ad5f463cd00af57c9026e4b922ba6c650eac04ff6a84aeb202c08bcc35901",
+        "4f6e16dc651624bf8e9604770d62bb66f66a676799732571baa7e4d53a9e3745",
+        "a2676c96cde01c7a28ad7370dfb6caf332a90240c870bc27b2bf3d68b7889176",
+        "2d417c6f4a65a1ae084102fe6cd2819b57ad569c4ce17abb77465f57edcc573f",
     ),
     ("random-guess", 0.0, 40000): (
-        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
-        "63436c862b2b73a0821e41d1dba724e3730c5127e77e3f49159e3099b7469b26",
-        "65d394d85cbe395be1ff9ed400957eb3c5c0a98c0786758b17ecc20e53de2240",
+        "bea7ecd8a334de88a3a69145ff1c548ea3d4b85276ff6cb447f254f6fc6da811",
+        "50ef613fdf1aea7f10637d9e232057ae780731b055fc9070ed01932647dd88d1",
+        "44a4080f34bd4067a2484c0813878537b06f68a4c2389df831e848eddd0c813c",
     ),
     ("random-guess", 8.0, 1): (
-        "69149e419bcb886f7a1ca5f6cd6be5f01ad84a13eff5d1e8be05b5d8efa20a56",
+        "a5e4df1bf601313d78b74f95ff5ea9919f55ed752524ed5d336d955cc3622b4b",
         "35e1c7f685ce9d1882f08c53d2918a64b0eacc0c84831a0927eaedad4c7baf71",
         "748659b3d9b1662c0dc0d690cadddbe51d6d2978ffb672e2bccca2014f5f560b",
     ),
     ("random-guess", 8.0, 6): (
-        "c458015f2119e78b4f3fcbda49c0c47bb6c35ef3de65ac635254a78273d8c9c0",
-        "044c17daf0a32dc6e58bd94ae34fcbee3344bf18ce01a54301cec1e53aded3c1",
-        "0dee377ddb15f39acc1156a66925612c34e4b30fbc089c6e1bae63d620fb2ab1",
+        "a77adb52dd058308241a03881819c3694269971e32c1a4fb2414fbc6e2fe3b1d",
+        "de2eda40c1013f374bd3191de6134dcb1072e9b7746bf7e5377d74d4531ff4b6",
+        "2f804646bd3b88df2ca3c704ade4a2cb1e661a5a62bbb108bd91ab4ab291cbc7",
     ),
     ("random-guess", 8.0, 2000): (
-        "f0bb5193d4078f9ef904ebe51ac4dd5d811d9d534528baa137278ebc96947550",
-        "dc9d068319f4b208a4ace9484e29693472c76f76b0b9fba38c7c22ab5d9e0e46",
-        "ca0ad5f463cd00af57c9026e4b922ba6c650eac04ff6a84aeb202c08bcc35901",
+        "4f6e16dc651624bf8e9604770d62bb66f66a676799732571baa7e4d53a9e3745",
+        "65ae64bf67de312f99940026a90a66def92abb4c645de7954a2f6da3a203a79c",
+        "2d417c6f4a65a1ae084102fe6cd2819b57ad569c4ce17abb77465f57edcc573f",
     ),
     ("random-guess", 8.0, 40000): (
-        "a7223d5f2631cbc608fc6945efa00c8140edeb6dfea5c5e2ee4aae634ccf6e3f",
-        "45f72b075aa619b91a60403d332a3cff2af27b6a4d4dca2f6f809249a6d46c17",
-        "65d394d85cbe395be1ff9ed400957eb3c5c0a98c0786758b17ecc20e53de2240",
+        "bea7ecd8a334de88a3a69145ff1c548ea3d4b85276ff6cb447f254f6fc6da811",
+        "d3e13eff6b10c6184e91c5cbb421124af628db6c540b6fabc0b589f37a3dca2b",
+        "44a4080f34bd4067a2484c0813878537b06f68a4c2389df831e848eddd0c813c",
     ),
 }
 
@@ -159,9 +160,9 @@ def _session_outputs(tmp_path, rule):
 @pytest.mark.parametrize("block", [1, 7, 16, 48])
 def test_slot_bits_are_one_call_cut_at_block_size(monkeypatch, block):
     monkeypatch.setattr(experiments, "BLOCK_SLOTS", block)
-    blocks = experiments.draw_slot_bits(np.random.default_rng(5), 101)
+    blocks = list(experiments.draw_slot_bits(protocol.stream((5,), protocol.COINS), 101))
     assert [len(b) for b in blocks] == [block] * (101 // block) + [101 % block] * (101 % block > 0)
-    one_call = protocol.draw_coins(np.random.default_rng(5), 202).reshape(-1, 2)
+    one_call = protocol.draw_coins(protocol.stream((5,), protocol.COINS), 202).reshape(-1, 2)
     assert np.array_equal(np.concatenate(blocks), one_call)
 
 
@@ -176,11 +177,11 @@ def test_session_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, rule, 
 def _blocked_session(rule, d_ae, d_be):
     """Session joined from its blocks, and both CSVs written block by block."""
     cfg = ScenarioConfig(sigma=8.0)
-    rng = np.random.default_rng(11)
-    blocks = experiments.draw_slot_bits(rng, 50)
+    coins, decisions, normals = session_streams(11)
+    blocks = list(experiments.draw_slot_bits(coins, 50))
     transcript, trace = io.StringIO(), io.StringIO()
     protocol.write_transcript_csv(blocks, transcript, seed=11)
-    judged = list(experiments.session_blocks(rng, blocks, d_ae, d_be, cfg, rule))
+    judged = list(experiments.session_blocks(decisions, normals, blocks, d_ae, d_be, cfg, rule))
     adversary.write_adversary_trace_csv(judged, trace)
     session = experiments.Session(*map(np.concatenate, zip(*judged)))
     return session, transcript.getvalue(), trace.getvalue()
@@ -289,50 +290,45 @@ def test_transcript_writer_matches_per_row_reference(slots, cuts, seed):
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    cuts=st.lists(st.tuples(*[st.integers(0, 40)] * 4), max_size=5),
-    tail=st.integers(0, 40),
+    block=st.integers(1, 40),
+    slots=st.integers(0, 200),
+    cuts=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=5),
 )
-def test_draws_in_blocks_equal_one_call(seed, cuts, tail):
-    # a session's draws in stream order: its coins, in blocks of whole 16-slot
-    # words plus any tail (against one call of 2n coins), ML decision
-    # uniforms, shadowing normals, int64 guesses
-    words, uniforms, pairs, guesses = (sum(sizes) for sizes in zip((0, 0, 0, 0), *cuts))
-    slots = 16 * words + tail
-    rng = np.random.default_rng(seed)
+def test_draws_in_blocks_equal_one_call(seed, block, slots, cuts):
+    # a session's draws, each from its own stream: its coins in blocks of any
+    # size (against one call of 2n coins), and per block its decision words
+    # and its shadowing normals
+    coins, decisions, trace = session_streams(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "BLOCK_SLOTS", block)
+        blocks = list(experiments.draw_slot_bits(coins, slots))
+    parts = [decisions.random_raw(m) for m, _ in cuts], [trace.standard_normal((m, 2)) for _, m in cuts]
+    words, pairs = (sum(sizes) for sizes in zip((0, 0), *cuts))
+    coins, decisions, trace = session_streams(seed)
     whole = (
-        protocol.draw_coins(rng, 2 * slots).reshape(-1, 2),
-        rng.random(uniforms),
-        rng.standard_normal((pairs, 2)),
-        rng.integers(0, 2, size=guesses),
+        protocol.draw_coins(coins, 2 * slots).reshape(-1, 2),
+        decisions.random_raw(words),
+        trace.standard_normal((pairs, 2)),
     )
-    rng = np.random.default_rng(seed)
-    blocks = (
-        [protocol.draw_coins(rng, 2 * m).reshape(-1, 2) for m in [16 * w for w, *_ in cuts] + [tail]],
-        [rng.random(m) for _, m, _, _ in cuts],
-        [rng.standard_normal((m, 2)) for _, _, m, _ in cuts],
-        [rng.integers(0, 2, size=m) for *_, m in cuts],
-    )
-    for one_call, parts in zip(whole, blocks):
-        assert np.array_equal(np.concatenate([one_call[:0], *parts]), one_call)
+    for one_call, blocked in zip(whole, (blocks, *parts)):
+        assert np.array_equal(np.concatenate([one_call[:0], *blocked]), one_call)
 
 
-class _ScriptedDraws:
-    """Generator stand-in: each random or standard_normal call returns the next scripted array.
+class _Scripted:
+    """Stand-in for a session's decision stream and trace Generator: its one
+    random_raw call returns the scripted decision words, its one
+    standard_normal call the scripted u."""
 
-    Its bit generator is the list of arrays still to come, so a copy made the
-    way session_blocks makes one (the same type on a copy of the bit
-    generator) replays them independently.
-    """
+    def __init__(self, words, u):
+        self.words, self.u = words, u
 
-    def __init__(self, draws):
-        self.bit_generator = draws
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words.copy()
 
-    def _next(self, size):
-        draw = self.bit_generator.pop(0)
-        assert draw.shape == (size,)
-        return draw.copy()
-
-    random = standard_normal = _next
+    def standard_normal(self, size):
+        assert size == self.u.size
+        return self.u.copy()
 
 
 def _trace_calls(text, bits, delta):
@@ -352,32 +348,41 @@ def _call(a_bit, score):
     return "abstain" if score == 0.0 else str(a_bit if score < 0.0 else 1 - a_bit)
 
 
-def _scripted_trace(draws, cfg, d_ae, d_be):
-    """eve_trace.csv of one block whose decision draws are scripted, with its
+def _scripted_trace(words, cfg, d_ae, d_be):
+    """eve_trace.csv of one block whose decision words are scripted, with its
     bit columns: a bit in every slot, Alice's alternating from 0, and u
     scripted at several scales."""
-    u = np.random.default_rng(3).standard_normal(draws.size) * 10.0 ** np.arange(-3, 3).repeat(15)[:draws.size]
-    a_bits = np.arange(draws.size) % 2
+    u = np.random.default_rng(3).standard_normal(words.size) * 10.0 ** np.arange(-3, 3).repeat(15)[:words.size]
+    a_bits = np.arange(words.size) % 2
     bits = np.column_stack((a_bits, 1 - a_bits)).astype(np.uint8)
     trace = io.StringIO()
-    # rng draws the decisions; session_blocks' copy of it skips them, then draws u
-    blocks = experiments.session_blocks(_ScriptedDraws([draws, u]), [bits], d_ae, d_be, cfg)
+    scripted = _Scripted(words, u)
+    blocks = experiments.session_blocks(scripted, scripted, [bits], d_ae, d_be, cfg)
     adversary.write_adversary_trace_csv(blocks, trace)
     return trace.getvalue(), bits
 
 
+def _words(steps, low=0):
+    """Decision words whose uniforms U = (w >> 11) 2^-53 are steps * 2^-53, with the given 11 low bits."""
+    return np.array([step << 11 | low for step in steps], dtype=np.uint64)
+
+
 def test_trace_near_ties_follow_v():
-    # the decision draw U's call is authoritative: the decision column names
+    # the decision word's uniform U calls the bit: the decision column names
     # the bit iff U lies on delta's side of the tie Phi(-delta / (sigma sqrt 2)),
     # even where the samples written from (u, v = Phi^-1(U)) round to the
     # other sign; off near-ties (|A - B| > 1e-9) the written (A - B) * delta
-    # agrees with it
+    # agrees with it. Words 40 steps of 2^-53 either side of the tie, their
+    # low bits set, then spread ones
     cfg = ScenarioConfig(sigma=8.0)
     d_ae, d_be = 85.0, 35.0
     delta = 10.0 * cfg.gamma * math.log10(d_ae / d_be)
     tie = 0.5 * math.erfc(delta / (2.0 * cfg.sigma))
-    draws = np.array([tie + k * math.ulp(tie) for k in range(-40, 41)] + [0.02, 0.3, 0.5, 0.7, 0.98])
-    text, bits = _scripted_trace(draws, cfg, d_ae, d_be)
+    at_tie = math.floor(tie * 2.0**53)
+    spread = [int(x * 2.0**53) for x in (0.02, 0.3, 0.5, 0.7, 0.98)]
+    words = np.concatenate([_words(range(at_tie - 40, at_tie + 41), 2**11 - 1), _words(spread)])
+    draws = (words >> 11) * 2.0**-53
+    text, bits = _scripted_trace(words, cfg, d_ae, d_be)
     calls = _trace_calls(text, bits, delta)
     near = 0
     for (gap, decision, a_bit), draw in zip(calls, draws.tolist()):
@@ -391,16 +396,17 @@ def test_trace_near_ties_follow_v():
 
 @pytest.mark.parametrize("sigma", [0.5, 8.0])
 def test_trace_samples_are_finite_at_the_extreme_draws(sigma):
-    # U = 0, which Generator.random can return, is read as U_FLOOR: v stays
+    # U = 0, which a decision word below 2^11 gives, is read as U_FLOOR: v stays
     # finite, and at sigma 0.5, where the tie lies below U_FLOOR, U = 0 still
-    # names the bit as v's written gap does
+    # names the bit as v's written gap does. The words give U = 0, 0, 2^-53,
+    # 1/2, 1 - 2^-53 and 1 - 2^-53
     cfg = ScenarioConfig(sigma=sigma)
     d_ae, d_be = 85.0, 35.0
     delta = 10.0 * cfg.gamma * math.log10(d_ae / d_be)
-    draws = np.array([0.0, 0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-53])
-    text, bits = _scripted_trace(draws, cfg, d_ae, d_be)
+    words = np.array([0, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    text, bits = _scripted_trace(words, cfg, d_ae, d_be)
     calls = _trace_calls(text, bits, delta)
-    assert len(calls) == draws.size
+    assert len(calls) == words.size
     for gap, decision, a_bit in calls:
         assert math.isfinite(gap) and abs(gap) > 1e-9
         assert decision == _call(a_bit, gap * delta)
@@ -431,7 +437,7 @@ def test_shadowing_rebuilt_from_u_v_is_independent_unit_normal(rule):
     # variance, uncorrelated, each within 4 standard errors over 10^5 bits
     cfg = ScenarioConfig(sigma=8.0)
     d_ae, d_be = 85.0, 35.0
-    session = experiments.simulate_session_counts(np.random.default_rng(7), 210_000, d_ae, d_be, cfg, rule)
+    session = experiments.simulate_session_counts(7, 210_000, d_ae, d_be, cfg, rule)
     m = 10**5
     assert session.samples.shape[0] >= m
     pl = np.array([cfg.pl0 + 10.0 * cfg.gamma * math.log10(d / cfg.d0) for d in (d_ae, d_be)])
