@@ -11,6 +11,9 @@ v as (u + v)/sqrt(2) for Alice and (u - v)/sqrt(2) for Bob: independent,
 with unit variance. Their difference, sqrt(2) * v, is all the ML rule reads,
 so v, drawn as one uniform U with v = normal_quantile(U), decides the bit
 and u only places the written samples.
+
+Verdict holds each rule's one decision for the batched engine; the per-round
+oracle, simulate_eavesdropper, keeps its own score rule as the reference.
 """
 
 from __future__ import annotations
@@ -104,6 +107,54 @@ def pg_closed_form(delta: float, sigma: float) -> float:
     if sigma == 0.0:
         return 1.0
     return 0.5 * math.erfc(-abs(delta) / (2.0 * sigma))
+
+
+class Verdict:
+    """A rule's calls on key bits at mean path-loss gap delta
+    (channel.delta_mean_pathloss) and shadowing sigma, from one raw 64-bit
+    decision word w per bit; built per sweep slice or session, not per block.
+
+    The random rule guesses w's top bit. The ML call names the value iff
+    (A - B) * delta < 0 for Alice's and Bob's samples A, B, whatever the
+    value (0 puts A on f0, 1 puts B there). As A - B = -delta - sigma *
+    sqrt(2) * Phi^-1(U) for w's uniform U = (w >> 11) 2^-53, Generator.random's,
+    that is so iff U lies strictly on delta's side of the cut
+    Phi(-delta / (sigma sqrt 2)); U at the cut ties, and the rule abstains.
+    A cut at or below U_FLOOR is moved below it: a U of 0 reads as U_FLOOR,
+    as normal_quantile reads it, on delta's side. fixed is every ML call's
+    miss where no draw decides, True at delta = 0 (all tie) and False at
+    sigma = 0 (all named); else it is None, as is the random rule's cut.
+    pg is the rule's per-bit probability of naming the value.
+    """
+
+    def __init__(self, delta: float, sigma: float, rule: str = RULE_ML):
+        self.rule, self.fixed, self.cut = rule, None, None
+        self.pg = 0.5 if rule == RULE_RANDOM else pg_closed_form(delta, sigma)
+        if rule == RULE_ML and (delta == 0.0 or sigma == 0.0):
+            self.fixed = delta == 0.0
+        elif rule == RULE_ML:
+            cut = 0.5 * math.erfc(delta / (2.0 * sigma))
+            self.cut = cut - U_FLOOR if cut <= U_FLOOR else cut
+            # U grows with w and c 2^53 is exact for the cut c, so a miss is one comparison of w, no U made:
+            # below the first word whose U exceeds the cut (delta > 0), or above the last one under it
+            first, last = (math.floor(self.cut * 2.0**53) + 1) << 11, (math.ceil(self.cut * 2.0**53) << 11) - 1
+            self._above, self._word = delta > 0.0, np.uint64(first if delta > 0.0 else last)
+
+    def missed(self, words: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+        """Per key bit, whether the call misses its value (wrong or a tie), from
+        its uint64 decision word; values, the bits' values, only the random rule reads."""
+        if self.rule == RULE_RANDOM:
+            return words >> 63 != values
+        if self.fixed is not None:
+            return np.full(words.size, self.fixed)
+        return words < self._word if self._above else words > self._word
+
+    def ties(self, uniforms: np.ndarray | None, missed: np.ndarray) -> np.ndarray:
+        """Per key bit, whether the call abstains, given its word's U (ML only) and
+        its miss: a tie is always a miss, and the random rule never abstains."""
+        if self.rule == RULE_RANDOM:
+            return np.zeros(missed.size, dtype=bool)
+        return missed if self.cut is None else uniforms == self.cut
 
 
 def simulate_eavesdropper(

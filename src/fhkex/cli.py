@@ -30,22 +30,36 @@ def _fail(code: str, message: str) -> None:
     print(f"error: {code}: {message}", file=sys.stderr)
 
 
+def _parse_range(text: str, cast, limit: int):
+    """start, stop, step and value count of an inclusive range 'start:stop:step' of <= limit values."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise scenario.ConfigError("invalid-axis", f"range must be start:stop:step, got {text!r}")
+    start, stop, step = (cast(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
+        raise scenario.ConfigError("invalid-axis", f"bad range {text!r}")
+    # the tolerance keeps an endpoint that float rounding puts just past stop
+    span = (stop - start) / step + 1e-9
+    if not span < limit:  # also catches a span that overflowed to inf
+        raise scenario.ConfigError("invalid-axis", f"range {text!r} has more than {limit} values")
+    return start, stop, step, int(span) + 1
+
+
+def _axis_size(text: str, cast, limit: int) -> int:
+    """The number of values _parse_axis gives for text, counted without building any."""
+    text = text.strip()
+    if ":" in text:
+        return _parse_range(text, cast, limit)[3]
+    return text.count(",") + 1 if text else 0
+
+
 def _parse_axis(text: str, cast, limit: int):
     """Axis syntax: comma list '60,80,100' or inclusive range 'start:stop:step' of <= limit values."""
     text = text.strip()
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise scenario.ConfigError("invalid-axis", f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (cast(p) for p in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0 or stop < start:
-            raise scenario.ConfigError("invalid-axis", f"bad range {text!r}")
-        # start + i*step rather than repeated addition, which drifts; the
-        # tolerance keeps an endpoint that float rounding puts just past stop
-        span = (stop - start) / step + 1e-9
-        if not span < limit:  # also catches a span that overflowed to inf
-            raise scenario.ConfigError("invalid-axis", f"range {text!r} has more than {limit} values")
-        values = [start + i * step for i in range(int(span) + 1)]
+        start, stop, step, count = _parse_range(text, cast, limit)
+        # start + i*step rather than repeated addition, which drifts
+        values = [start + i * step for i in range(count)]
         if abs(values[-1] - stop) <= 1e-9 * step:
             values[-1] = stop
         return tuple(cast(v) for v in values)
@@ -72,15 +86,15 @@ def _output_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _resolve_seed(args: argparse.Namespace, cfg: scenario.ScenarioConfig) -> int:
-    """--seed flag wins, then a config-file value; otherwise auto-generate and echo."""
+def _resolve_seed(args: argparse.Namespace, cfg: scenario.ScenarioConfig) -> tuple[int, str]:
+    """The seed, and the line that echoes it if generated ("" otherwise):
+    the --seed flag wins, then a config-file value; otherwise one is generated."""
     if args.seed is not None:
-        return args.seed
+        return args.seed, ""
     if args.config is not None:
-        return cfg.seed
+        return cfg.seed, ""
     seed = secrets.randbits(63)
-    print(f"seed={seed} (auto-generated; pass --seed to reproduce)")
-    return seed
+    return seed, f"seed={seed} (auto-generated; pass --seed to reproduce)\n"
 
 
 # The ScenarioConfig fields each command reads. A sweep takes sigma and n from
@@ -201,7 +215,9 @@ def _cmd_session(args: argparse.Namespace) -> int:
     if cfg.n_rounds > experiments.SLOT_BUDGET:
         raise experiments.BudgetError(f"{cfg.n_rounds} slots exceed budget {experiments.SLOT_BUDGET}")
     out = _output_dir(args)
-    cfg = dataclasses.replace(cfg, seed=_resolve_seed(args, cfg))
+    seed, echo = _resolve_seed(args, cfg)
+    sys.stdout.write(echo)
+    cfg = dataclasses.replace(cfg, seed=seed)
     coins, decisions, trace = experiments.session_streams(cfg.seed)
     # listed: the transcript reads the blocks twice, for its key line and its rows
     blocks = list(experiments.draw_slot_bits(coins, cfg.n_rounds))
@@ -264,17 +280,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _make_spec(args: argparse.Namespace) -> experiments.SweepSpec:
-    """The sweep's spec, checked in full before its seed is resolved (and an auto seed echoed)."""
+    """The sweep's spec, built once and checked in full before an auto seed is echoed.
+
+    The grid's rows are counted from the typed axes first, so a grid over
+    the row limit is refused before any axis is built.
+    """
     if args.budget < 1:  # it also caps the axes' ranges, which would take the blame
         raise scenario.ConfigError("invalid-budget", f"--budget must be >= 1, got {args.budget}")
     cfg = _build_scenario(args)
     limit = min(args.budget, experiments.ROW_LIMIT)  # no axis is longer than the grid
+    axes = ((args.k_list, int), (args.n_list, int), (args.d_be_list, float), (args.sigma_list, float))
+    experiments.SweepSpec.check_rows(math.prod(_axis_size(text, cast, limit) for text, cast in axes))
+    seed, echo = _resolve_seed(args, cfg)
     spec = experiments.SweepSpec(
-        k=_parse_axis(args.k_list, int, limit),
-        n_rounds=_parse_axis(args.n_list, int, limit),
-        d_be=_parse_axis(args.d_be_list, float, limit),
-        sigma=_parse_axis(args.sigma_list, float, limit),
+        *(_parse_axis(text, cast, limit) for text, cast in axes),  # k, n_rounds, d_be, sigma
         trials=args.trials,
+        base_seed=seed,
         rule=args.rule,
         metric=args.metric,
         geometry=args.geometry,
@@ -286,7 +307,8 @@ def _make_spec(args: argparse.Namespace) -> experiments.SweepSpec:
     slices = len(set(spec.k)) * len(set(spec.sigma))  # the rule and the metric are single
     if args.command == "frontier" and slices != 1:
         raise ValueError(f"frontier needs a single (k, sigma, rule, metric) slice, got {slices}")
-    return dataclasses.replace(spec, base_seed=_resolve_seed(args, cfg))
+    sys.stdout.write(echo)
+    return spec
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
-"""Monte Carlo harness: seeded session sweeps over parameter grids.
+"""Monte Carlo harness: seeded session sweeps over parameter grids. It draws
+and counts; the eavesdropper's calls are the rule's adversary.Verdict.
 
 Each grid point reports the fraction of protocol sessions against the
 eavesdropper that met the key-size target, with a Wilson 95% interval and,
@@ -18,8 +19,9 @@ of the spec. A slice's block loop is short numpy calls and Python glue
 under the GIL, so two threads ran slower than one: 2.94 vs 2.44 ms for the
 bench frontier spec (3 slices), 212 vs 173 ms for an 8-slice, 10^4-trial
 sweep (2 vCPUs, Python 3.11.7, numpy 2.4.6). A slice draws only what its
-counts read: a fixed ML verdict reads nothing from its decision stream, and
-per bit a block that misses no bit is not indexed (see slice_successes).
+counts read: a fixed ML verdict (Verdict.fixed) reads nothing from its
+decision stream, and per bit a block that misses no bit is not indexed
+(see slice_successes).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
-from .adversary import RULE_ML, RULE_RANDOM, RULES, U_FLOOR, normal_quantile, pg_closed_form, rss_samples
+from .adversary import RULE_ML, RULE_RANDOM, RULES, Verdict, normal_quantile, rss_samples
 from .analysis import COLLISION_PROB, key_probs, secret_bit_prob
 from .channel import delta_mean_pathloss
 from .protocol import COINS, DECISIONS, TRACE, draw_coins, stream
@@ -89,9 +91,7 @@ class SweepSpec:
     scenario: ScenarioConfig = ScenarioConfig()
 
     def __post_init__(self):
-        rows = math.prod(map(len, (self.k, self.n_rounds, self.d_be, self.sigma)))
-        if rows > ROW_LIMIT:
-            raise BudgetError(f"{rows} grid points (k x n x d_be x sigma) exceed the row limit {ROW_LIMIT}")
+        self.check_rows(self.grid_size)
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         object.__setattr__(self, "n_rounds", tuple(int(v) for v in self.n_rounds))
         object.__setattr__(self, "d_be", tuple(float(v) for v in self.d_be))
@@ -118,6 +118,12 @@ class SweepSpec:
                 f"{self.slots} simulated slots (slices x trials x longest n) "
                 f"exceed budget {self.budget}"
             )
+
+    @staticmethod
+    def check_rows(rows: int) -> None:
+        """Refuses a grid of more rows (k x n x d_be x sigma) than ROW_LIMIT; checked before any axis is copied."""
+        if rows > ROW_LIMIT:
+            raise BudgetError(f"{rows} grid points (k x n x d_be x sigma) exceed the row limit {ROW_LIMIT}")
 
     @property
     def grid_size(self) -> int:
@@ -198,20 +204,23 @@ def session_blocks(
 ) -> Iterator[Session]:
     """The eavesdropper on the slot bits of draw_slot_bits, one Session per block.
 
-    Per generated bit in slot order, one decision word (see _judge) and the
-    trace draws that place the written samples: u for the ML rule (v is
-    normal_quantile of its word's uniform U), u and v for the random rule.
+    Per generated bit in slot order, one decision word, a raw 64-bit word of
+    decisions that the rule's adversary.Verdict reads, and the trace draws
+    that place the written samples: u for the ML rule (v is normal_quantile
+    of its word's uniform U), u and v for the random rule.
     """
-    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    verdict = Verdict(delta_mean_pathloss(d_ae, d_be, cfg.gamma), cfg.sigma, rule)
     for block in blocks:
-        _, words, correct = _judge(decisions, block, delta, cfg.sigma, rule)
-        uniforms = (words >> 11) * 2.0**-53  # U, as Generator.random reads a word
-        abstain = _abstain(uniforms, correct, delta, cfg.sigma, rule)
+        generated = _generated(block)
+        words = decisions.random_raw(np.count_nonzero(generated))
         if rule == RULE_RANDOM:
+            missed, uniforms = verdict.missed(words, block[:, 0][generated]), None
             u, v = trace.standard_normal((words.size, 2)).T
         else:
+            missed, uniforms = verdict.missed(words), (words >> 11) * 2.0**-53  # U, as Generator.random reads w
             u, v = trace.standard_normal(words.size), normal_quantile(uniforms)
-        yield Session(block[:, 0], block[:, 1], rss_samples(u, v, d_ae, d_be, cfg), correct, abstain)
+        samples = rss_samples(u, v, d_ae, d_be, cfg)
+        yield Session(block[:, 0], block[:, 1], samples, ~missed, verdict.ties(uniforms, missed))
 
 
 def session_streams(seed: int) -> tuple[np.random.PCG64, np.random.PCG64, np.random.Generator]:
@@ -243,31 +252,12 @@ def _generated(bits: np.ndarray) -> np.ndarray:
     return (bits.view(np.uint16).ravel() - np.uint16(1)) < 256
 
 
-def _judge(
-    decisions: np.random.PCG64, bits: np.ndarray, delta: float, sigma: float, rule: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eavesdropper on (m, 2) uint8 coin pairs laid out as draw_slot_bits
-    gives them, at mean path-loss gap delta (channel.delta_mean_pathloss) and
-    shadowing sigma: (generated, words, correct), the (m,) slot mask of
-    generated key bits, then per generated bit in slot order its decision
-    word, one raw 64-bit word of decisions, and whether _classify names its
-    value.
-
-    One decision word per generated bit, so T trials of n slots judged as
-    one batch draw and decide what one session of T n slots does.
-    """
-    generated = _generated(bits)
-    values = bits[:, 0][generated] if rule == RULE_RANDOM else None
-    words = decisions.random_raw(np.count_nonzero(generated))
-    return generated, words, _classify(words, values, delta, sigma, rule)
-
-
 def slice_successes(
     coins: np.random.PCG64, decisions: np.random.PCG64, trials: int, ks: Sequence[int],
-    n_rounds: Sequence[int], delta: float, sigma: float, rule: str = RULE_ML,
-    metric: str = METRIC_PER_BIT,
+    n_rounds: Sequence[int], verdict: Verdict, metric: str = METRIC_PER_BIT,
 ) -> np.ndarray:
-    """Successful trials per (k, n), shape (len(ks), len(n_rounds)).
+    """Successful trials per (k, n), shape (len(ks), len(n_rounds)), under
+    verdict, the rule's at the slice's delta and sigma.
 
     Every trial is one session of max(n_rounds) slots; row n reads its
     first n slots, so the counts are non-decreasing in n (and, for the
@@ -285,10 +275,10 @@ def slice_successes(
     BLOCK_SLOTS cells.
 
     Only what a count reads is drawn or indexed: an ML slice whose verdict
-    is fixed (delta = 0 or sigma = 0) reads nothing from its decision
-    stream, and for the per-bit metric a block that misses no bit completes
-    no key, so its slots are not indexed. Near a node (d_be 2 m at sigma 8,
-    p_g = 0.999994) most blocks miss no bit.
+    is fixed (delta = 0 or sigma = 0, Verdict.fixed) reads nothing from its
+    decision stream, and for the per-bit metric a block that misses no bit
+    completes no key, so its slots are not indexed. Near a node (d_be 2 m at
+    sigma 8, p_g = 0.999994) most blocks miss no bit.
     """
     n_max = max(n_rounds)
     whole_key = metric == METRIC_WHOLE_KEY
@@ -297,9 +287,6 @@ def slice_successes(
     keys = sorted({k for k in ks if 0 < k <= n_max})
     kth = np.array(keys, dtype=np.int64) - 1
     ns = np.array(sorted(n_rounds))
-    # a fixed ML verdict (see _ml_cut) reads no decision word: every bit is
-    # missed at delta = 0, none at sigma = 0
-    fixed = rule == RULE_ML and _ml_cut(delta, sigma) is None
     batch = max(1, BLOCK_SLOTS // n_max)
     # where each trial of a full batch starts among its trial * n_max + slot
     # indices, one per row, and where the last one ends. The i-th key's slot at
@@ -315,12 +302,13 @@ def slice_successes(
         # by rank (n_max or more until found; one trial spans blocks), the first key due
         base, offset, rank, lo = 0, 0, n_max, 0
         for bits in draw_slot_bits(coins, size * n_max):
-            if fixed:
-                generated = _generated(bits)
-                secret = np.full(np.count_nonzero(generated), delta == 0.0)
-            else:
-                generated, _, correct = _judge(decisions, bits, delta, sigma, rule)
-                secret = ~correct
+            generated = _generated(bits)
+            count = np.count_nonzero(generated)
+            if verdict.fixed is not None:  # no decision word decides: none is drawn
+                secret = np.full(count, verdict.fixed)
+            else:  # one decision word per generated bit, as a session of the batch's slots draws
+                values = bits[:, 0][generated] if verdict.rule == RULE_RANDOM else None
+                secret = verdict.missed(decisions.random_raw(count), values)
             if not (whole_key or secret.any()):
                 offset += len(bits)  # no key completes in a block that misses no bit
                 continue
@@ -360,70 +348,6 @@ def slice_successes(
     return successes
 
 
-def _ml_cut(delta: float, sigma: float) -> float | None:
-    """The decision draw U at which the ML rule ties, Phi(-delta / (sigma sqrt 2)),
-    as pg_closed_form computes it; None where no draw decides: at delta = 0
-    every call ties, and at sigma = 0 with delta != 0 every call is correct.
-
-    A cut at or below U_FLOOR is moved below it, since a U of 0 is read as
-    U_FLOOR, as normal_quantile reads it, and lies on delta's side.
-    """
-    if delta == 0.0 or sigma == 0.0:
-        return None
-    cut = 0.5 * math.erfc(delta / (2.0 * sigma))
-    return cut - U_FLOOR if cut <= U_FLOOR else cut
-
-
-def _classify(
-    words: np.ndarray, values: np.ndarray | None, delta: float, sigma: float, rule: str
-) -> np.ndarray:
-    """Per bit round, whether the rule named the value, from its uint64 decision word w.
-
-    The random rule's guess is w's top bit; only it reads the bit values.
-    The ML guess is correct iff (A - B) * delta < 0 for the Alice and Bob
-    samples A, B, whatever the bit value: value 0 puts A on f0 and is named
-    on a negative score, value 1 puts B on f0 and is named on a positive
-    one. With A - B = -delta - sigma * sqrt(2) * Phi^-1(U) for w's uniform
-    U = (w >> 11) 2^-53, Generator.random's, that is so iff U lies strictly
-    on delta's side of _ml_cut, even where the samples nearly tie. As U
-    grows with w, and c 2^53 is exact for the cut c, that is a word at or
-    above the first one whose U exceeds c, or at or below the last one
-    whose U is under it: one comparison, no U made.
-    """
-    if rule == RULE_RANDOM:
-        return words >> 63 == values
-    cut = _ml_cut(delta, sigma)
-    if cut is None:
-        return np.full(words.size, delta != 0.0)
-    if delta > 0.0:
-        return words >= np.uint64((math.floor(cut * 2.0**53) + 1) << 11)
-    return words <= np.uint64((math.ceil(cut * 2.0**53) << 11) - 1)
-
-
-def _abstain(
-    uniforms: np.ndarray, correct: np.ndarray, delta: float, sigma: float, rule: str
-) -> np.ndarray:
-    """Per bit round, whether the rule abstained, given the decision words' uniforms and _classify's verdicts.
-
-    The ML rule abstains on a tie: U at _ml_cut, or, where the verdict is
-    fixed, every call that is not correct (every call at delta = 0, none
-    at sigma = 0). An abstention is never correct. The random rule never
-    abstains. Only a session's trace writes this; a sweep counts missed
-    bits, abstained or wrong alike.
-    """
-    if rule == RULE_RANDOM:
-        return np.zeros(uniforms.size, dtype=bool)
-    cut = _ml_cut(delta, sigma)
-    return ~correct if cut is None else uniforms == cut
-
-
-def _slice_pg(delta: float, sigma: float, rule: str) -> float:
-    """Per-bit-round correct-guess probability of the simulated rule."""
-    if rule == RULE_RANDOM:
-        return 0.5
-    return pg_closed_form(delta, sigma)
-
-
 def _analytic_columns(
     ks: Sequence[int], n_rounds: Sequence[int], pg: float, metric: str
 ) -> list[list[float]]:
@@ -449,7 +373,7 @@ def analytic_prob(
 ) -> float:
     """Closed-form success probability at one grid point: a sweep's analytic column, one row."""
     delta = delta_mean_pathloss(*build_deployment(d_be, geometry), gamma)
-    ((prob,),) = _analytic_columns((k,), (n,), _slice_pg(delta, sigma, rule), metric)
+    ((prob,),) = _analytic_columns((k,), (n,), Verdict(delta, sigma, rule).pg, metric)
     return prob
 
 
@@ -483,21 +407,18 @@ def sweep(spec: SweepSpec) -> tuple[ResultRow, ...]:
     if spec.grid_size == 0:
         return ()
     slices = list(itertools.product(spec.d_be, spec.sigma))
-    deltas = [
-        delta_mean_pathloss(*build_deployment(d_be, spec.geometry), spec.scenario.gamma)
-        for d_be, _ in slices
+    verdicts = [
+        Verdict(delta_mean_pathloss(*build_deployment(d_be, spec.geometry), spec.scenario.gamma), sigma, spec.rule)
+        for d_be, sigma in slices
     ]
     counts = []
-    for delta, key in zip(deltas, slices):
+    for verdict, key in zip(verdicts, slices):
         entropy = (spec.base_seed, *(np.array(key) + 0.0).view(np.uint64).tolist())  # -0.0 as 0.0
         counts.append(slice_successes(
             stream(entropy, COINS), stream(entropy, DECISIONS),
-            spec.trials, spec.k, spec.n_rounds, delta, key[1], spec.rule, spec.metric,
+            spec.trials, spec.k, spec.n_rounds, verdict, spec.metric,
         ).tolist())
-    analytic = [
-        _analytic_columns(spec.k, spec.n_rounds, _slice_pg(delta, sigma, spec.rule), spec.metric)
-        for delta, (_, sigma) in zip(deltas, slices)
-    ]
+    analytic = [_analytic_columns(spec.k, spec.n_rounds, verdict.pg, spec.metric) for verdict in verdicts]
     rule, metric, trials = spec.rule, spec.metric, spec.trials
     # (p_hat, ci_lo, ci_hi) once per distinct success count: a slice has at most trials + 1
     distinct = {c for by_k in counts for by_n in by_k for c in by_n}

@@ -5,10 +5,9 @@ import math
 
 import numpy as np
 
-from fhkex.adversary import _AS241_CENTRAL, _AS241_FAR_TAIL, _AS241_NEAR_TAIL, RULE_ML, U_FLOOR
+from fhkex.adversary import _AS241_CENTRAL, _AS241_FAR_TAIL, _AS241_NEAR_TAIL, RULE_ML, U_FLOOR, Verdict
 from fhkex.analysis import Probability
 from fhkex.channel import delta_mean_pathloss
-from fhkex.experiments import _classify
 from fhkex.protocol import draw_coins
 from fhkex.scenario import ScenarioConfig
 
@@ -98,10 +97,10 @@ def estimate_rule_correctness(
     """
     correct = 0
     remaining = n_bit_rounds
-    delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
+    verdict = Verdict(delta_mean_pathloss(d_ae, d_be, cfg.gamma), cfg.sigma, rule)
     while remaining > 0:
         m = min(chunk, remaining)
         values = draw_coins(coins, m)
-        correct += int(_classify(decisions.random_raw(m), values, delta, cfg.sigma, rule).sum())
+        correct += m - int(verdict.missed(decisions.random_raw(m), values).sum())
         remaining -= m
     return correct / n_bit_rounds

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,38 @@ def test_sweep_refuses_rows_over_the_row_limit(tmp_path, capsys, monkeypatch, k_
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {code}:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_grid_builds_no_axis(tmp_path, capsys):
+    # 10^9 rows, from a range of 10^6 values: refused from the axes' value
+    # counts; building the axes first peaked at 80 MB (child ru_maxrss)
+    argv = [
+        "sweep", "--seed", "1", "--k-list", "1:1000000:1", "--n-list", "1:1000:1", "--trials", "1",
+        "--out", str(tmp_path),
+    ]
+    build_parser()  # built once and kept: its allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: invalid-value: 1000000000 grid points")
+    assert peak < 2**20
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_spec_is_built_and_checked_once(tmp_path, capsys, monkeypatch):
+    # an auto seed is chosen before the spec is built, and echoed once it has passed its checks
+    specs = []
+    post_init = experiments.SweepSpec.__post_init__
+    monkeypatch.setattr(experiments.SweepSpec, "__post_init__", lambda spec: specs.append(spec) or post_init(spec))
+    argv = ["sweep", "--k-list", "4", "--n-list", "20", "--trials", "5", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    (spec,) = specs
+    assert capsys.readouterr().out.startswith(f"seed={spec.base_seed} (auto-generated")
 
 
 def test_sweep_slice_failure_exits_config_error(tmp_path, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from fhkex.adversary import (
     RULE_ML,
     RULE_RANDOM,
     U_FLOOR,
+    Verdict,
     normal_quantile,
     rss_samples,
     simulate_eavesdropper,
@@ -34,9 +35,7 @@ from fhkex.experiments import (
     ResultRow,
     Session,
     SweepSpec,
-    _abstain,
-    _classify,
-    _judge,
+    _generated,
     analytic_prob,
     draw_slot_bits,
     frontier,
@@ -51,9 +50,22 @@ from fhkex.experiments import (
     write_frontier_csv,
     write_result_csv,
 )
-from fhkex.protocol import COINS, DECISIONS, draw_coins, run_session, stream
+from fhkex.protocol import COINS, DECISIONS, TRACE, draw_coins, run_session, stream
 from fhkex.scenario import GEOMETRY_CANONICAL, GEOMETRY_EQUIDISTANT, ScenarioConfig, build_deployment
 from oracle import estimate_rule_correctness, trace_columns
+
+
+def _judge_block(decisions, bits, delta, sigma, rule):
+    """(generated, words, missed) for (m, 2) coin pairs as draw_slot_bits gives
+    them: the engine's slot mask of generated bits, then per generated bit in
+    slot order its decision word and the rule's Verdict on it, a word drawn
+    for every bit, as a session draws them (a sweep draws none for a fixed
+    verdict). So T trials of n slots judged as one batch draw and decide what
+    one session of T n slots does."""
+    generated = _generated(bits)
+    words = decisions.random_raw(np.count_nonzero(generated))
+    values = bits[:, 0][generated] if rule == RULE_RANDOM else None
+    return generated, words, Verdict(delta, sigma, rule).missed(words, values)
 
 
 def _slice_streams(seed):
@@ -145,8 +157,7 @@ def test_batched_engine_single_trial_matches_vectorized_session(rule, sigma, see
     delta = delta_mean_pathloss(*dep, cfg.gamma)
     coins_block, decisions_block = _slice_streams(seed)
     (block,) = draw_slot_bits(coins_block, 400)
-    gen_mask, _, block_correct = _judge(decisions_block, block, delta, cfg.sigma, rule)
-    secret = ~block_correct
+    gen_mask, _, secret = _judge_block(decisions_block, block, delta, cfg.sigma, rule)
     wrong = np.flatnonzero(~correct)
     missed = np.flatnonzero(secret)  # the compressed stream: one flag per generated bit
     assert int(gen_mask.sum()) == generated == secret.size
@@ -179,7 +190,7 @@ def test_rows_read_session_prefixes(metric, rule, seed):
             else:
                 expected.append(generated - int(correct[:generated].sum()) >= k)
     counts = slice_successes(
-        *_slice_streams(seed), 1, ks, ns, delta_mean_pathloss(*dep, cfg.gamma), cfg.sigma, rule, metric,
+        *_slice_streams(seed), 1, ks, ns, Verdict(delta_mean_pathloss(*dep, cfg.gamma), cfg.sigma, rule), metric,
     )
     assert counts.ravel().tolist() == [int(e) for e in expected]
 
@@ -272,7 +283,7 @@ def test_slice_successes_judges_each_trial_session(
     cfg = ScenarioConfig(sigma=sigma)
     streams = _slice_streams(seed)
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    counts = slice_successes(*streams, trials, ks, ns, delta, sigma, rule, metric)
+    counts = slice_successes(*streams, trials, ks, ns, Verdict(delta, sigma, rule), metric)
     expected, replay = _judge_sessions(seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric)
     assert counts.tolist() == expected.tolist()
     assert _next_words(*streams) == _next_words(*replay)
@@ -306,7 +317,7 @@ def test_gathered_counts_over_many_shrunk_blocks(
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
-        counts = slice_successes(*streams, trials, ks, ns, delta, sigma, rule, metric)
+        counts = slice_successes(*streams, trials, ks, ns, Verdict(delta, sigma, rule), metric)
     expected, replay = _judge_sessions(
         seed, trials, ks, ns, d_ae, d_be, cfg, rule, metric, block_slots
     )
@@ -331,7 +342,7 @@ def test_every_key_size_of_a_trial_that_spans_blocks(monkeypatch, metric, block_
     delta = delta_mean_pathloss(70.0, 20.0, cfg.gamma)
     streams = _slice_streams(seed)
     monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
-    counts = slice_successes(*streams, 1, ks, ns, delta, cfg.sigma, RULE_ML, metric)
+    counts = slice_successes(*streams, 1, ks, ns, Verdict(delta, cfg.sigma, RULE_ML), metric)
     expected, replay = _judge_sessions(seed, 1, ks, ns, 70.0, 20.0, cfg, RULE_ML, metric, block_slots)
     assert counts.tolist() == expected.tolist()
     assert _next_words(*streams) == _next_words(*replay)
@@ -351,7 +362,7 @@ def test_skipped_uniforms_leave_the_stream_where_drawn_ones_do(tied, trials):
     delta = 0.0 if tied else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     ks, ns = (0, 1, 4, 12), (5, 20)
     coins, decisions = _slice_streams(trials)
-    counts = slice_successes(coins, decisions, trials, ks, ns, delta, sigma, RULE_ML, METRIC_PER_BIT)
+    counts = slice_successes(coins, decisions, trials, ks, ns, Verdict(delta, sigma, RULE_ML), METRIC_PER_BIT)
     expected, (replay_coins, replay_decisions) = _judge_sessions(
         trials, trials, ks, ns, d_ae, d_be, cfg, RULE_ML, METRIC_PER_BIT, draw_fixed=True
     )
@@ -381,7 +392,7 @@ def test_skipped_draws_and_blocks_keep_the_replayed_counts(
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     streams = _slice_streams(35)
     monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", block_slots)
-    counts = slice_successes(*streams, trials, ks, ns, delta, sigma, RULE_ML, metric)
+    counts = slice_successes(*streams, trials, ks, ns, Verdict(delta, sigma, RULE_ML), metric)
     expected, replay = _judge_sessions(35, trials, ks, ns, d_ae, d_be, cfg, RULE_ML, metric, block_slots)
     assert counts.tolist() == expected.tolist()
     assert _next_words(*streams) == _next_words(*replay)
@@ -403,7 +414,7 @@ def test_fixed_verdict_draws_no_decision(d_ae, d_be, sigma, metric):
     cfg = ScenarioConfig(sigma=sigma)
     delta = 0.0 if d_ae == d_be else delta_mean_pathloss(d_ae, d_be, cfg.gamma)
     coins = stream((36,), COINS)
-    counts = slice_successes(coins, Refusing(), 40, (0, 1, 30), (20, 100), delta, sigma, RULE_ML, metric)
+    counts = slice_successes(coins, Refusing(), 40, (0, 1, 30), (20, 100), Verdict(delta, sigma, RULE_ML), metric)
     expected, (replay_coins, _) = _judge_sessions(36, 40, (0, 1, 30), (20, 100), d_ae, d_be, cfg, RULE_ML, metric)
     assert counts.tolist() == expected.tolist()
     assert _next_words(coins) == _next_words(replay_coins)
@@ -452,11 +463,12 @@ def test_ml_mask_matches_reference_rule(rows, distances, sigma):
 
     words = np.array([word(w) for _, (_, w) in rows], dtype=np.uint64)
     draws = np.array([(w >> 11) * 2.0**-53 for w in words.tolist()])
-    mask = _classify(words, values, delta, sigma, RULE_ML)
-    abstain = _abstain(draws, mask, delta, sigma, RULE_ML)
+    verdict = Verdict(delta, sigma, RULE_ML)
+    missed = verdict.missed(words, values)
+    mask, abstain = ~missed, verdict.ties(draws, missed)
     assert mask.dtype == bool
     assert not mask[abstain].any()  # an abstention is never correct
-    cut = fhkex.experiments._ml_cut(delta, sigma)
+    cut = verdict.cut
     if cut is not None:  # the word thresholds compare U with the cut
         assert np.array_equal(mask, draws > cut if delta > 0.0 else draws < cut)
     if delta == 0.0:
@@ -493,18 +505,22 @@ def test_coin_pair_reads_one_or_256_iff_coins_differ():
 @pytest.mark.parametrize("trials", [1, 3, 27])
 @pytest.mark.parametrize("n", [1, 7, 600, 16_385])
 def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n):
+    # the engine hands the verdict the bit values of a block only under the
+    # random rule: an ML block indexes no coin value, in a session or a sweep
     seen = []
-    classify = fhkex.experiments._classify
+    missed = Verdict.missed
     monkeypatch.setattr(
-        fhkex.experiments, "_classify",
-        lambda words, values, *rest: seen.append(values) or classify(words, values, *rest),
+        Verdict, "missed", lambda self, words, values=None: seen.append(values) or missed(self, words, values),
     )
     seed = 1000 * trials + n
     coins, decisions = _slice_streams(seed)
-    generated, _, correct = _judge(
-        decisions, draw_coins(coins, 2 * trials * n).reshape(-1, 2), delta_mean_pathloss(70.0, 20.0, 3.5),
-        8.0, rule,
+    block = draw_coins(coins, 2 * trials * n).reshape(-1, 2)
+    generated = _generated(block)
+    (judged,) = session_blocks(
+        decisions, np.random.Generator(stream((seed,), TRACE)), [block], 70.0, 20.0, ScenarioConfig(sigma=8.0),
+        rule,
     )
+    correct = judged.correct
     bits = draw_coins(stream((seed,), COINS), 2 * trials * n).reshape(trials, 2 * n)
     a, b = bits[:, 0::2], bits[:, 1::2]
     assert generated.dtype == bool
@@ -514,6 +530,9 @@ def test_block_slot_mask_matches_strided_reference(monkeypatch, rule, trials, n)
         assert np.array_equal(seen[0], a[a != b])
     else:
         assert seen[0] is None
+    delta = delta_mean_pathloss(70.0, 20.0, 3.5)
+    slice_successes(*_slice_streams(seed), trials, (1,), (n,), Verdict(delta, 8.0, rule))
+    assert len(seen) > 1 and [values is None for values in seen] == [rule == RULE_ML] * len(seen)
 
 
 @pytest.mark.parametrize("rule", [RULE_ML, RULE_RANDOM])
@@ -526,8 +545,8 @@ def test_batch_of_trials_judges_as_one_long_session(monkeypatch, rule, d_ae, d_b
     coins, decisions = _slice_streams(seed)
     bits = draw_coins(coins, 2 * trials * n).reshape(-1, 2)
     delta = delta_mean_pathloss(d_ae, d_be, cfg.gamma)
-    generated, words, correct = _judge(decisions, bits, delta, cfg.sigma, rule)
-    abstain = _abstain((words >> 11) * 2.0**-53, correct, delta, cfg.sigma, rule)
+    generated, words, missed = _judge_block(decisions, bits, delta, cfg.sigma, rule)
+    correct, abstain = ~missed, Verdict(delta, cfg.sigma, rule).ties((words >> 11) * 2.0**-53, missed)
     monkeypatch.setattr(fhkex.experiments, "BLOCK_SLOTS", 16)  # the session spans 12 blocks
     session, *session_streams_ = _engine_session(seed, trials * n, d_ae, d_be, cfg, rule)
     assert np.array_equal(generated, session.alice != session.bob)
@@ -554,8 +573,8 @@ def test_long_trial_holds_its_coins_plus_one_block(rule, metric):
     tracemalloc.start()
     try:
         counts = slice_successes(
-            *_slice_streams(17), 1, (0, 1, 64, 100_000), (n // 2, 16_385, n), delta, 8.0,
-            rule, metric,
+            *_slice_streams(17), 1, (0, 1, 64, 100_000), (n // 2, 16_385, n), Verdict(delta, 8.0, rule),
+            metric,
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -581,7 +600,7 @@ def test_counting_every_key_size_holds_the_counts_plus_one_block(monkeypatch):
         streams = _slice_streams(18)
         tracemalloc.start()
         try:
-            counts = slice_successes(*streams, 1, ks, (n,), delta, 8.0, RULE_ML, metric)
+            counts = slice_successes(*streams, 1, ks, (n,), Verdict(delta, 8.0, RULE_ML), metric)
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -600,7 +619,7 @@ def test_engine_counts_every_trial_across_blocks():
     n = 500
     trials = 3 * (BLOCK_SLOTS // n) + 4  # three full batches and a partial one
     delta, sigma = delta_mean_pathloss(70.0, 20.0, 3.5), ScenarioConfig().sigma
-    counts = slice_successes(*_slice_streams(5), trials, (0,), (1, n), delta, sigma)
+    counts = slice_successes(*_slice_streams(5), trials, (0,), (1, n), Verdict(delta, sigma))
     assert counts.tolist() == [[trials, trials]]  # k = 0 succeeds on every trial
     spec = SweepSpec(k=(0, 4), n_rounds=(40, n), d_be=(20.0,), sigma=(8.0,), trials=trials)
     rows = sweep(spec)
@@ -615,7 +634,7 @@ def test_engine_counts_every_trial_across_blocks():
     cfg = ScenarioConfig(sigma=sigma)
     for rule, metric in itertools.product((RULE_ML, RULE_RANDOM), (METRIC_PER_BIT, METRIC_WHOLE_KEY)):
         streams = _slice_streams(6)
-        counts = slice_successes(*streams, trials, ks, ns, delta, sigma, rule, metric)
+        counts = slice_successes(*streams, trials, ks, ns, Verdict(delta, sigma, rule), metric)
         expected, replay = _judge_sessions(6, trials, ks, ns, 70.0, 20.0, cfg, rule, metric)
         assert counts.tolist() == expected.tolist(), (rule, metric)
         assert _next_words(*streams) == _next_words(*replay)
@@ -649,11 +668,11 @@ def test_count_steps_at_the_slot_that_completes_the_key(rule, metric):
     for k, s in completing.items():
         assert 1 <= s < n_max
         counts = slice_successes(
-            *_slice_streams(seed), 1, (k,), (s, s + 1, n_max), delta, cfg.sigma, rule, metric
+            *_slice_streams(seed), 1, (k,), (s, s + 1, n_max), Verdict(delta, cfg.sigma, rule), metric
         )
         assert counts.tolist() == [[0, 1, 1]], k
     counts = slice_successes(
-        *_slice_streams(seed), 1, never, (1, n_max), delta, cfg.sigma, rule, metric
+        *_slice_streams(seed), 1, never, (1, n_max), Verdict(delta, cfg.sigma, rule), metric
     )
     assert counts.tolist() == [[0, 0]] * len(never)
 
@@ -769,11 +788,13 @@ def test_decision_words_are_generator_uniforms_and_top_bit_guesses(m):
     uniforms = np.random.Generator(np.random.PCG64(seed_seq)).random(m)
     assert uniforms.tolist() == [(w >> 11) * 2.0**-53 for w in words.tolist()]
     for delta in (-4.0, 19.0):  # Eve nearer Alice or nearer Bob: the cut above or below 1/2
-        cut = fhkex.experiments._ml_cut(delta, 8.0)
-        named = _classify(words, None, delta, 8.0, RULE_ML)
+        verdict = Verdict(delta, 8.0, RULE_ML)
+        cut = verdict.cut
+        named = ~verdict.missed(words)
         assert np.array_equal(named, uniforms > cut if delta > 0.0 else uniforms < cut)
     ones = np.ones(m, dtype=np.uint8)
-    assert _classify(words, ones, 19.0, 8.0, RULE_RANDOM).tolist() == [w >> 63 == 1 for w in words.tolist()]
+    named = ~Verdict(19.0, 8.0, RULE_RANDOM).missed(words, ones)
+    assert named.tolist() == [w >> 63 == 1 for w in words.tolist()]
 
 
 def test_grid_point_order_is_deterministic():
