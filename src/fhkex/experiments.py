@@ -21,7 +21,9 @@ bench frontier spec (3 slices), 212 vs 173 ms for an 8-slice, 10^4-trial
 sweep (2 vCPUs, Python 3.11.7, numpy 2.4.6). A slice draws only what its
 counts read: a fixed ML verdict (Verdict.fixed) reads nothing from its
 decision stream, and per bit a block that misses no bit is not indexed
-(see slice_successes).
+(see slice_successes). A slice's closed-form column is walked for all n at
+once: the binomial windows of every n in one numpy pass, in chunks of about
+BLOCK_SLOTS cells, bit for bit analysis.key_probs (see _key_columns).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 import numpy as np
 
 from .adversary import RULE_ML, RULE_RANDOM, RULES, Verdict, normal_quantile, rss_samples
-from .analysis import COLLISION_PROB, key_probs, secret_bit_prob
+from .analysis import COLLISION_PROB, key_probs, secret_bit_prob, window_floor, window_tails
 from .channel import delta_mean_pathloss
 from .protocol import COINS, DECISIONS, TRACE, draw_coins, stream
 from .scenario import (
@@ -348,6 +350,72 @@ def slice_successes(
     return successes
 
 
+def _walks(ns: np.ndarray, starts: np.ndarray, floors: np.ndarray, ratio: float, width: int) -> Iterator[list[float]]:
+    """analysis._walk from every (n, start, floor) at once, each row's terms
+    with the mode term 1.0 first, yielded row by row: a (rows x width) array
+    of the factors (n - i) / (i + 1) * ratio, multiplied along each row in
+    order, so every product is the scalar walk's, cut at each row's first
+    term below its floor. The factor at i = n is 0, so a row of
+    n - start + 2 cells ends; a row not ended within width is walked again
+    twice as wide.
+    """
+    width = min(width, int((ns - starts).max()) + 2)
+    # integers below 2^53 as floats, so the steps are exact and no step casts
+    ns, starts = ns.astype(float), starts.astype(float)
+    i = np.empty((ns.size, width - 1))  # filled in place: a broadcast sum also holds numpy's buffers
+    i[:] = np.arange(width - 1.0)
+    i += starts[:, None]
+    t = np.empty((ns.size, width))
+    t[:, 0] = 1.0
+    factors = np.subtract(ns[:, None], i, out=t[:, 1:])
+    factors /= np.add(i, 1.0, out=i)
+    factors *= ratio
+    np.multiply.accumulate(t, axis=1, out=t)
+    cuts = (t >= floors[:, None]).argmin(axis=1)  # the first term not above the floor; 0: none yet
+    short = cuts == 0
+    rest = _walks(ns[short], starts[short], floors[short], ratio, 2 * width) if short.any() else None
+    for row, cut in zip(t, cuts.tolist()):
+        yield row[:cut].tolist() if cut else next(rest)
+
+
+def _key_columns(ks: Sequence[int], n_rounds: Sequence[int], p: float) -> list[list[float]]:
+    """analysis.key_probs(ks, n, p) for every n of n_rounds, bit for bit, from
+    the windows of every n walked at once (_walks).
+
+    The n values are walked in increasing order, in chunks of about
+    BLOCK_SLOTS cells: a row is sqrt(2 C n p q) + C + 2 cells wide,
+    C = -ln(floor), which held every window of n up to 10^9 (a row walked
+    too short is walked again). Each chunk's windows are read by
+    analysis.window_tails, then dropped.
+    """
+    if p == 0.0 or p == 1.0:
+        return [key_probs(ks, n, p) for n in n_rounds]
+    q = 1.0 - p
+    order = sorted(range(len(n_rounds)), key=n_rounds.__getitem__)
+    ns = np.array(n_rounds, dtype=np.int64)[order]
+    modes = np.minimum(ns, ((ns + 1) * p).astype(np.int64))  # key_probs' int((n + 1) * p)
+    floors = np.array([window_floor(n) for n in ns.tolist()])
+    mirror = p == q and set((ns - 2 * modes).tolist()) <= {0, -1}  # key_probs' mirror, for every n
+    cs = -np.log(floors)
+    widths = (np.sqrt(2.0 * cs * ns * (p * q)) + cs).astype(np.int64) + 2
+    columns: list = [None] * len(order)
+    start = 0
+    while start < len(order):
+        # the most rows from start whose widest, the last, keeps the chunk within BLOCK_SLOTS cells
+        end = start + max(1, bisect.bisect_right(
+            range(start + 1, len(order) + 1), BLOCK_SLOTS, key=lambda e: (e - start) * widths[e - 1]
+        ))
+        n, mode, floor, width = ns[start:end], modes[start:end], floors[start:end], int(widths[end - 1])
+        above = _walks(n, mode, floor, p / q, width)
+        below = itertools.repeat(None) if mirror else (
+            row[1:] for row in _walks(n, n - mode, floor, q / p, width)
+        )
+        for r, up, down, n_r, mode_r in zip(order[start:end], above, below, n.tolist(), mode.tolist()):
+            columns[r] = window_tails(ks, n_r, mode_r, up, down)
+        start = end
+    return columns
+
+
 def _analytic_columns(
     ks: Sequence[int], n_rounds: Sequence[int], pg: float, metric: str
 ) -> list[list[float]]:
@@ -355,17 +423,17 @@ def _analytic_columns(
 
     The per-slot success probability, and for the whole-key metric each k's
     chance that the adversary misses one of the first k bits, are the
-    slice's: computed once, not once per n.
+    slice's: computed once, not once per n. The windows of all n are walked
+    at once (_key_columns).
     """
     if metric == METRIC_WHOLE_KEY:
         missed = [1.0 - pg**k for k in ks]
         # at least k generated bits, and a missed one among the first k
         return [
-            [tail * miss for tail, miss in zip(key_probs(ks, n, 1.0 - COLLISION_PROB), missed)]
-            for n in n_rounds
+            [tail * miss for tail, miss in zip(tails, missed)]
+            for tails in _key_columns(ks, n_rounds, 1.0 - COLLISION_PROB)
         ]
-    p_b = float(secret_bit_prob(COLLISION_PROB, pg))
-    return [key_probs(ks, n, p_b) for n in n_rounds]
+    return _key_columns(ks, n_rounds, float(secret_bit_prob(COLLISION_PROB, pg)))
 
 
 def analytic_prob(

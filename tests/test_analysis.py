@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -511,6 +512,55 @@ def test_privacy_radius_evaluation_count(monkeypatch):
         evals.clear()
         privacy_radius(KeyRequest(k=k, target=0.99), n=n, sigma=sigma)
         assert len(evals) <= most
+
+
+def test_privacy_radius_far_tail_evaluation_count(monkeypatch):
+    evals = []
+    exact = fhkex.analysis.key_prob
+    monkeypatch.setattr(
+        fhkex.analysis, "key_prob", lambda *args: evals.append(args) or exact(*args)
+    )
+    counts = []
+    for n, sigma, k in itertools.product((400, 1000, 5000, 20000), (2.0, 4.0, 8.0), (64, 128, 256)):
+        evals.clear()
+        try:
+            privacy_radius(KeyRequest(k=k, target=0.999999), n=n, sigma=sigma)
+        except InfeasibleError:
+            continue
+        counts.append(len(evals))
+    # without the Cornish-Fisher skew term the start took 14 at most (k 64,
+    # n 1,000, sigma 2) and 8.875 on average over these 24 feasible cases
+    assert len(counts) == 24
+    assert max(counts) <= 11
+    assert sum(counts) / len(counts) <= 8.55
+
+
+def test_privacy_radius_raises_past_its_probe_cap(monkeypatch):
+    # met at the far proxy's first check, then never: the upward gallop would
+    # probe the far proxy forever; a missing cap fails on the stopper instead
+    probes = []
+
+    def key_prob(k, n, p_b):
+        probes.append(p_b)
+        if len(probes) > 10**5:
+            raise AssertionError("privacy_radius has no probe cap")
+        return 1.0 if len(probes) == 1 else 0.0
+
+    monkeypatch.setattr(fhkex.analysis, "key_prob", key_prob)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="did not end"):
+        privacy_radius(KeyRequest(k=64, target=0.99), n=400, sigma=8.0)
+    assert time.perf_counter() - start < 1.0
+    assert len(probes) == fhkex.analysis.RADIUS_PROBES
+
+
+def test_privacy_radius_ends_where_floats_are_sparser_than_its_tolerance():
+    # the root lies near 10^10 m, where floats are 2^-19 m apart, more than
+    # RADIUS_TOL: narrowing to RADIUS_TOL there never ended
+    target = float(key_prob(64, 256, fading_pb(1e10, 8.0)))
+    radius = privacy_radius(KeyRequest(k=64, target=target), n=256, sigma=8.0)
+    assert 0.9e10 < radius < 1.1e10
+    assert float(key_prob(64, 256, fading_pb(radius, 8.0))) >= target
 
 
 def test_privacy_radius_monotone_trends():

@@ -19,15 +19,17 @@ from fhkex.adversary import (
     U_FLOOR,
     Verdict,
     normal_quantile,
+    pg_closed_form,
     rss_samples,
     simulate_eavesdropper,
 )
-from fhkex.analysis import fading_pb, key_prob
+from fhkex.analysis import COLLISION_PROB, _walk, fading_pb, key_prob, key_probs, secret_bit_prob, window_floor
 from fhkex.channel import delta_mean_pathloss
 from fhkex.experiments import (
     BLOCK_SLOTS,
     METRIC_PER_BIT,
     METRIC_WHOLE_KEY,
+    METRICS,
     RESULT_COLUMNS,
     ROW_LIMIT,
     BudgetError,
@@ -35,7 +37,10 @@ from fhkex.experiments import (
     ResultRow,
     Session,
     SweepSpec,
+    _analytic_columns,
     _generated,
+    _key_columns,
+    _walks,
     analytic_prob,
     draw_slot_bits,
     frontier,
@@ -835,6 +840,80 @@ def test_run_grid_point_trivial_key_always_succeeds():
 def test_run_grid_point_rejects_distances_below_reference():
     with pytest.raises(ValueError):
         run_grid_point(1, 10, 0.5, 8.0, trials=1, base_seed=0, cfg=ScenarioConfig())
+
+
+#: n of 1-60, 999, 10^4 and 10^6, unsorted and repeated
+_COLUMN_NS = (10**6, *range(60, 0, -1), 999, 10**4, 999, 7, 10**6)
+
+
+def _edge_ks(ns, p):
+    """k of 0, at each mode, at n and past it, and one either side of each
+    window edge of each n, as the scalar walk finds them."""
+    ks = {0}
+    for n in ns:
+        mode = min(n, int((n + 1) * p))
+        ks.update((mode, n, n + 1))
+        if 0.0 < p < 1.0:
+            hi = mode + len(_walk(n, mode, p / (1.0 - p), window_floor(n), [1.0])) - 1
+            lo = mode - len(_walk(n, n - mode, (1.0 - p) / p, window_floor(n), []))
+            ks.update(k for edge in (lo, hi) for k in range(edge - 1, edge + 3) if k >= 0)
+    return sorted(ks)
+
+
+def _hex(columns):
+    return [[float.hex(value) for value in column] for column in columns]
+
+
+# p_b = 1/2 takes the mirror, its float neighbours the two-sided walk; 0 and 1 the certain branch
+@pytest.mark.parametrize("p", [
+    0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.25, 1e-3, 0.999, 3e-6,
+    float(fading_pb(20.0, 8.0)), 0.0, 1.0,
+], ids=float.hex)
+def test_key_columns_are_key_probs_bit_for_bit(p):
+    ks = _edge_ks(set(_COLUMN_NS), p)
+    got = _key_columns(ks, _COLUMN_NS, p)
+    assert _hex(got) == _hex(key_probs(ks, n, p) for n in _COLUMN_NS)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("pg", [0.0, 0.5, pg_closed_form(3.7, 8.0), 1.0 - 2.0**-53, 1.0])
+def test_analytic_columns_are_key_probs_bit_for_bit(metric, pg):
+    # per bit, the secret-bit tail (p_b = 1/2 at p_g = 0: the mirror); for the whole
+    # key, at least k generated bits (p = 1/2) and a missed one among the first k
+    whole_key = metric == METRIC_WHOLE_KEY
+    p = 1.0 - COLLISION_PROB if whole_key else float(secret_bit_prob(COLLISION_PROB, pg))
+    ks = _edge_ks(set(_COLUMN_NS), p)
+    want = [key_probs(ks, n, p) for n in _COLUMN_NS]
+    if whole_key:
+        want = [[t * (1.0 - pg**k) for t, k in zip(column, ks)] for column in want]
+    assert _hex(_analytic_columns(ks, _COLUMN_NS, pg, metric)) == _hex(want)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 1e-3, 0.999])
+def test_walks_too_short_are_walked_again(p):
+    # a width of 2 holds only the mode term and one factor: every row longer is walked again, wider
+    ns = np.array([1, 2, 3, 60, 999, 10**4, 7])
+    modes = np.minimum(ns, ((ns + 1) * p).astype(np.int64))
+    floors = np.array([window_floor(n) for n in ns.tolist()])
+    for starts, ratio in ((modes, p / (1.0 - p)), (ns - modes, (1.0 - p) / p)):
+        want = [_walk(n, s, ratio, f, [1.0]) for n, s, f in zip(ns.tolist(), starts.tolist(), floors.tolist())]
+        assert _hex(_walks(ns, starts, floors, ratio, 2)) == _hex(want)
+        assert max(map(len, want)) > 2
+
+
+def test_key_columns_walk_one_chunk_at_a_time():
+    # 10^5 n values: the columns and the per-n arrays take about 20 MB; their
+    # windows walked at once would add arrays of 10^5 x 52 cells, 88 MB more
+    ns = tuple(10**4 + (i * 7919) % 10**5 for i in range(10**5))
+    _key_columns((2,), ns[:10], 1e-7)  # numpy's first calls allocate once, outside the measure
+    tracemalloc.start()
+    try:
+        columns = _key_columns((2,), ns, 1e-7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert _hex(columns[:50]) == _hex(key_probs((2,), n, 1e-7) for n in ns[:50])
 
 
 def test_analytic_prob_composition():
