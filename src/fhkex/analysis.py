@@ -399,7 +399,8 @@ def privacy_radius(
     falsi with Illinois halving on the log-odds of the key probability
     minus those of the target. Every probe lies at least RADIUS_TOL / 2
     inside the bracket, so once the estimate stops moving a closing step of
-    RADIUS_TOL / 2 crosses the root; when four probes have not halved the bracket,
+    RADIUS_TOL / 2 crosses the root, as it does next to a probe that meets
+    the target exactly; when four probes have not halved the bracket,
     the next one bisects it (Illinois needs three probes to pull a stuck
     end). Where floats are sparser than RADIUS_TOL (above 2^32 m) it stops
     at two floats' spacing. Raises InfeasibleError when the target is unmet
@@ -444,7 +445,9 @@ def privacy_radius(
         mid = lo + 0.5 * width  # bisection, unless the secant is usable
         if f_hi > f_lo and width <= 0.5 * before[0]:
             secant = hi - f_hi * width / (f_hi - f_lo)
-            if lo < secant < hi:
+            # a probe that met the target exactly (f_hi == 0) puts the secant at hi
+            # itself: the closing step below it ends the search, where it is a float below hi
+            if lo < secant < hi or (f_hi == 0 and hi - 0.5 * RADIUS_TOL < hi):
                 mid = secant
         mid = min(max(mid, lo + 0.5 * RADIUS_TOL), hi - 0.5 * RADIUS_TOL)  # the closing step
         before = before[1:] + [width]

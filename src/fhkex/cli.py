@@ -1,4 +1,9 @@
-"""Command-line front end: config loading, subcommand dispatch, output writing."""
+"""Command-line front end: config loading, subcommand dispatch, output writing.
+
+A command line is parsed once: the command's own parser reads everything
+after the command name. The top-level parser answers only a line that does
+not start with one, with its help or one error line.
+"""
 
 from __future__ import annotations
 
@@ -154,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation lab for key establishment via frequency-hopping collisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for parse_args
 
     p_fixture = sub.add_parser("fixture", help="run the scripted six-slot toy example")
     _add_scenario_flags(p_fixture, "fixture")
@@ -372,8 +378,25 @@ def dispatch(args: argparse.Namespace) -> int:
         return EXIT_IO
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) gives, parsed once.
+
+    The top-level parser would hand every token after the command name to
+    the command's parser and copy its namespace back, so a line that starts
+    with a command is read by that parser alone. argv None means sys.argv[1:].
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command first: the help, or one error line
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    return dispatch(build_parser().parse_args(argv))
+    return dispatch(parse_args(argv))
 
 
 def entry_point() -> None:

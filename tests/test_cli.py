@@ -152,6 +152,9 @@ def test_unknown_flag_exits_two():
     (["sweep", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
     (["frontier", "--rule", "foo"], "argument --rule: invalid choice: 'foo'"),
     (["teleport"], "argument command: invalid choice: 'teleport'"),
+    ([], "the following arguments are required: command"),
+    (["--sigma", "3"], "argument command: invalid choice: '3'"),
+    (["--", "analyze"], "argument command: invalid choice: '--'"),
 ])
 def test_parser_refusal_is_one_error_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhkex.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main
+from fhkex.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, build_parser, main, parse_args
 from fhkex.scenario import CONFIG_FIELDS
 
 
@@ -200,6 +200,49 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(inputs, argv):
         assert code == EXIT_OK or files == {}, argv
         if code != EXIT_OK:  # one machine-parseable line, whoever refused
             assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+def _parsed(parse, argv):
+    """parse(argv)'s namespace, its values by repr so that nan equals nan,
+    or the exit code, stdout and stderr it ends in."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+    return sorted((name, repr(value)) for name, value in vars(args).items())
+
+
+# the fuzzed lines, and the same lines without their command for the top-level parser
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=st.one_of(_argvs(), _argvs().map(lambda argv: argv[1:])))
+@example(argv=[])
+@example(argv=["--help"])
+@example(argv=["--sigma", "3"])
+@example(argv=["--", "analyze"])
+@example(argv=["--foo", "analyze", "--help"])  # the top-level parser hands analyze its --help
+@example(argv=["analyze", "--help"])
+@example(argv=["analyze", "--", "--k"])
+@example(argv=["sweep", "fixture"])
+def test_per_command_parse_is_the_full_parse(inputs, argv):
+    argv = [arg.format(**inputs) for arg in argv]
+    assert _parsed(parse_args, argv) == _parsed(build_parser().parse_args, argv), argv
+
+
+def test_a_line_that_starts_with_a_command_skips_the_top_level_parser(monkeypatch, capsys):
+    parser = build_parser()
+    calls = []
+    top_level = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", lambda *a: calls.append(a) or top_level(*a))
+    for argv in (["fixture"], ["analyze", "--k", "8", "--pb", "0.5"], ["analyze", "--help"],
+                 ["sweep", "--trials", "x"], ["fixture", "--sigma", "-5"]):
+        with contextlib.suppress(SystemExit):
+            main(argv)
+    assert calls == []
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(calls) == 1
 
 
 # config-file values off the happy path, and plain ones drawn as often; json writes the
